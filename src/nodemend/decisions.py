@@ -48,7 +48,6 @@ class DecisionConfig:
     fallback_width: float = 15.0  # interval width at or above this arms it
     capacity_tau: float = 1.0  # Redeploy savings below this get downgraded
     repeat_threshold: int = 10  # repeat_count above this forces Redeploy
-    repeat_window_days: float = 10.0
 
     def __post_init__(self) -> None:
         if self.fallback_tau < 0:
@@ -111,7 +110,7 @@ def decide(ite: IteEstimate, signals: DiagnosticSignals, cfg: DecisionConfig = D
 
     if abs(ite.tau) <= cfg.fallback_tau and ite.width >= cfg.fallback_width:
         return PolicyDecision(
-            action=legacy_policy(signals, cfg),
+            action=legacy_policy(signals),
             source=DecisionSource.FALLBACK,
             ite=ite,
             unallocatable_flag=False,
@@ -130,7 +129,7 @@ def decide(ite: IteEstimate, signals: DiagnosticSignals, cfg: DecisionConfig = D
     return PolicyDecision(action=action, source=DecisionSource.MODEL, ite=ite, unallocatable_flag=False)
 
 
-def legacy_policy(signals: DiagnosticSignals, cfg: DecisionConfig | None = None) -> MitigationAction:
+def legacy_policy(signals: DiagnosticSignals) -> MitigationAction:
     """Deterministic legacy heuristic (the simulator's rule without its
     exploration flip): hardware evidence means Redeploy, otherwise Reboot."""
     return legacy_rule(signals)

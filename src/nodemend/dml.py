@@ -21,12 +21,13 @@ from .domain import (
     IteEstimate,
     LabeledEvent,
     MitigationAction,
-    encode_features,
+    encode_features,  # noqa: F401  perfbench's tracer times dml.encode_features
     encode_matrix,
+    seed_for,
 )
 from .errors import DegenerateTreatment, InsufficientData, InvalidArgument
-from .forest import CausalForest, ForestParams, fit_forest, predict_tau_ci
-from .learners import FoldAssignment, LearnerConfig, crossfit_predict, make_folds
+from .forest import CausalForest, ForestParams, fit_forest, predict_tau, predict_tau_ci
+from .learners import LearnerConfig, crossfit_predict, make_folds
 
 FINAL_STAGE_FOREST = "forest"
 FINAL_STAGE_LINEAR = "linear"
@@ -93,27 +94,6 @@ class DmlModel:
         return self.schema.schema_id
 
 
-def _residualize(
-    X: np.ndarray,
-    y: np.ndarray,
-    a: np.ndarray,
-    config: TrainConfig,
-) -> tuple[ResidualData, list, list, FoldAssignment]:
-    folds = make_folds(X.shape[0], config.folds, seed=_stream(config.seed, 0))
-    y_hat, outcome_learners = crossfit_predict(
-        X, y, folds, config.learner, mode="regression", seed=_stream(config.seed, 1)
-    )
-    a_hat, propensity_learners = crossfit_predict(
-        X, a.astype(np.float64), folds, config.learner, mode="propensity", seed=_stream(config.seed, 2)
-    )
-    res = ResidualData(features=X, ry=y - y_hat, ra=a.astype(np.float64) - a_hat)
-    return res, outcome_learners, propensity_learners, folds
-
-
-def _stream(seed: int, tag: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=(tag,)).generate_state(1)[0])
-
-
 def prepare_training_arrays(
     dataset: list[LabeledEvent], schema: FeatureSchema
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -138,36 +118,8 @@ def train_dml(
     actions = {int(e.action) for e in dataset}
     if actions != {0, 1}:
         raise DegenerateTreatment(f"training needs both actions, saw codes {sorted(actions)}")
-
-    X, y, a = prepare_training_arrays(dataset, schema)
-    res, outcome_learners, propensity_learners, _ = _residualize(X, y, a, config)
-
-    forest = None
-    linear = None
-    if config.final_stage == FINAL_STAGE_FOREST:
-        forest = fit_forest(res.features, res.ry, res.ra, config.forest, seed=_stream(config.seed, 3))
-    else:
-        linear = final_stage_linear(res)
-
-    metadata = {
-        "seed": config.seed,
-        "n": n,
-        # data timestamp, not wall clock: artifacts must be reproducible
-        "timestamp": max(e.timestamp for e in dataset),
-        "version": MODEL_VERSION,
-    }
-    if linear is not None:
-        metadata["condition_number"] = linear.condition_number
-    return DmlModel(
-        schema=schema,
-        outcome_learners=outcome_learners,
-        propensity_learners=propensity_learners,
-        final_stage=config.final_stage,
-        forest=forest,
-        linear=linear,
-        train_config=config,
-        metadata=metadata,
-    )
+    res, outcome_learners, propensity_learners = residualize_dataset(dataset, config, schema)
+    return assemble_model(res, outcome_learners, propensity_learners, config.final_stage, config, schema, dataset)
 
 
 def residualize_dataset(
@@ -177,8 +129,15 @@ def residualize_dataset(
 ) -> tuple[ResidualData, list, list]:
     """Stage 1 only; lets callers fit several final stages on one residual set."""
     X, y, a = prepare_training_arrays(dataset, schema)
-    res, outcome_learners, propensity_learners, _ = _residualize(X, y, a, config)
-    return res, outcome_learners, propensity_learners
+    a = a.astype(np.float64)
+    folds = make_folds(X.shape[0], config.folds, seed=seed_for(config.seed, 0))
+    y_hat, outcome_learners = crossfit_predict(
+        X, y, folds, config.learner, mode="regression", seed=seed_for(config.seed, 1)
+    )
+    a_hat, propensity_learners = crossfit_predict(
+        X, a, folds, config.learner, mode="propensity", seed=seed_for(config.seed, 2)
+    )
+    return ResidualData(features=X, ry=y - y_hat, ra=a - a_hat), outcome_learners, propensity_learners
 
 
 def assemble_model(
@@ -194,7 +153,7 @@ def assemble_model(
     forest = None
     linear = None
     if final_stage == FINAL_STAGE_FOREST:
-        forest = fit_forest(res.features, res.ry, res.ra, config.forest, seed=_stream(config.seed, 3))
+        forest = fit_forest(res.features, res.ry, res.ra, config.forest, seed=seed_for(config.seed, 3))
     elif final_stage == FINAL_STAGE_LINEAR:
         linear = final_stage_linear(res)
     else:
@@ -202,6 +161,7 @@ def assemble_model(
     metadata = {
         "seed": config.seed,
         "n": res.features.shape[0],
+        # data timestamp, not wall clock: artifacts must be reproducible
         "timestamp": max((e.timestamp for e in dataset), default=0),
         "version": MODEL_VERSION,
     }
@@ -245,7 +205,7 @@ def theta_values(model: DmlModel, X: np.ndarray) -> np.ndarray:
     """Batch effect predictions theta(x) for encoded feature rows."""
     if model.final_stage == FINAL_STAGE_FOREST:
         assert model.forest is not None
-        return model.forest.predict_matrix(X).mean(axis=1)
+        return predict_tau(model.forest, X)
     assert model.linear is not None
     return model.linear.predict(X)
 
@@ -267,15 +227,7 @@ def estimate_ite(model: DmlModel, signals: DiagnosticSignals) -> IteEstimate:
     Forest models carry a grouped-bag interval at the configured level;
     linear models return a point estimate with zero width.
     """
-    vec = encode_features(signals, model.schema)
-    x = np.asarray(vec.values, dtype=np.float64)[None, :]
-    if model.final_stage == FINAL_STAGE_FOREST:
-        assert model.forest is not None
-        return predict_tau_ci(model.forest, x)[0]
-    assert model.linear is not None
-    tau = float(model.linear.predict(x)[0])
-    level = model.train_config.forest.confidence_level
-    return IteEstimate(tau=tau, tau_lower=tau, tau_upper=tau, confidence_level=level)
+    return estimate_ite_batch(model, [signals])[0]
 
 
 def estimate_ite_batch(model: DmlModel, signal_rows: list[DiagnosticSignals]) -> list[IteEstimate]:

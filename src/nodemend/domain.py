@@ -1,4 +1,5 @@
-"""Core vocabulary: actions, diagnostic signals, events, effect estimates.
+"""Core vocabulary: actions, diagnostic signals, events, effect estimates,
+and the seed derivation every random draw in the package goes through.
 
 Everything here is an immutable value type, safe to share across threads.
 The feature encoding is a pure function of a schema plus a signals record,
@@ -8,6 +9,7 @@ so every estimator in the package sees exactly the same numeric layout.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -18,6 +20,16 @@ from .errors import InvalidArgument, SchemaViolation
 ERROR_CODES = ("none", "hw_failure", "sw_fault", "net_timeout", "other")
 DEFAULT_HARDWARE_TYPES = ("gen4_compute", "gen5_compute", "gpu_accel", "storage_dense")
 DEFAULT_SESSION_TYPES = ("standard", "premium", "system")
+
+
+def seed_for(seed: int, *key: int) -> int:
+    """A 32-bit seed for the independent stream ``key`` under ``seed``."""
+    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
+
+
+def rng_for(seed: int, *key: int) -> np.random.Generator:
+    """A generator for the independent stream ``key`` under ``seed``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 class MitigationAction(IntEnum):
@@ -93,8 +105,9 @@ class LabeledEvent:
 
     def __post_init__(self) -> None:
         for name in ("avd", "blackout", "unallocatable"):
-            if getattr(self, name) < 0:
-                raise InvalidArgument(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise InvalidArgument(f"{name} must be finite and >= 0, got {value}")
         if self.interruptions < 0:
             raise InvalidArgument("interruptions must be >= 0")
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .decisions import DecisionConfig, PolicyDecision, decide, legacy_policy
 from .dml import DmlModel, estimate_ite, estimate_ite_batch, preferred_action
-from .domain import DiagnosticSignals, LabeledEvent, MitigationAction
+from .domain import DiagnosticSignals, LabeledEvent, MitigationAction, rng_for
 from .errors import DegenerateTreatment, InvalidArgument
 from .simulate import (
     EventStream,
@@ -270,7 +270,7 @@ def run_policy_comparison(
     rows = {}
     histograms = {}
     for p_idx, name in enumerate(policies):
-        policy_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(100, p_idx))))
+        policy_rng = rng_for(seed, 100, p_idx)
         policy = make_policy(name, policy_rng, model=model, decision_config=decision_config)
         if isinstance(policy, EnginePolicy):
             policy.prepare([draw.signals for _, draw, _, _ in primaries])
@@ -332,9 +332,7 @@ def _run_one_policy(policy, primaries, config: SimConfig, seed: int):
                 break
             # recurrence draws keyed by (event, step): identical chains across
             # policies see identical randomness
-            chain_rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(200, ev_idx, chain_step)))
-            )
+            chain_rng = rng_for(seed, 200, ev_idx, chain_step)
             step = step_node(history, action, draw.latent, config, chain_rng)
             if not step.recurrence:
                 break
@@ -402,7 +400,7 @@ def run_ab_experiment(
         result["assignment_counts"][name] = len(subset)
         if not subset:
             continue
-        policy_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(300, g_idx))))
+        policy_rng = rng_for(seed, 300, g_idx)
         policy = make_policy(name, policy_rng, model=model, decision_config=decision_config)
         if isinstance(policy, EnginePolicy):
             policy.prepare([draw.signals for _, draw, _, _ in subset])

@@ -35,10 +35,10 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .domain import IteEstimate
+from .domain import IteEstimate, rng_for, seed_for
 from .errors import InsufficientData, InvalidArgument
+from .trees import MIN_GAIN, NodeTable, bin_features, leaf_index
 
-_MIN_GAIN = 1e-12
 _MIN_STRUCTURE_CHILD = 5
 
 
@@ -98,17 +98,7 @@ class CausalTree:
     seed: int
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        idx = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            f = self.feature[idx]
-            leaf = f < 0
-            if leaf.all():
-                break
-            fx = np.where(leaf, 0, f)
-            go_left = X[np.arange(X.shape[0]), fx] <= self.threshold[idx]
-            nxt = np.where(go_left, self.left[idx], self.right[idx])
-            idx = np.where(leaf, idx, nxt)
-        return self.tau[idx]
+        return self.tau[leaf_index(X, self.feature, self.threshold, self.left, self.right)]
 
     def leaf_ids(self) -> np.ndarray:
         return np.flatnonzero(self.feature < 0)
@@ -180,46 +170,18 @@ class CausalForest:
         )
 
 
-def _bin_thresholds(col: np.ndarray, max_bins: int) -> np.ndarray:
-    uniq = np.unique(col)
-    if len(uniq) <= 1:
-        return np.empty(0, dtype=np.float64)
-    if len(uniq) <= max_bins:
-        return (uniq[:-1] + uniq[1:]) / 2.0
-    qs = np.unique(np.quantile(col, np.linspace(0.0, 1.0, max_bins + 1)[1:-1]))
-    return qs
-
-
-class _TreeBuilder:
-    def __init__(self) -> None:
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.tau: list[float] = []
-        self.n_estimate: list[int] = []
-
-    def add(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.tau.append(0.0)
-        self.n_estimate.append(0)
-        return len(self.feature) - 1
-
-
 def grow_tree(
-    X: np.ndarray,
+    codes: np.ndarray,
+    thresholds: list[np.ndarray],
     ry: np.ndarray,
     ra: np.ndarray,
     subsample: np.ndarray,
     params: ForestParams,
     seed: int,
-    _codes: np.ndarray | None = None,
-    _thresholds: list[np.ndarray] | None = None,
 ) -> CausalTree:
-    """Grow one honest tree on the given subsample.
+    """Grow one honest tree on the given subsample of pre-binned rows.
+
+    ``codes`` and ``thresholds`` come from ``trees.bin_features``.
 
     The subsample is shuffled once (seeded) and cut into the structure half
     and the estimation half, so no row serves both purposes. A candidate
@@ -228,36 +190,27 @@ def grow_tree(
     a nonzero treatment residual. A leaf whose estimation rows carry no
     treatment variation inherits its parent's value.
     """
-    X = np.asarray(X, dtype=np.float64)
     ry = np.asarray(ry, dtype=np.float64)
     ra = np.asarray(ra, dtype=np.float64)
     subsample = np.asarray(subsample, dtype=np.int64)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = rng_for(seed)
 
     perm = subsample[rng.permutation(len(subsample))]
     n_structure = max(1, int(round(params.honest_fraction * len(perm))))
     structure_idx = perm[:n_structure]
     estimate_idx = perm[n_structure:]
 
-    if _codes is None or _thresholds is None:
-        _thresholds = [_bin_thresholds(X[subsample, f], params.max_bins) for f in range(X.shape[1])]
-        _codes = np.zeros(X.shape, dtype=np.int64)
-        for f in range(X.shape[1]):
-            _codes[subsample, f] = np.searchsorted(_thresholds[f], X[subsample, f], side="left")
-    codes = _codes
-    thresholds = _thresholds
-
     u = ry * ra
     w = ra * ra
     has_ra = w > 0.0
-    d = X.shape[1]
+    d = codes.shape[1]
     if params.features_per_split is not None:
         mtry = max(1, min(params.features_per_split, d))
     else:
         # sqrt(d) keeps split-time attenuation too high at the default
         # depth/size limits; the regression-forest d/3 rule fixes that
         mtry = max(1, min(max(math.ceil(math.sqrt(d)), math.ceil(d / 3)), d))
-    builder = _TreeBuilder()
+    table = NodeTable()
 
     def leaf_tau(est_rows: np.ndarray, parent_tau: float) -> tuple[float, int]:
         sw = w[est_rows].sum()
@@ -267,10 +220,8 @@ def grow_tree(
         return float(u[est_rows].sum() / sw), n_est
 
     def grow(struct_rows: np.ndarray, est_rows: np.ndarray, depth: int, parent_tau: float) -> int:
-        node = builder.add()
         tau_here, n_est_here = leaf_tau(est_rows, parent_tau)
-        builder.tau[node] = tau_here
-        builder.n_estimate[node] = n_est_here
+        node = table.add(tau_here, n_est_here)
 
         n = len(struct_rows)
         if depth >= params.max_depth or n < params.min_split:
@@ -284,7 +235,7 @@ def grow_tree(
 
         est_flag = has_ra[est_rows].astype(np.float64)
         feats = rng.choice(d, size=min(mtry, d), replace=False)
-        best_gain = _MIN_GAIN
+        best_gain = MIN_GAIN
         best = None
         for f in feats:
             thr = thresholds[f]
@@ -328,24 +279,22 @@ def grow_tree(
         if best is None:
             return node
         f, b = best
-        builder.feature[node] = f
-        builder.threshold[node] = float(thresholds[f][b])
         s_mask = codes[struct_rows, f] <= b
         e_mask = codes[est_rows, f] <= b
         left_id = grow(struct_rows[s_mask], est_rows[e_mask], depth + 1, tau_here)
         right_id = grow(struct_rows[~s_mask], est_rows[~e_mask], depth + 1, tau_here)
-        builder.left[node] = left_id
-        builder.right[node] = right_id
+        table.split(node, f, thresholds[f][b], left_id, right_id)
         return node
 
     grow(structure_idx, estimate_idx, 0, 0.0)
+    feature, threshold, left, right, tau, n_estimate = table.arrays()
     return CausalTree(
-        feature=np.asarray(builder.feature, dtype=np.int64),
-        threshold=np.asarray(builder.threshold, dtype=np.float64),
-        left=np.asarray(builder.left, dtype=np.int64),
-        right=np.asarray(builder.right, dtype=np.int64),
-        tau=np.asarray(builder.tau, dtype=np.float64),
-        n_estimate=np.asarray(builder.n_estimate, dtype=np.int64),
+        feature=feature,
+        threshold=threshold,
+        left=left,
+        right=right,
+        tau=tau,
+        n_estimate=n_estimate,
         structure_idx=structure_idx,
         estimate_idx=estimate_idx,
         seed=int(seed),
@@ -373,23 +322,16 @@ def fit_forest(
     if n < 2 * params.min_split:
         raise InsufficientData(f"forest needs at least {2 * params.min_split} rows, got {n}")
 
-    thresholds = [_bin_thresholds(X[:, f], params.max_bins) for f in range(X.shape[1])]
-    codes = np.empty(X.shape, dtype=np.int64)
-    for f in range(X.shape[1]):
-        codes[:, f] = np.searchsorted(thresholds[f], X[:, f], side="left")
-
+    codes, thresholds = bin_features(X, params.max_bins)
     trees: list[CausalTree] = []
     bag_of_tree = np.empty(params.n_trees, dtype=np.int64)
     t = 0
     for b in range(params.bags):
-        bag_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,))))
-        half = bag_rng.choice(n, size=max(1, n // 2), replace=False)
+        half = rng_for(seed, b).choice(n, size=max(1, n // 2), replace=False)
         for i in range(params.trees_per_bag):
-            tree_seed = int(np.random.SeedSequence(seed, spawn_key=(b, i)).generate_state(1)[0])
-            tree_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b, i, 1))))
             size = max(2, int(round(params.subsample_fraction * len(half))))
-            sub = half[tree_rng.choice(len(half), size=min(size, len(half)), replace=False)]
-            trees.append(grow_tree(X, ry, ra, sub, params, tree_seed, _codes=codes, _thresholds=thresholds))
+            sub = half[rng_for(seed, b, i, 1).choice(len(half), size=min(size, len(half)), replace=False)]
+            trees.append(grow_tree(codes, thresholds, ry, ra, sub, params, seed_for(seed, b, i)))
             bag_of_tree[t] = b
             t += 1
     return CausalForest(trees=trees, bag_of_tree=bag_of_tree, params=params, seed=seed)

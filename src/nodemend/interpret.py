@@ -5,8 +5,11 @@ split objective is the between-child effect difference,
 
     n_L * n_R / (n_L + n_R) * (mean_L - mean_R)^2,
 
-so the first splits surface the signals that flip the recommendation. Leaf
-recommendations follow the same sign rule as the decision layer.
+so the first splits surface the signals that flip the recommendation. That
+objective is the least-squares split gain, so the tree comes from the
+shared grower in ``trees``, over exact bins: every midpoint between two
+distinct observed values is a candidate threshold. Leaf recommendations
+follow the same sign rule as the decision layer.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 from .dml import DmlModel, estimate_ite_batch
 from .domain import DiagnosticSignals, LabeledEvent, MitigationAction
 from .errors import InsufficientData, InvalidArgument
+from .trees import bin_features, grow_sse_tree, leaf_index
 
 _MIN_LEAF = 10
 _MIN_ROWS = 20
@@ -25,6 +29,8 @@ _MIN_ROWS = 20
 
 @dataclass
 class PolicyTree:
+    """Flat tree; ``mean_tau`` and ``n`` are set at the leaves only."""
+
     feature: np.ndarray  # -1 marks a leaf
     threshold: np.ndarray
     left: np.ndarray
@@ -36,10 +42,8 @@ class PolicyTree:
         return MitigationAction.REBOOT if self.mean_tau[node] >= 0.0 else MitigationAction.REDEPLOY
 
     def predict_action(self, x: np.ndarray) -> MitigationAction:
-        node = 0
-        while self.feature[node] >= 0:
-            node = self.left[node] if x[self.feature[node]] <= self.threshold[node] else self.right[node]
-        return self.leaf_action(node)
+        node = leaf_index(np.asarray(x, dtype=np.float64)[None, :], self.feature, self.threshold, self.left, self.right)
+        return self.leaf_action(int(node[0]))
 
     @property
     def depth(self) -> int:
@@ -62,72 +66,9 @@ def fit_policy_tree(features: np.ndarray, tau_hat: np.ndarray, max_depth: int = 
     if max_depth < 0:
         raise InvalidArgument("max_depth must be >= 0")
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    mean_tau: list[float] = []
-    counts: list[int] = []
-
-    def add_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        mean_tau.append(0.0)
-        counts.append(0)
-        return len(feature) - 1
-
-    def grow(rows: np.ndarray, depth: int) -> int:
-        node = add_node()
-        t = tau[rows]
-        mean_tau[node] = float(t.mean())
-        counts[node] = len(rows)
-        if depth >= max_depth or len(rows) < 2 * _MIN_LEAF:
-            return node
-        n = len(rows)
-        total = t.sum()
-        best_gain = 1e-12
-        best = None
-        for f in range(X.shape[1]):
-            v = X[rows, f]
-            order = np.argsort(v, kind="stable")
-            sv = v[order]
-            st = t[order]
-            csum = np.cumsum(st)[:-1]
-            nl = np.arange(1, n)
-            boundary = sv[:-1] < sv[1:]
-            ok = boundary & (nl >= _MIN_LEAF) & ((n - nl) >= _MIN_LEAF)
-            if not ok.any():
-                continue
-            nr = n - nl
-            diff = csum / nl - (total - csum) / nr
-            gain = np.where(ok, nl * nr / n * diff * diff, -np.inf)
-            b = int(np.argmax(gain))
-            if gain[b] > best_gain:
-                best_gain = float(gain[b])
-                best = (f, (sv[b] + sv[b + 1]) / 2.0)
-        if best is None:
-            return node
-        f, thr = best
-        feature[node] = f
-        threshold[node] = float(thr)
-        mask = X[rows, f] <= thr
-        left_id = grow(rows[mask], depth + 1)
-        right_id = grow(rows[~mask], depth + 1)
-        left[node] = left_id
-        right[node] = right_id
-        return node
-
-    grow(np.arange(X.shape[0]), 0)
-    return PolicyTree(
-        feature=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        mean_tau=np.asarray(mean_tau, dtype=np.float64),
-        n=np.asarray(counts, dtype=np.int64),
-    )
+    codes, thresholds = bin_features(X, max_bins=X.shape[0])
+    table = grow_sse_tree(codes, thresholds, tau, np.arange(X.shape[0]), max_depth, _MIN_LEAF)
+    return PolicyTree(*table.arrays())
 
 
 def render_policy(tree: PolicyTree, feature_names: list[str]) -> str:

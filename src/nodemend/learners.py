@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import rng_for, seed_for
 from .errors import InvalidArgument
-
-_MIN_GAIN = 1e-12
+from .trees import bin_features, grow_sse_tree, leaf_index
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ def make_folds(n: int, k: int, seed: int) -> FoldAssignment:
         raise InvalidArgument(f"fold count must be >= 2, got {k}")
     if n < k:
         raise InvalidArgument(f"need at least k={k} rows, got {n}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = rng_for(seed)
     perm = rng.permutation(n)
     membership = np.empty(n, dtype=np.int64)
     base, extra = divmod(n, k)
@@ -78,143 +78,6 @@ class LearnerConfig:
             raise InvalidArgument("p_min must lie in (0, 0.5)")
 
 
-def _derive_seed(seed: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
-
-
-# ---------------------------------------------------------------------------
-# depth-limited regression trees on binned columns
-
-
-def _bin_column(col: np.ndarray, max_bins: int) -> np.ndarray:
-    """Candidate thresholds for one column.
-
-    Low-cardinality columns get exact midpoints; wide ones a quantile grid.
-    Codes use searchsorted(side='left'), so a value equal to a threshold
-    lands left, matching the `x <= thr` apply rule.
-    """
-    uniq = np.unique(col)
-    if len(uniq) <= 1:
-        return np.empty(0, dtype=np.float64)
-    if len(uniq) <= max_bins:
-        return (uniq[:-1] + uniq[1:]) / 2.0
-    return np.unique(np.quantile(col, np.linspace(0.0, 1.0, max_bins + 1)[1:-1]))
-
-
-def _apply_tree(
-    X: np.ndarray,
-    feature: np.ndarray,
-    threshold: np.ndarray,
-    left: np.ndarray,
-    right: np.ndarray,
-    value: np.ndarray,
-) -> np.ndarray:
-    idx = np.zeros(X.shape[0], dtype=np.int64)
-    while True:
-        f = feature[idx]
-        leaf = f < 0
-        if leaf.all():
-            break
-        fx = np.where(leaf, 0, f)
-        go_left = X[np.arange(X.shape[0]), fx] <= threshold[idx]
-        nxt = np.where(go_left, left[idx], right[idx])
-        idx = np.where(leaf, idx, nxt)
-    return value[idx]
-
-
-class _Tree:
-    __slots__ = ("feature", "threshold", "left", "right", "value")
-
-    def __init__(self) -> None:
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-
-    def add_leaf(self, value: float) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(float(value))
-        return len(self.feature) - 1
-
-    def add_split(self, feature: int, threshold: float) -> int:
-        self.feature.append(int(feature))
-        self.threshold.append(float(threshold))
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        return (
-            np.asarray(self.feature, dtype=np.int64),
-            np.asarray(self.threshold, dtype=np.float64),
-            np.asarray(self.left, dtype=np.int64),
-            np.asarray(self.right, dtype=np.int64),
-            np.asarray(self.value, dtype=np.float64),
-        )
-
-
-def _grow_sse_tree(
-    codes: np.ndarray,
-    nbins: np.ndarray,
-    thresholds: list[np.ndarray],
-    resid: np.ndarray,
-    rows: np.ndarray,
-    max_depth: int,
-    min_leaf: int,
-) -> _Tree:
-    """Greedy SSE-minimizing tree over binned columns (exact within bins)."""
-    tree = _Tree()
-
-    def grow(rows: np.ndarray, depth: int) -> int:
-        r = resid[rows]
-        if depth >= max_depth or len(rows) < 2 * min_leaf:
-            return tree.add_leaf(r.mean())
-        total_sum = r.sum()
-        n = len(rows)
-        best_gain = _MIN_GAIN
-        best = None
-        parent_score = total_sum * total_sum / n
-        for f in range(codes.shape[1]):
-            nb = nbins[f]
-            if nb < 2:
-                continue
-            c = codes[rows, f]
-            sums = np.bincount(c, weights=r, minlength=nb)
-            cnts = np.bincount(c, minlength=nb)
-            csum = np.cumsum(sums)[:-1]
-            ccnt = np.cumsum(cnts)[:-1]
-            nl = ccnt
-            nr = n - ccnt
-            ok = (nl >= min_leaf) & (nr >= min_leaf)
-            if not ok.any():
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                score = np.where(ok, csum * csum / nl + (total_sum - csum) ** 2 / nr, -np.inf)
-            b = int(np.argmax(score))
-            gain = score[b] - parent_score
-            if gain > best_gain:
-                best_gain = gain
-                best = (f, b)
-        if best is None:
-            return tree.add_leaf(r.mean())
-        f, b = best
-        node = tree.add_split(f, thresholds[f][b])
-        mask = codes[rows, f] <= b
-        left_id = grow(rows[mask], depth + 1)
-        right_id = grow(rows[~mask], depth + 1)
-        tree.left[node] = left_id
-        tree.right[node] = right_id
-        return node
-
-    grow(rows, 0)
-    return tree
-
-
 class GradientBoostedTrees:
     """Least-squares boosting over depth-limited trees.
 
@@ -238,12 +101,8 @@ class GradientBoostedTrees:
         if X.shape[0] != y.shape[0]:
             raise InvalidArgument("features and targets must have equal length")
         cfg = self.config
-        rng = _derive_seed(self.seed, 0)
-        thresholds = [_bin_column(X[:, f], cfg.max_bins) for f in range(X.shape[1])]
-        nbins = np.asarray([len(t) + 1 for t in thresholds], dtype=np.int64)
-        codes = np.empty(X.shape, dtype=np.int64)
-        for f in range(X.shape[1]):
-            codes[:, f] = np.searchsorted(thresholds[f], X[:, f], side="left")
+        rng = rng_for(self.seed, 0)
+        codes, thresholds = bin_features(X, cfg.max_bins)
         self.base_value = float(y.mean())
         self.trees = []
         current = np.full(X.shape[0], self.base_value)
@@ -252,17 +111,16 @@ class GradientBoostedTrees:
         for _ in range(cfg.rounds):
             resid = y - current
             rows = rng.choice(n, size=n_sub, replace=False) if n_sub < n else np.arange(n)
-            tree = _grow_sse_tree(codes, nbins, thresholds, resid, rows, cfg.max_depth, cfg.min_leaf)
-            arrays = tree.arrays()
+            arrays = grow_sse_tree(codes, thresholds, resid, rows, cfg.max_depth, cfg.min_leaf).arrays()[:5]
             self.trees.append(arrays)
-            current = current + cfg.learning_rate * _apply_tree(X, *arrays)
+            current = current + cfg.learning_rate * arrays[4][leaf_index(X, *arrays[:4])]
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         out = np.full(X.shape[0], self.base_value)
         for arrays in self.trees:
-            out = out + self.config.learning_rate * _apply_tree(X, *arrays)
+            out = out + self.config.learning_rate * arrays[4][leaf_index(X, *arrays[:4])]
         if self.mode == "propensity":
             out = np.clip(out, self.config.p_min, 1.0 - self.config.p_min)
         return out
@@ -400,12 +258,9 @@ def crossfit_predict(
     for j in range(folds.k):
         test = folds.membership == j
         train = ~test
-        learner = make_learner(config, mode, seed=_fold_seed(seed, j))
+        learner = make_learner(config, mode, seed=seed_for(seed, j))
         learner.fit(features[train], targets[train])
         oof[test] = learner.predict(features[test])
         learners.append(learner)
     return oof, learners
 
-
-def _fold_seed(seed: int, fold: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=(fold,)).generate_state(1)[0])

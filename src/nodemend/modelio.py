@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dml import DmlModel, LinearTheta, TrainConfig, psi_loss, train_dml
+from .dml import FINAL_STAGE_FOREST, FINAL_STAGE_LINEAR, DmlModel, LinearTheta, TrainConfig, psi_loss, train_dml
 from .domain import FeatureSchema, LabeledEvent
 from .errors import DataError, InsufficientData, ModelIntegrityError, ModelVersionError
 from .forest import CausalForest, ForestParams
@@ -80,9 +80,12 @@ def model_to_payload(model: DmlModel) -> dict:
 
 
 def model_from_payload(payload: dict) -> DmlModel:
-    forest = CausalForest.from_dict(payload["forest"]) if "forest" in payload else None
+    final_stage = payload["final_stage"]
+    if final_stage not in (FINAL_STAGE_FOREST, FINAL_STAGE_LINEAR):
+        raise ValueError(f"unknown final stage {final_stage!r}")
+    forest = CausalForest.from_dict(payload["forest"]) if final_stage == FINAL_STAGE_FOREST else None
     linear = None
-    if "linear" in payload:
+    if final_stage == FINAL_STAGE_LINEAR:
         lin = payload["linear"]
         linear = LinearTheta(
             intercept=float(lin["intercept"]),
@@ -93,7 +96,7 @@ def model_from_payload(payload: dict) -> DmlModel:
         schema=FeatureSchema.from_dict(payload["schema"]),
         outcome_learners=[learner_from_dict(d) for d in payload["outcome_learners"]],
         propensity_learners=[learner_from_dict(d) for d in payload["propensity_learners"]],
-        final_stage=payload["final_stage"],
+        final_stage=final_stage,
         forest=forest,
         linear=linear,
         train_config=train_config_from_dict(payload["train_config"]),
@@ -135,7 +138,10 @@ def load_model(path: str) -> DmlModel:
     payload = envelope.get("payload")
     if not isinstance(payload, dict) or _checksum(payload) != envelope.get("checksum"):
         raise ModelIntegrityError("model checksum mismatch")
-    return model_from_payload(payload)
+    try:
+        return model_from_payload(payload)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ModelIntegrityError(f"model payload is malformed: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .domain import (
     FeatureSchema,
     LabeledEvent,
     MitigationAction,
+    rng_for,
 )
 from .errors import InvalidArgument
 
@@ -292,7 +293,7 @@ class EventStream:
 
     @staticmethod
     def from_config(config: SimConfig) -> "EventStream":
-        return EventStream(rng=np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed))), config=config)
+        return EventStream(rng=rng_for(config.seed), config=config)
 
 
 @dataclass(frozen=True)

@@ -294,7 +294,7 @@ def test_criterion_10_end_to_end_reproducibility(tmp_path):
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
-    reports = []
+    reports, models = [], []
     for run in ("r1", "r2"):
         d = tmp_path / run
         d.mkdir()
@@ -329,6 +329,11 @@ def test_criterion_10_end_to_end_reproducibility(tmp_path):
             )
             assert proc.returncode == 0, f"{cmd[0]} failed: {proc.stderr}"
         reports.append((d / "report.json").read_bytes())
-        models = (d / "model.bin").read_bytes()
-    identical = reports[0] == reports[1]
-    report(10, identical, f"simulate→train→compare twice: report.json byte-identical ({len(reports[0])} bytes)")
+        models.append((d / "model.bin").read_bytes())
+    identical = reports[0] == reports[1] and models[0] == models[1]
+    report(
+        10,
+        identical,
+        f"simulate→train→compare twice: report.json ({len(reports[0])} bytes) "
+        f"and model.bin ({len(models[0])} bytes) byte-identical",
+    )

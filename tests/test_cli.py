@@ -4,7 +4,8 @@ import os
 import pytest
 
 from nodemend.cli import main
-from nodemend.modelio import load_model, read_action_log, read_events_jsonl
+from nodemend.errors import ModelIntegrityError
+from nodemend.modelio import _checksum, load_model, read_action_log, read_events_jsonl
 
 
 FAST_CONFIG = {
@@ -269,3 +270,25 @@ def test_exit_code_model_error(workspace, tmp_path, capsys):
     broken.write_text("not a model at all")
     rc = main(["eval", "--model", str(broken), "--data", str(workspace["events"])])
     assert rc == 4
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda p: p.pop("schema"),
+        lambda p: p.pop("forest"),
+        lambda p: p.update(final_stage="boosted"),
+        lambda p: p["train_config"].update(folds="five"),
+        lambda p: p.update(outcome_learners="gbm"),
+    ],
+    ids=["no_schema", "no_forest", "bad_final_stage", "bad_folds", "bad_learners"],
+)
+def test_malformed_payload_with_valid_checksum_is_a_model_error(workspace, tmp_path, capsys, edit):
+    envelope = json.loads(workspace["model"].read_text())
+    edit(envelope["payload"])
+    envelope["checksum"] = _checksum(envelope["payload"])
+    bad = tmp_path / "malformed.bin"
+    bad.write_text(json.dumps(envelope))
+    with pytest.raises(ModelIntegrityError):
+        load_model(str(bad))
+    assert main(["eval", "--model", str(bad), "--data", str(workspace["events"])]) == 4

@@ -56,7 +56,6 @@ def test_shipped_defaults():
     assert cfg.fallback_width == 15.0
     assert cfg.capacity_tau == 1.0
     assert cfg.repeat_threshold == 10
-    assert cfg.repeat_window_days == 10.0
 
 
 def test_paper_worked_examples():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nodemend.domain import rng_for, seed_for
 from nodemend.errors import InsufficientData, InvalidArgument
 from nodemend.forest import (
     CausalForest,
@@ -12,8 +13,11 @@ from nodemend.forest import (
     predict_tau,
     predict_tau_ci,
 )
+from nodemend.trees import bin_features
 
 from conftest import synthetic_residuals
+
+BINS = ForestParams().max_bins
 
 
 def small_params(**overrides):
@@ -24,7 +28,7 @@ def small_params(**overrides):
 
 def test_grow_tree_two_regime_root_split():
     X, ry, ra, tau = synthetic_residuals(4000, seed=0, noise=0.25)
-    tree = grow_tree(X, ry, ra, np.arange(4000), ForestParams(), seed=1)
+    tree = grow_tree(*bin_features(X, BINS), ry, ra, np.arange(4000), ForestParams(), seed=1)
     # the first split must separate the effect regimes (column 0, near 0)
     assert tree.feature[0] == 0
     assert abs(tree.threshold[0]) < 0.4
@@ -40,34 +44,34 @@ def test_grow_tree_two_regime_root_split():
 
 def test_grow_tree_constant_effect_leaves():
     X, ry, ra, tau = synthetic_residuals(3000, seed=1, kind="constant", noise=0.25)
-    tree = grow_tree(X, ry, ra, np.arange(3000), ForestParams(), seed=2)
+    tree = grow_tree(*bin_features(X, BINS), ry, ra, np.arange(3000), ForestParams(), seed=2)
     leaves = tree.leaf_ids()
     assert np.all(np.abs(tree.tau[leaves] - 2.0) < 0.5)
 
 
 def test_grow_tree_min_leaf_larger_than_subsample():
     X, ry, ra, _ = synthetic_residuals(60, seed=2)
-    tree = grow_tree(X, ry, ra, np.arange(60), ForestParams(min_leaf_estimate=1000), seed=0)
+    tree = grow_tree(*bin_features(X, BINS), ry, ra, np.arange(60), ForestParams(min_leaf_estimate=1000), seed=0)
     assert len(tree.feature) == 1
     assert tree.feature[0] == -1
 
 
 def test_grow_tree_honesty_disjoint():
     X, ry, ra, _ = synthetic_residuals(500, seed=3)
-    tree = grow_tree(X, ry, ra, np.arange(500), ForestParams(), seed=4)
+    tree = grow_tree(*bin_features(X, BINS), ry, ra, np.arange(500), ForestParams(), seed=4)
     assert np.intersect1d(tree.structure_idx, tree.estimate_idx).size == 0
     assert len(tree.structure_idx) + len(tree.estimate_idx) == 500
 
 
 def test_grow_tree_row_permutation_invariance():
     X, ry, ra, _ = synthetic_residuals(800, seed=4)
-    tree = grow_tree(X, ry, ra, np.arange(800), ForestParams(), seed=5)
+    tree = grow_tree(*bin_features(X, BINS), ry, ra, np.arange(800), ForestParams(), seed=5)
     rng = np.random.default_rng(0)
     perm = rng.permutation(800)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(800)
     # permute rows and remap the subsample indices consistently
-    tree_p = grow_tree(X[perm], ry[perm], ra[perm], inv[np.arange(800)], ForestParams(), seed=5)
+    tree_p = grow_tree(*bin_features(X[perm], BINS), ry[perm], ra[perm], inv[np.arange(800)], ForestParams(), seed=5)
     Xq = np.random.default_rng(1).normal(size=(100, X.shape[1]))
     assert np.allclose(tree.predict(Xq), tree_p.predict(Xq), atol=1e-9)
 
@@ -102,19 +106,10 @@ def test_single_bag_single_tree_reduces_to_grow_tree():
     params = ForestParams(bags=1, trees_per_bag=1, subsample_fraction=1.0)
     forest = fit_forest(X, ry, ra, params, seed=11)
     # replicate the forest's draw chain for bag 0 / tree 0
-    bag_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(11, spawn_key=(0,))))
-    half = bag_rng.choice(1000, size=500, replace=False)
-    tree_seed = int(np.random.SeedSequence(11, spawn_key=(0, 0)).generate_state(1)[0])
-    tree_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(11, spawn_key=(0, 0, 1))))
-    sub = half[tree_rng.choice(500, size=500, replace=False)]
+    half = rng_for(11, 0).choice(1000, size=500, replace=False)
+    sub = half[rng_for(11, 0, 0, 1).choice(500, size=500, replace=False)]
     # same binning as the forest fit (computed on the full data)
-    from nodemend.forest import _bin_thresholds
-
-    thresholds = [_bin_thresholds(X[:, f], params.max_bins) for f in range(X.shape[1])]
-    codes = np.zeros(X.shape, dtype=np.int64)
-    for f in range(X.shape[1]):
-        codes[:, f] = np.searchsorted(thresholds[f], X[:, f], side="left")
-    tree = grow_tree(X, ry, ra, sub, params, tree_seed, _codes=codes, _thresholds=thresholds)
+    tree = grow_tree(*bin_features(X, params.max_bins), ry, ra, sub, params, seed_for(11, 0, 0))
     Xq = np.random.default_rng(3).normal(size=(100, X.shape[1]))
     assert np.array_equal(forest.trees[0].predict(Xq), tree.predict(Xq))
 

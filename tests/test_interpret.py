@@ -34,10 +34,12 @@ def test_policy_tree_splits_on_hw_failure(hw_clustered):
 
 def test_policy_tree_constant_tau_single_leaf():
     rng = np.random.default_rng(0)
-    X = rng.normal(size=(100, 4))
-    tree = fit_policy_tree(X, np.full(100, 1.5), max_depth=3)
-    assert len(tree.feature) == 1
-    assert tree.feature[0] == -1
+    # at 5 000 rows the split scores' rounding error exceeds the minimum gain
+    for n, value in ((100, 1.5), (5000, 5.3)):
+        X = rng.normal(size=(n, 4))
+        tree = fit_policy_tree(X, np.full(n, value), max_depth=3)
+        assert len(tree.feature) == 1
+        assert tree.feature[0] == -1
 
 
 def test_policy_tree_depth_bound():

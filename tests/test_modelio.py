@@ -112,6 +112,19 @@ def test_events_jsonl_bad_record(tmp_path):
         read_events_jsonl(path)
 
 
+@pytest.mark.parametrize("field,value", [("avd", "NaN"), ("blackout", "Infinity"), ("unallocatable", "NaN")])
+def test_events_jsonl_non_finite_outcome(tmp_path, field, value):
+    events, _ = generate_observational_dataset(3, default_config(seed=84))
+    path = str(tmp_path / "outcomes.jsonl")
+    write_events_jsonl(events, path)
+    lines = open(path).read().splitlines()
+    lines[1] = lines[1].replace(f'"{field}":{json.dumps(getattr(events[1], field))}', f'"{field}":{value}')
+    assert value in lines[1]
+    open(path, "w").write("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"{path}:2: .*{field} must be finite"):
+        read_events_jsonl(path)
+
+
 def make_record(i=0, source="Fallback", reason="wide interval"):
     return ActionLogRecord(
         unhealthy_timestamp=100 + i,
