@@ -10,10 +10,10 @@ import json
 import sys
 
 from . import evaluation, modelio
-from .config import load_experiment_config
+from .config import load_experiment_config, parse_section
 from .decisions import DecisionConfig, decide
 from .dml import estimate_ite, psi_loss, train_dml
-from .domain import DiagnosticSignals
+from .domain import DiagnosticSignals, from_record, to_record
 from .errors import ConfigError, DataError, ModelError, NodemendError
 from .evaluation import adjusted_effect, counterfactual_analysis, naive_effect, run_policy_comparison
 from .interpret import cate_by_feature, interpret_model
@@ -143,7 +143,7 @@ def _cmd_counterfactual(args) -> int:
     events = read_events_jsonl(args.data)
     truths = read_truth_jsonl(args.truth) if args.truth else None
     report = counterfactual_analysis(model, events, truths)
-    print(json.dumps(report.to_dict(), sort_keys=True))
+    print(json.dumps(to_record(report), sort_keys=True))
     return 0
 
 
@@ -151,15 +151,16 @@ def _cmd_recommend(args) -> int:
     model = load_model(args.model)
     try:
         with open(args.signals, "r", encoding="utf-8") as fh:
-            signals = DiagnosticSignals.from_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+            signals = from_record(DiagnosticSignals, json.load(fh), "signals")
+    except (OSError, ValueError) as exc:
         raise DataError(f"bad signals file {args.signals}: {exc}") from exc
     if args.decision_config:
         try:
             with open(args.decision_config, "r", encoding="utf-8") as fh:
-                cfg = DecisionConfig.from_dict(json.load(fh))
+                raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"bad decision config {args.decision_config}: {exc}") from exc
+        cfg = parse_section(DecisionConfig, raw, "decision")
     else:
         cfg = DecisionConfig()
     ite = estimate_ite(model, signals)

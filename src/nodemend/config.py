@@ -1,8 +1,9 @@
 """Experiment configuration file: one JSON document drives every command.
 
-Parsing is fail-closed: any key that no section recognizes aborts before
-any computation runs. All randomness flows from the named seeds here;
-nothing reads entropy from the environment.
+Parsing is fail-closed: any key that no section recognizes, and any value
+of the wrong type, aborts before any computation runs. All randomness
+flows from the named seeds here; nothing reads entropy from the
+environment.
 
 Layout (all sections optional, defaults apply):
 
@@ -19,18 +20,18 @@ Layout (all sections optional, defaults apply):
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 
 from .decisions import DecisionConfig
 from .dml import TrainConfig
+from .domain import from_record, to_record
 from .errors import ConfigError, InvalidArgument
-from .forest import ForestParams
-from .learners import LearnerConfig
-from .simulate import PRESETS, SimConfig, config_from_dict, config_to_dict
+from .simulate import PRESETS, SimConfig
 
-_TOP_KEYS = {"seed", "sim", "nuisance", "folds", "final_stage", "forest", "decision"}
+# top-level keys that are TrainConfig fields, by the field they fill
+_TRAIN_KEYS = {"seed": "seed", "folds": "folds", "final_stage": "final_stage", "nuisance": "learner", "forest": "forest"}
+_TOP_KEYS = {*_TRAIN_KEYS, "sim", "decision"}
 
 
 @dataclass(frozen=True)
@@ -43,13 +44,21 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,
-            "sim": config_to_dict(self.sim),
-            "nuisance": {k: getattr(self.train.learner, k) for k in self.train.learner.__dataclass_fields__},
+            "sim": to_record(self.sim),
+            "nuisance": to_record(self.train.learner),
             "folds": self.train.folds,
             "final_stage": self.train.final_stage,
-            "forest": self.train.forest.to_dict(),
-            "decision": self.decision.to_dict(),
+            "forest": to_record(self.train.forest),
+            "decision": to_record(self.decision),
         }
+
+
+def parse_section(cls, record, what: str):
+    """``from_record`` for a config section: any fault is a ConfigError."""
+    try:
+        return from_record(cls, record, what)
+    except InvalidArgument as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_experiment_config(raw: dict) -> ExperimentConfig:
@@ -58,56 +67,20 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        seed = int(raw.get("seed", 0))
-        sim = _parse_sim(raw.get("sim", {}), seed)
-        learner = _parse_section(raw.get("nuisance", {}), LearnerConfig, "nuisance")
-        forest = _parse_section(raw.get("forest", {}), ForestParams, "forest")
-        decision = _parse_section(raw.get("decision", {}), DecisionConfig, "decision")
-        train = TrainConfig(
-            learner=learner,
-            folds=int(raw.get("folds", 5)),
-            final_stage=str(raw.get("final_stage", "forest")),
-            forest=forest,
-            seed=seed,
-        )
-    except InvalidArgument as exc:
-        raise ConfigError(str(exc)) from exc
-    return ExperimentConfig(seed=seed, sim=sim, train=train, decision=decision)
+    train = parse_section(TrainConfig, {f: raw[k] for k, f in _TRAIN_KEYS.items() if k in raw}, "config")
+    sim = _parse_sim(raw.get("sim", {}), train.seed)
+    decision = parse_section(DecisionConfig, raw.get("decision", {}), "decision")
+    return ExperimentConfig(seed=train.seed, sim=sim, train=train, decision=decision)
 
 
 def _parse_sim(section: dict, seed: int) -> SimConfig:
     if not isinstance(section, dict):
         raise ConfigError("'sim' must be an object")
-    section = dict(section)
-    preset_name = section.pop("preset", "default")
-    if preset_name not in PRESETS:
+    overrides = dict(section)
+    preset_name = overrides.pop("preset", "default")
+    if not isinstance(preset_name, str) or preset_name not in PRESETS:
         raise ConfigError(f"unknown sim preset {preset_name!r}; choose from {sorted(PRESETS)}")
-    base = PRESETS[preset_name](seed=int(section.pop("seed", seed)))
-    if not section:
-        return base
-    merged = config_to_dict(base)
-    unknown = set(section) - set(merged)
-    if unknown:
-        raise ConfigError(f"unknown sim keys: {sorted(unknown)}")
-    merged.update(section)
-    try:
-        return config_from_dict(merged)
-    except InvalidArgument as exc:
-        raise ConfigError(f"bad sim config: {exc}") from exc
-
-
-def _parse_section(section: dict, cls, name: str):
-    if not isinstance(section, dict):
-        raise ConfigError(f"'{name}' must be an object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(section) - known
-    if unknown:
-        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
-    try:
-        return cls(**section)
-    except (TypeError, InvalidArgument) as exc:
-        raise ConfigError(f"bad {name} config: {exc}") from exc
+    return parse_section(SimConfig, {**to_record(PRESETS[preset_name](seed=seed)), **overrides}, "sim")
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:

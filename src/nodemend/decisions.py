@@ -26,7 +26,6 @@ from enum import Enum
 
 from .domain import DiagnosticSignals, IteEstimate, MitigationAction
 from .errors import InvalidArgument
-from .simulate import legacy_rule
 
 FNV_OFFSET = 14695981039346656037
 FNV_PRIME = 1099511628211
@@ -56,17 +55,6 @@ class DecisionConfig:
             raise InvalidArgument("fallback_width must be > 0")
         if self.capacity_tau < 0:
             raise InvalidArgument("capacity_tau must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @staticmethod
-    def from_dict(d: dict) -> "DecisionConfig":
-        known = set(DecisionConfig.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise InvalidArgument(f"unknown decision keys: {sorted(unknown)}")
-        return DecisionConfig(**d)
 
 
 @dataclass(frozen=True)
@@ -132,7 +120,9 @@ def decide(ite: IteEstimate, signals: DiagnosticSignals, cfg: DecisionConfig = D
 def legacy_policy(signals: DiagnosticSignals) -> MitigationAction:
     """Deterministic legacy heuristic (the simulator's rule without its
     exploration flip): hardware evidence means Redeploy, otherwise Reboot."""
-    return legacy_rule(signals)
+    if signals.uncorrectable_tag or signals.error_code == "hw_failure":
+        return MitigationAction.REDEPLOY
+    return MitigationAction.REBOOT
 
 
 def fnv1a64(data: bytes) -> int:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -63,31 +65,6 @@ class DiagnosticSignals:
         if self.repeat_count < 0:
             raise InvalidArgument(f"repeat_count must be >= 0, got {self.repeat_count}")
 
-    def to_dict(self) -> dict:
-        return {
-            "vm_count": self.vm_count,
-            "has_important_workload": self.has_important_workload,
-            "network_ok": self.network_ok,
-            "error_code": self.error_code,
-            "repeat_count": self.repeat_count,
-            "uncorrectable_tag": self.uncorrectable_tag,
-            "hardware_type": self.hardware_type,
-            "session_type": self.session_type,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "DiagnosticSignals":
-        return DiagnosticSignals(
-            vm_count=int(d["vm_count"]),
-            has_important_workload=bool(d["has_important_workload"]),
-            network_ok=bool(d["network_ok"]),
-            error_code=d["error_code"],
-            repeat_count=int(d["repeat_count"]),
-            uncorrectable_tag=bool(d["uncorrectable_tag"]),
-            hardware_type=str(d["hardware_type"]),
-            session_type=str(d["session_type"]),
-        )
-
 
 @dataclass(frozen=True)
 class LabeledEvent:
@@ -110,33 +87,6 @@ class LabeledEvent:
                 raise InvalidArgument(f"{name} must be finite and >= 0, got {value}")
         if self.interruptions < 0:
             raise InvalidArgument("interruptions must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "event_id": self.event_id,
-            "node_id": self.node_id,
-            "timestamp": self.timestamp,
-            "signals": self.signals.to_dict(),
-            "action": int(self.action),
-            "avd": self.avd,
-            "interruptions": self.interruptions,
-            "blackout": self.blackout,
-            "unallocatable": self.unallocatable,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "LabeledEvent":
-        return LabeledEvent(
-            event_id=str(d["event_id"]),
-            node_id=str(d["node_id"]),
-            timestamp=int(d["timestamp"]),
-            signals=DiagnosticSignals.from_dict(d["signals"]),
-            action=MitigationAction(int(d["action"])),
-            avd=float(d["avd"]),
-            interruptions=int(d["interruptions"]),
-            blackout=float(d["blackout"]),
-            unallocatable=float(d["unallocatable"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -208,21 +158,6 @@ class FeatureSchema:
             return self.column_names.index(name)
         except ValueError:
             raise InvalidArgument(f"unknown feature {name!r}") from None
-
-    def to_dict(self) -> dict:
-        return {
-            "hardware_types": list(self.hardware_types),
-            "session_types": list(self.session_types),
-            "error_codes": list(self.error_codes),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "FeatureSchema":
-        return FeatureSchema(
-            hardware_types=tuple(d["hardware_types"]),
-            session_types=tuple(d["session_types"]),
-            error_codes=tuple(d["error_codes"]),
-        )
 
 
 DEFAULT_SCHEMA = FeatureSchema()
@@ -298,3 +233,130 @@ def encode_matrix(signal_rows: list[DiagnosticSignals], schema: FeatureSchema = 
     for i, s in enumerate(signal_rows):
         out[i, :] = encode_features(s, schema).values
     return out
+
+
+# ---------------------------------------------------------------------------
+# record codec: every dataclass that crosses a file boundary is written and
+# read through one plan per class, built once from its type annotations.
+
+_PLANS: dict[type, tuple] = {}
+
+
+def to_record(obj) -> dict:
+    """A JSON-ready dict of a dataclass, in field order: tuples become
+    lists, enums their int code, nested dataclasses nested dicts."""
+    return {
+        name: getattr(obj, name) if encode is None else encode(getattr(obj, name))
+        for name, _, _, encode, _ in _plan(type(obj))
+    }
+
+
+def from_record(cls, d, what: str | None = None):
+    """Build ``cls`` from a dict, checking every field against its annotation.
+
+    A non-object, an unknown key, a missing required key or a mistyped value
+    raises InvalidArgument naming ``what`` (default: the class name) and the
+    field. ``bool``, ``int`` and ``str`` must be exactly that type; ``float``
+    also takes an int. Fields with defaults may be absent.
+    """
+    what = what or cls.__name__
+    if not isinstance(d, dict):
+        raise InvalidArgument(f"{what} must be an object, got {type(d).__name__}")
+    kwargs = {}
+    for name, exact, decode, _, required in _plan(cls):
+        v = d.get(name, MISSING)
+        if v is MISSING:
+            if required:
+                raise InvalidArgument(f"{what}: missing key {name!r}")
+        else:
+            kwargs[name] = v if type(v) is exact else decode(v, what, name)
+    if len(kwargs) != len(d):
+        raise InvalidArgument(f"{what}: unknown keys {sorted(set(d) - set(kwargs), key=str)}")
+    return cls(**kwargs)
+
+
+def _plan(cls) -> tuple:
+    """(name, exact, decode, encode, required) for every field of ``cls``:
+    a value whose type is ``exact`` is stored as it is, any other goes
+    through ``decode``; ``encode`` None means the value is written as it is."""
+    plan = _PLANS.get(cls)
+    if plan is None:
+        hints = typing.get_type_hints(cls)
+        plan = tuple(
+            (f.name, *_codec(hints[f.name]), f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(cls)
+        )
+        _PLANS[cls] = plan
+    return plan
+
+
+def _mistyped(what: str, name: str, expected: str, value) -> InvalidArgument:
+    return InvalidArgument(f"{what}.{name} must be {expected}, got {value!r}")
+
+
+def _refuse(expected: str):
+    def decode(v, what, name):
+        raise _mistyped(what, name, expected, v)
+
+    return decode
+
+
+def _float(v, what, name):
+    if type(v) is int:
+        return float(v)
+    raise _mistyped(what, name, "a number", v)
+
+
+_EXACT = {bool: "a bool", int: "an int", str: "a string", dict: "an object"}
+
+
+def _codec(tp) -> tuple:
+    """(exact, decode, encode) for one annotation."""
+    if tp in _EXACT:
+        return tp, _refuse(_EXACT[tp]), None
+    if tp is float:
+        return float, _float, None
+    if is_dataclass(tp):
+
+        def decode_record(v, what, name):
+            return from_record(tp, v, f"{what}.{name}")
+
+        return None, decode_record, to_record
+    if isinstance(tp, type) and issubclass(tp, IntEnum):
+
+        def decode_enum(v, what, name):
+            if type(v) is int:
+                try:
+                    return tp(v)
+                except ValueError:
+                    pass
+            raise _mistyped(what, name, f"one of {[int(m) for m in tp]}", v)
+
+        return None, decode_enum, int
+    args = typing.get_args(tp)
+    if isinstance(tp, types.UnionType) and len(args) == 2 and type(None) in args:
+        exact, inner_decode, inner_encode = _codec(args[0] if args[1] is type(None) else args[1])
+        if inner_encode is not None:
+            raise TypeError(f"no record codec for {tp!r}")
+
+        def decode_optional(v, what, name):
+            return None if v is None else inner_decode(v, what, name)
+
+        return exact, decode_optional, None
+    if typing.get_origin(tp) is tuple and args:
+        variadic = len(args) == 2 and args[1] is Ellipsis
+        codecs = [_codec(a) for a in args[: 1 if variadic else None]]
+        if any(encode is not None for _, _, encode in codecs):
+            raise TypeError(f"no record codec for {tp!r}")
+
+        def decode_tuple(v, what, name):
+            if type(v) not in (list, tuple) or not (variadic or len(v) == len(codecs)):
+                raise _mistyped(what, name, "a list" if variadic else f"a list of {len(codecs)} items", v)
+            items = []
+            for i, x in enumerate(v):
+                exact, decode, _ = codecs[0 if variadic else i]
+                items.append(x if type(x) is exact else decode(x, what, f"{name}[{i}]"))
+            return tuple(items)
+
+        return None, decode_tuple, list
+    raise TypeError(f"no record codec for {tp!r}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .decisions import DecisionConfig, PolicyDecision, decide, legacy_policy
 from .dml import DmlModel, estimate_ite, estimate_ite_batch, preferred_action
-from .domain import DiagnosticSignals, LabeledEvent, MitigationAction, rng_for
+from .domain import DiagnosticSignals, LabeledEvent, MitigationAction, rng_for, to_record
 from .errors import DegenerateTreatment, InvalidArgument
 from .simulate import (
     EventStream,
@@ -125,10 +125,9 @@ class EnginePolicy:
 
     name = "engine"
 
-    def __init__(self, model: DmlModel, decision_config: DecisionConfig | None = None, log_fn=None) -> None:
+    def __init__(self, model: DmlModel, decision_config: DecisionConfig | None = None) -> None:
         self.model = model
         self.cfg = decision_config or DecisionConfig()
-        self.log_fn = log_fn
         self._prepared: dict[DiagnosticSignals, object] = {}
         self.last_decision: PolicyDecision | None = None
 
@@ -144,8 +143,6 @@ class EnginePolicy:
             est = estimate_ite(self.model, signals)
         decision = decide(est, signals, self.cfg)
         self.last_decision = decision
-        if self.log_fn is not None:
-            self.log_fn(signals, decision)
         return decision.action
 
 
@@ -190,9 +187,6 @@ class KpiRow:
     recurrence_events: int
     convergence_events: int = 0
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 @dataclass(frozen=True)
 class KpiReport:
@@ -207,7 +201,7 @@ class KpiReport:
             "n_events": self.n_events,
             "seed": self.seed,
             "horizon_days": self.horizon_days,
-            "policies": {name: row.to_dict() for name, row in sorted(self.rows.items())},
+            "policies": {name: to_record(row) for name, row in sorted(self.rows.items())},
         }
 
     def to_text_table(self) -> str:
@@ -405,7 +399,7 @@ def run_ab_experiment(
         if isinstance(policy, EnginePolicy):
             policy.prepare([draw.signals for _, draw, _, _ in subset])
         row, _ = _run_one_policy(policy, subset, config, seed)
-        result["groups"][name] = row.to_dict()
+        result["groups"][name] = to_record(row)
     return result
 
 
@@ -422,9 +416,6 @@ class CounterfactualReport:
     predicted_saving_to_redeploy: float
     true_saving_to_reboot: float | None = None
     true_saving_to_redeploy: float | None = None
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def counterfactual_analysis(

@@ -35,7 +35,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .domain import IteEstimate, rng_for, seed_for
+from .domain import IteEstimate, from_record, rng_for, seed_for, to_record
 from .errors import InsufficientData, InvalidArgument
 from .trees import MIN_GAIN, NodeTable, bin_features, leaf_index
 
@@ -70,17 +70,6 @@ class ForestParams:
     @property
     def n_trees(self) -> int:
         return self.bags * self.trees_per_bag
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @staticmethod
-    def from_dict(d: dict) -> "ForestParams":
-        known = set(ForestParams.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise InvalidArgument(f"unknown forest keys: {sorted(unknown)}")
-        return ForestParams(**d)
 
 
 @dataclass
@@ -154,7 +143,7 @@ class CausalForest:
 
     def to_dict(self) -> dict:
         return {
-            "params": self.params.to_dict(),
+            "params": to_record(self.params),
             "seed": self.seed,
             "bag_of_tree": self.bag_of_tree.tolist(),
             "trees": [t.to_dict() for t in self.trees],
@@ -165,7 +154,7 @@ class CausalForest:
         return CausalForest(
             trees=[CausalTree.from_dict(t) for t in d["trees"]],
             bag_of_tree=np.asarray(d["bag_of_tree"], dtype=np.int64),
-            params=ForestParams.from_dict(d["params"]),
+            params=from_record(ForestParams, d["params"], "forest.params"),
             seed=int(d["seed"]),
         )
 

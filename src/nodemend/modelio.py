@@ -12,15 +12,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dml import FINAL_STAGE_FOREST, FINAL_STAGE_LINEAR, DmlModel, LinearTheta, TrainConfig, psi_loss, train_dml
-from .domain import FeatureSchema, LabeledEvent
+from .domain import FeatureSchema, LabeledEvent, from_record, to_record
 from .errors import DataError, InsufficientData, ModelIntegrityError, ModelVersionError
-from .forest import CausalForest, ForestParams
-from .learners import LearnerConfig, learner_from_dict
+from .forest import CausalForest
+from .learners import learner_from_dict
 from .simulate import GroundTruth
 
 MODEL_FORMAT = "nodemend-model"
@@ -35,34 +35,10 @@ def _checksum(payload: dict) -> str:
     return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
 
 
-def _learner_config_to_dict(cfg: LearnerConfig) -> dict:
-    return {k: getattr(cfg, k) for k in cfg.__dataclass_fields__}
-
-
-def _train_config_to_dict(cfg: TrainConfig) -> dict:
-    return {
-        "learner": _learner_config_to_dict(cfg.learner),
-        "folds": cfg.folds,
-        "final_stage": cfg.final_stage,
-        "forest": cfg.forest.to_dict(),
-        "seed": cfg.seed,
-    }
-
-
-def train_config_from_dict(d: dict) -> TrainConfig:
-    return TrainConfig(
-        learner=LearnerConfig(**d["learner"]),
-        folds=int(d["folds"]),
-        final_stage=d["final_stage"],
-        forest=ForestParams.from_dict(d["forest"]),
-        seed=int(d["seed"]),
-    )
-
-
 def model_to_payload(model: DmlModel) -> dict:
     payload = {
-        "schema": model.schema.to_dict(),
-        "train_config": _train_config_to_dict(model.train_config),
+        "schema": to_record(model.schema),
+        "train_config": to_record(model.train_config),
         "outcome_learners": [lr.to_dict() for lr in model.outcome_learners],
         "propensity_learners": [lr.to_dict() for lr in model.propensity_learners],
         "final_stage": model.final_stage,
@@ -93,13 +69,13 @@ def model_from_payload(payload: dict) -> DmlModel:
             condition_number=float(lin["condition_number"]),
         )
     return DmlModel(
-        schema=FeatureSchema.from_dict(payload["schema"]),
+        schema=from_record(FeatureSchema, payload["schema"], "schema"),
         outcome_learners=[learner_from_dict(d) for d in payload["outcome_learners"]],
         propensity_learners=[learner_from_dict(d) for d in payload["propensity_learners"]],
         final_stage=final_stage,
         forest=forest,
         linear=linear,
-        train_config=train_config_from_dict(payload["train_config"]),
+        train_config=from_record(TrainConfig, payload["train_config"], "train_config"),
         metadata=payload["metadata"],
     )
 
@@ -148,63 +124,43 @@ def load_model(path: str) -> DmlModel:
 # dataset files: one JSON object per line, UTF-8, LF
 
 
-def write_events_jsonl(events: list[LabeledEvent], path: str) -> None:
-    lines = [json.dumps(e.to_dict(), separators=(",", ":"), ensure_ascii=False) for e in events]
+def _write_jsonl(path: str, records: list) -> None:
+    lines = [json.dumps(to_record(r), separators=(",", ":"), ensure_ascii=False) for r in records]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+
+
+def _read_jsonl(path: str, cls) -> list:
+    """Every non-blank line as a ``cls`` record; any fault names file:line."""
+    try:
+        with open(path, "rb") as fh:
+            lines = fh.read().split(b"\n")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    records = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            records.append(from_record(cls, json.loads(line.decode("utf-8"))))
+        except (ValueError, DataError) as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+    return records
+
+
+def write_events_jsonl(events: list[LabeledEvent], path: str) -> None:
+    _write_jsonl(path, events)
 
 
 def read_events_jsonl(path: str) -> list[LabeledEvent]:
-    events = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    events.append(LabeledEvent.from_dict(json.loads(line)))
-                except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                    raise DataError(f"{path}:{lineno}: bad event record: {exc}") from exc
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    return events
+    return _read_jsonl(path, LabeledEvent)
 
 
 def write_truth_jsonl(truths: list[GroundTruth], path: str) -> None:
-    lines = [
-        json.dumps(
-            {"event_id": t.event_id, "y_reboot": t.y_reboot, "y_redeploy": t.y_redeploy, "cause": t.cause},
-            separators=(",", ":"),
-            ensure_ascii=False,
-        )
-        for t in truths
-    ]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    _write_jsonl(path, truths)
 
 
 def read_truth_jsonl(path: str) -> list[GroundTruth]:
-    truths = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    d = json.loads(line)
-                    truths.append(
-                        GroundTruth(
-                            event_id=str(d["event_id"]),
-                            y_reboot=float(d["y_reboot"]),
-                            y_redeploy=float(d["y_redeploy"]),
-                            cause=str(d["cause"]),
-                        )
-                    )
-                except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                    raise DataError(f"{path}:{lineno}: bad truth record: {exc}") from exc
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    return truths
+    return _read_jsonl(path, GroundTruth)
 
 
 # ---------------------------------------------------------------------------
@@ -227,21 +183,11 @@ class ActionLogRecord:
     reason: str
     node_id: str
     event_id: str
+    action_parameters: dict = field(default_factory=dict)  # actions carry none; kept for log-format parity
 
     def __post_init__(self) -> None:
         if self.action_timestamp < self.unhealthy_timestamp:
             raise DataError("action_timestamp must be >= unhealthy_timestamp")
-
-    def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        # actions carry no parameters; the field stays for log-format parity
-        d["action_parameters"] = {}
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "ActionLogRecord":
-        fields = {k: d[k] for k in ActionLogRecord.__dataclass_fields__}
-        return ActionLogRecord(**fields)
 
 
 class ActionLogger:
@@ -252,7 +198,7 @@ class ActionLogger:
         self._fh = open(path, "a", encoding="utf-8", newline="\n")
 
     def log(self, record: ActionLogRecord) -> None:
-        self._fh.write(json.dumps(record.to_dict(), separators=(",", ":"), ensure_ascii=False) + "\n")
+        self._fh.write(json.dumps(to_record(record), separators=(",", ":"), ensure_ascii=False) + "\n")
         self._fh.flush()
 
     def close(self) -> None:
@@ -266,13 +212,7 @@ class ActionLogger:
 
 
 def read_action_log(path: str) -> list[ActionLogRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(ActionLogRecord.from_dict(json.loads(line)))
-    return records
+    return _read_jsonl(path, ActionLogRecord)
 
 
 # ---------------------------------------------------------------------------

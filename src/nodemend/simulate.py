@@ -20,6 +20,7 @@ from enum import IntEnum
 
 import numpy as np
 
+from .decisions import legacy_policy
 from .domain import (
     DEFAULT_HARDWARE_TYPES,
     DEFAULT_SESSION_TYPES,
@@ -486,17 +487,10 @@ def true_tau(latent: LatentNodeState, signals: DiagnosticSignals, config: SimCon
 
 def legacy_assignment(signals: DiagnosticSignals, config: SimConfig, rng: np.random.Generator) -> MitigationAction:
     """Heuristic rule plus an exploration flip that guarantees overlap."""
-    action = legacy_rule(signals)
+    action = legacy_policy(signals)
     if config.legacy_flip_prob > 0 and rng.random() < config.legacy_flip_prob:
         action = MitigationAction(1 - int(action))
     return action
-
-
-def legacy_rule(signals: DiagnosticSignals) -> MitigationAction:
-    """Deterministic core of the legacy policy (no exploration flip)."""
-    if signals.uncorrectable_tag or signals.error_code == "hw_failure":
-        return MitigationAction.REDEPLOY
-    return MitigationAction.REBOOT
 
 
 def generate_observational_dataset(n: int, config: SimConfig) -> tuple[list[LabeledEvent], list[GroundTruth]]:
@@ -578,26 +572,3 @@ def step_node(
     window = config.repeat_window_ticks
     repeat_count = sum(1 for t in node_history if next_tick - t <= window)
     return NodeStep(repeat_count=repeat_count, recurrence=recurrence, next_tick=next_tick)
-
-
-def config_to_dict(config: SimConfig) -> dict:
-    out = {}
-    for name in config.__dataclass_fields__:
-        value = getattr(config, name)
-        if isinstance(value, tuple):
-            value = list(value)
-        out[name] = value
-    return out
-
-
-def config_from_dict(d: dict) -> SimConfig:
-    known = set(SimConfig.__dataclass_fields__)
-    unknown = set(d) - known
-    if unknown:
-        raise InvalidArgument(f"unknown SimConfig keys: {sorted(unknown)}")
-    kwargs = {}
-    for name, value in d.items():
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[name] = value
-    return SimConfig(**kwargs)

@@ -280,8 +280,11 @@ def test_exit_code_model_error(workspace, tmp_path, capsys):
         lambda p: p.update(final_stage="boosted"),
         lambda p: p["train_config"].update(folds="five"),
         lambda p: p.update(outcome_learners="gbm"),
+        lambda p: p["train_config"]["learner"].update(rounds=3.5),
+        lambda p: p["schema"].update(colour="red"),
+        lambda p: p["forest"]["params"].update(max_depth=True),
     ],
-    ids=["no_schema", "no_forest", "bad_final_stage", "bad_folds", "bad_learners"],
+    ids=["no_schema", "no_forest", "bad_final_stage", "bad_folds", "bad_learners", "float_rounds", "schema_key", "bool_depth"],
 )
 def test_malformed_payload_with_valid_checksum_is_a_model_error(workspace, tmp_path, capsys, edit):
     envelope = json.loads(workspace["model"].read_text())
@@ -292,3 +295,43 @@ def test_malformed_payload_with_valid_checksum_is_a_model_error(workspace, tmp_p
     with pytest.raises(ModelIntegrityError):
         load_model(str(bad))
     assert main(["eval", "--model", str(bad), "--data", str(workspace["events"])]) == 4
+
+
+def test_mistyped_config_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "mistyped.json"
+    bad.write_text(json.dumps({"seed": "x"}))
+    rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "e"), "--truth", str(tmp_path / "t"), "--n", "5"])
+    assert rc == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_recommend_rejects_mistyped_signals(workspace, tmp_path, capsys):
+    signals = {
+        "vm_count": 3,
+        "has_important_workload": "false",
+        "network_ok": True,
+        "error_code": None,
+        "repeat_count": 0,
+        "uncorrectable_tag": False,
+        "hardware_type": "gen4_compute",
+        "session_type": "standard",
+    }
+    signals_path = tmp_path / "signals.json"
+    signals_path.write_text(json.dumps(signals))
+    log_path = tmp_path / "actions.jsonl"
+    rc = main(["recommend", "--model", str(workspace["model"]), "--signals", str(signals_path), "--log", str(log_path)])
+    assert rc == 3
+    assert "has_important_workload" in capsys.readouterr().err
+    assert not log_path.exists()
+
+
+def test_recommend_bad_decision_config_is_a_config_error(workspace, tmp_path, capsys):
+    signals_path = tmp_path / "signals.json"
+    signals_path.write_text(json.dumps(json.loads(workspace["events"].read_text().splitlines()[0])["signals"]))
+    for content in ({"fallback_tau": 1.0, "unknown_knob": 2}, [1], {"fallback_tau": "x"}):
+        cfg_path = tmp_path / "decision.json"
+        cfg_path.write_text(json.dumps(content))
+        argv = ["recommend", "--model", str(workspace["model"]), "--signals", str(signals_path)]
+        rc = main(argv + ["--decision-config", str(cfg_path), "--log", str(tmp_path / "actions.jsonl")])
+        assert rc == 2, content
+        assert "config error:" in capsys.readouterr().err

@@ -58,6 +58,15 @@ def test_bad_values_rejected():
         parse_experiment_config(minimal(final_stage="spline"))
     with pytest.raises(ConfigError):
         parse_experiment_config(minimal(nuisance={"kind": "mlp"}))
+    for mistyped in (
+        {"seed": "x"},
+        {"folds": 2.9},
+        {"nuisance": {"rounds": 3.5}},
+        {"forest": {"bags": "3"}},
+        {"sim": {"vm_count_values": [1.5, 2, 3, 4, 5, 6, 7, 8]}},
+    ):
+        with pytest.raises(ConfigError):
+            parse_experiment_config(mistyped)
 
 
 def test_load_from_file(tmp_path):

@@ -11,7 +11,7 @@ from nodemend.decisions import (
     fnv1a64,
     legacy_policy,
 )
-from nodemend.domain import DiagnosticSignals, IteEstimate, MitigationAction
+from nodemend.domain import DiagnosticSignals, IteEstimate, MitigationAction, from_record
 from nodemend.errors import InvalidArgument
 from nodemend.simulate import EventStream, SimConfig, legacy_assignment, sample_event
 
@@ -221,6 +221,6 @@ def test_assignment_respects_weights():
 
 def test_decision_config_fail_closed():
     with pytest.raises(InvalidArgument):
-        DecisionConfig.from_dict({"fallback_tau": 1.0, "unknown_knob": 2})
+        from_record(DecisionConfig, {"fallback_tau": 1.0, "unknown_knob": 2})
     with pytest.raises(InvalidArgument):
         DecisionConfig(fallback_width=0.0)

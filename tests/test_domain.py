@@ -10,6 +10,8 @@ from nodemend.domain import (
     MitigationAction,
     decode_categoricals,
     encode_features,
+    from_record,
+    to_record,
 )
 from nodemend.errors import InvalidArgument, SchemaViolation
 
@@ -164,7 +166,7 @@ def test_labeled_event_round_trip():
         blackout=0.4,
         unallocatable=2.0,
     )
-    assert LabeledEvent.from_dict(ev.to_dict()) == ev
+    assert from_record(LabeledEvent, to_record(ev)) == ev
     with pytest.raises(InvalidArgument):
         LabeledEvent(
             event_id="e",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nodemend.domain import rng_for, seed_for
+from nodemend.domain import from_record, rng_for, seed_for
 from nodemend.errors import InsufficientData, InvalidArgument
 from nodemend.forest import (
     CausalForest,
@@ -225,4 +225,4 @@ def test_params_validation():
     with pytest.raises(InvalidArgument):
         ForestParams(honest_fraction=1.0)
     with pytest.raises(InvalidArgument):
-        ForestParams.from_dict({"bags": 5, "no_such": 1})
+        from_record(ForestParams, {"bags": 5, "no_such": 1})

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,51 @@ def test_events_jsonl_non_finite_outcome(tmp_path, field, value):
         read_events_jsonl(path)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["signals"].update(has_important_workload="false"),
+        lambda d: d["signals"].update(vm_count=2.7),
+        lambda d: d["signals"].update(repeat_count=True),
+        lambda d: d.update(action="1"),
+    ],
+    ids=["important_str", "vm_count_float", "repeat_count_bool", "action_str"],
+)
+def test_events_jsonl_mistyped_value(tmp_path, edit):
+    events, _ = generate_observational_dataset(3, default_config(seed=84))
+    path = str(tmp_path / "typed.jsonl")
+    write_events_jsonl(events, path)
+    lines = open(path).read().splitlines()
+    record = json.loads(lines[1])
+    edit(record)
+    lines[1] = json.dumps(record)
+    open(path, "w").write("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: ")):
+        read_events_jsonl(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.update(weather="fine"),
+        lambda d: d.pop("cause"),
+        lambda d: d.update(y_reboot="1.5"),
+    ],
+    ids=["unknown_key", "missing_key", "mistyped"],
+)
+def test_truth_jsonl_fails_closed(tmp_path, edit):
+    _, truths = generate_observational_dataset(2, default_config(seed=85))
+    path = str(tmp_path / "truth.jsonl")
+    write_truth_jsonl(truths, path)
+    lines = open(path).read().splitlines()
+    record = json.loads(lines[1])
+    edit(record)
+    lines[1] = json.dumps(record)
+    open(path, "w").write("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: ")):
+        read_truth_jsonl(path)
+
+
 def make_record(i=0, source="Fallback", reason="wide interval"):
     return ActionLogRecord(
         unhealthy_timestamp=100 + i,
@@ -171,6 +217,27 @@ def test_action_log_parameters_field_present(tmp_path):
         logger.log(make_record())
     raw = json.loads(open(path).read().strip())
     assert raw["action_parameters"] == {}
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        lambda line: line[: len(line) // 2],
+        lambda line: line.replace('"action_parameters"', '"action_params"'),
+        lambda line: line.replace('"action":1', '"action":"1"'),
+    ],
+    ids=["torn", "unknown_key", "mistyped"],
+)
+def test_action_log_bad_last_line(tmp_path, tail):
+    path = str(tmp_path / "actions.jsonl")
+    with ActionLogger(path) as logger:
+        logger.log(make_record(0))
+        logger.log(make_record(1))
+    line = open(path).read().splitlines()[0]
+    with open(path, "a") as fh:
+        fh.write(tail(line))
+    with pytest.raises(DataError, match=re.escape(f"{path}:3: ")):
+        read_action_log(path)
 
 
 def test_action_timestamp_ordering_enforced():

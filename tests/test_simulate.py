@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from nodemend.domain import MitigationAction
+from nodemend.decisions import legacy_policy
+from nodemend.domain import MitigationAction, from_record, to_record
 from nodemend.errors import InvalidArgument
-from nodemend import simulate as sim
 from nodemend.simulate import (
     Cause,
     EventStream,
@@ -12,7 +12,6 @@ from nodemend.simulate import (
     default_config,
     generate_observational_dataset,
     legacy_assignment,
-    legacy_rule,
     potential_outcomes,
     sample_event,
     step_node,
@@ -101,7 +100,7 @@ def test_legacy_forced_rules():
     for _ in range(500):
         s = sample_event(state).signals
         a = legacy_assignment(s, cfg, rng)
-        assert a == legacy_rule(s)
+        assert a == legacy_policy(s)
         if s.uncorrectable_tag or s.error_code == "hw_failure":
             assert a == MitigationAction.REDEPLOY
             saw_redeploy = True
@@ -247,11 +246,11 @@ def test_step_node_requires_history():
 
 def test_config_dict_round_trip_and_fail_closed():
     cfg = two_regime_config(seed=21)
-    d = sim.config_to_dict(cfg)
-    assert sim.config_from_dict(d) == cfg
+    d = to_record(cfg)
+    assert from_record(SimConfig, d) == cfg
     d["no_such_knob"] = 1
     with pytest.raises(InvalidArgument):
-        sim.config_from_dict(d)
+        from_record(SimConfig, d)
 
 
 def test_config_validation():
