@@ -163,25 +163,30 @@ def _cmd_recommend(args) -> int:
         cfg = parse_section(DecisionConfig, raw, "decision")
     else:
         cfg = DecisionConfig()
-    ite = estimate_ite(model, signals)
-    decision = decide(ite, signals, cfg)
-    record = ActionLogRecord(
-        unhealthy_timestamp=args.timestamp,
-        action_timestamp=args.timestamp + 1,
-        experiment_name=args.experiment,
-        model_type=model.final_stage,
-        model_name="nodemend",
-        model_version=str(model.metadata.get("version", "")),
-        tau=ite.tau,
-        tau_lower=ite.tau_lower,
-        tau_upper=ite.tau_upper,
-        action=int(decision.action),
-        source=decision.source.value,
-        reason=decision.reason,
-        node_id=args.node_id,
-        event_id=args.event_id,
-    )
-    with ActionLogger(args.log) as logger:
+    # open the sink before deciding: a decision that cannot be logged is not made
+    try:
+        logger = ActionLogger(args.log)
+    except OSError as exc:
+        raise DataError(f"cannot open action log {args.log}: {exc}") from exc
+    with logger:
+        ite = estimate_ite(model, signals)
+        decision = decide(ite, signals, cfg)
+        record = ActionLogRecord(
+            unhealthy_timestamp=args.timestamp,
+            action_timestamp=args.timestamp + 1,
+            experiment_name=args.experiment,
+            model_type=model.final_stage,
+            model_name="nodemend",
+            model_version=str(model.metadata.get("version", "")),
+            tau=ite.tau,
+            tau_lower=ite.tau_lower,
+            tau_upper=ite.tau_upper,
+            action=int(decision.action),
+            source=decision.source.value,
+            reason=decision.reason,
+            node_id=args.node_id,
+            event_id=args.event_id,
+        )
         logger.log(record)
     print(json.dumps(decision.to_dict(), sort_keys=True))
     return 0

@@ -185,7 +185,7 @@ class KpiRow:
     unallocatable_mean: float
     redeploy_count: int
     recurrence_events: int
-    convergence_events: int = 0
+    convergence_events: int = 0  # primary events whose chain was cut at max_chain_length
 
 
 @dataclass(frozen=True)
@@ -300,6 +300,7 @@ def _run_one_policy(policy, primaries, config: SimConfig, seed: int):
     redeploys = 0
     samples = 0
     recurrences = 0
+    capped = 0
 
     for ev_idx, draw, outs, tick in primaries:
         signals = draw.signals
@@ -323,6 +324,7 @@ def _run_one_policy(policy, primaries, config: SimConfig, seed: int):
                 redeploys += 1
 
             if chain_step >= config.max_chain_length:
+                capped += 1
                 break
             # recurrence draws keyed by (event, step): identical chains across
             # policies see identical randomness
@@ -355,7 +357,7 @@ def _run_one_policy(policy, primaries, config: SimConfig, seed: int):
         unallocatable_mean=float(positive_unalloc.mean()) if positive_unalloc.size else 0.0,
         redeploy_count=redeploys,
         recurrence_events=recurrences,
-        convergence_events=0,
+        convergence_events=capped,
     )
     edges = np.linspace(0.0, 60.0, 31)
     counts, _ = np.histogram(np.clip(downtimes, 0, 59.999), bins=edges)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .domain import IteEstimate, from_record, rng_for, seed_for, to_record
 from .errors import InsufficientData, InvalidArgument
-from .trees import MIN_GAIN, NodeTable, bin_features, leaf_index
+from .trees import NodeTable, best_cut, bin_features, bin_layout, leaf_index
 
 _MIN_STRUCTURE_CHILD = 5
 
@@ -199,7 +199,13 @@ def grow_tree(
         # sqrt(d) keeps split-time attenuation too high at the default
         # depth/size limits; the regression-forest d/3 rule fixes that
         mtry = max(1, min(max(math.ceil(math.sqrt(d)), math.ceil(d / 3)), d))
+    width, _ = bin_layout(thresholds)
     table = NodeTable()
+
+    def prefix(keys: np.ndarray, weights: np.ndarray | None, m: int) -> np.ndarray:
+        """Left-side totals of every cut of m drawn features, shape (m, B):
+        one bincount over all of them, then a cumsum along each row."""
+        return np.bincount(keys, weights, minlength=m * width).reshape(m, width).cumsum(axis=1)
 
     def leaf_tau(est_rows: np.ndarray, parent_tau: float) -> tuple[float, int]:
         sw = w[est_rows].sum()
@@ -224,50 +230,36 @@ def grow_tree(
 
         est_flag = has_ra[est_rows].astype(np.float64)
         feats = rng.choice(d, size=min(mtry, d), replace=False)
-        best_gain = MIN_GAIN
-        best = None
-        for f in feats:
-            thr = thresholds[f]
-            nb = len(thr) + 1
-            if nb < 2:
-                continue
-            c = codes[struct_rows, f]
-            cnt = np.bincount(c, minlength=nb)[:-1].cumsum()
-            csu = np.bincount(c, weights=u[struct_rows], minlength=nb)[:-1].cumsum()
-            csw = np.bincount(c, weights=w[struct_rows], minlength=nb)[:-1].cumsum()
-            ce = codes[est_rows, f]
-            cest = np.bincount(ce, weights=est_flag, minlength=nb)[:-1].cumsum()
-            n_est_total = est_flag.sum()
-
-            nl = cnt
-            nr = n - nl
-            wl = csw
-            wr = sw_all - csw
-            el = cest
-            er = n_est_total - cest
-            ok = (
-                (nl >= _MIN_STRUCTURE_CHILD)
-                & (nr >= _MIN_STRUCTURE_CHILD)
-                & (wl > 0.0)
-                & (wr > 0.0)
-                & (el >= params.min_leaf_estimate)
-                & (er >= params.min_leaf_estimate)
-            )
-            if not ok.any():
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                tl = np.where(wl > 0, csu / np.where(wl > 0, wl, 1.0), 0.0)
-                tr = np.where(wr > 0, (su_all - csu) / np.where(wr > 0, wr, 1.0), 0.0)
-                score = np.where(ok, nl * tl * tl + nr * tr * tr, -np.inf)
-            b = int(np.argmax(score))
-            gain = score[b] - parent_score
-            if gain > best_gain:
-                best_gain = gain
-                best = (int(f), b)
-
-        if best is None:
+        m = len(feats)
+        offsets = np.arange(m, dtype=np.int64) * width
+        s_keys = (np.take(codes, struct_rows, axis=0)[:, feats] + offsets).ravel()
+        e_keys = (np.take(codes, est_rows, axis=0)[:, feats] + offsets).ravel()
+        nl = prefix(s_keys, None, m)
+        csu = prefix(s_keys, np.repeat(u[struct_rows], m), m)
+        wl = prefix(s_keys, np.repeat(w[struct_rows], m), m)
+        el = prefix(e_keys, np.repeat(est_flag, m), m)
+        nr = n - nl
+        wr = sw_all - wl
+        er = est_flag.sum() - el
+        # a bin past a feature's last cut has every row on the left, so the
+        # nr check rules it out
+        ok = (
+            (nl >= _MIN_STRUCTURE_CHILD)
+            & (nr >= _MIN_STRUCTURE_CHILD)
+            & (wl > 0.0)
+            & (wr > 0.0)
+            & (el >= params.min_leaf_estimate)
+            & (er >= params.min_leaf_estimate)
+        )
+        # ok implies wl > 0 and wr > 0, so every slope that counts is finite
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tl = csu / wl
+            tr = (su_all - csu) / wr
+            score = np.where(ok, nl * tl * tl + nr * tr * tr, -np.inf)
+        cut = best_cut(score, parent_score)
+        if cut is None:
             return node
-        f, b = best
+        f, b = int(feats[cut[0]]), cut[1]
         s_mask = codes[struct_rows, f] <= b
         e_mask = codes[est_rows, f] <= b
         left_id = grow(struct_rows[s_mask], est_rows[e_mask], depth + 1, tau_here)
@@ -276,6 +268,9 @@ def grow_tree(
         return node
 
     grow(structure_idx, estimate_idx, 0, 0.0)
+    # grow reaches itself through its closure; unbinding it frees the
+    # per-tree arrays now rather than at the next cyclic garbage collection
+    del grow
     feature, threshold, left, right, tau, n_estimate = table.arrays()
     return CausalTree(
         feature=feature,

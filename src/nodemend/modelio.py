@@ -18,7 +18,7 @@ import numpy as np
 
 from .dml import FINAL_STAGE_FOREST, FINAL_STAGE_LINEAR, DmlModel, LinearTheta, TrainConfig, psi_loss, train_dml
 from .domain import FeatureSchema, LabeledEvent, from_record, to_record
-from .errors import DataError, InsufficientData, ModelIntegrityError, ModelVersionError
+from .errors import DataError, InsufficientData, ModelError, ModelIntegrityError, ModelVersionError
 from .forest import CausalForest
 from .learners import learner_from_dict
 from .simulate import GroundTruth
@@ -104,6 +104,8 @@ def load_model(path: str) -> DmlModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             envelope = json.load(fh)
+    except OSError as exc:
+        raise ModelError(f"cannot read model file {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelIntegrityError(f"model file is corrupt: {exc}") from exc
     if not isinstance(envelope, dict) or envelope.get("format") != MODEL_FORMAT:

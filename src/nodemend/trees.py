@@ -101,6 +101,38 @@ def leaf_index(
     return idx
 
 
+def bin_layout(thresholds: list[np.ndarray]) -> tuple[int, np.ndarray]:
+    """The padded histogram layout of a binned matrix.
+
+    Returns the row width B, the largest bin count, and the (d, B) mask of
+    bins that are candidate cuts: bin b of feature f may send ``code <= b``
+    left when b < nbins_f - 1. Bin k of feature f is key ``f * B + k``, so
+    one bincount over the keys of all features fills a (d, B) histogram.
+    """
+    nbins = np.array([len(t) + 1 for t in thresholds], dtype=np.int64)
+    width = int(nbins.max(initial=1))
+    return width, np.arange(width) < (nbins - 1)[:, None]
+
+
+def best_cut(score: np.ndarray, parent_score: float) -> tuple[int, int] | None:
+    """(row, bin) of the best cut in a (features, bins) score matrix, or
+    None when no gain over ``parent_score`` exceeds MIN_GAIN.
+
+    Ties resolve as a scan over the rows would: the first maximal bin of a
+    row, then the first row whose gain strictly beats every earlier one. A
+    row holding NaN never wins, as np.argmax lands on the NaN.
+    """
+    if score.size == 0:
+        return None
+    bins = np.argmax(score, axis=1)
+    gain = score[np.arange(score.shape[0]), bins] - parent_score
+    gain[np.isnan(gain)] = -np.inf
+    row = int(np.argmax(gain))
+    if not gain[row] > MIN_GAIN:
+        return None
+    return row, int(bins[row])
+
+
 def grow_sse_tree(
     codes: np.ndarray,
     thresholds: list[np.ndarray],
@@ -115,50 +147,69 @@ def grow_sse_tree(
     reduction n_L * n_R / n * (mean_L - mean_R)^2 plus a per-node constant.
     Leaves carry the mean target and row count of their rows; split nodes
     keep value 0 and count 0.
+
+    A node scores every (feature, bin) cut at once from one weighted and
+    one unweighted bincount over its keys (see ``bin_layout``); a row of
+    the cumsum adds the bins in the order a per-feature cumsum would. A
+    node whose children search again builds both children's histograms
+    from its own keys in one more pair, with the child folded into the
+    key. Each bin still adds its rows in the child's row order, so every
+    sum, score and split is bitwise that of a per-feature search.
     """
-    nbins = [len(t) + 1 for t in thresholds]
+    d = codes.shape[1]
+    width, is_cut = bin_layout(thresholds)
+    keyed = codes + np.arange(d, dtype=np.int64) * width
     table = NodeTable()
 
-    def grow(rows: np.ndarray, depth: int) -> int:
-        r = target[rows]
+    def searches(r: np.ndarray, depth: int) -> bool:
         # a constant target cannot be split; its scores differ only by
         # rounding, which at n * mean^2 scale can exceed MIN_GAIN
-        if depth >= max_depth or len(rows) < 2 * min_leaf or r.min() == r.max():
+        return depth < max_depth and len(r) >= 2 * min_leaf and r.min() != r.max()
+
+    def histograms(keys: np.ndarray, r: np.ndarray, groups: int) -> tuple[np.ndarray, np.ndarray]:
+        keys = keys.ravel()
+        size = groups * d * width
+        sums = np.bincount(keys, weights=np.repeat(r, d), minlength=size)
+        counts = np.bincount(keys, minlength=size)
+        return sums.reshape(groups, d, width), counts.reshape(groups, d, width)
+
+    def grow(rows: np.ndarray, depth: int, hist: tuple[np.ndarray, np.ndarray] | None) -> int:
+        r = target[rows]
+        if not searches(r, depth):
             return table.add(r.mean(), len(rows))
-        total_sum = r.sum()
+        keys = None
+        if hist is None:
+            keys = np.take(keyed, rows, axis=0)
+            sums, counts = histograms(keys, r, 1)
+            hist = sums[0], counts[0]
         n = len(rows)
-        best_gain = MIN_GAIN
-        best = None
-        parent_score = total_sum * total_sum / n
-        for f in range(codes.shape[1]):
-            nb = nbins[f]
-            if nb < 2:
-                continue
-            c = codes[rows, f]
-            sums = np.bincount(c, weights=r, minlength=nb)
-            cnts = np.bincount(c, minlength=nb)
-            csum = np.cumsum(sums)[:-1]
-            nl = np.cumsum(cnts)[:-1]
-            nr = n - nl
-            ok = (nl >= min_leaf) & (nr >= min_leaf)
-            if not ok.any():
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                score = np.where(ok, csum * csum / nl + (total_sum - csum) ** 2 / nr, -np.inf)
-            b = int(np.argmax(score))
-            gain = score[b] - parent_score
-            if gain > best_gain:
-                best_gain = gain
-                best = (f, b)
-        if best is None:
+        total_sum = r.sum()
+        csum = np.cumsum(hist[0], axis=1)
+        nl = np.cumsum(hist[1], axis=1)
+        nr = n - nl
+        ok = is_cut & (nl >= min_leaf) & (nr >= min_leaf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = np.where(ok, csum * csum / nl + (total_sum - csum) ** 2 / nr, -np.inf)
+        cut = best_cut(score, total_sum * total_sum / n)
+        if cut is None:
             return table.add(r.mean(), len(rows))
-        f, b = best
+        f, b = cut
         node = table.add()
-        mask = codes[rows, f] <= b
-        left_id = grow(rows[mask], depth + 1)
-        right_id = grow(rows[~mask], depth + 1)
+        go_left = codes[rows, f] <= b
+        left_rows, right_rows = rows[go_left], rows[~go_left]
+        left_hist = right_hist = None
+        if searches(target[left_rows], depth + 1) or searches(target[right_rows], depth + 1):
+            if keys is None:
+                keys = np.take(keyed, rows, axis=0)
+            sums, counts = histograms(keys + np.where(go_left, 0, d * width)[:, None], r, 2)
+            left_hist, right_hist = (sums[0], counts[0]), (sums[1], counts[1])
+        left_id = grow(left_rows, depth + 1, left_hist)
+        right_id = grow(right_rows, depth + 1, right_hist)
         table.split(node, f, thresholds[f][b], left_id, right_id)
         return node
 
-    grow(rows, 0)
+    grow(rows, 0, None)
+    # grow reaches itself through its closure; unbinding it frees the keyed
+    # codes now rather than at the next cyclic garbage collection
+    del grow
     return table

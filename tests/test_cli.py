@@ -272,6 +272,27 @@ def test_exit_code_model_error(workspace, tmp_path, capsys):
     assert rc == 4
 
 
+def test_missing_model_file_is_a_model_error(workspace, tmp_path, capsys):
+    missing = tmp_path / "no_such_model.bin"
+    rc = main(["eval", "--model", str(missing), "--data", str(workspace["events"])])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "model error:" in err
+    assert str(missing) in err
+
+
+def test_recommend_unwritable_log_is_a_data_error(workspace, tmp_path, capsys):
+    signals_path = tmp_path / "signals.json"
+    signals_path.write_text(json.dumps(json.loads(workspace["events"].read_text().splitlines()[0])["signals"]))
+    log_path = tmp_path / "no_such_dir" / "actions.jsonl"
+    rc = main(["recommend", "--model", str(workspace["model"]), "--signals", str(signals_path), "--log", str(log_path)])
+    assert rc == 3
+    out, err = capsys.readouterr()
+    assert "data error:" in err
+    assert str(log_path) in err
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "edit",
     [

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -152,8 +153,23 @@ def test_comparison_oracle_dominates(default_bundle):
     rows = report.rows
     for name, row in rows.items():
         assert rows["oracle"].avd_mean <= row.avd_mean
-        assert row.convergence_events == 0
         assert row.avd_p50 <= row.avd_p75 <= row.avd_p90 <= row.avd_p99
+    # only a policy that never redeploys leaves chains running into the cap
+    assert 0 < rows["always_reboot"].convergence_events <= rows["always_reboot"].sample_count
+    for name, row in rows.items():
+        if name != "always_reboot":
+            assert row.convergence_events == 0, name
+
+
+def test_convergence_events_count_chains_cut_at_the_cap():
+    cfg = dataclasses.replace(default_config(seed=56), max_chain_length=1)
+    report = run_policy_comparison(["random", "always_reboot", "oracle"], 500, cfg, seed=56)
+    for row in report.rows.values():
+        assert 0 < row.convergence_events <= row.sample_count
+        # with a cap of one step, every chain that recurs is cut at the cap
+        assert row.convergence_events == row.recurrence_events
+    uncapped = run_policy_comparison(["oracle"], 500, default_config(seed=56), seed=56)
+    assert uncapped.rows["oracle"].convergence_events == 0
 
 
 def test_comparison_byte_reproducible(default_bundle):

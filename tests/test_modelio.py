@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nodemend.dml import TrainConfig, estimate_ite, train_dml
-from nodemend.errors import DataError, ModelIntegrityError, ModelVersionError
+from nodemend.errors import DataError, ModelError, ModelIntegrityError, ModelVersionError
 from nodemend.modelio import (
     ActionLogRecord,
     ActionLogger,
@@ -86,6 +86,13 @@ def test_model_not_a_model(tmp_path):
     path = str(tmp_path / "nope.bin")
     open(path, "w").write('{"hello": 1}')
     with pytest.raises(ModelIntegrityError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("name", ["missing.bin", "."], ids=["missing", "directory"])
+def test_model_unreadable_path_is_a_model_error(tmp_path, name):
+    path = str(tmp_path / name)
+    with pytest.raises(ModelError, match=re.escape(path)):
         load_model(path)
 
 
