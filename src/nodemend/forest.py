@@ -30,14 +30,14 @@ floor covers the degenerate all-identical forest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
 
 from .domain import IteEstimate, from_record, rng_for, seed_for, to_record
 from .errors import InsufficientData, InvalidArgument
-from .trees import NodeTable, best_cut, bin_features, bin_layout, leaf_index
+from .trees import NodeTable, PackedTrees, best_cut, bin_features, bin_layout
 
 _MIN_STRUCTURE_CHILD = 5
 
@@ -86,8 +86,12 @@ class CausalTree:
     estimate_idx: np.ndarray
     seed: int
 
+    def table(self) -> tuple[np.ndarray, ...]:
+        """(feature, threshold, left, right, tau), the node table to walk."""
+        return self.feature, self.threshold, self.left, self.right, self.tau
+
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.tau[leaf_index(X, self.feature, self.threshold, self.left, self.right)]
+        return PackedTrees([self.table()]).values(X)[:, 0]
 
     def leaf_ids(self) -> np.ndarray:
         return np.flatnonzero(self.feature < 0)
@@ -128,6 +132,14 @@ class CausalForest:
     bag_of_tree: np.ndarray  # bag index per tree
     params: ForestParams
     seed: int
+    packed: PackedTrees = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if len(self.bag_of_tree) != len(self.trees) or np.any(
+            np.bincount(self.bag_of_tree) != self.params.trees_per_bag
+        ):
+            raise InvalidArgument(f"every bag must hold trees_per_bag={self.params.trees_per_bag} trees")
+        self.packed = PackedTrees([t.table() for t in self.trees])
 
     @property
     def n_bags(self) -> int:
@@ -135,11 +147,7 @@ class CausalForest:
 
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
         """Per-tree predictions, shape (n_points, n_trees)."""
-        X = np.asarray(X, dtype=np.float64)
-        out = np.empty((X.shape[0], len(self.trees)), dtype=np.float64)
-        for t, tree in enumerate(self.trees):
-            out[:, t] = tree.predict(X)
-        return out
+        return self.packed.values(X)
 
     def to_dict(self) -> dict:
         return {
@@ -329,19 +337,26 @@ def predict_tau(forest: CausalForest, X: np.ndarray) -> np.ndarray:
 def _interval_variance(per_tree: np.ndarray, bag_of_tree: np.ndarray, params: ForestParams) -> np.ndarray:
     """Grouped-bag variance estimate per query point.
 
-    ``per_tree`` has shape (n_points, n_trees).
+    ``per_tree`` has shape (n_points, n_trees). Sums over a bag's trees add
+    them one at a time in tree order, and the within-bag total adds the bags
+    in bag order, so each row's figures are the same whatever rows share
+    the call.
     """
     bags = int(bag_of_tree.max()) + 1
     s = params.trees_per_bag
-    m_b = np.empty((per_tree.shape[0], bags), dtype=np.float64)
-    v_within = np.zeros(per_tree.shape[0], dtype=np.float64)
-    for b in range(bags):
-        cols = per_tree[:, bag_of_tree == b]
-        m_b[:, b] = cols.mean(axis=1)
-        v_within += ((cols - m_b[:, [b]]) ** 2).sum(axis=1)
+    # column j: the j-th tree of every bag
+    members = np.argsort(bag_of_tree, kind="stable").reshape(bags, s)
+    total = per_tree[:, members[:, 0]]
+    for j in range(1, s):
+        total = total + per_tree[:, members[:, j]]
+    # C order keeps the mean over bags below a pairwise sum for any row count
+    m_b = np.ascontiguousarray(total / s)
+    spread = (per_tree[:, members[:, 0]] - m_b) ** 2
+    for j in range(1, s):
+        spread = spread + (per_tree[:, members[:, j]] - m_b) ** 2
+    v_within = np.add.accumulate(spread, axis=1)[:, -1] / (bags * s)
     m = per_tree.mean(axis=1)
     v_between = ((m_b - m[:, None]) ** 2).mean(axis=1)
-    v_within /= bags * s
     rel_floor = params.variance_floor_frac * v_between
     return np.maximum(v_between - v_within / s, np.maximum(rel_floor, params.variance_floor))
 

@@ -21,7 +21,7 @@ import numpy as np
 from .dml import DmlModel, estimate_ite_batch
 from .domain import DiagnosticSignals, LabeledEvent, MitigationAction
 from .errors import InsufficientData, InvalidArgument
-from .trees import bin_features, grow_sse_tree, leaf_index
+from .trees import PackedTrees, bin_features, grow_sse_tree
 
 _MIN_LEAF = 10
 _MIN_ROWS = 20
@@ -42,8 +42,9 @@ class PolicyTree:
         return MitigationAction.REBOOT if self.mean_tau[node] >= 0.0 else MitigationAction.REDEPLOY
 
     def predict_action(self, x: np.ndarray) -> MitigationAction:
-        node = leaf_index(np.asarray(x, dtype=np.float64)[None, :], self.feature, self.threshold, self.left, self.right)
-        return self.leaf_action(int(node[0]))
+        table = PackedTrees([(self.feature, self.threshold, self.left, self.right, self.mean_tau)])
+        _, node = next(table.leaves(np.asarray(x, dtype=np.float64)[None, :]))
+        return self.leaf_action(int(node[0, 0]))
 
     @property
     def depth(self) -> int:

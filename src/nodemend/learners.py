@@ -16,7 +16,7 @@ import numpy as np
 
 from .domain import rng_for, seed_for
 from .errors import InvalidArgument
-from .trees import bin_features, grow_sse_tree, leaf_index
+from .trees import PackedTrees, bin_features, grow_sse_tree
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,8 @@ class LearnerConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("gbm", "ridge"):
             raise InvalidArgument(f"unknown learner kind {self.kind!r}")
+        if self.min_leaf < 1:
+            raise InvalidArgument("min_leaf must be >= 1")
         if not (0.0 < self.subsample <= 1.0):
             raise InvalidArgument("subsample must lie in (0, 1]")
         if not (0.0 < self.p_min < 0.5):
@@ -94,6 +96,7 @@ class GradientBoostedTrees:
         self.seed = int(seed)
         self.base_value = 0.0
         self.trees: list[tuple[np.ndarray, ...]] = []
+        self.packed = PackedTrees(self.trees)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedTrees":
         X = np.asarray(X, dtype=np.float64)
@@ -113,14 +116,18 @@ class GradientBoostedTrees:
             rows = rng.choice(n, size=n_sub, replace=False) if n_sub < n else np.arange(n)
             arrays = grow_sse_tree(codes, thresholds, resid, rows, cfg.max_depth, cfg.min_leaf).arrays()[:5]
             self.trees.append(arrays)
-            current = current + cfg.learning_rate * arrays[4][leaf_index(X, *arrays[:4])]
+            current = current + cfg.learning_rate * PackedTrees([arrays]).values(X)[:, 0]
+        self.packed = PackedTrees(self.trees)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        out = np.full(X.shape[0], self.base_value)
-        for arrays in self.trees:
-            out = out + self.config.learning_rate * arrays[4][leaf_index(X, *arrays[:4])]
+        out = np.full(np.shape(X)[0], self.base_value)
+        lr = self.config.learning_rate
+        for rows, node in self.packed.leaves(X):
+            # column 0 is the base, then each tree in order, so the running
+            # sum adds out + lr * v_t tree by tree as a per-tree loop does
+            terms = np.column_stack([out[rows], lr * self.packed.value[node]])
+            out[rows] = np.add.accumulate(terms, axis=1)[:, -1]
         if self.mode == "propensity":
             out = np.clip(out, self.config.p_min, 1.0 - self.config.p_min)
         return out
@@ -167,6 +174,7 @@ class GradientBoostedTrees:
             )
             for t in d["trees"]
         ]
+        learner.packed = PackedTrees(learner.trees)
         return learner
 
 

@@ -1,5 +1,5 @@
-"""Shared tree machinery: feature binning, the node table, the walk and the
-least-squares grower.
+"""Shared tree machinery: feature binning, the node table, the packed walk
+and the least-squares grower.
 
 Every tree in the package is a flat table in pre-order: ``feature`` is -1
 at a leaf, otherwise a split sends ``x[feature] <= threshold`` left. Split
@@ -10,7 +10,11 @@ value, so ``code <= b`` is exactly ``x <= thresholds[b]``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
+
+from .errors import InvalidArgument
 
 MIN_GAIN = 1e-12
 
@@ -80,25 +84,76 @@ class NodeTable:
         )
 
 
-def leaf_index(
-    X: np.ndarray,
-    feature: np.ndarray,
-    threshold: np.ndarray,
-    left: np.ndarray,
-    right: np.ndarray,
-) -> np.ndarray:
-    """The leaf each row of X reaches, walking all rows level by level."""
-    idx = np.zeros(X.shape[0], dtype=np.int64)
-    while True:
-        f = feature[idx]
-        leaf = f < 0
-        if leaf.all():
-            break
-        fx = np.where(leaf, 0, f)
-        go_left = X[np.arange(X.shape[0]), fx] <= threshold[idx]
-        nxt = np.where(go_left, left[idx], right[idx])
-        idx = np.where(leaf, idx, nxt)
-    return idx
+# rows x trees held by one chunk of the packed walk; bounds its temporaries
+CHUNK_ELEMENTS = 1 << 15
+
+
+class PackedTrees:
+    """Several node tables packed into one and walked in lockstep.
+
+    Tree t's node k is packed node ``roots[t] + k``. A leaf's children are
+    the leaf itself, so once a row reaches a leaf every later step keeps it
+    there, whatever the comparison gives (NaN included). ``depth`` steps,
+    the depth of the deepest tree, therefore take every row to its leaf in
+    every tree, exactly as a per-tree walk would.
+    """
+
+    def __init__(self, tables: list[tuple[np.ndarray, ...]]) -> None:
+        """``tables`` holds one (feature, threshold, left, right, value) per tree."""
+        sizes = [len(t[0]) for t in tables]
+        self.roots = np.cumsum([0] + sizes, dtype=np.int64)[:-1]
+        feature, threshold, left, right, value = (
+            np.concatenate([np.asarray(t[i]) for t in tables]) if tables else np.empty(0) for i in range(5)
+        )
+        node = np.arange(len(feature), dtype=np.int64)
+        end = np.repeat(self.roots + sizes, sizes)
+        offset = np.repeat(self.roots, sizes)
+        leaf = feature < 0
+        left = np.where(leaf, node, left + offset)
+        right = np.where(leaf, node, right + offset)
+        # pre-order puts every child after its parent and inside its tree,
+        # which also rules out cycles
+        if np.any(~leaf & ((left <= node) | (right <= node) | (left >= end) | (right >= end))):
+            raise InvalidArgument("a tree's children must follow their parent inside the tree")
+        self.n_features = int(feature.max(initial=-1)) + 1
+        self.feature = np.where(leaf, 0, feature).astype(np.int64)
+        self.threshold = threshold.astype(np.float64)
+        self.value = value.astype(np.float64)
+        # the child of node k sits at 2k + (x <= threshold): right, then left
+        self.child = np.column_stack([right, left]).ravel().astype(np.int64)
+        self.depth = 0
+        frontier = self.roots
+        while True:
+            frontier = frontier[~leaf[frontier]]
+            if not frontier.size:
+                break
+            frontier = np.concatenate([left[frontier], right[frontier]])
+            self.depth += 1
+
+    def leaves(self, X: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+        """Per chunk of rows, (rows, node): node[i, t] is the packed leaf that
+        tree t routes row ``rows.start + i`` to."""
+        X = np.asarray(X, dtype=np.float64)
+        n, d = X.shape
+        if self.n_features > d:
+            raise InvalidArgument(f"trees split on feature {self.n_features - 1}, rows have {d} columns")
+        step = max(1, CHUNK_ELEMENTS // max(1, len(self.roots)))
+        for start in range(0, n, step):
+            chunk = np.ascontiguousarray(X[start : start + step])
+            flat = chunk.ravel()
+            row_base = np.arange(chunk.shape[0], dtype=np.int64)[:, None] * d
+            node = np.repeat(self.roots[None, :], chunk.shape[0], axis=0)
+            for _ in range(self.depth):
+                go_left = np.take(flat, row_base + np.take(self.feature, node)) <= np.take(self.threshold, node)
+                node = np.take(self.child, 2 * node + go_left)
+            yield slice(start, start + chunk.shape[0]), node
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """(n, trees) matrix of the leaf value each tree gives each row."""
+        out = np.empty((np.shape(X)[0], len(self.roots)), dtype=np.float64)
+        for rows, node in self.leaves(X):
+            out[rows] = self.value[node]
+        return out
 
 
 def bin_layout(thresholds: list[np.ndarray]) -> tuple[int, np.ndarray]:

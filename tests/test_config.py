@@ -58,6 +58,8 @@ def test_bad_values_rejected():
         parse_experiment_config(minimal(final_stage="spline"))
     with pytest.raises(ConfigError):
         parse_experiment_config(minimal(nuisance={"kind": "mlp"}))
+    with pytest.raises(ConfigError, match="min_leaf"):
+        parse_experiment_config(minimal(nuisance={"min_leaf": 0}))
     for mistyped in (
         {"seed": "x"},
         {"folds": 2.9},

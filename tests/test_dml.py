@@ -229,11 +229,8 @@ def test_estimate_batch_matches_single(tworegime_bundle):
     rows = [e.signals for e in tworegime_bundle["test_events"][:25]]
     singles = [estimate_ite(model, s) for s in rows]
     batch = estimate_ite_batch(model, rows)
-    for s, b in zip(singles, batch):
-        assert s.tau == b.tau
-        # bounds agree to reduction accuracy (shape-dependent summation)
-        assert s.tau_lower == pytest.approx(b.tau_lower, rel=1e-12, abs=1e-12)
-        assert s.tau_upper == pytest.approx(b.tau_upper, rel=1e-12, abs=1e-12)
+    # every sum runs in a fixed order per row, so bounds agree exactly too
+    assert singles == batch
 
 
 def test_orthogonality_to_outcome_shift():

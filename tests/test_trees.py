@@ -1,5 +1,4 @@
-"""The one-histogram-per-node split search picks exactly the splits of a
-per-feature scan.
+"""The vectorized tree kernels give exactly what the loops they replaced gave.
 
 The reference growers below are the per-feature loops that
 ``trees.grow_sse_tree`` and ``forest.grow_tree`` used before their search
@@ -7,6 +6,11 @@ was vectorized, kept as they were. On random inputs, including exact score
 ties, constant targets and columns, rows at the leaf-size boundaries, a
 quantile grid and exact bins, every node table must equal the reference's
 array for array.
+
+``reference_leaf_index`` is the per-tree walk that ``trees.PackedTrees``
+replaced, kept as it was. The packed walk must route every row to the same
+leaf of every tree, and the GBM, forest and psi predictions built on it must
+equal per-tree loops over the reference bit for bit.
 """
 
 import math
@@ -15,9 +19,22 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodemend.domain import rng_for
+import pytest
+
+from nodemend.dml import estimate_ite, estimate_ite_batch, nuisance_predictions, prepare_training_arrays, psi_loss
+from nodemend.domain import encode_matrix, rng_for
+from nodemend.errors import InvalidArgument
 from nodemend.forest import _MIN_STRUCTURE_CHILD, ForestParams, grow_tree
-from nodemend.trees import MIN_GAIN, NodeTable, best_cut, bin_features, grow_sse_tree
+from nodemend.modelio import load_model, save_model
+from nodemend.trees import (
+    CHUNK_ELEMENTS,
+    MIN_GAIN,
+    NodeTable,
+    PackedTrees,
+    best_cut,
+    bin_features,
+    grow_sse_tree,
+)
 
 PROPERTY = settings(derandomize=True, max_examples=80, deadline=None)
 
@@ -277,3 +294,144 @@ def test_best_cut_resolves_ties_like_a_scan():
     assert best_cut(score, 3.0) is None  # gain 0 does not beat MIN_GAIN
     assert best_cut(np.full((2, 3), -np.inf), 0.0) is None
     assert best_cut(np.empty((0, 4)), 0.0) is None
+
+
+def reference_leaf_index(X, feature, threshold, left, right):
+    """The leaf each row of X reaches, walking all rows level by level."""
+    idx = np.zeros(X.shape[0], dtype=np.int64)
+    while True:
+        f = feature[idx]
+        leaf = f < 0
+        if leaf.all():
+            break
+        fx = np.where(leaf, 0, f)
+        go_left = X[np.arange(X.shape[0]), fx] <= threshold[idx]
+        nxt = np.where(go_left, left[idx], right[idx])
+        idx = np.where(leaf, idx, nxt)
+    return idx
+
+
+def tree_depth(table, node):
+    feature, _, left, right = table[:4]
+    if feature[node] < 0:
+        return 0
+    return 1 + max(tree_depth(table, left[node]), tree_depth(table, right[node]))
+
+
+SPECIAL_VALUES = (np.nan, np.inf, -np.inf, 0.0, -0.0)
+
+
+def random_tree(data, rng, d, cuts, label):
+    """A pre-order table of random splits over the given cut values."""
+    max_depth = data.draw(st.integers(0, 6), label=f"{label}_depth")
+    stop = data.draw(st.sampled_from((0.0, 0.3, 0.6)), label=f"{label}_stop")
+    table = NodeTable()
+
+    def grow(depth):
+        if depth >= max_depth or rng.random() < stop:
+            return table.add(rng.normal())
+        node = table.add()
+        feature = int(rng.integers(d))
+        left = grow(depth + 1)
+        right = grow(depth + 1)
+        table.split(node, feature, float(rng.choice(cuts)), left, right)
+        return node
+
+    grow(0)
+    return table.arrays()[:5]
+
+
+@PROPERTY
+@given(st.data())
+def test_packed_walk_matches_per_tree_walk(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    d = data.draw(st.integers(1, 5), label="d")
+    n_trees = data.draw(st.integers(1, 8), label="n_trees")
+    # a few distinct values, so rows often equal a threshold exactly
+    grid = np.round(rng.normal(size=6), 1)
+    cuts = np.concatenate([grid, [np.inf, -np.inf]])
+    tables = [random_tree(data, rng, d, cuts, f"tree{t}") for t in range(n_trees)]
+    step = CHUNK_ELEMENTS // n_trees
+    n = data.draw(st.sampled_from((0, 1, 2, 17, step - 1, step, step + 1, 2 * step + 1)), label="n")
+    X = rng.choice(np.concatenate([grid, SPECIAL_VALUES]), size=(n, d))
+
+    packed = PackedTrees(tables)
+    assert packed.depth == max(tree_depth(t, 0) for t in tables)
+    node = np.empty((n, n_trees), dtype=np.int64)
+    seen = 0
+    for rows, chunk in packed.leaves(X):
+        assert rows.start == seen and chunk.shape == (rows.stop - rows.start, n_trees)
+        assert chunk.size <= max(CHUNK_ELEMENTS, n_trees)
+        node[rows] = chunk
+        seen = rows.stop
+    assert seen == n
+    values = packed.values(X)
+    for t, table in enumerate(tables):
+        want = reference_leaf_index(X, *table[:4])
+        np.testing.assert_array_equal(node[:, t] - packed.roots[t], want)
+        np.testing.assert_array_equal(values[:, t], table[4][want])
+
+
+def test_packed_depth_is_the_deepest_tree():
+    leaf = (np.array([-1]), np.array([0.0]), np.array([-1]), np.array([-1]), np.array([2.5]))
+    chain = NodeTable()
+    root = chain.add()
+    inner = chain.add()
+    chain.split(inner, 0, 1.0, chain.add(1.0), chain.add(2.0))
+    chain.split(root, 1, 0.0, inner, chain.add(3.0))
+    packed = PackedTrees([leaf, chain.arrays()[:5], leaf])
+    assert packed.depth == 2
+    assert list(packed.roots) == [0, 1, 6]
+    X = np.array([[0.5, -1.0], [np.nan, -1.0], [0.0, np.nan], [0.0, 1.0]])
+    np.testing.assert_array_equal(packed.values(X)[:, 1], [1.0, 2.0, 3.0, 3.0])
+    np.testing.assert_array_equal(packed.values(X)[:, [0, 2]], np.full((4, 2), 2.5))
+    assert PackedTrees([leaf]).depth == 0
+    assert PackedTrees([]).values(X).shape == (4, 0)
+
+
+def test_packed_rejects_bad_tables():
+    looped = (np.array([0, -1, -1]), np.zeros(3), np.array([0, -1, -1]), np.array([2, -1, -1]), np.zeros(3))
+    with pytest.raises(InvalidArgument):
+        PackedTrees([looped])
+    outside = (np.array([0, -1]), np.zeros(2), np.array([1, -1]), np.array([2, -1]), np.zeros(2))
+    with pytest.raises(InvalidArgument):
+        PackedTrees([outside])
+    split_on_2 = (np.array([2, -1, -1]), np.zeros(3), np.array([1, -1, -1]), np.array([2, -1, -1]), np.zeros(3))
+    with pytest.raises(InvalidArgument):
+        next(PackedTrees([split_on_2]).leaves(np.zeros((3, 2))))
+
+
+def reference_gbm_predict(learner, X):
+    out = np.full(X.shape[0], learner.base_value)
+    for arrays in learner.trees:
+        out = out + learner.config.learning_rate * arrays[4][reference_leaf_index(X, *arrays[:4])]
+    if learner.mode == "propensity":
+        out = np.clip(out, learner.config.p_min, 1.0 - learner.config.p_min)
+    return out
+
+
+def test_serving_matches_per_tree_loops(tworegime_bundle, tmp_path):
+    """A saved and reloaded forest model serves one row exactly as a batch,
+    and its nuisances and psi equal per-tree loops, across chunk boundaries."""
+    path = str(tmp_path / "model.bin")
+    save_model(tworegime_bundle["model"], path)
+    model = load_model(path)
+    events = tworegime_bundle["test_events"]
+    forest = model.forest
+    assert len(events) > CHUNK_ELEMENTS // len(forest.trees) + 1
+    assert len(events) > CHUNK_ELEMENTS // len(model.outcome_learners[0].trees) + 1
+
+    batch = estimate_ite_batch(model, [e.signals for e in events])
+    assert [estimate_ite(model, e.signals) for e in events] == batch
+
+    X, y, a = prepare_training_arrays(events, model.schema)
+    per_tree = np.column_stack([t.tau[reference_leaf_index(X, t.feature, t.threshold, t.left, t.right)] for t in forest.trees])
+    np.testing.assert_array_equal(forest.predict_matrix(X), per_tree)
+    y_hat = np.mean([reference_gbm_predict(lr, X) for lr in model.outcome_learners], axis=0)
+    a_hat = np.mean([reference_gbm_predict(lr, X) for lr in model.propensity_learners], axis=0)
+    got_y, got_a = nuisance_predictions(model, X)
+    np.testing.assert_array_equal(got_y, y_hat)
+    np.testing.assert_array_equal(got_a, a_hat)
+    resid = (y - y_hat) - per_tree.mean(axis=1) * (a - a_hat)
+    assert psi_loss(model, events) == float(np.mean(resid**2))
+    assert np.array_equal(encode_matrix([e.signals for e in events], model.schema), X)
