@@ -346,15 +346,16 @@ def _interval_variance(per_tree: np.ndarray, bag_of_tree: np.ndarray, params: Fo
     s = params.trees_per_bag
     # column j: the j-th tree of every bag
     members = np.argsort(bag_of_tree, kind="stable").reshape(bags, s)
-    total = per_tree[:, members[:, 0]]
+    # np.take gives C order, which keeps the mean over bags below a
+    # pairwise sum of each row for any row count
+    m_b = np.take(per_tree, members[:, 0], axis=1)
     for j in range(1, s):
-        total = total + per_tree[:, members[:, j]]
-    # C order keeps the mean over bags below a pairwise sum for any row count
-    m_b = np.ascontiguousarray(total / s)
-    spread = (per_tree[:, members[:, 0]] - m_b) ** 2
-    for j in range(1, s):
-        spread = spread + (per_tree[:, members[:, j]] - m_b) ** 2
-    v_within = np.add.accumulate(spread, axis=1)[:, -1] / (bags * s)
+        m_b += np.take(per_tree, members[:, j], axis=1)
+    m_b /= s
+    spread = np.zeros_like(m_b)
+    for j in range(s):
+        spread += (np.take(per_tree, members[:, j], axis=1) - m_b) ** 2
+    v_within = np.add.accumulate(spread, axis=1, out=spread)[:, -1] / (bags * s)
     m = per_tree.mean(axis=1)
     v_between = ((m_b - m[:, None]) ** 2).mean(axis=1)
     rel_floor = params.variance_floor_frac * v_between

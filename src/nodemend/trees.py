@@ -85,7 +85,7 @@ class NodeTable:
 
 
 # rows x trees held by one chunk of the packed walk; bounds its temporaries
-CHUNK_ELEMENTS = 1 << 15
+CHUNK_ELEMENTS = 1 << 14
 
 
 class PackedTrees:
