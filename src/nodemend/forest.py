@@ -331,16 +331,21 @@ def fit_forest(
 
 def predict_tau(forest: CausalForest, X: np.ndarray) -> np.ndarray:
     """Mean leaf slope over all trees for each query row."""
-    return forest.predict_matrix(X).mean(axis=1)
+    tau = np.empty(np.shape(X)[0], dtype=np.float64)
+    for rows, node in forest.packed.leaves(X):
+        tau[rows] = forest.packed.value[node].mean(axis=1)
+    return tau
 
 
-def _interval_variance(per_tree: np.ndarray, bag_of_tree: np.ndarray, params: ForestParams) -> np.ndarray:
+def _interval_variance(
+    per_tree: np.ndarray, m: np.ndarray, bag_of_tree: np.ndarray, params: ForestParams
+) -> np.ndarray:
     """Grouped-bag variance estimate per query point.
 
-    ``per_tree`` has shape (n_points, n_trees). Sums over a bag's trees add
-    them one at a time in tree order, and the within-bag total adds the bags
-    in bag order, so each row's figures are the same whatever rows share
-    the call.
+    ``per_tree`` has shape (n_points, n_trees) and ``m`` holds its row
+    means. Sums over a bag's trees add them one at a time in tree order, and
+    the within-bag total adds the bags in bag order, so each row's figures
+    are the same whatever rows share the call.
     """
     bags = int(bag_of_tree.max()) + 1
     s = params.trees_per_bag
@@ -356,7 +361,6 @@ def _interval_variance(per_tree: np.ndarray, bag_of_tree: np.ndarray, params: Fo
     for j in range(s):
         spread += (np.take(per_tree, members[:, j], axis=1) - m_b) ** 2
     v_within = np.add.accumulate(spread, axis=1, out=spread)[:, -1] / (bags * s)
-    m = per_tree.mean(axis=1)
     v_between = ((m_b - m[:, None]) ** 2).mean(axis=1)
     rel_floor = params.variance_floor_frac * v_between
     return np.maximum(v_between - v_within / s, np.maximum(rel_floor, params.variance_floor))
@@ -370,9 +374,13 @@ def predict_tau_ci(forest: CausalForest, X: np.ndarray, level: float | None = No
     if not (0.0 < level < 1.0):
         raise InvalidArgument("confidence level must lie in (0, 1)")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    per_tree = forest.predict_matrix(X)
-    m = per_tree.mean(axis=1)
-    v = _interval_variance(per_tree, forest.bag_of_tree, forest.params)
+    m = np.empty(X.shape[0], dtype=np.float64)
+    v = np.empty(X.shape[0], dtype=np.float64)
+    # chunk by chunk, so no (rows, trees) matrix of the whole batch is built
+    for rows, node in forest.packed.leaves(X):
+        per_tree = forest.packed.value[node]
+        m[rows] = per_tree.mean(axis=1)
+        v[rows] = _interval_variance(per_tree, m[rows], forest.bag_of_tree, forest.params)
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
     half = z * np.sqrt(v)
     return [
