@@ -9,6 +9,7 @@ from nodemend.errors import DataError, ModelError, ModelIntegrityError, ModelVer
 from nodemend.modelio import (
     ActionLogRecord,
     ActionLogger,
+    _checksum,
     load_model,
     read_action_log,
     read_events_jsonl,
@@ -77,6 +78,30 @@ def test_model_payload_tamper(tmp_path, small_model):
     save_model(model, path)
     raw = json.load(open(path))
     raw["payload"]["metadata"]["n"] = 999999
+    open(path, "w").write(json.dumps(raw))
+    with pytest.raises(ModelIntegrityError):
+        load_model(path)
+
+
+def _loop_first_split(payload):
+    tree = payload["forest"]["trees"][0]
+    split = next(i for i, f in enumerate(tree["feature"]) if f >= 0)
+    tree["left"][split] = split
+
+
+def _uneven_bags(payload):
+    payload["forest"]["bag_of_tree"][0] = 1
+
+
+@pytest.mark.parametrize("edit", [_loop_first_split, _uneven_bags], ids=["looped_tree", "uneven_bags"])
+def test_model_checksummed_bad_forest_fails_closed(tmp_path, small_model, edit):
+    # a node that is its own child used to send the walk round forever
+    _, _, model = small_model
+    path = str(tmp_path / "model.bin")
+    save_model(model, path)
+    raw = json.load(open(path))
+    edit(raw["payload"])
+    raw["checksum"] = _checksum(raw["payload"])
     open(path, "w").write(json.dumps(raw))
     with pytest.raises(ModelIntegrityError):
         load_model(path)

@@ -16,13 +16,12 @@ equal per-tree loops over the reference bit for bit.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pytest
-
 from nodemend.dml import estimate_ite, estimate_ite_batch, nuisance_predictions, prepare_training_arrays, psi_loss
-from nodemend.domain import encode_matrix, rng_for
+from nodemend.domain import rng_for
 from nodemend.errors import InvalidArgument
 from nodemend.forest import _MIN_STRUCTURE_CHILD, ForestParams, grow_tree
 from nodemend.modelio import load_model, save_model
@@ -434,4 +433,3 @@ def test_serving_matches_per_tree_loops(tworegime_bundle, tmp_path):
     np.testing.assert_array_equal(got_a, a_hat)
     resid = (y - y_hat) - per_tree.mean(axis=1) * (a - a_hat)
     assert psi_loss(model, events) == float(np.mean(resid**2))
-    assert np.array_equal(encode_matrix([e.signals for e in events], model.schema), X)
