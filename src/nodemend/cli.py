@@ -177,7 +177,7 @@ def _cmd_recommend(args) -> int:
             experiment_name=args.experiment,
             model_type=model.final_stage,
             model_name="nodemend",
-            model_version=str(model.metadata.get("version", "")),
+            model_version=model.metadata.version,
             tau=ite.tau,
             tau_lower=ite.tau_lower,
             tau_upper=ite.tau_upper,

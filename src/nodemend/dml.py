@@ -10,6 +10,7 @@ deployment gating.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from .domain import (
     DEFAULT_SCHEMA,
     DiagnosticSignals,
     FeatureSchema,
+    FloatArray,
     IteEstimate,
     LabeledEvent,
     MitigationAction,
@@ -27,7 +29,7 @@ from .domain import (
 )
 from .errors import DegenerateTreatment, InsufficientData, InvalidArgument
 from .forest import CausalForest, ForestParams, fit_forest, predict_tau, predict_tau_ci
-from .learners import LearnerConfig, crossfit_predict, make_folds
+from .learners import Learner, LearnerConfig, crossfit_predict, make_folds
 
 FINAL_STAGE_FOREST = "forest"
 FINAL_STAGE_LINEAR = "linear"
@@ -69,25 +71,64 @@ class LinearTheta:
     """Closed-form effect model theta(x) = intercept + coef . x."""
 
     intercept: float
-    coef: np.ndarray
+    coef: FloatArray
     condition_number: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.intercept):
+            raise InvalidArgument(f"intercept must be finite, got {self.intercept}")
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X, dtype=np.float64) @ self.coef + self.intercept
 
 
+@dataclass(frozen=True)
+class ModelMetadata:
+    """Where a model came from. ``timestamp`` is the newest training
+    event's, not the wall clock, so artifacts reproduce."""
+
+    seed: int
+    n: int
+    timestamp: int
+    version: str
+    condition_number: float | None = None  # linear final stage only; inf for a singular design
+
+    def get(self, key: str, default=None):
+        """One field by name, for callers that read metadata as a mapping."""
+        return getattr(self, key, default)
+
+
 @dataclass
 class DmlModel:
-    """Cross-fitted nuisances plus the final-stage effect model."""
+    """Cross-fitted nuisances plus the final-stage effect model.
+
+    Construction checks that the final stage has its own effect model and
+    no other, and that every part reads rows of the schema's width, so a
+    model file that could not serve fails when it loads.
+    """
 
     schema: FeatureSchema
-    outcome_learners: list
-    propensity_learners: list
+    outcome_learners: tuple[Learner, ...]
+    propensity_learners: tuple[Learner, ...]
     final_stage: str
     forest: CausalForest | None
     linear: LinearTheta | None
     train_config: TrainConfig
-    metadata: dict
+    metadata: ModelMetadata
+
+    def __post_init__(self) -> None:
+        is_forest = self.final_stage == FINAL_STAGE_FOREST
+        present = (self.forest is not None, self.linear is not None)
+        if self.final_stage != self.train_config.final_stage or present != (is_forest, not is_forest):
+            raise InvalidArgument(f"final stage {self.final_stage!r} needs its own effect model and no other")
+        # zero rows: a tree that splits on a later column, or a linear part
+        # of another width, raises here
+        rows = np.zeros((0, self.schema.width))
+        for part in (*self.outcome_learners, *self.propensity_learners, self.linear):
+            if part is not None:
+                part.predict(rows)
+        if self.forest is not None:
+            self.forest.predict_matrix(rows)
 
     @property
     def schema_id(self) -> str:
@@ -158,19 +199,17 @@ def assemble_model(
         linear = final_stage_linear(res)
     else:
         raise InvalidArgument(f"unknown final stage {final_stage!r}")
-    metadata = {
-        "seed": config.seed,
-        "n": res.features.shape[0],
-        # data timestamp, not wall clock: artifacts must be reproducible
-        "timestamp": max((e.timestamp for e in dataset), default=0),
-        "version": MODEL_VERSION,
-    }
-    if linear is not None:
-        metadata["condition_number"] = linear.condition_number
+    metadata = ModelMetadata(
+        seed=config.seed,
+        n=res.features.shape[0],
+        timestamp=max((e.timestamp for e in dataset), default=0),
+        version=MODEL_VERSION,
+        condition_number=None if linear is None else linear.condition_number,
+    )
     return DmlModel(
         schema=schema,
-        outcome_learners=outcome_learners,
-        propensity_learners=propensity_learners,
+        outcome_learners=tuple(outcome_learners),
+        propensity_learners=tuple(propensity_learners),
         final_stage=final_stage,
         forest=forest,
         linear=linear,
@@ -231,8 +270,8 @@ def estimate_ite(model: DmlModel, signals: DiagnosticSignals) -> IteEstimate:
 
 
 def estimate_ite_batch(model: DmlModel, signal_rows: list[DiagnosticSignals]) -> list[IteEstimate]:
-    """Vectorized estimate_ite: identical point estimates; interval bounds
-    agree with the single-row path to floating-point reduction accuracy."""
+    """Vectorized estimate_ite: each row's estimate and bounds equal those
+    of the single-row path."""
     X = encode_matrix(signal_rows, model.schema)
     if model.final_stage == FINAL_STAGE_FOREST:
         assert model.forest is not None

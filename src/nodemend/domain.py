@@ -16,12 +16,17 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import IntEnum
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .errors import InvalidArgument, SchemaViolation
 
 ERROR_CODES = ("none", "hw_failure", "sw_fault", "net_timeout", "other")
 DEFAULT_HARDWARE_TYPES = ("gen4_compute", "gen5_compute", "gpu_accel", "storage_dense")
 DEFAULT_SESSION_TYPES = ("standard", "premium", "system")
+
+# array fields of records; see from_record
+IntArray = NDArray[np.int64]
+FloatArray = NDArray[np.float64]
 
 
 def seed_for(seed: int, *key: int) -> int:
@@ -153,12 +158,6 @@ class FeatureSchema:
         digest = hashlib.sha256("\x1f".join(self.column_names).encode("utf-8")).hexdigest()
         return digest[:16]
 
-    def column_index(self, name: str) -> int:
-        try:
-            return self.column_names.index(name)
-        except ValueError:
-            raise InvalidArgument(f"unknown feature {name!r}") from None
-
 
 DEFAULT_SCHEMA = FeatureSchema()
 
@@ -172,66 +171,38 @@ class FeatureVector:
 
 
 def encode_features(signals: DiagnosticSignals, schema: FeatureSchema = DEFAULT_SCHEMA) -> FeatureVector:
-    """Deterministically encode signals into the schema's column layout.
-
-    Numerics pass through, booleans become 0/1, categoricals one-hot over
-    their closed set. A missing error_code keeps its one-hot block all zero
-    and sets the dedicated missing-indicator column to 1.
-
-    Raises SchemaViolation for any categorical value outside the closed set.
-    """
-    vec = np.zeros(schema.width, dtype=np.float64)
-    vec[0] = float(signals.vm_count)
-    vec[1] = 1.0 if signals.has_important_workload else 0.0
-    vec[2] = 1.0 if signals.network_ok else 0.0
-    vec[3] = float(signals.repeat_count)
-    vec[4] = 1.0 if signals.uncorrectable_tag else 0.0
-
-    off = 5
-    if signals.error_code is not None:
-        if signals.error_code not in schema.error_codes:
-            raise SchemaViolation(f"unknown error_code {signals.error_code!r}")
-        vec[off + schema.error_codes.index(signals.error_code)] = 1.0
-    off += len(schema.error_codes)
-    if signals.error_code is None:
-        vec[off] = 1.0
-    off += 1
-
-    if signals.hardware_type not in schema.hardware_types:
-        raise SchemaViolation(f"unknown hardware_type {signals.hardware_type!r}")
-    vec[off + schema.hardware_types.index(signals.hardware_type)] = 1.0
-    off += len(schema.hardware_types)
-
-    if signals.session_type not in schema.session_types:
-        raise SchemaViolation(f"unknown session_type {signals.session_type!r}")
-    vec[off + schema.session_types.index(signals.session_type)] = 1.0
-
-    return FeatureVector(values=tuple(float(v) for v in vec), schema_id=schema.schema_id)
-
-
-def decode_categoricals(vector: FeatureVector, schema: FeatureSchema = DEFAULT_SCHEMA) -> dict:
-    """Recover categorical values from the one-hot blocks of an encoded vector."""
-    if vector.schema_id != schema.schema_id:
-        raise SchemaViolation("vector was encoded under a different schema")
-    v = vector.values
-    off = 5
-    block = v[off : off + len(schema.error_codes)]
-    missing = v[off + len(schema.error_codes)] == 1.0
-    error_code = None if missing else schema.error_codes[block.index(1.0)]
-    off += len(schema.error_codes) + 1
-    hw_block = v[off : off + len(schema.hardware_types)]
-    hardware_type = schema.hardware_types[hw_block.index(1.0)]
-    off += len(schema.hardware_types)
-    se_block = v[off : off + len(schema.session_types)]
-    session_type = schema.session_types[se_block.index(1.0)]
-    return {"error_code": error_code, "hardware_type": hardware_type, "session_type": session_type}
+    """One row of ``encode_matrix``, with the id of its schema."""
+    return FeatureVector(values=tuple(encode_matrix([signals], schema)[0].tolist()), schema_id=schema.schema_id)
 
 
 def encode_matrix(signal_rows: list[DiagnosticSignals], schema: FeatureSchema = DEFAULT_SCHEMA) -> np.ndarray:
-    """Encode many signal records into a dense (n, width) float64 matrix."""
-    out = np.empty((len(signal_rows), schema.width), dtype=np.float64)
-    for i, s in enumerate(signal_rows):
-        out[i, :] = encode_features(s, schema).values
+    """Encode signal records into a dense (n, width) float64 matrix, column
+    by column, in the schema's column layout.
+
+    Numerics pass through, booleans become 0/1, categoricals one-hot over
+    their closed set. A missing error_code keeps its one-hot block all zero
+    and sets the dedicated missing-indicator column, which follows that
+    block, to 1.
+
+    Raises SchemaViolation for any categorical value outside the closed set.
+    """
+    n = len(signal_rows)
+    out = np.zeros((n, schema.width), dtype=np.float64)
+    numeric = [[s.vm_count, s.has_important_workload, s.network_ok, s.repeat_count, s.uncorrectable_tag] for s in signal_rows]
+    out[:, :5] = np.array(numeric, dtype=np.float64).reshape(n, 5)
+    off = 5
+    for name, values in (
+        ("error_code", (*schema.error_codes, None)),
+        ("hardware_type", schema.hardware_types),
+        ("session_type", schema.session_types),
+    ):
+        column = {v: off + i for i, v in enumerate(values)}
+        try:
+            cols = [column[getattr(s, name)] for s in signal_rows]
+        except KeyError as exc:
+            raise SchemaViolation(f"unknown {name} {exc.args[0]!r}") from None
+        out[np.arange(n), np.asarray(cols, dtype=np.int64)] = 1.0
+        off += len(values)
     return out
 
 
@@ -243,8 +214,8 @@ _PLANS: dict[type, tuple] = {}
 
 
 def to_record(obj) -> dict:
-    """A JSON-ready dict of a dataclass, in field order: tuples become
-    lists, enums their int code, nested dataclasses nested dicts."""
+    """A JSON-ready dict of a dataclass, in field order: tuples and arrays
+    become lists, enums their int code, nested dataclasses nested dicts."""
     return {
         name: getattr(obj, name) if encode is None else encode(getattr(obj, name))
         for name, _, _, encode, _ in _plan(type(obj))
@@ -257,7 +228,11 @@ def from_record(cls, d, what: str | None = None):
     A non-object, an unknown key, a missing required key or a mistyped value
     raises InvalidArgument naming ``what`` (default: the class name) and the
     field. ``bool``, ``int`` and ``str`` must be exactly that type; ``float``
-    also takes an int. Fields with defaults may be absent.
+    also takes an int. An ``NDArray[np.int64]`` comes from a list of ints,
+    an ``NDArray[np.float64]`` from a list of finite numbers. A union of
+    dataclasses decodes as its first member whose required fields the
+    object holds. Fields with defaults may be absent; fields outside
+    ``__init__`` are neither written nor read.
     """
     what = what or cls.__name__
     if not isinstance(d, dict):
@@ -285,6 +260,7 @@ def _plan(cls) -> tuple:
         plan = tuple(
             (f.name, *_codec(hints[f.name]), f.default is MISSING and f.default_factory is MISSING)
             for f in fields(cls)
+            if f.init
         )
         _PLANS[cls] = plan
     return plan
@@ -334,20 +310,30 @@ def _codec(tp) -> tuple:
 
         return None, decode_enum, int
     args = typing.get_args(tp)
+    if typing.get_origin(tp) is np.ndarray:
+        return None, _array(typing.get_args(args[1])[0]), np.ndarray.tolist
     if isinstance(tp, types.UnionType) and len(args) == 2 and type(None) in args:
         exact, inner_decode, inner_encode = _codec(args[0] if args[1] is type(None) else args[1])
-        if inner_encode is not None:
-            raise TypeError(f"no record codec for {tp!r}")
 
         def decode_optional(v, what, name):
             return None if v is None else inner_decode(v, what, name)
 
-        return exact, decode_optional, None
+        def encode_optional(v):
+            return None if v is None else inner_encode(v)
+
+        return exact, decode_optional, None if inner_encode is None else encode_optional
+    if isinstance(tp, types.UnionType) and all(map(is_dataclass, args)):
+
+        def decode_union(v, what, name):
+            # the first member whose required fields the object holds
+            held = v.keys() if type(v) is dict else ()
+            cls = next((a for a in args if all(p[0] in held for p in _plan(a) if p[4])), args[0])
+            return from_record(cls, v, f"{what}.{name}")
+
+        return None, decode_union, to_record
     if typing.get_origin(tp) is tuple and args:
         variadic = len(args) == 2 and args[1] is Ellipsis
         codecs = [_codec(a) for a in args[: 1 if variadic else None]]
-        if any(encode is not None for _, _, encode in codecs):
-            raise TypeError(f"no record codec for {tp!r}")
 
         def decode_tuple(v, what, name):
             if type(v) not in (list, tuple) or not (variadic or len(v) == len(codecs)):
@@ -358,5 +344,27 @@ def _codec(tp) -> tuple:
                 items.append(x if type(x) is exact else decode(x, what, f"{name}[{i}]"))
             return tuple(items)
 
-        return None, decode_tuple, list
+        def encode_tuple(v):
+            encoders = [encode for _, _, encode in codecs] * (len(v) if variadic else 1)
+            return [x if encode is None else encode(x) for x, encode in zip(v, encoders)]
+
+        return None, decode_tuple, encode_tuple if any(encode for _, _, encode in codecs) else list
     raise TypeError(f"no record codec for {tp!r}")
+
+
+def _array(dtype) -> typing.Callable:
+    """Decoder of a JSON list into a 1-d array: an int64 array takes ints
+    only, a float64 array finite numbers only."""
+    kinds, expected = ({int}, "a list of ints") if dtype is np.int64 else ({int, float}, "a list of finite numbers")
+
+    def decode_array(v, what, name):
+        if type(v) is list and set(map(type, v)) <= kinds:
+            try:
+                arr = np.array(v, dtype=dtype)
+            except OverflowError:
+                arr = None
+            if arr is not None and (dtype is np.int64 or np.isfinite(arr).all()):
+                return arr
+        raise InvalidArgument(f"{what}.{name} must be {expected}")
+
+    return decode_array

@@ -35,7 +35,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .domain import IteEstimate, from_record, rng_for, seed_for, to_record
+from .domain import FloatArray, IntArray, IteEstimate, rng_for, seed_for
 from .errors import InsufficientData, InvalidArgument
 from .trees import NodeTable, PackedTrees, best_cut, bin_features, bin_layout
 
@@ -66,6 +66,8 @@ class ForestParams:
             raise InvalidArgument("subsample_fraction must lie in (0, 1]")
         if not (0.0 < self.confidence_level < 1.0):
             raise InvalidArgument("confidence_level must lie in (0, 1)")
+        if not (0.0 <= self.variance_floor < math.inf and 0.0 <= self.variance_floor_frac <= 1.0):
+            raise InvalidArgument("variance_floor must be finite and >= 0, variance_floor_frac in [0, 1]")
 
     @property
     def n_trees(self) -> int:
@@ -76,15 +78,16 @@ class ForestParams:
 class CausalTree:
     """Flattened binary tree; leaves carry the estimation-half slope."""
 
-    feature: np.ndarray  # -1 marks a leaf
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    tau: np.ndarray
-    n_estimate: np.ndarray
-    structure_idx: np.ndarray
-    estimate_idx: np.ndarray
-    seed: int
+    feature: IntArray  # -1 marks a leaf
+    threshold: FloatArray
+    left: IntArray
+    right: IntArray
+    tau: FloatArray
+    n_estimate: IntArray
+
+    def __post_init__(self) -> None:
+        if len(self.n_estimate) != len(self.feature) or np.any(self.n_estimate < 0):
+            raise InvalidArgument("a tree needs one n_estimate >= 0 per node")
 
     def table(self) -> tuple[np.ndarray, ...]:
         """(feature, threshold, left, right, tau), the node table to walk."""
@@ -93,52 +96,26 @@ class CausalTree:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return PackedTrees([self.table()]).values(X)[:, 0]
 
-    def leaf_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.feature < 0)
-
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "tau": self.tau.tolist(),
-            "n_estimate": self.n_estimate.tolist(),
-            "structure_idx": self.structure_idx.tolist(),
-            "estimate_idx": self.estimate_idx.tolist(),
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "CausalTree":
-        return CausalTree(
-            feature=np.asarray(d["feature"], dtype=np.int64),
-            threshold=np.asarray(d["threshold"], dtype=np.float64),
-            left=np.asarray(d["left"], dtype=np.int64),
-            right=np.asarray(d["right"], dtype=np.int64),
-            tau=np.asarray(d["tau"], dtype=np.float64),
-            n_estimate=np.asarray(d["n_estimate"], dtype=np.int64),
-            structure_idx=np.asarray(d["structure_idx"], dtype=np.int64),
-            estimate_idx=np.asarray(d["estimate_idx"], dtype=np.int64),
-            seed=int(d["seed"]),
-        )
-
 
 @dataclass
 class CausalForest:
-    """Immutable once fitted; prediction is reentrant."""
+    """Immutable once fitted; prediction is reentrant. ``n`` is the number
+    of rows the forest was fitted on."""
 
-    trees: list[CausalTree]
-    bag_of_tree: np.ndarray  # bag index per tree
+    trees: tuple[CausalTree, ...]
+    bag_of_tree: IntArray  # bag index per tree
     params: ForestParams
     seed: int
+    n: int
     packed: PackedTrees = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.bag_of_tree) != len(self.trees) or np.any(
-            np.bincount(self.bag_of_tree) != self.params.trees_per_bag
-        ):
-            raise InvalidArgument(f"every bag must hold trees_per_bag={self.params.trees_per_bag} trees")
+        p = self.params
+        layout = np.repeat(np.arange(p.bags), p.trees_per_bag)
+        if len(self.trees) != p.n_trees or not np.array_equal(np.sort(self.bag_of_tree), layout):
+            raise InvalidArgument(f"each of the {p.bags} bags must hold trees_per_bag={p.trees_per_bag} trees")
+        if self.n < 2 * p.min_split:
+            raise InvalidArgument(f"a forest is fitted on at least {2 * p.min_split} rows, not {self.n}")
         self.packed = PackedTrees([t.table() for t in self.trees])
 
     @property
@@ -149,22 +126,25 @@ class CausalForest:
         """Per-tree predictions, shape (n_points, n_trees)."""
         return self.packed.values(X)
 
-    def to_dict(self) -> dict:
-        return {
-            "params": to_record(self.params),
-            "seed": self.seed,
-            "bag_of_tree": self.bag_of_tree.tolist(),
-            "trees": [t.to_dict() for t in self.trees],
-        }
 
-    @staticmethod
-    def from_dict(d: dict) -> "CausalForest":
-        return CausalForest(
-            trees=[CausalTree.from_dict(t) for t in d["trees"]],
-            bag_of_tree=np.asarray(d["bag_of_tree"], dtype=np.int64),
-            params=from_record(ForestParams, d["params"], "forest.params"),
-            seed=int(d["seed"]),
-        )
+def bag_subsamples(n: int, params: ForestParams, seed: int, b: int) -> list[np.ndarray]:
+    """The rows each tree of bag ``b`` grows on.
+
+    The bag draws a half-sample of the n rows without replacement; each of
+    its trees then subsamples that half-sample independently. Every draw
+    derives from (seed, bag, tree).
+    """
+    half = rng_for(seed, b).choice(n, size=max(1, n // 2), replace=False)
+    size = min(max(2, int(round(params.subsample_fraction * len(half)))), len(half))
+    return [half[rng_for(seed, b, i, 1).choice(len(half), size=size, replace=False)] for i in range(params.trees_per_bag)]
+
+
+def honest_halves(subsample: np.ndarray, params: ForestParams, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(structure rows, estimation rows): the subsample shuffled by ``rng``
+    and cut at ``honest_fraction``."""
+    perm = subsample[rng.permutation(len(subsample))]
+    n_structure = max(1, int(round(params.honest_fraction * len(perm))))
+    return perm[:n_structure], perm[n_structure:]
 
 
 def grow_tree(
@@ -180,22 +160,19 @@ def grow_tree(
 
     ``codes`` and ``thresholds`` come from ``trees.bin_features``.
 
-    The subsample is shuffled once (seeded) and cut into the structure half
-    and the estimation half, so no row serves both purposes. A candidate
-    split is valid only when both structure children stay splittable and
-    both estimation children keep at least ``min_leaf_estimate`` rows with
-    a nonzero treatment residual. A leaf whose estimation rows carry no
-    treatment variation inherits its parent's value.
+    ``honest_halves`` cuts the subsample into the structure half and the
+    estimation half with the tree's own generator, so no row serves both
+    purposes. A candidate split is valid only when both structure children
+    stay splittable and both estimation children keep at least
+    ``min_leaf_estimate`` rows with a nonzero treatment residual. A leaf
+    whose estimation rows carry no treatment variation inherits its
+    parent's value.
     """
     ry = np.asarray(ry, dtype=np.float64)
     ra = np.asarray(ra, dtype=np.float64)
     subsample = np.asarray(subsample, dtype=np.int64)
     rng = rng_for(seed)
-
-    perm = subsample[rng.permutation(len(subsample))]
-    n_structure = max(1, int(round(params.honest_fraction * len(perm))))
-    structure_idx = perm[:n_structure]
-    estimate_idx = perm[n_structure:]
+    structure, estimate = honest_halves(subsample, params, rng)
 
     u = ry * ra
     w = ra * ra
@@ -275,22 +252,11 @@ def grow_tree(
         table.split(node, f, thresholds[f][b], left_id, right_id)
         return node
 
-    grow(structure_idx, estimate_idx, 0, 0.0)
+    grow(structure, estimate, 0, 0.0)
     # grow reaches itself through its closure; unbinding it frees the
     # per-tree arrays now rather than at the next cyclic garbage collection
     del grow
-    feature, threshold, left, right, tau, n_estimate = table.arrays()
-    return CausalTree(
-        feature=feature,
-        threshold=threshold,
-        left=left,
-        right=right,
-        tau=tau,
-        n_estimate=n_estimate,
-        structure_idx=structure_idx,
-        estimate_idx=estimate_idx,
-        seed=int(seed),
-    )
+    return CausalTree(*table.arrays())
 
 
 def fit_forest(
@@ -300,12 +266,10 @@ def fit_forest(
     params: ForestParams,
     seed: int,
 ) -> CausalForest:
-    """Fit the bagged honest forest.
+    """Fit the bagged honest forest on the rows ``bag_subsamples`` draws.
 
-    Each bag draws a half-sample of the rows without replacement; each of
-    its trees then subsamples that half-sample independently. All draw
-    seeds derive from (seed, bag, tree), so the result is independent of
-    any execution order.
+    All draw seeds derive from (seed, bag, tree), so the result is
+    independent of any execution order.
     """
     X = np.asarray(X, dtype=np.float64)
     ry = np.asarray(ry, dtype=np.float64)
@@ -315,18 +279,13 @@ def fit_forest(
         raise InsufficientData(f"forest needs at least {2 * params.min_split} rows, got {n}")
 
     codes, thresholds = bin_features(X, params.max_bins)
-    trees: list[CausalTree] = []
-    bag_of_tree = np.empty(params.n_trees, dtype=np.int64)
-    t = 0
-    for b in range(params.bags):
-        half = rng_for(seed, b).choice(n, size=max(1, n // 2), replace=False)
-        for i in range(params.trees_per_bag):
-            size = max(2, int(round(params.subsample_fraction * len(half))))
-            sub = half[rng_for(seed, b, i, 1).choice(len(half), size=min(size, len(half)), replace=False)]
-            trees.append(grow_tree(codes, thresholds, ry, ra, sub, params, seed_for(seed, b, i)))
-            bag_of_tree[t] = b
-            t += 1
-    return CausalForest(trees=trees, bag_of_tree=bag_of_tree, params=params, seed=seed)
+    trees = [
+        grow_tree(codes, thresholds, ry, ra, sub, params, seed_for(seed, b, i))
+        for b in range(params.bags)
+        for i, sub in enumerate(bag_subsamples(n, params, seed, b))
+    ]
+    bag_of_tree = np.repeat(np.arange(params.bags, dtype=np.int64), params.trees_per_bag)
+    return CausalForest(trees=tuple(trees), bag_of_tree=bag_of_tree, params=params, seed=seed, n=n)
 
 
 def predict_tau(forest: CausalForest, X: np.ndarray) -> np.ndarray:
@@ -390,8 +349,16 @@ def predict_tau_ci(forest: CausalForest, X: np.ndarray, level: float | None = No
 
 
 def audit_honesty(forest: CausalForest) -> bool:
-    """True when no tree shares a row between structure and estimation."""
-    for tree in forest.trees:
-        if np.intersect1d(tree.structure_idx, tree.estimate_idx).size:
-            return False
+    """True when no tree shares a row between structure and estimation.
+
+    The halves are not stored: they are drawn again from (seed, bag, tree,
+    n) through the same helpers the fit used. On a loaded model this checks
+    the sampler, not rows kept in the file.
+    """
+    p = forest.params
+    for b in range(p.bags):
+        for i, sub in enumerate(bag_subsamples(forest.n, p, forest.seed, b)):
+            structure, estimate = honest_halves(sub, p, rng_for(seed_for(forest.seed, b, i)))
+            if np.intersect1d(structure, estimate).size:
+                return False
     return True

@@ -10,11 +10,12 @@ clamps predictions away from the boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import rng_for, seed_for
+from .domain import FloatArray, IntArray, rng_for, seed_for
 from .errors import InvalidArgument
 from .trees import PackedTrees, bin_features, grow_sse_tree
 
@@ -78,47 +79,58 @@ class LearnerConfig:
             raise InvalidArgument("subsample must lie in (0, 1]")
         if not (0.0 < self.p_min < 0.5):
             raise InvalidArgument("p_min must lie in (0, 0.5)")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise InvalidArgument(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0.0 <= self.ridge_alpha < math.inf:
+            raise InvalidArgument(f"ridge_alpha must be finite and >= 0, got {self.ridge_alpha}")
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("regression", "propensity"):
+        raise InvalidArgument(f"unknown learner mode {mode!r}")
+
+
+@dataclass
 class GradientBoostedTrees:
     """Least-squares boosting over depth-limited trees.
 
     ``mode="propensity"`` clamps predictions into [p_min, 1 - p_min].
     Deterministic for a fixed seed: row subsampling per round is the only
-    random element and is drawn from a private generator.
+    random element and is drawn from a private generator. Each tree is its
+    (feature, threshold, left, right, value) node table.
     """
 
-    def __init__(self, config: LearnerConfig, mode: str = "regression", seed: int = 0) -> None:
-        if mode not in ("regression", "propensity"):
-            raise InvalidArgument(f"unknown learner mode {mode!r}")
-        self.config = config
-        self.mode = mode
-        self.seed = int(seed)
-        self.base_value = 0.0
-        self.trees: list[tuple[np.ndarray, ...]] = []
-        self.packed = PackedTrees(self.trees)
+    config: LearnerConfig
+    mode: str
+    seed: int
+    base_value: float
+    trees: tuple[tuple[IntArray, FloatArray, IntArray, IntArray, FloatArray], ...]
+    packed: PackedTrees = field(init=False, repr=False, compare=False)
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedTrees":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if X.shape[0] != y.shape[0]:
-            raise InvalidArgument("features and targets must have equal length")
-        cfg = self.config
-        rng = rng_for(self.seed, 0)
-        codes, thresholds = bin_features(X, cfg.max_bins)
-        self.base_value = float(y.mean())
-        self.trees = []
-        current = np.full(X.shape[0], self.base_value)
+    def __post_init__(self) -> None:
+        _check_mode(self.mode)
+        if not math.isfinite(self.base_value):
+            raise InvalidArgument(f"base_value must be finite, got {self.base_value}")
+        if len(self.trees) != self.config.rounds:
+            raise InvalidArgument(f"a learner of {self.config.rounds} rounds holds {len(self.trees)} trees")
+        self.packed = PackedTrees(list(self.trees))
+
+    @classmethod
+    def fit(cls, config: LearnerConfig, mode: str, seed: int, X: np.ndarray, y: np.ndarray) -> "GradientBoostedTrees":
+        rng = rng_for(seed, 0)
+        codes, thresholds = bin_features(X, config.max_bins)
+        base_value = float(y.mean())
+        trees = []
+        current = np.full(X.shape[0], base_value)
         n = X.shape[0]
-        n_sub = max(1, int(round(cfg.subsample * n)))
-        for _ in range(cfg.rounds):
+        n_sub = max(1, int(round(config.subsample * n)))
+        for _ in range(config.rounds):
             resid = y - current
             rows = rng.choice(n, size=n_sub, replace=False) if n_sub < n else np.arange(n)
-            arrays = grow_sse_tree(codes, thresholds, resid, rows, cfg.max_depth, cfg.min_leaf).arrays()[:5]
-            self.trees.append(arrays)
-            current = current + cfg.learning_rate * PackedTrees([arrays]).values(X)[:, 0]
-        self.packed = PackedTrees(self.trees)
-        return self
+            arrays = grow_sse_tree(codes, thresholds, resid, rows, config.max_depth, config.min_leaf).arrays()[:5]
+            trees.append(arrays)
+            current = current + config.learning_rate * PackedTrees([arrays]).values(X)[:, 0]
+        return cls(config, mode, int(seed), base_value, tuple(trees))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         out = np.full(np.shape(X)[0], self.base_value)
@@ -132,117 +144,52 @@ class GradientBoostedTrees:
             out = np.clip(out, self.config.p_min, 1.0 - self.config.p_min)
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "gbm",
-            "mode": self.mode,
-            "seed": self.seed,
-            "base_value": self.base_value,
-            "config": {
-                "rounds": self.config.rounds,
-                "learning_rate": self.config.learning_rate,
-                "max_depth": self.config.max_depth,
-                "subsample": self.config.subsample,
-                "max_bins": self.config.max_bins,
-                "min_leaf": self.config.min_leaf,
-                "p_min": self.config.p_min,
-            },
-            "trees": [
-                {
-                    "feature": t[0].tolist(),
-                    "threshold": t[1].tolist(),
-                    "left": t[2].tolist(),
-                    "right": t[3].tolist(),
-                    "value": t[4].tolist(),
-                }
-                for t in self.trees
-            ],
-        }
 
-    @staticmethod
-    def from_dict(d: dict) -> "GradientBoostedTrees":
-        cfg = LearnerConfig(kind="gbm", ridge_alpha=1e-8, **d["config"])
-        learner = GradientBoostedTrees(cfg, mode=d["mode"], seed=d["seed"])
-        learner.base_value = float(d["base_value"])
-        learner.trees = [
-            (
-                np.asarray(t["feature"], dtype=np.int64),
-                np.asarray(t["threshold"], dtype=np.float64),
-                np.asarray(t["left"], dtype=np.int64),
-                np.asarray(t["right"], dtype=np.int64),
-                np.asarray(t["value"], dtype=np.float64),
-            )
-            for t in d["trees"]
-        ]
-        learner.packed = PackedTrees(learner.trees)
-        return learner
-
-
+@dataclass(frozen=True)
 class RidgeRegression:
     """Closed-form ridge with an unpenalized-in-practice tiny default alpha."""
 
-    def __init__(self, config: LearnerConfig, mode: str = "regression", seed: int = 0) -> None:
-        if mode not in ("regression", "propensity"):
-            raise InvalidArgument(f"unknown learner mode {mode!r}")
-        self.config = config
-        self.mode = mode
-        self.seed = int(seed)
-        self.coef: np.ndarray | None = None
-        self.intercept = 0.0
+    config: LearnerConfig
+    mode: str
+    intercept: float
+    coef: FloatArray
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "RidgeRegression":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
+    def __post_init__(self) -> None:
+        _check_mode(self.mode)
+        if not math.isfinite(self.intercept):
+            raise InvalidArgument(f"intercept must be finite, got {self.intercept}")
+
+    @classmethod
+    def fit(cls, config: LearnerConfig, mode: str, X: np.ndarray, y: np.ndarray) -> "RidgeRegression":
         Z = np.hstack([np.ones((X.shape[0], 1)), X])
-        a = Z.T @ Z + self.config.ridge_alpha * np.eye(Z.shape[1])
+        a = Z.T @ Z + config.ridge_alpha * np.eye(Z.shape[1])
         b = Z.T @ y
         try:
             beta = np.linalg.solve(a, b)
         except np.linalg.LinAlgError:
             beta = np.linalg.lstsq(a, b, rcond=None)[0]
-        self.intercept = float(beta[0])
-        self.coef = beta[1:]
-        return self
+        return cls(config, mode, float(beta[0]), beta[1:])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if self.coef is None:
-            raise InvalidArgument("predict called before fit")
         out = np.asarray(X, dtype=np.float64) @ self.coef + self.intercept
         if self.mode == "propensity":
             out = np.clip(out, self.config.p_min, 1.0 - self.config.p_min)
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "ridge",
-            "mode": self.mode,
-            "seed": self.seed,
-            "intercept": self.intercept,
-            "coef": list(self.coef) if self.coef is not None else None,
-            "config": {"ridge_alpha": self.config.ridge_alpha, "p_min": self.config.p_min},
-        }
 
-    @staticmethod
-    def from_dict(d: dict) -> "RidgeRegression":
-        cfg = LearnerConfig(kind="ridge", **d["config"])
-        learner = RidgeRegression(cfg, mode=d["mode"], seed=d["seed"])
-        learner.intercept = float(d["intercept"])
-        learner.coef = np.asarray(d["coef"], dtype=np.float64) if d["coef"] is not None else None
-        return learner
+Learner = GradientBoostedTrees | RidgeRegression
 
 
-def make_learner(config: LearnerConfig, mode: str, seed: int):
+def fit_learner(config: LearnerConfig, mode: str, seed: int, X: np.ndarray, y: np.ndarray) -> Learner:
+    """A learner of ``config.kind`` fitted to (X, y); ``seed`` drives the
+    boosting's row subsampling."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.shape[0] != y.shape[0]:
+        raise InvalidArgument("features and targets must have equal length")
     if config.kind == "gbm":
-        return GradientBoostedTrees(config, mode=mode, seed=seed)
-    return RidgeRegression(config, mode=mode, seed=seed)
-
-
-def learner_from_dict(d: dict):
-    if d["kind"] == "gbm":
-        return GradientBoostedTrees.from_dict(d)
-    if d["kind"] == "ridge":
-        return RidgeRegression.from_dict(d)
-    raise InvalidArgument(f"unknown learner kind {d['kind']!r}")
+        return GradientBoostedTrees.fit(config, mode, seed, X, y)
+    return RidgeRegression.fit(config, mode, X, y)
 
 
 def crossfit_predict(
@@ -266,8 +213,7 @@ def crossfit_predict(
     for j in range(folds.k):
         test = folds.membership == j
         train = ~test
-        learner = make_learner(config, mode, seed=seed_for(seed, j))
-        learner.fit(features[train], targets[train])
+        learner = fit_learner(config, mode, seed_for(seed, j), features[train], targets[train])
         oof[test] = learner.predict(features[test])
         learners.append(learner)
     return oof, learners

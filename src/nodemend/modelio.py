@@ -1,10 +1,12 @@
 """Persistence: model files, dataset files, the action log, the update gate.
 
-The model file is a JSON envelope whose header carries the format name and
-version (checked before anything else) and a sha256 checksum over the
-canonical payload encoding. Floats are serialized via repr, so a round
-trip reproduces estimates bitwise. Writes go through a temp file, fsync
-and an atomic rename, so a deployed-model path never dangles.
+A model file is one JSON header line, ``{"format", "format_version",
+"sha256"}``, then the payload: the model's record (``domain.to_record``)
+as compact JSON. The checksum covers the payload bytes as written. Load
+checks the format, then the version, then the checksum, before it decodes
+anything. Floats are serialized via repr, so a round trip reproduces
+estimates bitwise. Writes go through a temp file, fsync and an atomic
+rename, so a deployed-model path never dangles.
 """
 
 from __future__ import annotations
@@ -16,68 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dml import FINAL_STAGE_FOREST, FINAL_STAGE_LINEAR, DmlModel, LinearTheta, TrainConfig, psi_loss, train_dml
-from .domain import FeatureSchema, LabeledEvent, from_record, to_record
-from .errors import DataError, InsufficientData, ModelError, ModelIntegrityError, ModelVersionError
-from .forest import CausalForest
-from .learners import learner_from_dict
+from .dml import DmlModel, psi_loss, train_dml
+from .domain import LabeledEvent, from_record, to_record
+from .errors import DataError, InsufficientData, ModelError, ModelIntegrityError, ModelVersionError, NodemendError
 from .simulate import GroundTruth
 
 MODEL_FORMAT = "nodemend-model"
-FORMAT_VERSION = "1.0"
-
-
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-
-
-def _checksum(payload: dict) -> str:
-    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
-
-
-def model_to_payload(model: DmlModel) -> dict:
-    payload = {
-        "schema": to_record(model.schema),
-        "train_config": to_record(model.train_config),
-        "outcome_learners": [lr.to_dict() for lr in model.outcome_learners],
-        "propensity_learners": [lr.to_dict() for lr in model.propensity_learners],
-        "final_stage": model.final_stage,
-        "metadata": model.metadata,
-    }
-    if model.forest is not None:
-        payload["forest"] = model.forest.to_dict()
-    if model.linear is not None:
-        payload["linear"] = {
-            "intercept": model.linear.intercept,
-            "coef": list(model.linear.coef),
-            "condition_number": model.linear.condition_number,
-        }
-    return payload
-
-
-def model_from_payload(payload: dict) -> DmlModel:
-    final_stage = payload["final_stage"]
-    if final_stage not in (FINAL_STAGE_FOREST, FINAL_STAGE_LINEAR):
-        raise ValueError(f"unknown final stage {final_stage!r}")
-    forest = CausalForest.from_dict(payload["forest"]) if final_stage == FINAL_STAGE_FOREST else None
-    linear = None
-    if final_stage == FINAL_STAGE_LINEAR:
-        lin = payload["linear"]
-        linear = LinearTheta(
-            intercept=float(lin["intercept"]),
-            coef=np.asarray(lin["coef"], dtype=np.float64),
-            condition_number=float(lin["condition_number"]),
-        )
-    return DmlModel(
-        schema=from_record(FeatureSchema, payload["schema"], "schema"),
-        outcome_learners=[learner_from_dict(d) for d in payload["outcome_learners"]],
-        propensity_learners=[learner_from_dict(d) for d in payload["propensity_learners"]],
-        final_stage=final_stage,
-        forest=forest,
-        linear=linear,
-        train_config=from_record(TrainConfig, payload["train_config"], "train_config"),
-        metadata=payload["metadata"],
-    )
+FORMAT_VERSION = "2.0"
 
 
 def atomic_write_text(path: str, content: str) -> None:
@@ -90,36 +37,36 @@ def atomic_write_text(path: str, content: str) -> None:
 
 
 def save_model(model: DmlModel, path: str) -> None:
-    payload = model_to_payload(model)
-    envelope = {
+    payload = json.dumps(to_record(model), separators=(",", ":"), ensure_ascii=False)
+    header = {
         "format": MODEL_FORMAT,
         "format_version": FORMAT_VERSION,
-        "checksum": _checksum(payload),
-        "payload": payload,
+        "sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
     }
-    atomic_write_text(path, json.dumps(envelope, sort_keys=True, separators=(",", ":"), ensure_ascii=False))
+    atomic_write_text(path, json.dumps(header, separators=(",", ":")) + "\n" + payload)
 
 
 def load_model(path: str) -> DmlModel:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            envelope = json.load(fh)
+        with open(path, "rb") as fh:
+            head, _, payload = fh.read().partition(b"\n")
     except OSError as exc:
         raise ModelError(f"cannot read model file {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    try:
+        header = json.loads(head)
+    except ValueError as exc:
         raise ModelIntegrityError(f"model file is corrupt: {exc}") from exc
-    if not isinstance(envelope, dict) or envelope.get("format") != MODEL_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT:
         raise ModelIntegrityError("not a model file")
-    version = str(envelope.get("format_version", ""))
+    version = str(header.get("format_version", ""))
     if version.split(".")[0] != FORMAT_VERSION.split(".")[0]:
         raise ModelVersionError(f"model format {version!r} is incompatible with {FORMAT_VERSION!r}")
-    payload = envelope.get("payload")
-    if not isinstance(payload, dict) or _checksum(payload) != envelope.get("checksum"):
+    if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
         raise ModelIntegrityError("model checksum mismatch")
     try:
-        return model_from_payload(payload)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ModelIntegrityError(f"model payload is malformed: {exc!r}") from exc
+        return from_record(DmlModel, json.loads(payload), "model")
+    except ValueError as exc:
+        raise ModelIntegrityError(f"model payload is malformed: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +194,7 @@ def update_model(
         candidate = train_dml(recent, current.train_config, current.schema)
     except InsufficientData as exc:
         return UpdateResult(False, f"insufficient recent data: {exc}", None, None, None)
-    except Exception as exc:  # keep serving the current model on any training failure
+    except (NodemendError, np.linalg.LinAlgError) as exc:  # anything else is a bug and propagates
         return UpdateResult(False, f"training failed: {exc}", None, None, None)
     psi_cur = psi_loss(current, holdout)
     psi_cand = psi_loss(candidate, holdout)

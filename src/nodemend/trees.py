@@ -101,6 +101,8 @@ class PackedTrees:
     def __init__(self, tables: list[tuple[np.ndarray, ...]]) -> None:
         """``tables`` holds one (feature, threshold, left, right, value) per tree."""
         sizes = [len(t[0]) for t in tables]
+        if any(len(column) != size for t, size in zip(tables, sizes) for column in t):
+            raise InvalidArgument("a tree's node columns must share their length")
         self.roots = np.cumsum([0] + sizes, dtype=np.int64)[:-1]
         feature, threshold, left, right, value = (
             np.concatenate([np.asarray(t[i]) for t in tables]) if tables else np.empty(0) for i in range(5)

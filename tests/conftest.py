@@ -3,6 +3,8 @@ and reused by both the module tests and the acceptance suite. Each bundle
 records how long its generate+train step took so the acceptance suite can
 assert pipeline runtimes without retraining."""
 
+import hashlib
+import json
 import time
 
 import numpy as np
@@ -113,3 +115,19 @@ def synthetic_residuals(n: int, seed: int, kind: str = "two_regime", d: int = 6,
     ra = a - propensity
     ry = tau * ra + rng.normal(scale=noise, size=n)
     return X, ry, ra, tau
+
+
+def reseal(path, edit) -> None:
+    """Apply ``edit`` to the decoded payload of the model file at ``path``
+    and seal the file again, header line first: its sha256 then covers the
+    edited payload bytes, so only the checks behind the checksum can refuse
+    the file."""
+    with open(path, "rb") as fh:
+        head, _, payload = fh.read().partition(b"\n")
+    record = json.loads(payload)
+    edit(record)
+    payload = json.dumps(record).encode("utf-8")
+    header = json.loads(head)
+    header["sha256"] = hashlib.sha256(payload).hexdigest()
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode("utf-8") + b"\n" + payload)

@@ -1,11 +1,15 @@
 import json
 import os
+import re
+import shutil
 
 import pytest
 
 from nodemend.cli import main
-from nodemend.errors import ModelIntegrityError
-from nodemend.modelio import _checksum, load_model, read_action_log, read_events_jsonl
+from nodemend.errors import ModelIntegrityError, ModelVersionError
+from nodemend.modelio import load_model, read_action_log, read_events_jsonl
+
+from conftest import reseal
 
 
 FAST_CONFIG = {
@@ -308,14 +312,84 @@ def test_recommend_unwritable_log_is_a_data_error(workspace, tmp_path, capsys):
     ids=["no_schema", "no_forest", "bad_final_stage", "bad_folds", "bad_learners", "float_rounds", "schema_key", "bool_depth"],
 )
 def test_malformed_payload_with_valid_checksum_is_a_model_error(workspace, tmp_path, capsys, edit):
-    envelope = json.loads(workspace["model"].read_text())
-    edit(envelope["payload"])
-    envelope["checksum"] = _checksum(envelope["payload"])
     bad = tmp_path / "malformed.bin"
-    bad.write_text(json.dumps(envelope))
+    shutil.copy(workspace["model"], bad)
+    reseal(bad, edit)
     with pytest.raises(ModelIntegrityError):
         load_model(str(bad))
     assert main(["eval", "--model", str(bad), "--data", str(workspace["events"])]) == 4
+
+
+def _first(feature, leaf):
+    """Index of a tree's first leaf (or split) node, given its feature column."""
+    return next(i for i, f in enumerate(feature) if (f < 0) == leaf)
+
+
+def _split_on_feature_99(p):
+    tree = p["forest"]["trees"][0]
+    tree["feature"][_first(tree["feature"], leaf=False)] = 99
+
+
+def _nan_forest_leaf(p):
+    tree = p["forest"]["trees"][0]
+    tree["tau"][_first(tree["feature"], leaf=True)] = float("nan")
+
+
+def _inf_gbm_leaf(p):
+    feature, _, _, _, value = p["outcome_learners"][0]["trees"][0]
+    value[_first(feature, leaf=True)] = float("inf")
+
+
+def _negative_n_estimate(p):
+    p["forest"]["trees"][0]["n_estimate"][0] = -1
+
+
+@pytest.mark.parametrize(
+    "edit,cause",
+    [
+        (_split_on_feature_99, "trees split on feature 99, rows have 18 columns"),
+        (_nan_forest_leaf, "model.forest.trees[0].tau must be a list of finite numbers"),
+        (_inf_gbm_leaf, "model.outcome_learners[0].trees[0][4] must be a list of finite numbers"),
+        (lambda p: p.update(metadata="x"), "model.metadata must be an object"),
+        (_negative_n_estimate, "a tree needs one n_estimate >= 0 per node"),
+        (lambda p: p["outcome_learners"][0]["trees"].pop(), "a learner of 60 rounds holds 59 trees"),
+        (lambda p: p["outcome_learners"][0]["config"].update(learning_rate=float("nan")), "learning_rate must be finite"),
+        (lambda p: p["forest"]["params"].update(variance_floor=float("nan")), "variance_floor must be finite"),
+    ],
+    ids=[
+        "feature_99",
+        "nan_forest_leaf",
+        "inf_gbm_leaf",
+        "metadata_str",
+        "negative_n_estimate",
+        "short_gbm",
+        "nan_learning_rate",
+        "nan_variance_floor",
+    ],
+)
+def test_model_that_could_not_serve_fails_at_load(workspace, tmp_path, capsys, edit, cause):
+    # refused at load, so that recommend never decides on such a model
+    bad = tmp_path / "unservable.bin"
+    shutil.copy(workspace["model"], bad)
+    reseal(bad, edit)
+    with pytest.raises(ModelIntegrityError, match=re.escape(cause)):
+        load_model(str(bad))
+    signals_path = tmp_path / "signals.json"
+    signals_path.write_text(json.dumps(json.loads(workspace["events"].read_text().splitlines()[0])["signals"]))
+    log_path = tmp_path / "actions.jsonl"
+    assert main(["recommend", "--model", str(bad), "--signals", str(signals_path), "--log", str(log_path)]) == 4
+    assert cause in capsys.readouterr().err
+    assert not log_path.exists()
+
+
+def test_format_1_model_is_refused(workspace, tmp_path, capsys):
+    old = tmp_path / "model_v1.bin"
+    payload = json.loads(workspace["model"].read_bytes().partition(b"\n")[2])
+    old.write_text(json.dumps({"checksum": "0" * 64, "format": "nodemend-model", "format_version": "1.0", "payload": payload}))
+    with pytest.raises(ModelVersionError, match=re.escape("model format '1.0' is incompatible with '2.0'")):
+        load_model(str(old))
+    assert main(["eval", "--model", str(old), "--data", str(workspace["events"])]) == 4
+    assert "'1.0'" in capsys.readouterr().err
 
 
 def test_mistyped_config_is_a_config_error(tmp_path, capsys):

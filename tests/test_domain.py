@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodemend.domain import (
     DEFAULT_SCHEMA,
     DiagnosticSignals,
     FeatureSchema,
+    FeatureVector,
     IteEstimate,
     LabeledEvent,
     MitigationAction,
-    decode_categoricals,
     encode_features,
+    encode_matrix,
     from_record,
     to_record,
 )
@@ -109,27 +112,12 @@ def test_encode_no_nan_inf_and_fixed_width():
         assert np.all(np.isfinite(vec.values))
 
 
-def test_one_hot_round_trip():
-    rng = np.random.default_rng(11)
-    schema = DEFAULT_SCHEMA
-    for _ in range(100):
-        sig = make_signals(
-            error_code=rng.choice([None, *schema.error_codes]),
-            hardware_type=str(rng.choice(schema.hardware_types)),
-            session_type=str(rng.choice(schema.session_types)),
-        )
-        decoded = decode_categoricals(encode_features(sig), schema)
-        assert decoded["error_code"] == sig.error_code
-        assert decoded["hardware_type"] == sig.hardware_type
-        assert decoded["session_type"] == sig.session_type
-
-
 def test_schema_id_changes_with_layout():
     assert FeatureSchema().schema_id == FeatureSchema().schema_id
     other = FeatureSchema(hardware_types=("alpha", "beta"))
     assert other.schema_id != FeatureSchema().schema_id
     with pytest.raises(SchemaViolation):
-        decode_categoricals(encode_features(make_signals()), other)
+        encode_features(make_signals(), other)
 
 
 def test_signal_invariants():
@@ -179,3 +167,84 @@ def test_labeled_event_round_trip():
             blackout=0.0,
             unallocatable=0.0,
         )
+
+
+def reference_encode_features(signals: DiagnosticSignals, schema: FeatureSchema = DEFAULT_SCHEMA) -> FeatureVector:
+    """The row encoder that ``encode_matrix`` replaced, kept as it was."""
+    vec = np.zeros(schema.width, dtype=np.float64)
+    vec[0] = float(signals.vm_count)
+    vec[1] = 1.0 if signals.has_important_workload else 0.0
+    vec[2] = 1.0 if signals.network_ok else 0.0
+    vec[3] = float(signals.repeat_count)
+    vec[4] = 1.0 if signals.uncorrectable_tag else 0.0
+
+    off = 5
+    if signals.error_code is not None:
+        if signals.error_code not in schema.error_codes:
+            raise SchemaViolation(f"unknown error_code {signals.error_code!r}")
+        vec[off + schema.error_codes.index(signals.error_code)] = 1.0
+    off += len(schema.error_codes)
+    if signals.error_code is None:
+        vec[off] = 1.0
+    off += 1
+
+    if signals.hardware_type not in schema.hardware_types:
+        raise SchemaViolation(f"unknown hardware_type {signals.hardware_type!r}")
+    vec[off + schema.hardware_types.index(signals.hardware_type)] = 1.0
+    off += len(schema.hardware_types)
+
+    if signals.session_type not in schema.session_types:
+        raise SchemaViolation(f"unknown session_type {signals.session_type!r}")
+    vec[off + schema.session_types.index(signals.session_type)] = 1.0
+
+    return FeatureVector(values=tuple(float(v) for v in vec), schema_id=schema.schema_id)
+
+
+def reference_encode_matrix(signal_rows, schema):
+    out = np.empty((len(signal_rows), schema.width), dtype=np.float64)
+    for i, s in enumerate(signal_rows):
+        out[i, :] = reference_encode_features(s, schema).values
+    return out
+
+
+SMALL_SCHEMA = FeatureSchema(hardware_types=("alpha", "beta"), session_types=("solo",), error_codes=("e1", "e2"))
+CATEGORICALS = {
+    "error_code": (None, *DEFAULT_SCHEMA.error_codes, *SMALL_SCHEMA.error_codes, "never_seen"),
+    "hardware_type": (*DEFAULT_SCHEMA.hardware_types, *SMALL_SCHEMA.hardware_types, "never_seen"),
+    "session_type": (*DEFAULT_SCHEMA.session_types, *SMALL_SCHEMA.session_types, "never_seen"),
+}
+SIGNALS = st.builds(
+    DiagnosticSignals,
+    vm_count=st.integers(0, 2**80),
+    has_important_workload=st.booleans(),
+    network_ok=st.booleans(),
+    error_code=st.sampled_from(CATEGORICALS["error_code"]),
+    repeat_count=st.integers(0, 2**80),
+    uncorrectable_tag=st.booleans(),
+    hardware_type=st.sampled_from(CATEGORICALS["hardware_type"]),
+    session_type=st.sampled_from(CATEGORICALS["session_type"]),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from((DEFAULT_SCHEMA, SMALL_SCHEMA)), st.lists(SIGNALS, max_size=12))
+def test_encode_matrix_matches_row_encoder(schema, rows):
+    try:
+        want = reference_encode_matrix(rows, schema)
+    except SchemaViolation:
+        closed = {
+            "error_code": (*schema.error_codes, None),
+            "hardware_type": schema.hardware_types,
+            "session_type": schema.session_types,
+        }
+        bad = {
+            f"unknown {name} {getattr(s, name)!r}" for s in rows for name, values in closed.items() if getattr(s, name) not in values
+        }
+        with pytest.raises(SchemaViolation) as info:
+            encode_matrix(rows, schema)
+        assert str(info.value) in bad
+        return
+    got = encode_matrix(rows, schema)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for s in rows:
+        assert encode_features(s, schema) == reference_encode_features(s, schema)

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from nodemend.domain import from_record, rng_for, seed_for
+from nodemend.domain import from_record, rng_for, seed_for, to_record
 from nodemend.errors import InsufficientData, InvalidArgument
 from nodemend.forest import (
     CausalForest,
@@ -10,6 +12,7 @@ from nodemend.forest import (
     audit_honesty,
     fit_forest,
     grow_tree,
+    honest_halves,
     predict_tau,
     predict_tau_ci,
 )
@@ -32,7 +35,7 @@ def test_grow_tree_two_regime_root_split():
     # the first split must separate the effect regimes (column 0, near 0)
     assert tree.feature[0] == 0
     assert abs(tree.threshold[0]) < 0.4
-    leaves = tree.leaf_ids()
+    leaves = np.flatnonzero(tree.feature < 0)
     taus = tree.tau[leaves]
     # leaves sit within +-1 of one of the true effects; quantile binning can
     # leave a sliver of misrouted rows at the regime boundary, so allow up
@@ -45,7 +48,7 @@ def test_grow_tree_two_regime_root_split():
 def test_grow_tree_constant_effect_leaves():
     X, ry, ra, tau = synthetic_residuals(3000, seed=1, kind="constant", noise=0.25)
     tree = grow_tree(*bin_features(X, BINS), ry, ra, np.arange(3000), ForestParams(), seed=2)
-    leaves = tree.leaf_ids()
+    leaves = np.flatnonzero(tree.feature < 0)
     assert np.all(np.abs(tree.tau[leaves] - 2.0) < 0.5)
 
 
@@ -57,10 +60,10 @@ def test_grow_tree_min_leaf_larger_than_subsample():
 
 
 def test_grow_tree_honesty_disjoint():
-    X, ry, ra, _ = synthetic_residuals(500, seed=3)
-    tree = grow_tree(*bin_features(X, BINS), ry, ra, np.arange(500), ForestParams(), seed=4)
-    assert np.intersect1d(tree.structure_idx, tree.estimate_idx).size == 0
-    assert len(tree.structure_idx) + len(tree.estimate_idx) == 500
+    # grow_tree cuts its subsample with this helper and the tree's generator
+    structure, estimate = honest_halves(np.arange(500), ForestParams(), rng_for(4))
+    assert np.intersect1d(structure, estimate).size == 0
+    assert len(structure) + len(estimate) == 500
 
 
 def test_grow_tree_row_permutation_invariance():
@@ -116,7 +119,7 @@ def test_single_bag_single_tree_reduces_to_grow_tree():
 
 def _constant_forest(c: float, n_trees: int = 8, bags: int = 4) -> CausalForest:
     trees = []
-    for t in range(n_trees):
+    for _ in range(n_trees):
         trees.append(
             CausalTree(
                 feature=np.asarray([-1]),
@@ -125,13 +128,12 @@ def _constant_forest(c: float, n_trees: int = 8, bags: int = 4) -> CausalForest:
                 right=np.asarray([-1]),
                 tau=np.asarray([c]),
                 n_estimate=np.asarray([10]),
-                structure_idx=np.asarray([], dtype=np.int64),
-                estimate_idx=np.asarray([], dtype=np.int64),
-                seed=t,
             )
         )
     params = ForestParams(bags=bags, trees_per_bag=n_trees // bags)
-    return CausalForest(trees=trees, bag_of_tree=np.repeat(np.arange(bags), n_trees // bags), params=params, seed=0)
+    return CausalForest(
+        trees=tuple(trees), bag_of_tree=np.repeat(np.arange(bags), n_trees // bags), params=params, seed=0, n=100
+    )
 
 
 def test_predict_constant_forest():
@@ -148,10 +150,11 @@ def test_predict_invariant_to_tree_order():
     rng = np.random.default_rng(6)
     order = rng.permutation(len(forest.trees))
     shuffled = CausalForest(
-        trees=[forest.trees[i] for i in order],
+        trees=tuple(forest.trees[i] for i in order),
         bag_of_tree=forest.bag_of_tree[order],
         params=forest.params,
         seed=forest.seed,
+        n=forest.n,
     )
     assert np.allclose(predict_tau(shuffled, Xq), base, atol=1e-12)
 
@@ -214,7 +217,7 @@ def test_forest_honesty_audit(tworegime_bundle):
 def test_forest_serialization_round_trip():
     X, ry, ra, _ = synthetic_residuals(1000, seed=13)
     forest = fit_forest(X, ry, ra, small_params(), seed=17)
-    clone = CausalForest.from_dict(forest.to_dict())
+    clone = from_record(CausalForest, json.loads(json.dumps(to_record(forest))))
     Xq = np.random.default_rng(9).normal(size=(30, X.shape[1]))
     assert np.array_equal(forest.predict_matrix(Xq), clone.predict_matrix(Xq))
 

@@ -16,7 +16,7 @@ def hw_clustered():
     cfg = default_config(seed=71)
     events, _ = generate_observational_dataset(1200, cfg)
     X = encode_matrix([e.signals for e in events], cfg.schema())
-    hw_col = cfg.schema().column_index("error_code=hw_failure")
+    hw_col = cfg.schema().column_names.index("error_code=hw_failure")
     tau = np.where(X[:, hw_col] == 1.0, -5.0, 5.0)
     return cfg, events, X, tau, hw_col
 

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
+from nodemend.domain import from_record, to_record
 from nodemend.errors import InvalidArgument
 from nodemend.learners import (
     GradientBoostedTrees,
     LearnerConfig,
     RidgeRegression,
     crossfit_predict,
-    learner_from_dict,
+    fit_learner,
     make_folds,
-    make_learner,
 )
 
 
@@ -107,8 +107,8 @@ def test_gbm_deterministic_given_seed():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(200, 6))
     y = X[:, 0] ** 2 + rng.normal(size=200)
-    a = make_learner(LearnerConfig(rounds=30), "regression", seed=11).fit(X, y)
-    b = make_learner(LearnerConfig(rounds=30), "regression", seed=11).fit(X, y)
+    a = fit_learner(LearnerConfig(rounds=30), "regression", 11, X, y)
+    b = fit_learner(LearnerConfig(rounds=30), "regression", 11, X, y)
     Xq = rng.normal(size=(50, 6))
     assert np.array_equal(a.predict(Xq), b.predict(Xq))
 
@@ -117,8 +117,8 @@ def test_gbm_serialization_round_trip():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(150, 4))
     y = np.sin(X[:, 0]) + 0.2 * rng.normal(size=150)
-    learner = GradientBoostedTrees(LearnerConfig(rounds=25), seed=9).fit(X, y)
-    clone = learner_from_dict(learner.to_dict())
+    learner = fit_learner(LearnerConfig(rounds=25), "regression", 9, X, y)
+    clone = from_record(GradientBoostedTrees, to_record(learner))
     Xq = rng.normal(size=(40, 4))
     assert np.array_equal(learner.predict(Xq), clone.predict(Xq))
 
@@ -127,8 +127,8 @@ def test_ridge_serialization_round_trip():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(50, 3))
     y = X @ np.array([1.0, -2.0, 0.5]) + 4.0
-    learner = RidgeRegression(LearnerConfig(kind="ridge"), seed=0).fit(X, y)
-    clone = learner_from_dict(learner.to_dict())
+    learner = fit_learner(LearnerConfig(kind="ridge"), "regression", 0, X, y)
+    clone = from_record(RidgeRegression, to_record(learner))
     Xq = rng.normal(size=(20, 3))
     assert np.array_equal(learner.predict(Xq), clone.predict(Xq))
 

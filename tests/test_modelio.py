@@ -1,15 +1,25 @@
+import dataclasses
+import hashlib
 import json
 import re
 
 import numpy as np
 import pytest
 
-from nodemend.dml import TrainConfig, estimate_ite, train_dml
-from nodemend.errors import DataError, ModelError, ModelIntegrityError, ModelVersionError
+from nodemend.dml import LinearTheta, TrainConfig, estimate_ite, train_dml
+from nodemend import modelio
+from nodemend.errors import (
+    DataError,
+    DegenerateTreatment,
+    InsufficientData,
+    ModelError,
+    ModelIntegrityError,
+    ModelVersionError,
+)
+from nodemend.forest import audit_honesty
 from nodemend.modelio import (
     ActionLogRecord,
     ActionLogger,
-    _checksum,
     load_model,
     read_action_log,
     read_events_jsonl,
@@ -20,6 +30,8 @@ from nodemend.modelio import (
     write_truth_jsonl,
 )
 from nodemend.simulate import default_config, generate_observational_dataset
+
+from conftest import reseal
 
 
 @pytest.fixture(scope="module")
@@ -55,10 +67,11 @@ def test_model_version_mismatch(tmp_path, small_model):
     _, _, model = small_model
     path = str(tmp_path / "model.bin")
     save_model(model, path)
-    raw = json.load(open(path))
-    raw["format_version"] = "2.0"
-    open(path, "w").write(json.dumps(raw))
-    with pytest.raises(ModelVersionError):
+    head, _, payload = open(path, "rb").read().partition(b"\n")
+    header = json.loads(head)
+    header["format_version"] = "3.0"
+    open(path, "wb").write(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(ModelVersionError, match="'3.0' is incompatible with '2.0'"):
         load_model(path)
 
 
@@ -76,11 +89,48 @@ def test_model_payload_tamper(tmp_path, small_model):
     _, _, model = small_model
     path = str(tmp_path / "model.bin")
     save_model(model, path)
-    raw = json.load(open(path))
-    raw["payload"]["metadata"]["n"] = 999999
-    open(path, "w").write(json.dumps(raw))
-    with pytest.raises(ModelIntegrityError):
+    head, _, payload = open(path, "rb").read().partition(b"\n")
+    record = json.loads(payload)
+    record["metadata"]["n"] = 999999
+    open(path, "wb").write(head + b"\n" + json.dumps(record).encode())
+    with pytest.raises(ModelIntegrityError, match="checksum"):
         load_model(path)
+
+
+def test_model_file_is_a_header_line_and_the_payload_it_hashes(tmp_path, small_model):
+    _, _, model = small_model
+    path = str(tmp_path / "model.bin")
+    save_model(model, path)
+    head, _, payload = open(path, "rb").read().partition(b"\n")
+    assert json.loads(head) == {
+        "format": "nodemend-model",
+        "format_version": "2.0",
+        "sha256": hashlib.sha256(payload).hexdigest(),
+    }
+    record = json.loads(payload)
+    # the honesty halves are drawn again from the forest's seed, never stored
+    assert set(record["forest"]["trees"][0]) == {"feature", "threshold", "left", "right", "tau", "n_estimate"}
+    assert record["forest"]["n"] == 400
+    assert audit_honesty(load_model(path).forest)
+
+
+def test_singular_linear_design_round_trips(tmp_path, small_model):
+    _, events, model = small_model
+    linear = LinearTheta(intercept=0.5, coef=np.zeros(model.schema.width), condition_number=float("inf"))
+    singular = dataclasses.replace(
+        model,
+        final_stage="linear",
+        forest=None,
+        linear=linear,
+        train_config=dataclasses.replace(model.train_config, final_stage="linear"),
+        metadata=dataclasses.replace(model.metadata, condition_number=float("inf")),
+    )
+    path = str(tmp_path / "singular.bin")
+    save_model(singular, path)
+    assert b'"condition_number":Infinity' in open(path, "rb").read()
+    loaded = load_model(path)
+    assert loaded.linear.condition_number == loaded.metadata.condition_number == float("inf")
+    assert estimate_ite(loaded, events[0].signals) == estimate_ite(singular, events[0].signals)
 
 
 def _loop_first_split(payload):
@@ -99,10 +149,7 @@ def test_model_checksummed_bad_forest_fails_closed(tmp_path, small_model, edit):
     _, _, model = small_model
     path = str(tmp_path / "model.bin")
     save_model(model, path)
-    raw = json.load(open(path))
-    edit(raw["payload"])
-    raw["checksum"] = _checksum(raw["payload"])
-    open(path, "w").write(json.dumps(raw))
+    reseal(path, edit)
     with pytest.raises(ModelIntegrityError):
         load_model(path)
 
@@ -318,7 +365,7 @@ def test_update_replaces_corrupted_current(small_model):
         forest=None,
         linear=LinearTheta(intercept=500.0, coef=np.zeros(model.schema.width), condition_number=1.0),
         train_config=dataclasses.replace(model.train_config, final_stage="linear"),
-        metadata=dict(model.metadata),
+        metadata=model.metadata,
     )
     result = update_model(broken, events[:300], events[300:])
     assert result.deployed
@@ -339,3 +386,35 @@ def test_update_identical_training_is_a_tie(small_model):
     result = update_model(model, events, events[:100])
     assert result.psi_candidate == pytest.approx(result.psi_current, rel=1e-12)
     assert not result.deployed
+
+
+def _raise(exc):
+    def train(*args, **kwargs):
+        raise exc
+
+    return train
+
+
+@pytest.mark.parametrize(
+    "exc,reason",
+    [
+        (InsufficientData("12 rows"), "insufficient recent data: 12 rows"),
+        (DegenerateTreatment("one action"), "training failed: one action"),
+        (np.linalg.LinAlgError("singular"), "training failed: singular"),
+    ],
+    ids=["insufficient", "degenerate", "linalg"],
+)
+def test_update_training_failure_keeps_current(small_model, monkeypatch, exc, reason):
+    _, events, model = small_model
+    monkeypatch.setattr(modelio, "train_dml", _raise(exc))
+    result = update_model(model, events[:300], events[300:])
+    assert not result.deployed
+    assert result.reason == reason
+
+
+def test_update_training_bug_propagates(small_model, monkeypatch):
+    # a bug is not a reason to keep the current model quietly
+    _, events, model = small_model
+    monkeypatch.setattr(modelio, "train_dml", _raise(RuntimeError("bug in training")))
+    with pytest.raises(RuntimeError, match="bug in training"):
+        update_model(model, events[:300], events[300:])

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from nodemend.dml import estimate_ite, estimate_ite_batch, nuisance_predictions, prepare_training_arrays, psi_loss
 from nodemend.domain import rng_for
 from nodemend.errors import InvalidArgument
-from nodemend.forest import _MIN_STRUCTURE_CHILD, ForestParams, grow_tree
+from nodemend.forest import _MIN_STRUCTURE_CHILD, ForestParams, grow_tree, honest_halves
 from nodemend.modelio import load_model, save_model
 from nodemend.trees import (
     CHUNK_ELEMENTS,
@@ -274,8 +274,7 @@ def test_forest_tree_matches_per_feature_scan(data):
         tree.right,
         tree.tau,
         tree.n_estimate,
-        tree.structure_idx,
-        tree.estimate_idx,
+        *honest_halves(np.asarray(subsample, dtype=np.int64), params, rng_for(seed)),
     )
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
