@@ -21,6 +21,7 @@ for the lifetime of an experiment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -49,12 +50,13 @@ class DecisionConfig:
     repeat_threshold: int = 10  # repeat_count above this forces Redeploy
 
     def __post_init__(self) -> None:
-        if self.fallback_tau < 0:
-            raise InvalidArgument("fallback_tau must be >= 0")
-        if self.fallback_width <= 0:
-            raise InvalidArgument("fallback_width must be > 0")
-        if self.capacity_tau < 0:
-            raise InvalidArgument("capacity_tau must be >= 0")
+        # written so that NaN fails every check
+        if not 0 <= self.fallback_tau < math.inf:
+            raise InvalidArgument(f"fallback_tau must be finite and >= 0, got {self.fallback_tau}")
+        if not 0 < self.fallback_width < math.inf:
+            raise InvalidArgument(f"fallback_width must be finite and > 0, got {self.fallback_width}")
+        if not 0 <= self.capacity_tau < math.inf:
+            raise InvalidArgument(f"capacity_tau must be finite and >= 0, got {self.capacity_tau}")
 
 
 @dataclass(frozen=True)

@@ -103,8 +103,9 @@ class DmlModel:
     """Cross-fitted nuisances plus the final-stage effect model.
 
     Construction checks that the final stage has its own effect model and
-    no other, and that every part reads rows of the schema's width, so a
-    model file that could not serve fails when it loads.
+    no other, that there is one outcome and one propensity learner per
+    fold, and that every part reads rows of the schema's width, so a model
+    file that could not serve fails when it loads.
     """
 
     schema: FeatureSchema
@@ -121,6 +122,12 @@ class DmlModel:
         present = (self.forest is not None, self.linear is not None)
         if self.final_stage != self.train_config.final_stage or present != (is_forest, not is_forest):
             raise InvalidArgument(f"final stage {self.final_stage!r} needs its own effect model and no other")
+        folds = self.train_config.folds
+        if len(self.outcome_learners) != folds or len(self.propensity_learners) != folds:
+            raise InvalidArgument(
+                f"a model of {folds} folds holds {len(self.outcome_learners)} outcome and "
+                f"{len(self.propensity_learners)} propensity learners"
+            )
         # zero rows: a tree that splits on a later column, or a linear part
         # of another width, raises here
         rows = np.zeros((0, self.schema.width))

@@ -37,6 +37,7 @@ import numpy as np
 
 from .domain import FloatArray, IntArray, IteEstimate, rng_for, seed_for
 from .errors import InsufficientData, InvalidArgument
+from .parallel import map_tasks
 from .trees import NodeTable, PackedTrees, best_cut, bin_features, bin_layout
 
 _MIN_STRUCTURE_CHILD = 5
@@ -269,7 +270,8 @@ def fit_forest(
     """Fit the bagged honest forest on the rows ``bag_subsamples`` draws.
 
     All draw seeds derive from (seed, bag, tree), so the result is
-    independent of any execution order.
+    independent of any execution order, and the bags grow side by side on
+    the available CPUs (``parallel.map_tasks``).
     """
     X = np.asarray(X, dtype=np.float64)
     ry = np.asarray(ry, dtype=np.float64)
@@ -279,13 +281,17 @@ def fit_forest(
         raise InsufficientData(f"forest needs at least {2 * params.min_split} rows, got {n}")
 
     codes, thresholds = bin_features(X, params.max_bins)
-    trees = [
-        grow_tree(codes, thresholds, ry, ra, sub, params, seed_for(seed, b, i))
-        for b in range(params.bags)
-        for i, sub in enumerate(bag_subsamples(n, params, seed, b))
-    ]
+    bags = map_tasks(_grow_bag, (codes, thresholds, ry, ra, params, seed), params.bags)
+    trees = [tree for bag in bags for tree in bag]
     bag_of_tree = np.repeat(np.arange(params.bags, dtype=np.int64), params.trees_per_bag)
     return CausalForest(trees=tuple(trees), bag_of_tree=bag_of_tree, params=params, seed=seed, n=n)
+
+
+def _grow_bag(shared: tuple, b: int) -> list[CausalTree]:
+    """The trees of bag ``b``, in tree order."""
+    codes, thresholds, ry, ra, params, seed = shared
+    subsamples = bag_subsamples(codes.shape[0], params, seed, b)
+    return [grow_tree(codes, thresholds, ry, ra, sub, params, seed_for(seed, b, i)) for i, sub in enumerate(subsamples)]
 
 
 def predict_tau(forest: CausalForest, X: np.ndarray) -> np.ndarray:

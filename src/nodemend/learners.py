@@ -17,7 +17,8 @@ import numpy as np
 
 from .domain import FloatArray, IntArray, rng_for, seed_for
 from .errors import InvalidArgument
-from .trees import PackedTrees, bin_features, grow_sse_tree
+from .parallel import map_tasks
+from .trees import PackedTrees, SseGrower, bin_features
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,7 @@ class GradientBoostedTrees:
     @classmethod
     def fit(cls, config: LearnerConfig, mode: str, seed: int, X: np.ndarray, y: np.ndarray) -> "GradientBoostedTrees":
         rng = rng_for(seed, 0)
-        codes, thresholds = bin_features(X, config.max_bins)
+        grower = SseGrower(*bin_features(X, config.max_bins))
         base_value = float(y.mean())
         trees = []
         current = np.full(X.shape[0], base_value)
@@ -127,9 +128,9 @@ class GradientBoostedTrees:
         for _ in range(config.rounds):
             resid = y - current
             rows = rng.choice(n, size=n_sub, replace=False) if n_sub < n else np.arange(n)
-            arrays = grow_sse_tree(codes, thresholds, resid, rows, config.max_depth, config.min_leaf).arrays()[:5]
-            trees.append(arrays)
-            current = current + config.learning_rate * PackedTrees([arrays]).values(X)[:, 0]
+            table = grower.grow(resid, rows, config.max_depth, config.min_leaf)
+            trees.append(table.arrays()[:5])
+            current = current + config.learning_rate * grower.leaf_values(table)
         return cls(config, mode, int(seed), base_value, tuple(trees))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -201,20 +202,28 @@ def crossfit_predict(
     seed: int = 0,
 ) -> tuple[np.ndarray, list]:
     """Out-of-fold predictions: fold j's rows are predicted by a learner
-    that was fit on everything except fold j."""
+    that was fit on everything except fold j. The k fits run side by side
+    on the available CPUs (``parallel.map_tasks``)."""
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if features.shape[0] != targets.shape[0]:
         raise InvalidArgument("features and targets must have equal length")
     if features.shape[0] != folds.membership.shape[0]:
         raise InvalidArgument("fold assignment does not match dataset length")
+    fits = map_tasks(_fit_fold, (features, targets, folds.membership, config, mode, seed), folds.k)
     oof = np.empty(targets.shape[0], dtype=np.float64)
-    learners = []
-    for j in range(folds.k):
-        test = folds.membership == j
-        train = ~test
-        learner = fit_learner(config, mode, seed_for(seed, j), features[train], targets[train])
-        oof[test] = learner.predict(features[test])
-        learners.append(learner)
-    return oof, learners
+    for j, (learner, predicted) in enumerate(fits):
+        oof[folds.membership == j] = predicted
+    return oof, [learner for learner, _ in fits]
+
+
+def _fit_fold(shared: tuple, j: int) -> tuple[Learner, np.ndarray]:
+    """Fold j's learner, fit on the other folds, and its predictions for
+    fold j's rows. Its seed derives from (seed, j), so folds fit in any
+    order and in any process give the same learners."""
+    features, targets, membership, config, mode, seed = shared
+    test = membership == j
+    train = ~test
+    learner = fit_learner(config, mode, seed_for(seed, j), features[train], targets[train])
+    return learner, learner.predict(features[test])
 

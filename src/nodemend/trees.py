@@ -190,15 +190,8 @@ def best_cut(score: np.ndarray, parent_score: float) -> tuple[int, int] | None:
     return row, int(bins[row])
 
 
-def grow_sse_tree(
-    codes: np.ndarray,
-    thresholds: list[np.ndarray],
-    target: np.ndarray,
-    rows: np.ndarray,
-    max_depth: int,
-    min_leaf: int,
-) -> NodeTable:
-    """Greedy SSE-minimizing tree over binned columns (exact within bins).
+class SseGrower:
+    """Greedy SSE-minimizing trees over one binned matrix (exact within bins).
 
     A split maximizes sum_L^2 / n_L + sum_R^2 / n_R, which is the SSE
     reduction n_L * n_R / n * (mean_L - mean_R)^2 plus a per-node constant.
@@ -212,61 +205,104 @@ def grow_sse_tree(
     from its own keys in one more pair, with the child folded into the
     key. Each bin still adds its rows in the child's row order, so every
     sum, score and split is bitwise that of a per-feature search.
+
+    The keyed codes and the layout are built once, here, and shared by
+    every tree grown on the matrix, as by the rounds of a boosting fit.
     """
-    d = codes.shape[1]
-    width, is_cut = bin_layout(thresholds)
-    keyed = codes + np.arange(d, dtype=np.int64) * width
-    table = NodeTable()
 
-    def searches(r: np.ndarray, depth: int) -> bool:
-        # a constant target cannot be split; its scores differ only by
-        # rounding, which at n * mean^2 scale can exceed MIN_GAIN
-        return depth < max_depth and len(r) >= 2 * min_leaf and r.min() != r.max()
+    def __init__(self, codes: np.ndarray, thresholds: list[np.ndarray]) -> None:
+        """``codes`` and ``thresholds`` come from ``bin_features``."""
+        self.codes = codes
+        self.thresholds = thresholds
+        self.width, self.is_cut = bin_layout(thresholds)
+        self.keyed = codes + np.arange(codes.shape[1], dtype=np.int64) * self.width
 
-    def histograms(keys: np.ndarray, r: np.ndarray, groups: int) -> tuple[np.ndarray, np.ndarray]:
-        keys = keys.ravel()
-        size = groups * d * width
-        sums = np.bincount(keys, weights=np.repeat(r, d), minlength=size)
-        counts = np.bincount(keys, minlength=size)
-        return sums.reshape(groups, d, width), counts.reshape(groups, d, width)
+    def grow(self, target: np.ndarray, rows: np.ndarray, max_depth: int, min_leaf: int) -> NodeTable:
+        """A tree fitted to ``target`` on the matrix rows ``rows``."""
+        codes, thresholds, width, is_cut, keyed = self.codes, self.thresholds, self.width, self.is_cut, self.keyed
+        d = codes.shape[1]
+        table = NodeTable()
 
-    def grow(rows: np.ndarray, depth: int, hist: tuple[np.ndarray, np.ndarray] | None) -> int:
-        r = target[rows]
-        if not searches(r, depth):
-            return table.add(r.mean(), len(rows))
-        keys = None
-        if hist is None:
-            keys = np.take(keyed, rows, axis=0)
-            sums, counts = histograms(keys, r, 1)
-            hist = sums[0], counts[0]
-        n = len(rows)
-        total_sum = r.sum()
-        csum = np.cumsum(hist[0], axis=1)
-        nl = np.cumsum(hist[1], axis=1)
-        nr = n - nl
-        ok = is_cut & (nl >= min_leaf) & (nr >= min_leaf)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            score = np.where(ok, csum * csum / nl + (total_sum - csum) ** 2 / nr, -np.inf)
-        cut = best_cut(score, total_sum * total_sum / n)
-        if cut is None:
-            return table.add(r.mean(), len(rows))
-        f, b = cut
-        node = table.add()
-        go_left = codes[rows, f] <= b
-        left_rows, right_rows = rows[go_left], rows[~go_left]
-        left_hist = right_hist = None
-        if searches(target[left_rows], depth + 1) or searches(target[right_rows], depth + 1):
-            if keys is None:
+        def searches(r: np.ndarray, depth: int) -> bool:
+            # a constant target cannot be split; its scores differ only by
+            # rounding, which at n * mean^2 scale can exceed MIN_GAIN
+            return depth < max_depth and len(r) >= 2 * min_leaf and r.min() != r.max()
+
+        def histograms(keys: np.ndarray, r: np.ndarray, groups: int) -> tuple[np.ndarray, np.ndarray]:
+            keys = keys.ravel()
+            size = groups * d * width
+            sums = np.bincount(keys, weights=np.repeat(r, d), minlength=size)
+            counts = np.bincount(keys, minlength=size)
+            return sums.reshape(groups, d, width), counts.reshape(groups, d, width)
+
+        def grow(rows: np.ndarray, depth: int, hist: tuple[np.ndarray, np.ndarray] | None) -> int:
+            r = target[rows]
+            if not searches(r, depth):
+                return table.add(r.mean(), len(rows))
+            keys = None
+            if hist is None:
                 keys = np.take(keyed, rows, axis=0)
-            sums, counts = histograms(keys + np.where(go_left, 0, d * width)[:, None], r, 2)
-            left_hist, right_hist = (sums[0], counts[0]), (sums[1], counts[1])
-        left_id = grow(left_rows, depth + 1, left_hist)
-        right_id = grow(right_rows, depth + 1, right_hist)
-        table.split(node, f, thresholds[f][b], left_id, right_id)
-        return node
+                sums, counts = histograms(keys, r, 1)
+                hist = sums[0], counts[0]
+            n = len(rows)
+            total_sum = r.sum()
+            csum = np.cumsum(hist[0], axis=1)
+            nl = np.cumsum(hist[1], axis=1)
+            nr = n - nl
+            ok = is_cut & (nl >= min_leaf) & (nr >= min_leaf)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                score = np.where(ok, csum * csum / nl + (total_sum - csum) ** 2 / nr, -np.inf)
+            cut = best_cut(score, total_sum * total_sum / n)
+            if cut is None:
+                return table.add(r.mean(), len(rows))
+            f, b = cut
+            node = table.add()
+            go_left = codes[rows, f] <= b
+            left_rows, right_rows = rows[go_left], rows[~go_left]
+            left_hist = right_hist = None
+            if searches(target[left_rows], depth + 1) or searches(target[right_rows], depth + 1):
+                if keys is None:
+                    keys = np.take(keyed, rows, axis=0)
+                sums, counts = histograms(keys + np.where(go_left, 0, d * width)[:, None], r, 2)
+                left_hist, right_hist = (sums[0], counts[0]), (sums[1], counts[1])
+            left_id = grow(left_rows, depth + 1, left_hist)
+            right_id = grow(right_rows, depth + 1, right_hist)
+            table.split(node, f, thresholds[f][b], left_id, right_id)
+            return node
 
-    grow(rows, 0, None)
-    # grow reaches itself through its closure; unbinding it frees the keyed
-    # codes now rather than at the next cyclic garbage collection
-    del grow
-    return table
+        grow(rows, 0, None)
+        # grow reaches itself through its closure; unbinding it frees the
+        # target now rather than at the next cyclic garbage collection
+        del grow
+        return table
+
+    def leaf_values(self, table: NodeTable) -> np.ndarray:
+        """The leaf value that ``table``, a tree grown here, gives every row
+        of the matrix.
+
+        A split at ``thresholds[f][b]`` sends ``code <= b`` left, which is
+        ``x <= threshold`` for the row the code came from, so each row
+        reaches the leaf that a walk over its float values reaches.
+        """
+        out = np.empty(self.codes.shape[0], dtype=np.float64)
+        reached = {0: np.arange(self.codes.shape[0])}
+        for node, f in enumerate(table.feature):
+            rows = reached.pop(node)
+            if f < 0:
+                out[rows] = table.value[node]
+                continue
+            go_left = self.codes[rows, f] <= np.searchsorted(self.thresholds[f], table.threshold[node])
+            reached[table.left[node]], reached[table.right[node]] = rows[go_left], rows[~go_left]
+        return out
+
+
+def grow_sse_tree(
+    codes: np.ndarray,
+    thresholds: list[np.ndarray],
+    target: np.ndarray,
+    rows: np.ndarray,
+    max_depth: int,
+    min_leaf: int,
+) -> NodeTable:
+    """One tree of an ``SseGrower`` over ``codes``."""
+    return SseGrower(codes, thresholds).grow(target, rows, max_depth, min_leaf)

@@ -239,12 +239,12 @@ def test_criterion_8_exact_formula_oracles():
         )
     model = DmlModel(
         schema=schema,
-        outcome_learners=[Const(4.0)],
-        propensity_learners=[Const(0.5)],
+        outcome_learners=[Const(4.0), Const(4.0)],
+        propensity_learners=[Const(0.5), Const(0.5)],
         final_stage="linear",
         forest=None,
         linear=LinearTheta(intercept=1.5, coef=np.zeros(schema.width), condition_number=1.0),
-        train_config=TrainConfig(final_stage="linear"),
+        train_config=TrainConfig(folds=2, final_stage="linear"),
         metadata={},
     )
     hand = np.mean([((y - 4.0) - 1.5 * (a - 0.5)) ** 2 for y, a in [(5.0, 1), (3.0, 0), (8.0, 1), (1.0, 0)]])

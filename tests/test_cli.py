@@ -355,6 +355,11 @@ def _negative_n_estimate(p):
         (lambda p: p["outcome_learners"][0]["trees"].pop(), "a learner of 60 rounds holds 59 trees"),
         (lambda p: p["outcome_learners"][0]["config"].update(learning_rate=float("nan")), "learning_rate must be finite"),
         (lambda p: p["forest"]["params"].update(variance_floor=float("nan")), "variance_floor must be finite"),
+        (lambda p: p["outcome_learners"].pop(), "a model of 3 folds holds 2 outcome and 3 propensity learners"),
+        (
+            lambda p: p["propensity_learners"].append(p["propensity_learners"][0]),
+            "a model of 3 folds holds 3 outcome and 4 propensity learners",
+        ),
     ],
     ids=[
         "feature_99",
@@ -365,6 +370,8 @@ def _negative_n_estimate(p):
         "short_gbm",
         "nan_learning_rate",
         "nan_variance_floor",
+        "missing_outcome_learner",
+        "extra_propensity_learner",
     ],
 )
 def test_model_that_could_not_serve_fails_at_load(workspace, tmp_path, capsys, edit, cause):
@@ -430,3 +437,18 @@ def test_recommend_bad_decision_config_is_a_config_error(workspace, tmp_path, ca
         rc = main(argv + ["--decision-config", str(cfg_path), "--log", str(tmp_path / "actions.jsonl")])
         assert rc == 2, content
         assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ['{"fallback_tau": NaN}', '{"fallback_width": Infinity}', '{"capacity_tau": -Infinity}'])
+def test_recommend_non_finite_decision_threshold_is_a_config_error(workspace, tmp_path, capsys, content):
+    # every comparison with NaN is false, so a NaN threshold would silently
+    # switch its rule off
+    signals_path = tmp_path / "signals.json"
+    signals_path.write_text(json.dumps(json.loads(workspace["events"].read_text().splitlines()[0])["signals"]))
+    cfg_path = tmp_path / "decision.json"
+    cfg_path.write_text(content)
+    log_path = tmp_path / "actions.jsonl"
+    argv = ["recommend", "--model", str(workspace["model"]), "--signals", str(signals_path)]
+    assert main(argv + ["--decision-config", str(cfg_path), "--log", str(log_path)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not log_path.exists()

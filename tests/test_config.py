@@ -71,6 +71,13 @@ def test_bad_values_rejected():
             parse_experiment_config(mistyped)
 
 
+@pytest.mark.parametrize("field", ["fallback_tau", "fallback_width", "capacity_tau"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_decision_thresholds_rejected(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        parse_experiment_config(minimal(decision={field: value}))
+
+
 def test_load_from_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(minimal(sim={"preset": "zero_effect"})))

@@ -117,12 +117,12 @@ class _ConstLearner:
 def _hand_model(schema, y_hat: float, a_hat: float, theta0: float) -> DmlModel:
     return DmlModel(
         schema=schema,
-        outcome_learners=[_ConstLearner(y_hat)],
-        propensity_learners=[_ConstLearner(a_hat)],
+        outcome_learners=[_ConstLearner(y_hat), _ConstLearner(y_hat)],
+        propensity_learners=[_ConstLearner(a_hat), _ConstLearner(a_hat)],
         final_stage="linear",
         forest=None,
         linear=LinearTheta(intercept=theta0, coef=np.zeros(schema.width), condition_number=1.0),
-        train_config=TrainConfig(final_stage="linear"),
+        train_config=TrainConfig(folds=2, final_stage="linear"),
         metadata={"version": "1.0"},
     )
 

@@ -105,15 +105,22 @@ def test_naive_effect_rejects_single_action():
         naive_effect(ds)
 
 
+class _ZeroLearner:
+    """A nuisance learner that predicts 0 everywhere."""
+
+    def predict(self, X):
+        return np.zeros(X.shape[0])
+
+
 def _constant_model(schema, c: float) -> DmlModel:
     return DmlModel(
         schema=schema,
-        outcome_learners=[],
-        propensity_learners=[],
+        outcome_learners=[_ZeroLearner(), _ZeroLearner()],
+        propensity_learners=[_ZeroLearner(), _ZeroLearner()],
         final_stage="linear",
         forest=None,
         linear=LinearTheta(intercept=c, coef=np.zeros(schema.width), condition_number=1.0),
-        train_config=TrainConfig(final_stage="linear"),
+        train_config=TrainConfig(folds=2, final_stage="linear"),
         metadata={"version": "1.0"},
     )
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nodemend.domain import from_record, to_record
+from nodemend.domain import from_record, rng_for, to_record
 from nodemend.errors import InvalidArgument
 from nodemend.learners import (
     GradientBoostedTrees,
@@ -11,6 +13,27 @@ from nodemend.learners import (
     fit_learner,
     make_folds,
 )
+from nodemend.trees import PackedTrees, bin_features, grow_sse_tree
+
+
+def reference_fit(cls, config, mode, seed, X, y):
+    """``GradientBoostedTrees.fit`` as it was before the fit built its
+    binned layout once and routed rows on their codes, kept as it was: a
+    fresh grower per round, then a walk over the float matrix."""
+    rng = rng_for(seed, 0)
+    codes, thresholds = bin_features(X, config.max_bins)
+    base_value = float(y.mean())
+    trees = []
+    current = np.full(X.shape[0], base_value)
+    n = X.shape[0]
+    n_sub = max(1, int(round(config.subsample * n)))
+    for _ in range(config.rounds):
+        resid = y - current
+        rows = rng.choice(n, size=n_sub, replace=False) if n_sub < n else np.arange(n)
+        arrays = grow_sse_tree(codes, thresholds, resid, rows, config.max_depth, config.min_leaf).arrays()[:5]
+        trees.append(arrays)
+        current = current + config.learning_rate * PackedTrees([arrays]).values(X)[:, 0]
+    return cls(config, mode, int(seed), base_value, tuple(trees))
 
 
 def test_make_folds_exact_division():
@@ -148,3 +171,42 @@ def test_config_validation():
         LearnerConfig(subsample=0.0)
     with pytest.raises(InvalidArgument):
         LearnerConfig(p_min=0.7)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(data=st.data())
+def test_gbm_fit_matches_reference(data):
+    # small integer grids give exact ties and constant columns; the leaf
+    # size runs past n / 2, where no split is allowed at all
+    n = data.draw(st.integers(2, 60), label="n")
+    d = data.draw(st.integers(1, 4), label="d")
+    grid = data.draw(st.lists(st.integers(-3, 3), min_size=n * d, max_size=n * d), label="X")
+    X = np.asarray(grid, dtype=np.float64).reshape(n, d) * data.draw(st.sampled_from([1.0, 0.37]), label="scale")
+    mode = data.draw(st.sampled_from(["regression", "propensity"]), label="mode")
+    target = data.draw(st.sampled_from(["varied", "constant"]), label="target")
+    if target == "constant":
+        y = np.full(n, data.draw(st.sampled_from([0.0, 1.0, 2.5]), label="constant"))
+    elif mode == "propensity":
+        y = np.asarray(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="y"), dtype=np.float64)
+    else:
+        y = np.asarray(
+            data.draw(st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=n, max_size=n), label="y"), dtype=np.float64
+        )
+    config = LearnerConfig(
+        rounds=data.draw(st.integers(1, 8), label="rounds"),
+        max_depth=data.draw(st.integers(1, 3), label="max_depth"),
+        subsample=data.draw(st.sampled_from([0.5, 0.8, 1.0]), label="subsample"),
+        max_bins=data.draw(st.integers(2, 8), label="max_bins"),
+        min_leaf=data.draw(st.integers(1, n // 2 + 1), label="min_leaf"),
+    )
+    seed = data.draw(st.integers(0, 2**31), label="seed")
+    got = GradientBoostedTrees.fit(config, mode, seed, X, y)
+    want = reference_fit(GradientBoostedTrees, config, mode, seed, X, y)
+    assert got.base_value == want.base_value
+    assert len(got.trees) == len(want.trees)
+    for got_tree, want_tree in zip(got.trees, want.trees):
+        for got_column, want_column in zip(got_tree, want_tree):
+            assert got_column.dtype == want_column.dtype
+            assert np.array_equal(got_column, want_column)
+    Xq = np.vstack([X, X[::-1] + 0.5])
+    assert np.array_equal(got.predict(Xq), want.predict(Xq))
