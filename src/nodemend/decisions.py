@@ -107,7 +107,7 @@ def decide(ite: IteEstimate, signals: DiagnosticSignals, cfg: DecisionConfig = D
             reason=f"|tau| {abs(ite.tau):.3g} <= {cfg.fallback_tau} and width {ite.width:.3g} >= {cfg.fallback_width}",
         )
 
-    action = MitigationAction.REBOOT if ite.tau >= 0.0 else MitigationAction.REDEPLOY
+    action = preferred_action(ite.tau)
     if action == MitigationAction.REDEPLOY and abs(ite.tau) < cfg.capacity_tau:
         return PolicyDecision(
             action=MitigationAction.REBOOT,
@@ -117,6 +117,12 @@ def decide(ite: IteEstimate, signals: DiagnosticSignals, cfg: DecisionConfig = D
             reason=f"redeploy saving |tau| {abs(ite.tau):.3g} < {cfg.capacity_tau}",
         )
     return PolicyDecision(action=action, source=DecisionSource.MODEL, ite=ite, unallocatable_flag=False)
+
+
+def preferred_action(tau: float) -> MitigationAction:
+    """The sign rule: a positive effect means Redeploy costs more, so pick
+    Reboot; ties go to Reboot, which consumes no extra nodes."""
+    return MitigationAction.REBOOT if tau >= 0.0 else MitigationAction.REDEPLOY
 
 
 def legacy_policy(signals: DiagnosticSignals) -> MitigationAction:

@@ -22,7 +22,6 @@ from .domain import (
     FloatArray,
     IteEstimate,
     LabeledEvent,
-    MitigationAction,
     encode_features,  # noqa: F401  perfbench's tracer times dml.encode_features
     encode_matrix,
     seed_for,
@@ -87,11 +86,9 @@ class ModelMetadata:
     """Where a model came from. ``timestamp`` is the newest training
     event's, not the wall clock, so artifacts reproduce."""
 
-    seed: int
     n: int
     timestamp: int
     version: str
-    condition_number: float | None = None  # linear final stage only; inf for a singular design
 
     def get(self, key: str, default=None):
         """One field by name, for callers that read metadata as a mapping."""
@@ -111,7 +108,6 @@ class DmlModel:
     schema: FeatureSchema
     outcome_learners: tuple[Learner, ...]
     propensity_learners: tuple[Learner, ...]
-    final_stage: str
     forest: CausalForest | None
     linear: LinearTheta | None
     train_config: TrainConfig
@@ -120,7 +116,7 @@ class DmlModel:
     def __post_init__(self) -> None:
         is_forest = self.final_stage == FINAL_STAGE_FOREST
         present = (self.forest is not None, self.linear is not None)
-        if self.final_stage != self.train_config.final_stage or present != (is_forest, not is_forest):
+        if present != (is_forest, not is_forest):
             raise InvalidArgument(f"final stage {self.final_stage!r} needs its own effect model and no other")
         folds = self.train_config.folds
         if len(self.outcome_learners) != folds or len(self.propensity_learners) != folds:
@@ -135,7 +131,11 @@ class DmlModel:
             if part is not None:
                 part.predict(rows)
         if self.forest is not None:
-            self.forest.predict_matrix(rows)
+            self.forest.trees.values(rows)
+
+    @property
+    def final_stage(self) -> str:
+        return self.train_config.final_stage
 
     @property
     def schema_id(self) -> str:
@@ -207,17 +207,14 @@ def assemble_model(
     else:
         raise InvalidArgument(f"unknown final stage {final_stage!r}")
     metadata = ModelMetadata(
-        seed=config.seed,
         n=res.features.shape[0],
         timestamp=max((e.timestamp for e in dataset), default=0),
         version=MODEL_VERSION,
-        condition_number=None if linear is None else linear.condition_number,
     )
     return DmlModel(
         schema=schema,
         outcome_learners=tuple(outcome_learners),
         propensity_learners=tuple(propensity_learners),
-        final_stage=final_stage,
         forest=forest,
         linear=linear,
         train_config=replace(config, final_stage=final_stage),
@@ -229,7 +226,8 @@ def final_stage_linear(res: ResidualData) -> LinearTheta:
     """Least squares for theta(x) = c + beta . x against ry =~ theta(x) * ra.
 
     Solved on the ra-scaled design, so singular layouts fall back to the
-    pseudo-inverse; the design's condition number is kept for metadata.
+    pseudo-inverse; the design's condition number is kept with the model
+    (inf for a singular design).
     """
     ra = res.ra
     if not np.any(np.abs(ra) > 0.0):
@@ -288,7 +286,3 @@ def estimate_ite_batch(model: DmlModel, signal_rows: list[DiagnosticSignals]) ->
     level = model.train_config.forest.confidence_level
     return [IteEstimate(tau=float(t), tau_lower=float(t), tau_upper=float(t), confidence_level=level) for t in taus]
 
-
-def preferred_action(tau: float) -> MitigationAction:
-    """Sign rule: positive effect means Redeploy costs more, pick Reboot."""
-    return MitigationAction.REBOOT if tau >= 0.0 else MitigationAction.REDEPLOY

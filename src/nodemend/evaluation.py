@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decisions import DecisionConfig, PolicyDecision, decide, legacy_policy
-from .dml import DmlModel, estimate_ite, estimate_ite_batch, preferred_action
+from .decisions import DecisionConfig, PolicyDecision, decide, legacy_policy, preferred_action
+from .dml import DmlModel, estimate_ite, estimate_ite_batch
 from .domain import DiagnosticSignals, LabeledEvent, MitigationAction, rng_for, to_record
 from .errors import DegenerateTreatment, InvalidArgument
 from .simulate import (

@@ -30,12 +30,12 @@ floor covers the degenerate all-identical forest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
-from .domain import FloatArray, IntArray, IteEstimate, rng_for, seed_for
+from .domain import IteEstimate, rng_for, seed_for
 from .errors import InsufficientData, InvalidArgument
 from .parallel import map_tasks
 from .trees import NodeTable, PackedTrees, best_cut, bin_features, bin_layout
@@ -76,56 +76,26 @@ class ForestParams:
 
 
 @dataclass
-class CausalTree:
-    """Flattened binary tree; leaves carry the estimation-half slope."""
-
-    feature: IntArray  # -1 marks a leaf
-    threshold: FloatArray
-    left: IntArray
-    right: IntArray
-    tau: FloatArray
-    n_estimate: IntArray
-
-    def __post_init__(self) -> None:
-        if len(self.n_estimate) != len(self.feature) or np.any(self.n_estimate < 0):
-            raise InvalidArgument("a tree needs one n_estimate >= 0 per node")
-
-    def table(self) -> tuple[np.ndarray, ...]:
-        """(feature, threshold, left, right, tau), the node table to walk."""
-        return self.feature, self.threshold, self.left, self.right, self.tau
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return PackedTrees([self.table()]).values(X)[:, 0]
-
-
-@dataclass
 class CausalForest:
-    """Immutable once fitted; prediction is reentrant. ``n`` is the number
-    of rows the forest was fitted on."""
+    """Immutable once fitted; prediction is reentrant.
 
-    trees: tuple[CausalTree, ...]
-    bag_of_tree: IntArray  # bag index per tree
+    ``trees`` holds bag b's trees at ``b * trees_per_bag`` onward, in tree
+    order. A node's value is the slope over its estimation rows and its
+    count the number of those rows with a nonzero treatment residual. ``n``
+    is the number of rows the forest was fitted on.
+    """
+
+    trees: PackedTrees
     params: ForestParams
     seed: int
     n: int
-    packed: PackedTrees = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = self.params
-        layout = np.repeat(np.arange(p.bags), p.trees_per_bag)
-        if len(self.trees) != p.n_trees or not np.array_equal(np.sort(self.bag_of_tree), layout):
-            raise InvalidArgument(f"each of the {p.bags} bags must hold trees_per_bag={p.trees_per_bag} trees")
+        if len(self.trees) != p.n_trees:
+            raise InvalidArgument(f"a forest of {p.bags} bags of {p.trees_per_bag} trees holds {len(self.trees)} trees")
         if self.n < 2 * p.min_split:
             raise InvalidArgument(f"a forest is fitted on at least {2 * p.min_split} rows, not {self.n}")
-        self.packed = PackedTrees([t.table() for t in self.trees])
-
-    @property
-    def n_bags(self) -> int:
-        return int(self.bag_of_tree.max()) + 1 if len(self.bag_of_tree) else 0
-
-    def predict_matrix(self, X: np.ndarray) -> np.ndarray:
-        """Per-tree predictions, shape (n_points, n_trees)."""
-        return self.packed.values(X)
 
 
 def bag_subsamples(n: int, params: ForestParams, seed: int, b: int) -> list[np.ndarray]:
@@ -156,7 +126,7 @@ def grow_tree(
     subsample: np.ndarray,
     params: ForestParams,
     seed: int,
-) -> CausalTree:
+) -> NodeTable:
     """Grow one honest tree on the given subsample of pre-binned rows.
 
     ``codes`` and ``thresholds`` come from ``trees.bin_features``.
@@ -257,7 +227,7 @@ def grow_tree(
     # grow reaches itself through its closure; unbinding it frees the
     # per-tree arrays now rather than at the next cyclic garbage collection
     del grow
-    return CausalTree(*table.arrays())
+    return table
 
 
 def fit_forest(
@@ -282,12 +252,11 @@ def fit_forest(
 
     codes, thresholds = bin_features(X, params.max_bins)
     bags = map_tasks(_grow_bag, (codes, thresholds, ry, ra, params, seed), params.bags)
-    trees = [tree for bag in bags for tree in bag]
-    bag_of_tree = np.repeat(np.arange(params.bags, dtype=np.int64), params.trees_per_bag)
-    return CausalForest(trees=tuple(trees), bag_of_tree=bag_of_tree, params=params, seed=seed, n=n)
+    trees = PackedTrees.pack([table for bag in bags for table in bag])
+    return CausalForest(trees=trees, params=params, seed=seed, n=n)
 
 
-def _grow_bag(shared: tuple, b: int) -> list[CausalTree]:
+def _grow_bag(shared: tuple, b: int) -> list[NodeTable]:
     """The trees of bag ``b``, in tree order."""
     codes, thresholds, ry, ra, params, seed = shared
     subsamples = bag_subsamples(codes.shape[0], params, seed, b)
@@ -297,14 +266,12 @@ def _grow_bag(shared: tuple, b: int) -> list[CausalTree]:
 def predict_tau(forest: CausalForest, X: np.ndarray) -> np.ndarray:
     """Mean leaf slope over all trees for each query row."""
     tau = np.empty(np.shape(X)[0], dtype=np.float64)
-    for rows, node in forest.packed.leaves(X):
-        tau[rows] = forest.packed.value[node].mean(axis=1)
+    for rows, node in forest.trees.leaves(X):
+        tau[rows] = forest.trees.value[node].mean(axis=1)
     return tau
 
 
-def _interval_variance(
-    per_tree: np.ndarray, m: np.ndarray, bag_of_tree: np.ndarray, params: ForestParams
-) -> np.ndarray:
+def _interval_variance(per_tree: np.ndarray, m: np.ndarray, params: ForestParams) -> np.ndarray:
     """Grouped-bag variance estimate per query point.
 
     ``per_tree`` has shape (n_points, n_trees) and ``m`` holds its row
@@ -312,10 +279,9 @@ def _interval_variance(
     the within-bag total adds the bags in bag order, so each row's figures
     are the same whatever rows share the call.
     """
-    bags = int(bag_of_tree.max()) + 1
-    s = params.trees_per_bag
+    bags, s = params.bags, params.trees_per_bag
     # column j: the j-th tree of every bag
-    members = np.argsort(bag_of_tree, kind="stable").reshape(bags, s)
+    members = np.arange(bags * s).reshape(bags, s)
     # np.take gives C order, which keeps the mean over bags below a
     # pairwise sum of each row for any row count
     m_b = np.take(per_tree, members[:, 0], axis=1)
@@ -333,7 +299,7 @@ def _interval_variance(
 
 def predict_tau_ci(forest: CausalForest, X: np.ndarray, level: float | None = None) -> list[IteEstimate]:
     """Point estimates with grouped-bag confidence intervals."""
-    if forest.n_bags < 2:
+    if forest.params.bags < 2:
         raise InsufficientData("confidence intervals need at least 2 bags")
     level = forest.params.confidence_level if level is None else level
     if not (0.0 < level < 1.0):
@@ -342,10 +308,10 @@ def predict_tau_ci(forest: CausalForest, X: np.ndarray, level: float | None = No
     m = np.empty(X.shape[0], dtype=np.float64)
     v = np.empty(X.shape[0], dtype=np.float64)
     # chunk by chunk, so no (rows, trees) matrix of the whole batch is built
-    for rows, node in forest.packed.leaves(X):
-        per_tree = forest.packed.value[node]
+    for rows, node in forest.trees.leaves(X):
+        per_tree = forest.trees.value[node]
         m[rows] = per_tree.mean(axis=1)
-        v[rows] = _interval_variance(per_tree, m[rows], forest.bag_of_tree, forest.params)
+        v[rows] = _interval_variance(per_tree, m[rows], forest.params)
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
     half = z * np.sqrt(v)
     return [

@@ -14,10 +14,9 @@ follow the same sign rule as the decision layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .decisions import preferred_action
 from .dml import DmlModel, estimate_ite_batch
 from .domain import DiagnosticSignals, LabeledEvent, MitigationAction
 from .errors import InsufficientData, InvalidArgument
@@ -27,37 +26,9 @@ _MIN_LEAF = 10
 _MIN_ROWS = 20
 
 
-@dataclass
-class PolicyTree:
-    """Flat tree; ``mean_tau`` and ``n`` are set at the leaves only."""
-
-    feature: np.ndarray  # -1 marks a leaf
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    mean_tau: np.ndarray
-    n: np.ndarray
-
-    def leaf_action(self, node: int) -> MitigationAction:
-        return MitigationAction.REBOOT if self.mean_tau[node] >= 0.0 else MitigationAction.REDEPLOY
-
-    def predict_action(self, x: np.ndarray) -> MitigationAction:
-        table = PackedTrees([(self.feature, self.threshold, self.left, self.right, self.mean_tau)])
-        _, node = next(table.leaves(np.asarray(x, dtype=np.float64)[None, :]))
-        return self.leaf_action(int(node[0, 0]))
-
-    @property
-    def depth(self) -> int:
-        def walk(node: int) -> int:
-            if self.feature[node] < 0:
-                return 0
-            return 1 + max(walk(self.left[node]), walk(self.right[node]))
-
-        return walk(0)
-
-
-def fit_policy_tree(features: np.ndarray, tau_hat: np.ndarray, max_depth: int = 3) -> PolicyTree:
-    """Greedy effect-difference tree over per-row effect predictions."""
+def fit_policy_tree(features: np.ndarray, tau_hat: np.ndarray, max_depth: int = 3) -> PackedTrees:
+    """Greedy effect-difference tree over per-row effect predictions, as a
+    one-tree record: a leaf's value is its mean effect, its count its rows."""
     X = np.asarray(features, dtype=np.float64)
     tau = np.asarray(tau_hat, dtype=np.float64)
     if X.shape[0] != tau.shape[0]:
@@ -69,17 +40,17 @@ def fit_policy_tree(features: np.ndarray, tau_hat: np.ndarray, max_depth: int = 
 
     codes, thresholds = bin_features(X, max_bins=X.shape[0])
     table = grow_sse_tree(codes, thresholds, tau, np.arange(X.shape[0]), max_depth, _MIN_LEAF)
-    return PolicyTree(*table.arrays())
+    return PackedTrees.pack([table])
 
 
-def render_policy(tree: PolicyTree, feature_names: list[str]) -> str:
+def render_policy(tree: PackedTrees, feature_names: list[str]) -> str:
     """Deterministic indented if/else text; thresholds at 4 significant digits."""
     lines: list[str] = []
 
     def walk(node: int, indent: str) -> None:
         if tree.feature[node] < 0:
-            action = "Reboot" if tree.leaf_action(node) == MitigationAction.REBOOT else "Redeploy"
-            lines.append(f"{indent}→ {action} (mean tau_hat={tree.mean_tau[node]:.4g}, n={tree.n[node]})")
+            action = "Reboot" if preferred_action(tree.value[node]) == MitigationAction.REBOOT else "Redeploy"
+            lines.append(f"{indent}→ {action} (mean tau_hat={tree.value[node]:.4g}, n={tree.count[node]})")
             return
         name = feature_names[tree.feature[node]]
         lines.append(f"{indent}if {name} <= {tree.threshold[node]:.4g}:")
@@ -157,7 +128,7 @@ def interpret_model(
     model: DmlModel,
     dataset: list[LabeledEvent],
     max_depth: int = 3,
-) -> tuple[PolicyTree, str]:
+) -> tuple[PackedTrees, str]:
     """Fit and render the policy tree for a dataset under a model."""
     from .domain import encode_matrix
 

@@ -11,11 +11,11 @@ clamps predictions away from the boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import FloatArray, IntArray, rng_for, seed_for
+from .domain import FloatArray, rng_for, seed_for
 from .errors import InvalidArgument
 from .parallel import map_tasks
 from .trees import PackedTrees, SseGrower, bin_features
@@ -97,16 +97,15 @@ class GradientBoostedTrees:
 
     ``mode="propensity"`` clamps predictions into [p_min, 1 - p_min].
     Deterministic for a fixed seed: row subsampling per round is the only
-    random element and is drawn from a private generator. Each tree is its
-    (feature, threshold, left, right, value) node table.
+    random element and is drawn from a private generator. ``trees`` holds
+    the rounds' trees in round order.
     """
 
     config: LearnerConfig
     mode: str
     seed: int
     base_value: float
-    trees: tuple[tuple[IntArray, FloatArray, IntArray, IntArray, FloatArray], ...]
-    packed: PackedTrees = field(init=False, repr=False, compare=False)
+    trees: PackedTrees
 
     def __post_init__(self) -> None:
         _check_mode(self.mode)
@@ -114,14 +113,13 @@ class GradientBoostedTrees:
             raise InvalidArgument(f"base_value must be finite, got {self.base_value}")
         if len(self.trees) != self.config.rounds:
             raise InvalidArgument(f"a learner of {self.config.rounds} rounds holds {len(self.trees)} trees")
-        self.packed = PackedTrees(list(self.trees))
 
     @classmethod
     def fit(cls, config: LearnerConfig, mode: str, seed: int, X: np.ndarray, y: np.ndarray) -> "GradientBoostedTrees":
         rng = rng_for(seed, 0)
         grower = SseGrower(*bin_features(X, config.max_bins))
         base_value = float(y.mean())
-        trees = []
+        tables = []
         current = np.full(X.shape[0], base_value)
         n = X.shape[0]
         n_sub = max(1, int(round(config.subsample * n)))
@@ -129,17 +127,17 @@ class GradientBoostedTrees:
             resid = y - current
             rows = rng.choice(n, size=n_sub, replace=False) if n_sub < n else np.arange(n)
             table = grower.grow(resid, rows, config.max_depth, config.min_leaf)
-            trees.append(table.arrays()[:5])
+            tables.append(table)
             current = current + config.learning_rate * grower.leaf_values(table)
-        return cls(config, mode, int(seed), base_value, tuple(trees))
+        return cls(config, mode, int(seed), base_value, PackedTrees.pack(tables))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         out = np.full(np.shape(X)[0], self.base_value)
         lr = self.config.learning_rate
-        for rows, node in self.packed.leaves(X):
+        for rows, node in self.trees.leaves(X):
             # column 0 is the base, then each tree in order, so the running
             # sum adds out + lr * v_t tree by tree as a per-tree loop does
-            terms = np.column_stack([out[rows], lr * self.packed.value[node]])
+            terms = np.column_stack([out[rows], lr * self.trees.value[node]])
             out[rows] = np.add.accumulate(terms, axis=1)[:, -1]
         if self.mode == "propensity":
             out = np.clip(out, self.config.p_min, 1.0 - self.config.p_min)

@@ -24,7 +24,7 @@ from .errors import DataError, InsufficientData, ModelError, ModelIntegrityError
 from .simulate import GroundTruth
 
 MODEL_FORMAT = "nodemend-model"
-FORMAT_VERSION = "2.0"
+FORMAT_VERSION = "3.0"
 
 
 def atomic_write_text(path: str, content: str) -> None:

@@ -15,7 +15,7 @@ mitigate again" mode, which makes the marginal reboot downtime bi-modal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 
 import numpy as np
@@ -168,6 +168,10 @@ class SimConfig:
     base_offset: float = 0.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if any(isinstance(x, float) and not math.isfinite(x) for x in (value if isinstance(value, tuple) else (value,))):
+                raise InvalidArgument(f"{f.name} must be finite, got {value}")
         for name in ("cause_probs", "vm_count_probs", "hardware_type_probs", "session_type_probs"):
             probs = getattr(self, name)
             if any(p < 0 or p > 1 for p in probs):

@@ -1,8 +1,10 @@
-"""Shared tree machinery: feature binning, the node table, the packed walk
-and the least-squares grower.
+"""Shared tree machinery: feature binning, the grower's node table, the
+one tree-ensemble record and its walk, and the least-squares grower.
 
-Every tree in the package is a flat table in pre-order: ``feature`` is -1
-at a leaf, otherwise a split sends ``x[feature] <= threshold`` left. Split
+Every tree in the package is grown as a flat table in pre-order:
+``feature`` is -1 at a leaf, otherwise a split sends ``x[feature] <=
+threshold`` left. Every ensemble, a single tree included, is stored and
+served as one ``PackedTrees`` record. Split
 search runs on binned codes: each column's candidate thresholds are fixed
 once, and a row's code is the number of thresholds strictly below its
 value, so ``code <= b`` is exactly ``x <= thresholds[b]``.
@@ -10,10 +12,12 @@ value, so ``code <= b`` is exactly ``x <= thresholds[b]``.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .domain import FloatArray, IntArray
 from .errors import InvalidArgument
 
 MIN_GAIN = 1e-12
@@ -72,65 +76,114 @@ class NodeTable:
         self.left[node] = left
         self.right[node] = right
 
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        """(feature, threshold, left, right, value, count) as numpy arrays."""
-        return (
-            np.asarray(self.feature, dtype=np.int64),
-            np.asarray(self.threshold, dtype=np.float64),
-            np.asarray(self.left, dtype=np.int64),
-            np.asarray(self.right, dtype=np.int64),
-            np.asarray(self.value, dtype=np.float64),
-            np.asarray(self.count, dtype=np.int64),
-        )
-
 
 # rows x trees held by one chunk of the packed walk; bounds its temporaries
 CHUNK_ELEMENTS = 1 << 14
 
 
+@dataclass
 class PackedTrees:
-    """Several node tables packed into one and walked in lockstep.
+    """An ensemble of trees as one flat record, walked in lockstep.
 
-    Tree t's node k is packed node ``roots[t] + k``. A leaf's children are
-    the leaf itself, so once a row reaches a leaf every later step keeps it
-    there, whatever the comparison gives (NaN included). ``depth`` steps,
-    the depth of the deepest tree, therefore take every row to its leaf in
-    every tree, exactly as a per-tree walk would.
+    Tree t is nodes ``roots[t]`` up to the next root, in pre-order. Node k
+    sends ``x[feature[k]] <= threshold[k]`` to ``left[k]`` and the rest to
+    ``right[k]``, both packed node indices; at a leaf ``feature``, ``left``
+    and ``right`` are -1. ``value`` and ``count`` are what the grower
+    recorded for each node; at a leaf, its value and its row count.
+
+    Construction checks the record once, so a malformed one never serves,
+    and derives the walk: ``child`` sends a leaf to itself, so once a row
+    reaches a leaf every later step keeps it there, whatever the comparison
+    gives (NaN included). ``depth`` steps, the depth of the deepest tree,
+    therefore take every row to its leaf in every tree, exactly as a
+    per-tree walk would.
     """
 
-    def __init__(self, tables: list[tuple[np.ndarray, ...]]) -> None:
-        """``tables`` holds one (feature, threshold, left, right, value) per tree."""
-        sizes = [len(t[0]) for t in tables]
-        if any(len(column) != size for t, size in zip(tables, sizes) for column in t):
-            raise InvalidArgument("a tree's node columns must share their length")
-        self.roots = np.cumsum([0] + sizes, dtype=np.int64)[:-1]
-        feature, threshold, left, right, value = (
-            np.concatenate([np.asarray(t[i]) for t in tables]) if tables else np.empty(0) for i in range(5)
-        )
-        node = np.arange(len(feature), dtype=np.int64)
-        end = np.repeat(self.roots + sizes, sizes)
-        offset = np.repeat(self.roots, sizes)
-        leaf = feature < 0
-        left = np.where(leaf, node, left + offset)
-        right = np.where(leaf, node, right + offset)
-        # pre-order puts every child after its parent and inside its tree,
-        # which also rules out cycles
-        if np.any(~leaf & ((left <= node) | (right <= node) | (left >= end) | (right >= end))):
-            raise InvalidArgument("a tree's children must follow their parent inside the tree")
-        self.n_features = int(feature.max(initial=-1)) + 1
-        self.feature = np.where(leaf, 0, feature).astype(np.int64)
-        self.threshold = threshold.astype(np.float64)
-        self.value = value.astype(np.float64)
+    roots: IntArray
+    feature: IntArray
+    threshold: FloatArray
+    left: IntArray
+    right: IntArray
+    value: FloatArray
+    count: IntArray
+    child: IntArray = field(init=False, repr=False, compare=False)
+    depth: int = field(init=False, repr=False, compare=False)
+    n_features: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n = len(self.feature)
+        if any(len(column) != n for column in (self.threshold, self.left, self.right, self.value, self.count)):
+            raise InvalidArgument("a tree record's node columns must share their length")
+        roots = self.roots
+        if (len(roots) > 0) != (n > 0) or (n and (roots[0] != 0 or np.any(np.diff(roots) <= 0) or roots[-1] >= n)):
+            raise InvalidArgument("tree roots must start at 0 and rise strictly inside the node columns")
+        if np.any(self.count < 0) or np.any(self.feature < -1):
+            raise InvalidArgument("a tree record needs counts >= 0 and features >= -1")
+        node = np.arange(n, dtype=np.int64)
+        ends = np.append(roots[1:], n)[: len(roots)]
+        end = np.repeat(ends, ends - roots)
+        leaf = self.feature < 0
+        left, right = self.left, self.right
+        # every child follows its parent inside the tree, and every node but
+        # a root is the child of exactly one node: each tree is a tree, so
+        # the walk ends and nothing in the columns is unreachable
+        inside = (left > node) & (left < end) & (right > node) & (right < end)
+        if np.any(np.where(leaf, (left != -1) | (right != -1), ~inside)) or np.any(
+            np.bincount(np.concatenate([roots, left[~leaf], right[~leaf]]), minlength=n) != 1
+        ):
+            raise InvalidArgument("a tree's children must follow their parent inside the tree, once each; a leaf has none")
+        self.n_features = int(self.feature.max(initial=-1)) + 1
         # the child of node k sits at 2k + (x <= threshold): right, then left
-        self.child = np.column_stack([right, left]).ravel().astype(np.int64)
+        self.child = np.column_stack([np.where(leaf, node, right), np.where(leaf, node, left)]).ravel()
         self.depth = 0
-        frontier = self.roots
+        frontier = roots
         while True:
             frontier = frontier[~leaf[frontier]]
             if not frontier.size:
                 break
             frontier = np.concatenate([left[frontier], right[frontier]])
             self.depth += 1
+
+    @classmethod
+    def pack(cls, tables: Sequence) -> PackedTrees:
+        """One record of several trees, each given as pre-order node columns
+        whose children count from its own root: a grower's ``NodeTable``,
+        or one tree of a record."""
+        sizes = np.array([len(t.feature) for t in tables], dtype=np.int64)
+        roots = np.cumsum(sizes) - sizes
+        offset = np.repeat(roots, sizes)
+
+        def column(name: str, dtype: type) -> np.ndarray:
+            return np.concatenate([np.asarray(getattr(t, name), dtype=dtype) for t in tables] or [np.empty(0, dtype)])
+
+        left, right = (np.where(c >= 0, c + offset, -1) for c in (column("left", np.int64), column("right", np.int64)))
+        return cls(
+            roots,
+            column("feature", np.int64),
+            column("threshold", np.float64),
+            left,
+            right,
+            column("value", np.float64),
+            column("count", np.int64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.roots)
+
+    def __iter__(self) -> Iterator[PackedTrees]:
+        """Each tree alone, as a one-tree record."""
+        for start, stop in zip(self.roots.tolist(), [*self.roots[1:].tolist(), len(self.feature)]):
+            nodes = slice(start, stop)
+            left, right = (np.where(c[nodes] >= 0, c[nodes] - start, -1) for c in (self.left, self.right))
+            yield PackedTrees(
+                np.zeros(1, dtype=np.int64),
+                self.feature[nodes],
+                self.threshold[nodes],
+                left,
+                right,
+                self.value[nodes],
+                self.count[nodes],
+            )
 
     def leaves(self, X: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
         """Per chunk of rows, (rows, node): node[i, t] is the packed leaf that
@@ -146,6 +199,8 @@ class PackedTrees:
             row_base = np.arange(chunk.shape[0], dtype=np.int64)[:, None] * d
             node = np.repeat(self.roots[None, :], chunk.shape[0], axis=0)
             for _ in range(self.depth):
+                # at a leaf, feature -1 reads the cell before the row's
+                # first (the last cell for row 0); its child ignores it
                 go_left = np.take(flat, row_base + np.take(self.feature, node)) <= np.take(self.threshold, node)
                 node = np.take(self.child, 2 * node + go_left)
             yield slice(start, start + chunk.shape[0]), node

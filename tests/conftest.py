@@ -131,3 +131,11 @@ def reseal(path, edit) -> None:
     header["sha256"] = hashlib.sha256(payload).hexdigest()
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n" + payload)
+
+
+def drop_last_tree(trees) -> None:
+    """Remove the last tree from a decoded tree-ensemble record."""
+    end = trees["roots"].pop()
+    for name, column in trees.items():
+        if name != "roots":
+            del column[end:]

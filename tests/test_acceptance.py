@@ -241,7 +241,6 @@ def test_criterion_8_exact_formula_oracles():
         schema=schema,
         outcome_learners=[Const(4.0), Const(4.0)],
         propensity_learners=[Const(0.5), Const(0.5)],
-        final_stage="linear",
         forest=None,
         linear=LinearTheta(intercept=1.5, coef=np.zeros(schema.width), condition_number=1.0),
         train_config=TrainConfig(folds=2, final_stage="linear"),

@@ -9,7 +9,7 @@ from nodemend.cli import main
 from nodemend.errors import ModelIntegrityError, ModelVersionError
 from nodemend.modelio import load_model, read_action_log, read_events_jsonl
 
-from conftest import reseal
+from conftest import drop_last_tree, reseal
 
 
 FAST_CONFIG = {
@@ -302,7 +302,7 @@ def test_recommend_unwritable_log_is_a_data_error(workspace, tmp_path, capsys):
     [
         lambda p: p.pop("schema"),
         lambda p: p.pop("forest"),
-        lambda p: p.update(final_stage="boosted"),
+        lambda p: p["train_config"].update(final_stage="boosted"),
         lambda p: p["train_config"].update(folds="five"),
         lambda p: p.update(outcome_learners="gbm"),
         lambda p: p["train_config"]["learner"].update(rounds=3.5),
@@ -326,33 +326,46 @@ def _first(feature, leaf):
 
 
 def _split_on_feature_99(p):
-    tree = p["forest"]["trees"][0]
-    tree["feature"][_first(tree["feature"], leaf=False)] = 99
+    trees = p["forest"]["trees"]
+    trees["feature"][_first(trees["feature"], leaf=False)] = 99
 
 
 def _nan_forest_leaf(p):
-    tree = p["forest"]["trees"][0]
-    tree["tau"][_first(tree["feature"], leaf=True)] = float("nan")
+    trees = p["forest"]["trees"]
+    trees["value"][_first(trees["feature"], leaf=True)] = float("nan")
 
 
 def _inf_gbm_leaf(p):
-    feature, _, _, _, value = p["outcome_learners"][0]["trees"][0]
-    value[_first(feature, leaf=True)] = float("inf")
+    trees = p["outcome_learners"][0]["trees"]
+    trees["value"][_first(trees["feature"], leaf=True)] = float("inf")
 
 
 def _negative_n_estimate(p):
-    p["forest"]["trees"][0]["n_estimate"][0] = -1
+    p["forest"]["trees"]["count"][0] = -1
+
+
+def _swap_roots(p):
+    roots = p["forest"]["trees"]["roots"]
+    roots[1], roots[2] = roots[2], roots[1]
+
+
+def _child_in_next_tree(p):
+    trees = p["forest"]["trees"]
+    trees["left"][_first(trees["feature"], leaf=False)] = trees["roots"][1]
+
+
+ROOTS = "tree roots must start at 0 and rise strictly inside the node columns"
 
 
 @pytest.mark.parametrize(
     "edit,cause",
     [
         (_split_on_feature_99, "trees split on feature 99, rows have 18 columns"),
-        (_nan_forest_leaf, "model.forest.trees[0].tau must be a list of finite numbers"),
-        (_inf_gbm_leaf, "model.outcome_learners[0].trees[0][4] must be a list of finite numbers"),
+        (_nan_forest_leaf, "model.forest.trees.value must be a list of finite numbers"),
+        (_inf_gbm_leaf, "model.outcome_learners[0].trees.value must be a list of finite numbers"),
         (lambda p: p.update(metadata="x"), "model.metadata must be an object"),
-        (_negative_n_estimate, "a tree needs one n_estimate >= 0 per node"),
-        (lambda p: p["outcome_learners"][0]["trees"].pop(), "a learner of 60 rounds holds 59 trees"),
+        (_negative_n_estimate, "a tree record needs counts >= 0 and features >= -1"),
+        (lambda p: drop_last_tree(p["outcome_learners"][0]["trees"]), "a learner of 60 rounds holds 59 trees"),
         (lambda p: p["outcome_learners"][0]["config"].update(learning_rate=float("nan")), "learning_rate must be finite"),
         (lambda p: p["forest"]["params"].update(variance_floor=float("nan")), "variance_floor must be finite"),
         (lambda p: p["outcome_learners"].pop(), "a model of 3 folds holds 2 outcome and 3 propensity learners"),
@@ -360,6 +373,11 @@ def _negative_n_estimate(p):
             lambda p: p["propensity_learners"].append(p["propensity_learners"][0]),
             "a model of 3 folds holds 3 outcome and 4 propensity learners",
         ),
+        (lambda p: p["forest"]["trees"]["roots"].__setitem__(0, 1), ROOTS),
+        (_swap_roots, ROOTS),
+        (lambda p: p["forest"]["trees"]["roots"].append(len(p["forest"]["trees"]["feature"])), ROOTS),
+        (lambda p: p["forest"]["trees"]["threshold"].pop(), "a tree record's node columns must share their length"),
+        (_child_in_next_tree, "a tree's children must follow their parent inside the tree"),
     ],
     ids=[
         "feature_99",
@@ -372,6 +390,11 @@ def _negative_n_estimate(p):
         "nan_variance_floor",
         "missing_outcome_learner",
         "extra_propensity_learner",
+        "first_root_not_0",
+        "falling_roots",
+        "root_past_end",
+        "unequal_columns",
+        "child_in_next_tree",
     ],
 )
 def test_model_that_could_not_serve_fails_at_load(workspace, tmp_path, capsys, edit, cause):
@@ -393,7 +416,7 @@ def test_format_1_model_is_refused(workspace, tmp_path, capsys):
     old = tmp_path / "model_v1.bin"
     payload = json.loads(workspace["model"].read_bytes().partition(b"\n")[2])
     old.write_text(json.dumps({"checksum": "0" * 64, "format": "nodemend-model", "format_version": "1.0", "payload": payload}))
-    with pytest.raises(ModelVersionError, match=re.escape("model format '1.0' is incompatible with '2.0'")):
+    with pytest.raises(ModelVersionError, match=re.escape("model format '1.0' is incompatible with '3.0'")):
         load_model(str(old))
     assert main(["eval", "--model", str(old), "--data", str(workspace["events"])]) == 4
     assert "'1.0'" in capsys.readouterr().err

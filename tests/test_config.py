@@ -1,9 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
+from nodemend.cli import main
 from nodemend.config import load_experiment_config, parse_experiment_config
 from nodemend.errors import ConfigError
+from nodemend.simulate import SimConfig
 
 
 def minimal(**over):
@@ -76,6 +79,37 @@ def test_bad_values_rejected():
 def test_non_finite_decision_thresholds_rejected(field, value):
     with pytest.raises(ConfigError, match=f"{field} must be finite"):
         parse_experiment_config(minimal(decision={field: value}))
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("cause_probs", [float("nan"), 0.5, 0.5]), ("redeploy_log_sigma", float("nan")), ("horizon_days", float("inf"))],
+    ids=["nan_cause_prob", "nan_sigma", "inf_horizon"],
+)
+def test_non_finite_sim_value_exits_2_naming_the_field(tmp_path, capsys, field, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(minimal(sim={field: value})))
+    out = tmp_path / "events.jsonl"
+    assert main(["simulate", "--config", str(path), "--out", str(out), "--truth", str(tmp_path / "t"), "--n", "50"]) == 2
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_sim_float_must_be_finite():
+    defaults = SimConfig()
+    floats = [
+        f.name
+        for f in dataclasses.fields(SimConfig)
+        if isinstance(getattr(defaults, f.name), float)
+        or (isinstance(getattr(defaults, f.name), tuple) and isinstance(getattr(defaults, f.name)[0], float))
+    ]
+    assert len(floats) > 40 and "cause_probs" in floats and "horizon_days" in floats
+    for name in floats:
+        default = getattr(defaults, name)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            value = [bad, *default[1:]] if isinstance(default, tuple) else bad
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                parse_experiment_config(minimal(sim={name: value}))
 
 
 def test_load_from_file(tmp_path):

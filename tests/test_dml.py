@@ -9,11 +9,11 @@ from nodemend.dml import (
     estimate_ite,
     estimate_ite_batch,
     final_stage_linear,
-    preferred_action,
     psi_loss,
     theta_values,
     train_dml,
 )
+from nodemend.decisions import preferred_action
 from nodemend.domain import MitigationAction, encode_matrix
 from nodemend.errors import DegenerateTreatment, InsufficientData, SchemaViolation
 from nodemend.simulate import (
@@ -119,7 +119,6 @@ def _hand_model(schema, y_hat: float, a_hat: float, theta0: float) -> DmlModel:
         schema=schema,
         outcome_learners=[_ConstLearner(y_hat), _ConstLearner(y_hat)],
         propensity_learners=[_ConstLearner(a_hat), _ConstLearner(a_hat)],
-        final_stage="linear",
         forest=None,
         linear=LinearTheta(intercept=theta0, coef=np.zeros(schema.width), condition_number=1.0),
         train_config=TrainConfig(folds=2, final_stage="linear"),

@@ -117,7 +117,6 @@ def _constant_model(schema, c: float) -> DmlModel:
         schema=schema,
         outcome_learners=[_ZeroLearner(), _ZeroLearner()],
         propensity_learners=[_ZeroLearner(), _ZeroLearner()],
-        final_stage="linear",
         forest=None,
         linear=LinearTheta(intercept=c, coef=np.zeros(schema.width), condition_number=1.0),
         train_config=TrainConfig(folds=2, final_stage="linear"),

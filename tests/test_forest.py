@@ -7,7 +7,6 @@ from nodemend.domain import from_record, rng_for, seed_for, to_record
 from nodemend.errors import InsufficientData, InvalidArgument
 from nodemend.forest import (
     CausalForest,
-    CausalTree,
     ForestParams,
     audit_honesty,
     fit_forest,
@@ -16,11 +15,16 @@ from nodemend.forest import (
     predict_tau,
     predict_tau_ci,
 )
-from nodemend.trees import bin_features
+from nodemend.trees import NodeTable, PackedTrees, bin_features
 
 from conftest import synthetic_residuals
 
 BINS = ForestParams().max_bins
+
+
+def grow_one(*args, **kwargs) -> PackedTrees:
+    """``grow_tree`` packed as a one-tree record."""
+    return PackedTrees.pack([grow_tree(*args, **kwargs)])
 
 
 def small_params(**overrides):
@@ -31,30 +35,30 @@ def small_params(**overrides):
 
 def test_grow_tree_two_regime_root_split():
     X, ry, ra, tau = synthetic_residuals(4000, seed=0, noise=0.25)
-    tree = grow_tree(*bin_features(X, BINS), ry, ra, np.arange(4000), ForestParams(), seed=1)
+    tree = grow_one(*bin_features(X, BINS), ry, ra, np.arange(4000), ForestParams(), seed=1)
     # the first split must separate the effect regimes (column 0, near 0)
     assert tree.feature[0] == 0
     assert abs(tree.threshold[0]) < 0.4
     leaves = np.flatnonzero(tree.feature < 0)
-    taus = tree.tau[leaves]
+    taus = tree.value[leaves]
     # leaves sit within +-1 of one of the true effects; quantile binning can
     # leave a sliver of misrouted rows at the regime boundary, so allow up
     # to 2% of the estimation mass in boundary leaves
     in_band = (np.abs(taus - 5.0) < 1.0) | (np.abs(taus + 5.0) < 1.0)
-    mass = tree.n_estimate[leaves].astype(float)
+    mass = tree.count[leaves].astype(float)
     assert mass[~in_band].sum() <= 0.02 * mass.sum()
 
 
 def test_grow_tree_constant_effect_leaves():
     X, ry, ra, tau = synthetic_residuals(3000, seed=1, kind="constant", noise=0.25)
-    tree = grow_tree(*bin_features(X, BINS), ry, ra, np.arange(3000), ForestParams(), seed=2)
+    tree = grow_one(*bin_features(X, BINS), ry, ra, np.arange(3000), ForestParams(), seed=2)
     leaves = np.flatnonzero(tree.feature < 0)
-    assert np.all(np.abs(tree.tau[leaves] - 2.0) < 0.5)
+    assert np.all(np.abs(tree.value[leaves] - 2.0) < 0.5)
 
 
 def test_grow_tree_min_leaf_larger_than_subsample():
     X, ry, ra, _ = synthetic_residuals(60, seed=2)
-    tree = grow_tree(*bin_features(X, BINS), ry, ra, np.arange(60), ForestParams(min_leaf_estimate=1000), seed=0)
+    tree = grow_one(*bin_features(X, BINS), ry, ra, np.arange(60), ForestParams(min_leaf_estimate=1000), seed=0)
     assert len(tree.feature) == 1
     assert tree.feature[0] == -1
 
@@ -68,15 +72,15 @@ def test_grow_tree_honesty_disjoint():
 
 def test_grow_tree_row_permutation_invariance():
     X, ry, ra, _ = synthetic_residuals(800, seed=4)
-    tree = grow_tree(*bin_features(X, BINS), ry, ra, np.arange(800), ForestParams(), seed=5)
+    tree = grow_one(*bin_features(X, BINS), ry, ra, np.arange(800), ForestParams(), seed=5)
     rng = np.random.default_rng(0)
     perm = rng.permutation(800)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(800)
     # permute rows and remap the subsample indices consistently
-    tree_p = grow_tree(*bin_features(X[perm], BINS), ry[perm], ra[perm], inv[np.arange(800)], ForestParams(), seed=5)
+    tree_p = grow_one(*bin_features(X[perm], BINS), ry[perm], ra[perm], inv[np.arange(800)], ForestParams(), seed=5)
     Xq = np.random.default_rng(1).normal(size=(100, X.shape[1]))
-    assert np.allclose(tree.predict(Xq), tree_p.predict(Xq), atol=1e-9)
+    assert np.allclose(tree.values(Xq), tree_p.values(Xq), atol=1e-9)
 
 
 def test_fit_forest_deterministic():
@@ -84,9 +88,9 @@ def test_fit_forest_deterministic():
     f1 = fit_forest(X, ry, ra, small_params(), seed=7)
     f2 = fit_forest(X, ry, ra, small_params(), seed=7)
     Xq = np.random.default_rng(2).normal(size=(50, X.shape[1]))
-    assert np.array_equal(f1.predict_matrix(Xq), f2.predict_matrix(Xq))
+    assert np.array_equal(f1.trees.values(Xq), f2.trees.values(Xq))
     f3 = fit_forest(X, ry, ra, small_params(), seed=8)
-    assert not np.array_equal(f1.predict_matrix(Xq), f3.predict_matrix(Xq))
+    assert not np.array_equal(f1.trees.values(Xq), f3.trees.values(Xq))
 
 
 def test_fit_forest_recovers_two_regime():
@@ -112,28 +116,16 @@ def test_single_bag_single_tree_reduces_to_grow_tree():
     half = rng_for(11, 0).choice(1000, size=500, replace=False)
     sub = half[rng_for(11, 0, 0, 1).choice(500, size=500, replace=False)]
     # same binning as the forest fit (computed on the full data)
-    tree = grow_tree(*bin_features(X, params.max_bins), ry, ra, sub, params, seed_for(11, 0, 0))
+    tree = grow_one(*bin_features(X, params.max_bins), ry, ra, sub, params, seed_for(11, 0, 0))
     Xq = np.random.default_rng(3).normal(size=(100, X.shape[1]))
-    assert np.array_equal(forest.trees[0].predict(Xq), tree.predict(Xq))
+    assert np.array_equal(next(iter(forest.trees)).values(Xq), tree.values(Xq))
 
 
 def _constant_forest(c: float, n_trees: int = 8, bags: int = 4) -> CausalForest:
-    trees = []
-    for _ in range(n_trees):
-        trees.append(
-            CausalTree(
-                feature=np.asarray([-1]),
-                threshold=np.asarray([0.0]),
-                left=np.asarray([-1]),
-                right=np.asarray([-1]),
-                tau=np.asarray([c]),
-                n_estimate=np.asarray([10]),
-            )
-        )
+    leaf = NodeTable()
+    leaf.add(c, 10)
     params = ForestParams(bags=bags, trees_per_bag=n_trees // bags)
-    return CausalForest(
-        trees=tuple(trees), bag_of_tree=np.repeat(np.arange(bags), n_trees // bags), params=params, seed=0, n=100
-    )
+    return CausalForest(trees=PackedTrees.pack([leaf] * n_trees), params=params, seed=0, n=100)
 
 
 def test_predict_constant_forest():
@@ -149,9 +141,9 @@ def test_predict_invariant_to_tree_order():
     base = predict_tau(forest, Xq)
     rng = np.random.default_rng(6)
     order = rng.permutation(len(forest.trees))
+    trees = list(forest.trees)
     shuffled = CausalForest(
-        trees=tuple(forest.trees[i] for i in order),
-        bag_of_tree=forest.bag_of_tree[order],
+        trees=PackedTrees.pack([trees[i] for i in order]),
         params=forest.params,
         seed=forest.seed,
         n=forest.n,
@@ -219,7 +211,7 @@ def test_forest_serialization_round_trip():
     forest = fit_forest(X, ry, ra, small_params(), seed=17)
     clone = from_record(CausalForest, json.loads(json.dumps(to_record(forest))))
     Xq = np.random.default_rng(9).normal(size=(30, X.shape[1]))
-    assert np.array_equal(forest.predict_matrix(Xq), clone.predict_matrix(Xq))
+    assert np.array_equal(forest.trees.values(Xq), clone.trees.values(Xq))
 
 
 def test_params_validation():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from nodemend.decisions import preferred_action
 from nodemend.domain import MitigationAction, encode_matrix
-from nodemend.dml import estimate_ite_batch, preferred_action
+from nodemend.dml import estimate_ite_batch
 from nodemend.errors import InsufficientData, InvalidArgument
 from nodemend.evaluation import adjusted_effect
 from nodemend.interpret import cate_by_feature, fit_policy_tree, interpret_model, render_policy
@@ -28,8 +29,8 @@ def test_policy_tree_splits_on_hw_failure(hw_clustered):
     # hw side (one-hot == 1 goes right of threshold 0.5) recommends Redeploy
     right = tree.right[0]
     left = tree.left[0]
-    assert tree.leaf_action(right) == MitigationAction.REDEPLOY
-    assert tree.leaf_action(left) == MitigationAction.REBOOT
+    assert preferred_action(tree.value[right]) == MitigationAction.REDEPLOY
+    assert preferred_action(tree.value[left]) == MitigationAction.REBOOT
 
 
 def test_policy_tree_constant_tau_single_leaf():
@@ -62,7 +63,8 @@ def test_policy_tree_deterministic(hw_clustered):
     t2 = fit_policy_tree(X, tau, max_depth=3)
     assert np.array_equal(t1.feature, t2.feature)
     assert np.array_equal(t1.threshold, t2.threshold)
-    assert np.array_equal(t1.mean_tau, t2.mean_tau)
+    assert np.array_equal(t1.value, t2.value)
+    assert np.array_equal(t1.count, t2.count)
 
 
 def test_policy_tree_actions_invariant_to_positive_rescale(hw_clustered):
@@ -70,8 +72,7 @@ def test_policy_tree_actions_invariant_to_positive_rescale(hw_clustered):
     t1 = fit_policy_tree(X, tau, max_depth=2)
     t2 = fit_policy_tree(X, tau * 7.25, max_depth=2)
     probe = X[:50]
-    for row in probe:
-        assert t1.predict_action(row) == t2.predict_action(row)
+    assert [preferred_action(v) for v in t1.values(probe)[:, 0]] == [preferred_action(v) for v in t2.values(probe)[:, 0]]
 
 
 def test_render_single_leaf():
@@ -101,9 +102,8 @@ def test_tree_fidelity_to_sign_rule(default_bundle):
     tree, _ = interpret_model(model, events, max_depth=3)
     X = encode_matrix([e.signals for e in events], model.schema)
     taus = np.asarray([e.tau for e in estimate_ite_batch(model, [ev.signals for ev in events])])
-    agree = np.mean(
-        [tree.predict_action(X[i]) == preferred_action(taus[i]) for i in range(len(events))]
-    )
+    leaf_tau = tree.values(X)[:, 0]
+    agree = np.mean([preferred_action(leaf_tau[i]) == preferred_action(taus[i]) for i in range(len(events))])
     assert agree >= 0.85
 
 

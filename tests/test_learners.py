@@ -23,17 +23,17 @@ def reference_fit(cls, config, mode, seed, X, y):
     rng = rng_for(seed, 0)
     codes, thresholds = bin_features(X, config.max_bins)
     base_value = float(y.mean())
-    trees = []
+    tables = []
     current = np.full(X.shape[0], base_value)
     n = X.shape[0]
     n_sub = max(1, int(round(config.subsample * n)))
     for _ in range(config.rounds):
         resid = y - current
         rows = rng.choice(n, size=n_sub, replace=False) if n_sub < n else np.arange(n)
-        arrays = grow_sse_tree(codes, thresholds, resid, rows, config.max_depth, config.min_leaf).arrays()[:5]
-        trees.append(arrays)
-        current = current + config.learning_rate * PackedTrees([arrays]).values(X)[:, 0]
-    return cls(config, mode, int(seed), base_value, tuple(trees))
+        table = grow_sse_tree(codes, thresholds, resid, rows, config.max_depth, config.min_leaf)
+        tables.append(table)
+        current = current + config.learning_rate * PackedTrees.pack([table]).values(X)[:, 0]
+    return cls(config, mode, int(seed), base_value, PackedTrees.pack(tables))
 
 
 def test_make_folds_exact_division():
@@ -204,9 +204,9 @@ def test_gbm_fit_matches_reference(data):
     want = reference_fit(GradientBoostedTrees, config, mode, seed, X, y)
     assert got.base_value == want.base_value
     assert len(got.trees) == len(want.trees)
-    for got_tree, want_tree in zip(got.trees, want.trees):
-        for got_column, want_column in zip(got_tree, want_tree):
-            assert got_column.dtype == want_column.dtype
-            assert np.array_equal(got_column, want_column)
+    for name in ("roots", "feature", "threshold", "left", "right", "value", "count"):
+        got_column, want_column = getattr(got.trees, name), getattr(want.trees, name)
+        assert got_column.dtype == want_column.dtype
+        assert np.array_equal(got_column, want_column)
     Xq = np.vstack([X, X[::-1] + 0.5])
     assert np.array_equal(got.predict(Xq), want.predict(Xq))

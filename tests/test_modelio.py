@@ -31,7 +31,7 @@ from nodemend.modelio import (
 )
 from nodemend.simulate import default_config, generate_observational_dataset
 
-from conftest import reseal
+from conftest import drop_last_tree, reseal
 
 
 @pytest.fixture(scope="module")
@@ -69,9 +69,9 @@ def test_model_version_mismatch(tmp_path, small_model):
     save_model(model, path)
     head, _, payload = open(path, "rb").read().partition(b"\n")
     header = json.loads(head)
-    header["format_version"] = "3.0"
+    header["format_version"] = "2.0"
     open(path, "wb").write(json.dumps(header).encode() + b"\n" + payload)
-    with pytest.raises(ModelVersionError, match="'3.0' is incompatible with '2.0'"):
+    with pytest.raises(ModelVersionError, match="'2.0' is incompatible with '3.0'"):
         load_model(path)
 
 
@@ -104,12 +104,16 @@ def test_model_file_is_a_header_line_and_the_payload_it_hashes(tmp_path, small_m
     head, _, payload = open(path, "rb").read().partition(b"\n")
     assert json.loads(head) == {
         "format": "nodemend-model",
-        "format_version": "2.0",
+        "format_version": "3.0",
         "sha256": hashlib.sha256(payload).hexdigest(),
     }
     record = json.loads(payload)
-    # the honesty halves are drawn again from the forest's seed, never stored
-    assert set(record["forest"]["trees"][0]) == {"feature", "threshold", "left", "right", "tau", "n_estimate"}
+    # every ensemble is one record; the honesty halves are drawn again from
+    # the forest's seed, never stored
+    columns = {"roots", "feature", "threshold", "left", "right", "value", "count"}
+    assert set(record["forest"]["trees"]) == columns
+    assert set(record["outcome_learners"][0]["trees"]) == columns
+    assert "final_stage" not in record and record["train_config"]["final_stage"] == "forest"
     assert record["forest"]["n"] == 400
     assert audit_honesty(load_model(path).forest)
 
@@ -119,28 +123,28 @@ def test_singular_linear_design_round_trips(tmp_path, small_model):
     linear = LinearTheta(intercept=0.5, coef=np.zeros(model.schema.width), condition_number=float("inf"))
     singular = dataclasses.replace(
         model,
-        final_stage="linear",
         forest=None,
         linear=linear,
         train_config=dataclasses.replace(model.train_config, final_stage="linear"),
-        metadata=dataclasses.replace(model.metadata, condition_number=float("inf")),
     )
     path = str(tmp_path / "singular.bin")
     save_model(singular, path)
     assert b'"condition_number":Infinity' in open(path, "rb").read()
     loaded = load_model(path)
-    assert loaded.linear.condition_number == loaded.metadata.condition_number == float("inf")
+    assert loaded.final_stage == "linear"
+    assert loaded.linear.condition_number == float("inf")
     assert estimate_ite(loaded, events[0].signals) == estimate_ite(singular, events[0].signals)
 
 
 def _loop_first_split(payload):
-    tree = payload["forest"]["trees"][0]
-    split = next(i for i, f in enumerate(tree["feature"]) if f >= 0)
-    tree["left"][split] = split
+    trees = payload["forest"]["trees"]
+    split = next(i for i, f in enumerate(trees["feature"]) if f >= 0)
+    trees["left"][split] = split
 
 
 def _uneven_bags(payload):
-    payload["forest"]["bag_of_tree"][0] = 1
+    # the last bag holds one tree fewer than trees_per_bag
+    drop_last_tree(payload["forest"]["trees"])
 
 
 @pytest.mark.parametrize("edit", [_loop_first_split, _uneven_bags], ids=["looped_tree", "uneven_bags"])
@@ -361,7 +365,6 @@ def test_update_replaces_corrupted_current(small_model):
         schema=model.schema,
         outcome_learners=model.outcome_learners,
         propensity_learners=model.propensity_learners,
-        final_stage="linear",
         forest=None,
         linear=LinearTheta(intercept=500.0, coef=np.zeros(model.schema.width), condition_number=1.0),
         train_config=dataclasses.replace(model.train_config, final_stage="linear"),

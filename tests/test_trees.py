@@ -13,6 +13,7 @@ leaf of every tree, and the GBM, forest and psi predictions built on it must
 equal per-tree loops over the reference bit for bit.
 """
 
+import json
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodemend.dml import estimate_ite, estimate_ite_batch, nuisance_predictions, prepare_training_arrays, psi_loss
-from nodemend.domain import rng_for
+from nodemend.domain import from_record, rng_for, to_record
 from nodemend.errors import InvalidArgument
 from nodemend.forest import _MIN_STRUCTURE_CHILD, ForestParams, grow_tree, honest_halves
 from nodemend.modelio import load_model, save_model
@@ -86,7 +87,7 @@ def reference_sse_tree(codes, thresholds, target, rows, max_depth, min_leaf):
 
 
 def reference_forest_tree(codes, thresholds, ry, ra, subsample, params, seed):
-    """(feature, threshold, left, right, tau, n_estimate, structure, estimate)."""
+    """(node table, structure rows, estimation rows)."""
     rng = rng_for(seed)
     perm = subsample[rng.permutation(len(subsample))]
     n_structure = max(1, int(round(params.honest_fraction * len(perm))))
@@ -174,7 +175,13 @@ def reference_forest_tree(codes, thresholds, ry, ra, subsample, params, seed):
         return node
 
     grow(structure_idx, estimate_idx, 0, 0.0)
-    return (*table.arrays(), structure_idx, estimate_idx)
+    return table, structure_idx, estimate_idx
+
+
+def assert_same_table(got, want):
+    assert vars(got).keys() == vars(want).keys()
+    for name, column in vars(want).items():
+        np.testing.assert_array_equal(getattr(got, name), column, err_msg=name)
 
 
 COLUMN_KINDS = ("normal", "few_values", "constant", "copy", "mirror")
@@ -233,10 +240,9 @@ def test_sse_tree_matches_per_feature_scan(data):
     max_depth = data.draw(st.integers(0, 4), label="max_depth")
 
     codes, thresholds = bin_features(X, max_bins)
-    got = grow_sse_tree(codes, thresholds, target, rows, max_depth, min_leaf).arrays()
-    want = reference_sse_tree(codes, thresholds, target, rows, max_depth, min_leaf).arrays()
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g, w)
+    got = grow_sse_tree(codes, thresholds, target, rows, max_depth, min_leaf)
+    want = reference_sse_tree(codes, thresholds, target, rows, max_depth, min_leaf)
+    assert_same_table(got, want)
 
 
 @PROPERTY
@@ -265,18 +271,9 @@ def test_forest_tree_matches_per_feature_scan(data):
     seed = data.draw(st.integers(0, 2**31 - 1), label="tree_seed")
 
     codes, thresholds = bin_features(X, max_bins)
-    tree = grow_tree(codes, thresholds, ry, ra, subsample, params, seed)
-    want = reference_forest_tree(codes, thresholds, ry, ra, subsample, params, seed)
-    got = (
-        tree.feature,
-        tree.threshold,
-        tree.left,
-        tree.right,
-        tree.tau,
-        tree.n_estimate,
-        *honest_halves(np.asarray(subsample, dtype=np.int64), params, rng_for(seed)),
-    )
-    for g, w in zip(got, want):
+    want, structure, estimate = reference_forest_tree(codes, thresholds, ry, ra, subsample, params, seed)
+    assert_same_table(grow_tree(codes, thresholds, ry, ra, subsample, params, seed), want)
+    for g, w in zip(honest_halves(np.asarray(subsample, dtype=np.int64), params, rng_for(seed)), (structure, estimate)):
         np.testing.assert_array_equal(g, w)
 
 
@@ -309,11 +306,15 @@ def reference_leaf_index(X, feature, threshold, left, right):
     return idx
 
 
+def walk_columns(table):
+    """(feature, threshold, left, right) of one tree as arrays."""
+    return tuple(np.asarray(c) for c in (table.feature, table.threshold, table.left, table.right))
+
+
 def tree_depth(table, node):
-    feature, _, left, right = table[:4]
-    if feature[node] < 0:
+    if table.feature[node] < 0:
         return 0
-    return 1 + max(tree_depth(table, left[node]), tree_depth(table, right[node]))
+    return 1 + max(tree_depth(table, table.left[node]), tree_depth(table, table.right[node]))
 
 
 SPECIAL_VALUES = (np.nan, np.inf, -np.inf, 0.0, -0.0)
@@ -327,7 +328,7 @@ def random_tree(data, rng, d, cuts, label):
 
     def grow(depth):
         if depth >= max_depth or rng.random() < stop:
-            return table.add(rng.normal())
+            return table.add(rng.normal(), rng.integers(100))
         node = table.add()
         feature = int(rng.integers(d))
         left = grow(depth + 1)
@@ -336,7 +337,7 @@ def random_tree(data, rng, d, cuts, label):
         return node
 
     grow(0)
-    return table.arrays()[:5]
+    return table
 
 
 @PROPERTY
@@ -347,13 +348,14 @@ def test_packed_walk_matches_per_tree_walk(data):
     n_trees = data.draw(st.integers(1, 8), label="n_trees")
     # a few distinct values, so rows often equal a threshold exactly
     grid = np.round(rng.normal(size=6), 1)
-    cuts = np.concatenate([grid, [np.inf, -np.inf]])
+    cuts = np.concatenate([grid, [np.inf, -np.inf]]) if data.draw(st.booleans(), label="infinite_cuts") else grid
     tables = [random_tree(data, rng, d, cuts, f"tree{t}") for t in range(n_trees)]
     step = CHUNK_ELEMENTS // n_trees
     n = data.draw(st.sampled_from((0, 1, 2, 17, step - 1, step, step + 1, 2 * step + 1)), label="n")
     X = rng.choice(np.concatenate([grid, SPECIAL_VALUES]), size=(n, d))
 
-    packed = PackedTrees(tables)
+    packed = PackedTrees.pack(tables)
+    assert len(packed) == n_trees
     assert packed.depth == max(tree_depth(t, 0) for t in tables)
     node = np.empty((n, n_trees), dtype=np.int64)
     seen = 0
@@ -364,45 +366,94 @@ def test_packed_walk_matches_per_tree_walk(data):
         seen = rows.stop
     assert seen == n
     values = packed.values(X)
-    for t, table in enumerate(tables):
-        want = reference_leaf_index(X, *table[:4])
+    # each tree taken out of the record is the table it was packed from
+    for t, (table, tree) in enumerate(zip(tables, packed, strict=True)):
+        want = reference_leaf_index(X, *walk_columns(table))
         np.testing.assert_array_equal(node[:, t] - packed.roots[t], want)
-        np.testing.assert_array_equal(values[:, t], table[4][want])
+        np.testing.assert_array_equal(values[:, t], np.asarray(table.value)[want])
+        assert_same_table(tree, PackedTrees.pack([table]))
+    # saved and loaded through the record codec, then packed again from its
+    # own trees, the record keeps every column and routes every row alike;
+    # the codec refuses a threshold that is not finite
+    saved = json.loads(json.dumps(to_record(packed)))
+    if not np.isfinite(packed.threshold).all():
+        with pytest.raises(InvalidArgument, match="threshold must be a list of finite numbers"):
+            from_record(PackedTrees, saved)
+        saved = None
+    for copy in (PackedTrees.pack(list(packed)), *([from_record(PackedTrees, saved)] if saved else [])):
+        for name in ("roots", "feature", "threshold", "left", "right", "value", "count"):
+            np.testing.assert_array_equal(getattr(copy, name), getattr(packed, name), err_msg=name)
+            assert getattr(copy, name).dtype == getattr(packed, name).dtype
+        np.testing.assert_array_equal(np.vstack([c for _, c in copy.leaves(X)] or [node]), node)
 
 
 def test_packed_depth_is_the_deepest_tree():
-    leaf = (np.array([-1]), np.array([0.0]), np.array([-1]), np.array([-1]), np.array([2.5]))
+    leaf = NodeTable()
+    leaf.add(2.5, 4)
     chain = NodeTable()
     root = chain.add()
     inner = chain.add()
     chain.split(inner, 0, 1.0, chain.add(1.0), chain.add(2.0))
     chain.split(root, 1, 0.0, inner, chain.add(3.0))
-    packed = PackedTrees([leaf, chain.arrays()[:5], leaf])
+    packed = PackedTrees.pack([leaf, chain, leaf])
     assert packed.depth == 2
     assert list(packed.roots) == [0, 1, 6]
+    assert list(packed.left) == [-1, 2, 3, -1, -1, -1, -1]
+    assert list(packed.right) == [-1, 5, 4, -1, -1, -1, -1]
     X = np.array([[0.5, -1.0], [np.nan, -1.0], [0.0, np.nan], [0.0, 1.0]])
     np.testing.assert_array_equal(packed.values(X)[:, 1], [1.0, 2.0, 3.0, 3.0])
     np.testing.assert_array_equal(packed.values(X)[:, [0, 2]], np.full((4, 2), 2.5))
-    assert PackedTrees([leaf]).depth == 0
-    assert PackedTrees([]).values(X).shape == (4, 0)
+    assert PackedTrees.pack([leaf]).depth == 0
+    assert len(PackedTrees.pack([])) == 0
+    assert PackedTrees.pack([]).values(X).shape == (4, 0)
+
+
+def record(roots, feature, left, right, count=None, threshold=None):
+    """A record from plain lists; value 0 and count 1 unless given."""
+    n = len(feature)
+    return PackedTrees(
+        np.array(roots, dtype=np.int64),
+        np.array(feature, dtype=np.int64),
+        np.zeros(n) if threshold is None else np.array(threshold, dtype=np.float64),
+        np.array(left, dtype=np.int64),
+        np.array(right, dtype=np.int64),
+        np.zeros(n),
+        np.ones(n, dtype=np.int64) if count is None else np.array(count, dtype=np.int64),
+    )
+
+
+# two stumps, nodes 0-2 and 3-5, in the columns ``record`` takes
+STUMPS = ([0, 3], [0, -1, -1, 1, -1, -1], [1, -1, -1, 4, -1, -1], [2, -1, -1, 5, -1, -1])
 
 
 def test_packed_rejects_bad_tables():
-    looped = (np.array([0, -1, -1]), np.zeros(3), np.array([0, -1, -1]), np.array([2, -1, -1]), np.zeros(3))
-    with pytest.raises(InvalidArgument):
-        PackedTrees([looped])
-    outside = (np.array([0, -1]), np.zeros(2), np.array([1, -1]), np.array([2, -1]), np.zeros(2))
-    with pytest.raises(InvalidArgument):
-        PackedTrees([outside])
-    split_on_2 = (np.array([2, -1, -1]), np.zeros(3), np.array([1, -1, -1]), np.array([2, -1, -1]), np.zeros(3))
-    with pytest.raises(InvalidArgument):
-        next(PackedTrees([split_on_2]).leaves(np.zeros((3, 2))))
+    roots, feature, left, right = STUMPS
+    assert record(*STUMPS).depth == 1
+    bad = {
+        "first root is not node 0": ([1, 3], feature, left, right, None),
+        "roots fall": ([3, 0], feature, left, right, None),
+        "a tree of no nodes": ([0, 0, 3], feature, left, right, None),
+        "a root past the end": ([0, 6], feature, left, right, None),
+        "columns of unequal length": (roots, feature, left, [2, -1, -1, 5, -1], None),
+        "a child in the next tree": (roots, feature, left, [4, -1, -1, 5, -1, -1], None),
+        "a node its own child": (roots, feature, [0, -1, -1, 4, -1, -1], right, None),
+        "one child twice": (roots, feature, left, [1, -1, -1, 5, -1, -1], None),
+        "a leaf with a child": (roots, feature, left, [2, 0, -1, 5, -1, -1], None),
+        "a feature below -1": (roots, [0, -1, -1, -2, -1, -1], left, right, None),
+        "a negative count": (roots, feature, left, right, [1, 1, -1, 1, 1, 1]),
+    }
+    for case, columns in bad.items():
+        with pytest.raises(InvalidArgument):
+            record(*columns)
+            pytest.fail(case)
+    with pytest.raises(InvalidArgument, match="trees split on feature 2, rows have 2 columns"):
+        next(record([0], [2, -1, -1], [1, -1, -1], [2, -1, -1]).leaves(np.zeros((3, 2))))
 
 
 def reference_gbm_predict(learner, X):
     out = np.full(X.shape[0], learner.base_value)
-    for arrays in learner.trees:
-        out = out + learner.config.learning_rate * arrays[4][reference_leaf_index(X, *arrays[:4])]
+    for tree in learner.trees:
+        out = out + learner.config.learning_rate * tree.value[reference_leaf_index(X, *walk_columns(tree))]
     if learner.mode == "propensity":
         out = np.clip(out, learner.config.p_min, 1.0 - learner.config.p_min)
     return out
@@ -423,8 +474,8 @@ def test_serving_matches_per_tree_loops(tworegime_bundle, tmp_path):
     assert [estimate_ite(model, e.signals) for e in events] == batch
 
     X, y, a = prepare_training_arrays(events, model.schema)
-    per_tree = np.column_stack([t.tau[reference_leaf_index(X, t.feature, t.threshold, t.left, t.right)] for t in forest.trees])
-    np.testing.assert_array_equal(forest.predict_matrix(X), per_tree)
+    per_tree = np.column_stack([t.value[reference_leaf_index(X, *walk_columns(t))] for t in forest.trees])
+    np.testing.assert_array_equal(forest.trees.values(X), per_tree)
     y_hat = np.mean([reference_gbm_predict(lr, X) for lr in model.outcome_learners], axis=0)
     a_hat = np.mean([reference_gbm_predict(lr, X) for lr in model.propensity_learners], axis=0)
     got_y, got_a = nuisance_predictions(model, X)
