@@ -261,6 +261,7 @@ def run_policy_comparison(
     if n_events < 1:
         raise InvalidArgument("n_events must be >= 1")
     primaries = _generate_primaries(n_events, config)
+    first_draws = np.full(n_events, np.nan)
     rows = {}
     histograms = {}
     for p_idx, name in enumerate(policies):
@@ -268,7 +269,7 @@ def run_policy_comparison(
         policy = make_policy(name, policy_rng, model=model, decision_config=decision_config)
         if isinstance(policy, EnginePolicy):
             policy.prepare([draw.signals for _, draw, _, _ in primaries])
-        rows[name], histograms[name] = _run_one_policy(policy, primaries, config, seed)
+        rows[name], histograms[name] = _run_one_policy(policy, primaries, config, seed, first_draws)
     return KpiReport(
         n_events=n_events,
         seed=seed,
@@ -291,7 +292,15 @@ def _generate_primaries(n_events: int, config: SimConfig):
     return primaries
 
 
-def _run_one_policy(policy, primaries, config: SimConfig, seed: int):
+def _run_one_policy(policy, primaries, config: SimConfig, seed: int, first_draws: np.ndarray):
+    """Run one policy over the primary events and their recurrence chains.
+
+    Chain draws are keyed by (event, step), so identical chains see
+    identical randomness under every policy. The first uniform of event
+    i's chain decides whether its primary event recurs; ``first_draws[i]``
+    holds it once some policy has drawn it (NaN until then), and later
+    policies read it instead of seeding the stream again.
+    """
     per_vm_downtimes = []
     blackouts = []
     unallocs = []
@@ -326,12 +335,20 @@ def _run_one_policy(policy, primaries, config: SimConfig, seed: int):
             if chain_step >= config.max_chain_length:
                 capped += 1
                 break
-            # recurrence draws keyed by (event, step): identical chains across
-            # policies see identical randomness
-            chain_rng = rng_for(seed, 200, ev_idx, chain_step)
-            step = step_node(history, action, draw.latent, config, chain_rng)
+            if chain_step == 0 and not math.isnan(first_draws[ev_idx]):
+                chain_rng = None
+                u = first_draws[ev_idx]
+            else:
+                chain_rng = rng_for(seed, 200, ev_idx, chain_step)
+                u = chain_rng.random()
+                if chain_step == 0:
+                    first_draws[ev_idx] = u
+            step = step_node(history, action, draw.latent, config, u)
             if not step.recurrence:
                 break
+            if chain_rng is None:  # the stream resumes past its shared first draw
+                chain_rng = rng_for(seed, 200, ev_idx, 0)
+                chain_rng.random()
             recurrences += 1
             chain_step += 1
             history.append(step.next_tick)
@@ -384,6 +401,7 @@ def run_ab_experiment(
     if len(set(names)) != len(names):
         raise InvalidArgument("group names must be unique")
     primaries = _generate_primaries(n_events, config)
+    first_draws = np.full(n_events, np.nan)
     by_group: dict[str, list] = {name: [] for name in names}
     for item in primaries:
         _, draw, _, _ = item
@@ -400,7 +418,7 @@ def run_ab_experiment(
         policy = make_policy(name, policy_rng, model=model, decision_config=decision_config)
         if isinstance(policy, EnginePolicy):
             policy.prepare([draw.signals for _, draw, _, _ in subset])
-        row, _ = _run_one_policy(policy, subset, config, seed)
+        row, _ = _run_one_policy(policy, subset, config, seed, first_draws)
         result["groups"][name] = to_record(row)
     return result
 

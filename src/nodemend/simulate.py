@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -188,16 +189,34 @@ class SimConfig:
         ):
             if getattr(self, name) <= 0:
                 raise InvalidArgument(f"{name} must be > 0")
+        for f in fields(self):
+            if f.name.endswith(("_prob", "_rate")) or f.name in ("uncorrectable_base", "uncorrectable_hw_base"):
+                value = getattr(self, f.name)
+                if not 0.0 <= value <= 1.0:
+                    raise InvalidArgument(f"{f.name} must lie in [0, 1], got {value}")
+        for name, low in (("ticks_per_day", 1), ("max_chain_length", 0), ("repeat_count_cap", 0)):
+            if getattr(self, name) < low:
+                raise InvalidArgument(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if any(v < 1 for v in self.vm_count_values):
+            raise InvalidArgument(f"vm_count_values entries must be >= 1, got {self.vm_count_values}")
+        if self.horizon_days <= 0:
+            raise InvalidArgument(f"horizon_days must be > 0, got {self.horizon_days}")
+        for name in ("recurrence_delay_days", "repeat_window_days", "investigation_hold"):
+            if getattr(self, name) < 0:
+                raise InvalidArgument(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.effect_kind not in _EFFECT_KINDS:
             raise InvalidArgument(f"unknown effect_kind {self.effect_kind!r}")
         if len(self.vm_count_values) != len(self.vm_count_probs):
             raise InvalidArgument("vm_count_values and vm_count_probs must align")
 
-    @property
+    # The harness reads these two once per chain step, so each is computed
+    # on first use and kept on the instance (not a field: the record codec
+    # never sees it).
+    @cached_property
     def repeat_window_ticks(self) -> int:
         return int(round(self.repeat_window_days * self.ticks_per_day))
 
-    @property
+    @cached_property
     def recurrence_delay_ticks(self) -> int:
         return max(1, int(round(self.recurrence_delay_days * self.ticks_per_day)))
 
@@ -555,15 +574,17 @@ def step_node(
     action: MitigationAction,
     latent: LatentNodeState,
     config: SimConfig,
-    rng: np.random.Generator,
+    u: float,
 ) -> NodeStep:
     """Advance a node's repeated-failure process after an action.
 
     ``node_history`` holds the node's unhealthy-event ticks so far, ending
     with the event just mitigated. A hardware fault answered by Reboot
     recurs shortly with high probability; anything else recurs at the
-    background rate. The returned repeat count is the number of history
-    events inside the trailing window as of the would-be recurrence tick.
+    background rate. ``u`` is the uniform draw in [0, 1) that decides it:
+    the node recurs when ``u`` falls below that probability. The returned
+    repeat count is the number of history events inside the trailing
+    window as of the would-be recurrence tick.
     """
     if not node_history:
         raise InvalidArgument("node_history must contain at least the current event tick")
@@ -571,7 +592,7 @@ def step_node(
         p = config.hw_reboot_recur_prob
     else:
         p = config.background_recur_prob
-    recurrence = bool(rng.random() < p)
+    recurrence = bool(u < p)
     next_tick = node_history[-1] + config.recurrence_delay_ticks
     window = config.repeat_window_ticks
     repeat_count = sum(1 for t in node_history if next_tick - t <= window)

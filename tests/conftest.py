@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from nodemend.dml import TrainConfig, assemble_model, residualize_dataset, train_dml
 from nodemend.simulate import (
@@ -19,6 +20,12 @@ from nodemend.simulate import (
     vm_risk_config,
     zero_effect_config,
 )
+
+# Every property test draws the same examples on every run, and none has a
+# per-example deadline: a slow machine must not fail a test.
+# Each test sets its own max_examples.
+settings.register_profile("nodemend", derandomize=True, deadline=None)
+settings.load_profile("nodemend")
 
 TWO_REGIME_SEED = 100
 TWO_REGIME_TEST_SEED = 200

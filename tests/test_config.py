@@ -6,7 +6,7 @@ import pytest
 from nodemend.cli import main
 from nodemend.config import load_experiment_config, parse_experiment_config
 from nodemend.errors import ConfigError
-from nodemend.simulate import SimConfig
+from nodemend.simulate import PRESETS, SimConfig
 
 
 def minimal(**over):
@@ -110,6 +110,57 @@ def test_every_sim_float_must_be_finite():
             value = [bad, *default[1:]] if isinstance(default, tuple) else bad
             with pytest.raises(ConfigError, match=f"{name} must be finite"):
                 parse_experiment_config(minimal(sim={name: value}))
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("ticks_per_day", 0),
+        ("max_chain_length", -3),
+        ("repeat_count_cap", -1),
+        ("vm_count_values", [0, 2, 3, 4, 5, 6, 7, 8]),
+        ("horizon_days", 0.0),
+        ("horizon_days", -5.0),
+        ("recurrence_delay_days", -0.5),
+        ("repeat_window_days", -1.0),
+        ("investigation_hold", -10.0),
+        ("hw_reboot_recur_prob", 1.5),
+        ("legacy_flip_prob", 2.0),
+        ("error_code_missing_rate", -0.1),
+        ("uncorrectable_hw_base", 1.01),
+    ],
+)
+def test_out_of_range_sim_value_exits_2_naming_the_field(tmp_path, capsys, field, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(minimal(sim={field: value})))
+    out = tmp_path / "events.jsonl"
+    assert main(["simulate", "--config", str(path), "--out", str(out), "--truth", str(tmp_path / "t"), "--n", "50"]) == 2
+    assert f"config error: {field} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_sim_probability_must_lie_in_the_unit_interval():
+    names = [
+        f.name
+        for f in dataclasses.fields(SimConfig)
+        if f.name.endswith(("_prob", "_rate")) or f.name in ("uncorrectable_base", "uncorrectable_hw_base")
+    ]
+    assert len(names) == 13 and "background_recur_prob" in names and "network_flip_rate" in names
+    for name in names:
+        for bad in (-0.01, 1.01):
+            with pytest.raises(ConfigError, match=f"{name} must lie in \\[0, 1\\]"):
+                parse_experiment_config(minimal(sim={name: bad}))
+        for edge in (0.0, 1.0):
+            assert getattr(parse_experiment_config(minimal(sim={name: edge})).sim, name) == edge
+
+
+def test_every_preset_is_valid_and_range_edges_are_accepted():
+    for name in PRESETS:
+        parse_experiment_config(minimal(sim={"preset": name}))
+    edges = {"max_chain_length": 0, "repeat_count_cap": 0, "ticks_per_day": 1, "recurrence_delay_days": 0.0,
+             "repeat_window_days": 0.0, "investigation_hold": 0.0, "vm_count_values": [1, 1, 1, 1, 1, 1, 1, 1]}
+    sim = parse_experiment_config(minimal(sim=edges)).sim
+    assert sim.max_chain_length == 0 and sim.recurrence_delay_ticks == 1 and sim.repeat_window_ticks == 0
 
 
 def test_load_from_file(tmp_path):

@@ -226,7 +226,7 @@ SIGNALS = st.builds(
 )
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.sampled_from((DEFAULT_SCHEMA, SMALL_SCHEMA)), st.lists(SIGNALS, max_size=12))
 def test_encode_matrix_matches_row_encoder(schema, rows):
     try:

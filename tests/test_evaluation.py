@@ -3,21 +3,29 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nodemend.decisions import assign_policy_group
 from nodemend.dml import DmlModel, LinearTheta, TrainConfig
-from nodemend.domain import DiagnosticSignals, LabeledEvent, MitigationAction
+from nodemend.domain import DiagnosticSignals, LabeledEvent, MitigationAction, rng_for, to_record
 from nodemend.errors import DegenerateTreatment, InvalidArgument
 from nodemend.evaluation import (
+    POLICY_NAMES,
+    EnginePolicy,
+    KpiRow,
+    _generate_primaries,
     adjusted_effect,
     air,
     avd,
     counterfactual_analysis,
+    make_policy,
     naive_effect,
     nearest_rank_percentile,
     run_ab_experiment,
     run_policy_comparison,
 )
-from nodemend.simulate import default_config, generate_observational_dataset
+from nodemend.simulate import PRESETS, _draw_signals, default_config, generate_observational_dataset, potential_outcomes, step_node
 
 
 def test_avd_arithmetic():
@@ -188,8 +196,6 @@ def test_comparison_byte_reproducible(default_bundle):
 
 def test_comparison_avd_matches_manual_reconstruction():
     # the reported AVD is avd() of the concatenated per-VM downtimes
-    from nodemend.evaluation import _generate_primaries
-
     cfg = default_config(seed=55)
     report = run_policy_comparison(["always_reboot"], 500, cfg, seed=55)
     primaries = _generate_primaries(500, cfg)
@@ -246,3 +252,132 @@ def test_ab_experiment_sticky_groups(default_bundle):
     assert set(result["groups"]) == {"legacy", "engine"}
     # engine group should beat legacy on downtime under the default config
     assert result["groups"]["engine"]["avd_mean"] < result["groups"]["legacy"]["avd_mean"]
+
+
+def reference_run(policy, primaries, config, seed):
+    """The harness loop as it was before chains shared their first draw:
+    every step seeds its own (event, step) stream with ``rng_for``. The body
+    is kept verbatim except that ``step_node`` takes the stream's first
+    uniform rather than the stream."""
+    per_vm_downtimes = []
+    blackouts = []
+    unallocs = []
+    total_vms = 0
+    interruptions = 0
+    redeploys = 0
+    samples = 0
+    recurrences = 0
+    capped = 0
+
+    for ev_idx, draw, outs, tick in primaries:
+        signals = draw.signals
+        outcomes = outs
+        history = [tick]
+        chain_step = 0
+        while True:
+            samples += 1
+            action = policy.choose(signals, outcomes)
+            y, ints, blackout, unalloc = outcomes.for_action(action)
+            flagged = isinstance(policy, EnginePolicy) and policy.last_decision is not None and policy.last_decision.unallocatable_flag
+            if flagged:
+                unalloc += config.investigation_hold
+            if chain_step == 0:
+                per_vm_downtimes.extend([y] * signals.vm_count)
+                blackouts.append(blackout)
+                unallocs.append(unalloc)
+                total_vms += signals.vm_count
+            interruptions += ints
+            if action == MitigationAction.REDEPLOY:
+                redeploys += 1
+
+            if chain_step >= config.max_chain_length:
+                capped += 1
+                break
+            # recurrence draws keyed by (event, step): identical chains across
+            # policies see identical randomness
+            chain_rng = rng_for(seed, 200, ev_idx, chain_step)
+            step = step_node(history, action, draw.latent, config, chain_rng.random())
+            if not step.recurrence:
+                break
+            recurrences += 1
+            chain_step += 1
+            history.append(step.next_tick)
+            signals = _draw_signals(draw.latent, signals.vm_count, step.repeat_count, config, chain_rng)
+            outcomes = potential_outcomes(draw.latent, signals, config, chain_rng)
+
+    downtimes = np.asarray(per_vm_downtimes, dtype=np.float64)
+    unalloc_arr = np.asarray(unallocs, dtype=np.float64)
+    positive_unalloc = unalloc_arr[unalloc_arr > 0]
+    vm_lifetime_days = total_vms * config.horizon_days
+    row = KpiRow(
+        policy=policy.name,
+        sample_count=samples,
+        vm_count=total_vms,
+        avd_mean=avd(downtimes),
+        avd_p50=nearest_rank_percentile(downtimes, 50),
+        avd_p75=nearest_rank_percentile(downtimes, 75),
+        avd_p90=nearest_rank_percentile(downtimes, 90),
+        avd_p99=nearest_rank_percentile(downtimes, 99),
+        air=air(interruptions, vm_lifetime_days),
+        blackout_mean=float(np.mean(blackouts)),
+        unallocatable_rate=float((unalloc_arr > 0).mean()),
+        unallocatable_mean=float(positive_unalloc.mean()) if positive_unalloc.size else 0.0,
+        redeploy_count=redeploys,
+        recurrence_events=recurrences,
+        convergence_events=capped,
+    )
+    edges = np.linspace(0.0, 60.0, 31)
+    counts, _ = np.histogram(np.clip(downtimes, 0, 59.999), bins=edges)
+    hist = [(float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(len(counts))]
+    return row, hist
+
+
+def _reference_policy(name, rng, model, primaries):
+    policy = make_policy(name, rng, model=model)
+    if isinstance(policy, EnginePolicy):
+        policy.prepare([draw.signals for _, draw, _, _ in primaries])
+    return policy
+
+
+@settings(max_examples=40)
+@given(
+    preset=st.sampled_from(["default", "recurrence_heavy", "two_regime", "vm_risk"]),
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 300),
+    max_chain_length=st.sampled_from([0, 1, 2, 25]),
+    policies=st.lists(st.sampled_from(POLICY_NAMES), min_size=1, max_size=len(POLICY_NAMES), unique=True),
+    data=st.data(),
+)
+def test_harness_matches_reference_loop(default_bundle, preset, seed, n, max_chain_length, policies, data):
+    model = default_bundle["model"]
+    config = dataclasses.replace(PRESETS[preset](seed=seed), max_chain_length=max_chain_length)
+    primaries = _generate_primaries(n, config)
+
+    report = run_policy_comparison(policies, n, config, seed, model=model)
+    assert list(report.rows) == policies
+    for p_idx, name in enumerate(policies):
+        policy = _reference_policy(name, rng_for(seed, 100, p_idx), model, primaries)
+        row, hist = reference_run(policy, primaries, config, seed)
+        assert report.rows[name] == row
+        assert report.downtime_histograms[name] == hist
+
+    # a policy's row does not depend on which policies run before it; only
+    # the random policy's own stream is keyed by its position
+    reordered = data.draw(st.permutations(policies))
+    again = run_policy_comparison(reordered, n, config, seed, model=model)
+    for name in policies:
+        if name != "random" or reordered.index(name) == policies.index(name):
+            assert again.rows[name] == report.rows[name]
+            assert again.downtime_histograms[name] == report.downtime_histograms[name]
+
+    groups = [(name, 1.0) for name in policies]
+    result = run_ab_experiment(groups, "reference", n, config, seed, model=model)
+    for g_idx, name in enumerate(policies):
+        subset = [item for item in primaries if assign_policy_group(item[1].node_id, "reference", groups) == name]
+        assert result["assignment_counts"][name] == len(subset)
+        if not subset:
+            assert name not in result["groups"]
+            continue
+        policy = _reference_policy(name, rng_for(seed, 300, g_idx), model, subset)
+        row, _ = reference_run(policy, subset, config, seed)
+        assert result["groups"][name] == to_record(row)

@@ -173,7 +173,7 @@ def test_config_validation():
         LearnerConfig(p_min=0.7)
 
 
-@settings(derandomize=True, max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(data=st.data())
 def test_gbm_fit_matches_reference(data):
     # small integer grids give exact ties and constant columns; the leaf

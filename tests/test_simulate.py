@@ -215,13 +215,21 @@ def test_step_node_forced_branches():
     cfg = SimConfig(seed=13, hw_reboot_recur_prob=1.0, background_recur_prob=0.0)
     rng = fresh_rng(3)
     latent_hw = LatentNodeState(cause=Cause.HARDWARE_FAULT, severity=0.9)
-    step = step_node([100], MitigationAction.REBOOT, latent_hw, cfg, rng)
+    step = step_node([100], MitigationAction.REBOOT, latent_hw, cfg, rng.random())
     assert step.recurrence is True
-    step = step_node([100], MitigationAction.REDEPLOY, latent_hw, cfg, rng)
+    step = step_node([100], MitigationAction.REDEPLOY, latent_hw, cfg, rng.random())
     assert step.recurrence is False
     latent_sw = LatentNodeState(cause=Cause.SOFTWARE_FAULT, severity=0.2)
-    step = step_node([100], MitigationAction.REBOOT, latent_sw, cfg, rng)
+    step = step_node([100], MitigationAction.REBOOT, latent_sw, cfg, rng.random())
     assert step.recurrence is False
+
+
+def test_step_node_recurs_only_below_the_probability():
+    cfg = SimConfig(seed=13, hw_reboot_recur_prob=0.9, background_recur_prob=0.0)
+    latent_hw = LatentNodeState(cause=Cause.HARDWARE_FAULT, severity=0.9)
+    assert step_node([100], MitigationAction.REBOOT, latent_hw, cfg, np.nextafter(0.9, 0.0)).recurrence is True
+    assert step_node([100], MitigationAction.REBOOT, latent_hw, cfg, 0.9).recurrence is False
+    assert step_node([100], MitigationAction.REDEPLOY, latent_hw, cfg, 0.0).recurrence is False
 
 
 def test_step_node_repeat_count_arms_override():
@@ -231,7 +239,7 @@ def test_step_node_repeat_count_arms_override():
     history = [0]
     repeat = 0
     for _ in range(12):
-        step = step_node(history, MitigationAction.REBOOT, latent, cfg, rng)
+        step = step_node(history, MitigationAction.REBOOT, latent, cfg, rng.random())
         assert step.recurrence
         history.append(step.next_tick)
         repeat = step.repeat_count
@@ -241,7 +249,7 @@ def test_step_node_repeat_count_arms_override():
 def test_step_node_requires_history():
     cfg = default_config()
     with pytest.raises(InvalidArgument):
-        step_node([], MitigationAction.REBOOT, LatentNodeState(Cause.HARDWARE_FAULT, 0.5), cfg, fresh_rng())
+        step_node([], MitigationAction.REBOOT, LatentNodeState(Cause.HARDWARE_FAULT, 0.5), cfg, fresh_rng().random())
 
 
 def test_config_dict_round_trip_and_fail_closed():

@@ -36,7 +36,7 @@ from nodemend.trees import (
     grow_sse_tree,
 )
 
-PROPERTY = settings(derandomize=True, max_examples=80, deadline=None)
+PROPERTY = settings(max_examples=80)
 
 
 def reference_sse_tree(codes, thresholds, target, rows, max_depth, min_leaf):
