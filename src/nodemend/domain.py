@@ -8,6 +8,7 @@ so every estimator in the package sees exactly the same numeric layout.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import types
@@ -37,6 +38,49 @@ def seed_for(seed: int, *key: int) -> int:
 def rng_for(seed: int, *key: int) -> np.random.Generator:
     """A generator for the independent stream ``key`` under ``seed``."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+# Counter-based draws (the idea of Random123, Salmon et al., SC 2011): the
+# uniform of (event, step, slot) is the SplitMix64 output (Steele, Lea &
+# Flood, OOPSLA 2014) at the packed counter event·2³² + step·2⁸ + slot of
+# a stream whose start derives from the seed.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+KEYED_EVENTS, KEYED_STEPS, KEYED_SLOTS = 2**32, 2**24, 2**8
+
+
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> 30)) * _MIX1
+    z = (z ^ (z >> 27)) * _MIX2
+    return z ^ (z >> 31)
+
+
+@functools.lru_cache(maxsize=16)
+def _keyed_start(seed: int) -> np.uint64:
+    return _splitmix64(np.array([seed_for(seed, 200)], dtype=np.uint64))[0]
+
+
+def keyed_counters(events, step: int, slots) -> np.ndarray:
+    """The packed 64-bit counters of (event, step, slot); ``events`` and
+    ``slots`` broadcast against each other. Distinct keys get distinct
+    counters: events below 2³², steps below 2²⁴, slots below 2⁸."""
+    events = np.asarray(events, dtype=np.int64)
+    slots = np.asarray(slots, dtype=np.int64)
+    if not 0 <= step < KEYED_STEPS:
+        raise InvalidArgument(f"keyed step must lie in [0, {KEYED_STEPS}), got {step}")
+    for name, values, bound in (("event", events, KEYED_EVENTS), ("slot", slots, KEYED_SLOTS)):
+        if values.size and not (0 <= values.min() and values.max() < bound):
+            raise InvalidArgument(f"keyed {name} must lie in [0, {bound})")
+    return (events.astype(np.uint64) << 32) | np.uint64(step << 8) | slots.astype(np.uint64)
+
+
+def keyed_uniforms(seed: int, events, step: int, slots) -> np.ndarray:
+    """Uniforms in [0, 1), each a pure function of (seed, event, step, slot):
+    a draw is the same alone or inside any batch, and no key shares it."""
+    counters = keyed_counters(events, step, slots)
+    z = _splitmix64(counters.reshape(-1) * _GAMMA + _keyed_start(seed))  # 1-d: wraps without a warning
+    return ((z >> 11).astype(np.float64) * 2.0**-53).reshape(counters.shape)
 
 
 class MitigationAction(IntEnum):

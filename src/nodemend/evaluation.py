@@ -2,9 +2,9 @@
 
 The harness generates fresh events with both potential outcomes, lets each
 policy pick actions over the identical event stream, and reads results off
-the matching potential outcome. Repeated-failure dynamics are stepped per
-node, so a bad reboot spawns recurrences that count toward the
-interruption rate. Downtime, blackout and unallocatable KPIs aggregate
+the matching potential outcome. Repeated-failure dynamics are stepped for
+all of a policy's live chains together, so a bad reboot spawns recurrences
+that count toward the interruption rate. Downtime, blackout and unallocatable KPIs aggregate
 over the primary events (every policy faces the same ones); interruptions
 count recurrence events too, which is exactly how a reboot-happy policy
 pays for repeat failures.
@@ -15,22 +15,29 @@ Percentile convention: nearest-rank (the ceil(q*n)-th smallest value).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .decisions import DecisionConfig, PolicyDecision, decide, legacy_policy, preferred_action
-from .dml import DmlModel, estimate_ite, estimate_ite_batch
-from .domain import DiagnosticSignals, LabeledEvent, MitigationAction, rng_for, to_record
+from .decisions import DecisionConfig, decide, legacy_policy, preferred_action
+from .dml import DmlModel, estimate_ite_batch
+from .dml import estimate_ite  # noqa: F401  perfbench's tracer times evaluation.estimate_ite
+from .domain import KEYED_EVENTS, DiagnosticSignals, IteEstimate, LabeledEvent, MitigationAction, keyed_uniforms, to_record
 from .errors import DegenerateTreatment, InvalidArgument
 from .simulate import (
+    OUTCOME_NORMALS,
+    OUTCOME_UNIFORMS,
+    SIGNAL_UNIFORMS,
     EventStream,
     GroundTruth,
+    PotentialOutcomes,
     SimConfig,
+    box_muller,
+    draw_signal_columns,
+    potential_outcome_columns,
     potential_outcomes,
     sample_event,
     step_node,
-    _draw_signals,
 )
 
 POLICY_NAMES = ("random", "legacy", "always_reboot", "always_redeploy", "engine", "oracle")
@@ -81,75 +88,86 @@ def adjusted_effect(model: DmlModel, dataset: list[LabeledEvent]) -> float:
 
 # ---------------------------------------------------------------------------
 # policies
+#
+# A policy chooses for one step of many chains at once: ``choose(signals,
+# outcomes, events, step)`` gets the step's signal rows (None for a policy
+# that does not read them), its potential outcomes as a record of arrays,
+# the chains' event indices and the step number, and returns the actions
+# (0/1 per chain) with the unallocatable flags, or None where it never flags.
 
 
 class RandomPolicy:
+    """A fair coin per (event, step), on a keyed draw of its own."""
+
     name = "random"
+    reads_signals = False
 
-    def __init__(self, rng: np.random.Generator) -> None:
-        self.rng = rng
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
 
-    def choose(self, signals, outcomes):
-        return MitigationAction(int(self.rng.random() < 0.5))
+    def choose(self, signals, outcomes, events, step):
+        return (keyed_uniforms(self.seed, events, step, _RANDOM_SLOT) < 0.5).astype(np.int64), None
 
 
 class LegacyPolicy:
     name = "legacy"
+    reads_signals = True
 
-    def choose(self, signals, outcomes):
-        return legacy_policy(signals)
+    def choose(self, signals, outcomes, events, step):
+        return np.array([legacy_policy(s) for s in signals], dtype=np.int64), None
 
 
 class AlwaysPolicy:
+    reads_signals = False
+
     def __init__(self, action: MitigationAction) -> None:
         self.action = action
         self.name = "always_reboot" if action == MitigationAction.REBOOT else "always_redeploy"
 
-    def choose(self, signals, outcomes):
-        return self.action
+    def choose(self, signals, outcomes, events, step):
+        return np.full(len(events), int(self.action), dtype=np.int64), None
 
 
 class OraclePolicy:
     """Reads the ground-truth potential outcomes; lower-bounds downtime."""
 
     name = "oracle"
+    reads_signals = False
 
-    def choose(self, signals, outcomes):
-        if outcomes.y_reboot <= outcomes.y_redeploy:
-            return MitigationAction.REBOOT
-        return MitigationAction.REDEPLOY
+    def choose(self, signals, outcomes, events, step):
+        return (outcomes.y_reboot > outcomes.y_redeploy).astype(np.int64), None
 
 
 class EnginePolicy:
     """The trained model behind the decision layer."""
 
     name = "engine"
+    reads_signals = True
 
     def __init__(self, model: DmlModel, decision_config: DecisionConfig | None = None) -> None:
         self.model = model
         self.cfg = decision_config or DecisionConfig()
-        self._prepared: dict[DiagnosticSignals, object] = {}
-        self.last_decision: PolicyDecision | None = None
+        self._prepared: dict[DiagnosticSignals, IteEstimate] = {}
 
     def prepare(self, signal_rows: list[DiagnosticSignals]) -> None:
         """Batch-estimate known signals up front; identical signals share
         the same estimate, so collisions are harmless."""
         estimates = estimate_ite_batch(self.model, signal_rows)
-        self._prepared = {s: est for s, est in zip(signal_rows, estimates)}
+        self._prepared.update(zip(signal_rows, estimates))
 
-    def choose(self, signals, outcomes):
-        est = self._prepared.get(signals)
-        if est is None:
-            est = estimate_ite(self.model, signals)
-        decision = decide(est, signals, self.cfg)
-        self.last_decision = decision
-        return decision.action
+    def choose(self, signals, outcomes, events, step):
+        unseen = list(dict.fromkeys(s for s in signals if s not in self._prepared))
+        if unseen:  # one batch per step; every estimate is a function of its row alone
+            self._prepared.update(zip(unseen, estimate_ite_batch(self.model, unseen)))
+        decisions = [decide(self._prepared[s], s, self.cfg) for s in signals]
+        actions = np.array([d.action for d in decisions], dtype=np.int64)
+        return actions, np.array([d.unallocatable_flag for d in decisions], dtype=bool)
 
 
-def make_policy(name: str, rng: np.random.Generator, model: DmlModel | None = None,
+def make_policy(name: str, seed: int, model: DmlModel | None = None,
                 decision_config: DecisionConfig | None = None):
     if name == "random":
-        return RandomPolicy(rng)
+        return RandomPolicy(seed)
     if name == "legacy":
         return LegacyPolicy()
     if name == "always_reboot":
@@ -242,6 +260,52 @@ class KpiReport:
         return "\n".join(lines) + "\n"
 
 
+# Slots of the keyed draws of event e's chain at step s (domain.keyed_uniforms):
+# whether the event at step s recurs, the random policy's choice there, and
+# for a recurrence (s >= 1) its signals' uniforms, its outcomes' uniform and
+# the uniform pairs of its outcomes' normals (Box-Muller).
+_RECUR_SLOT = 0
+_RANDOM_SLOT = 1
+_SIGNAL_SLOTS = 2 + np.arange(SIGNAL_UNIFORMS)[:, None]
+_OUTCOME_SLOTS = 2 + SIGNAL_UNIFORMS + np.arange(OUTCOME_UNIFORMS + 2 * OUTCOME_NORMALS)[:, None]
+
+
+@dataclass(frozen=True)
+class _Primaries:
+    """Primary events column by column: each is step 0 of its event's
+    recurrence chain."""
+
+    events: np.ndarray  # event index: the key of the chain's draws
+    cause: np.ndarray
+    severity: np.ndarray
+    vm_count: np.ndarray
+    signals: list[DiagnosticSignals]
+    outcomes: PotentialOutcomes  # of arrays
+
+    @staticmethod
+    def of(primaries) -> "_Primaries":
+        draws = [draw for _, draw, _ in primaries]
+        outs = [o for _, _, o in primaries]
+        return _Primaries(
+            events=np.array([i for i, _, _ in primaries], dtype=np.int64),
+            cause=np.array([int(d.latent.cause) for d in draws], dtype=np.int64),
+            severity=np.array([d.latent.severity for d in draws]),
+            vm_count=np.array([d.signals.vm_count for d in draws], dtype=np.int64),
+            signals=[d.signals for d in draws],
+            outcomes=PotentialOutcomes(*(np.array([getattr(o, f.name) for o in outs]) for f in fields(PotentialOutcomes))),
+        )
+
+
+def _check_policies(names: list[str], what: str) -> None:
+    if not names or len(set(names)) != len(names):
+        raise InvalidArgument(f"{what} must be a non-empty list of distinct names, got {names}")
+
+
+def _check_events(n_events: int) -> None:
+    if not 1 <= n_events <= KEYED_EVENTS:
+        raise InvalidArgument(f"n_events must lie in [1, {KEYED_EVENTS}], got {n_events}")
+
+
 def run_policy_comparison(
     policies: list[str],
     n_events: int,
@@ -258,18 +322,16 @@ def run_policy_comparison(
     relapses; recurrence events rejoin the queue with a raised repeat count
     until the chain breaks or the cap is hit.
     """
-    if n_events < 1:
-        raise InvalidArgument("n_events must be >= 1")
-    primaries = _generate_primaries(n_events, config)
-    first_draws = np.full(n_events, np.nan)
+    _check_policies(policies, "policies")
+    _check_events(n_events)
+    primaries = _Primaries.of(_generate_primaries(n_events, config))
     rows = {}
     histograms = {}
-    for p_idx, name in enumerate(policies):
-        policy_rng = rng_for(seed, 100, p_idx)
-        policy = make_policy(name, policy_rng, model=model, decision_config=decision_config)
+    for name in policies:
+        policy = make_policy(name, seed, model=model, decision_config=decision_config)
         if isinstance(policy, EnginePolicy):
-            policy.prepare([draw.signals for _, draw, _, _ in primaries])
-        rows[name], histograms[name] = _run_one_policy(policy, primaries, config, seed, first_draws)
+            policy.prepare(primaries.signals)
+        rows[name], histograms[name] = _run_one_policy(policy, primaries, config, seed)
     return KpiReport(
         n_events=n_events,
         seed=seed,
@@ -282,83 +344,55 @@ def run_policy_comparison(
 def _generate_primaries(n_events: int, config: SimConfig):
     """One shared stream so every policy faces identical events."""
     state = EventStream.from_config(config)
-    horizon = config.horizon_ticks
     primaries = []
     for i in range(n_events):
         draw = sample_event(state, config)
-        outs = potential_outcomes(draw.latent, draw.signals, config, state.rng)
-        tick = int(horizon * (i + 1) // (n_events + 1))
-        primaries.append((i, draw, outs, tick))
+        primaries.append((i, draw, potential_outcomes(draw.latent, draw.signals, config, state.rng)))
     return primaries
 
 
-def _run_one_policy(policy, primaries, config: SimConfig, seed: int, first_draws: np.ndarray):
+def _run_one_policy(policy, primaries: _Primaries, config: SimConfig, seed: int):
     """Run one policy over the primary events and their recurrence chains.
 
-    Chain draws are keyed by (event, step), so identical chains see
-    identical randomness under every policy. The first uniform of event
-    i's chain decides whether its primary event recurs; ``first_draws[i]``
-    holds it once some policy has drawn it (NaN until then), and later
-    policies read it instead of seeding the stream again.
+    Every live chain takes its next step together with the others. Chain
+    draws are keyed by (event, step, slot), so identical chains see
+    identical randomness under every policy, whatever the order or the
+    company they run in.
     """
-    per_vm_downtimes = []
-    blackouts = []
-    unallocs = []
-    total_vms = 0
-    interruptions = 0
-    redeploys = 0
-    samples = 0
-    recurrences = 0
-    capped = 0
+    events, cause, severity, vm = primaries.events, primaries.cause, primaries.severity, primaries.vm_count
+    signals, outcomes = primaries.signals, primaries.outcomes
+    samples = interruptions = redeploys = recurrences = capped = 0
+    step = 0
+    while True:
+        actions, flagged = policy.choose(signals, outcomes, events, step)
+        redeploy = actions == MitigationAction.REDEPLOY
+        samples += events.size
+        interruptions += int(np.where(redeploy, outcomes.interruptions_redeploy, outcomes.interruptions_reboot).sum())
+        redeploys += int(redeploy.sum())
+        if step == 0:
+            downtimes = np.repeat(np.where(redeploy, outcomes.y_redeploy, outcomes.y_reboot), vm)
+            blackouts = np.where(redeploy, outcomes.blackout_redeploy, outcomes.blackout_reboot)
+            unallocs = np.where(redeploy, outcomes.unallocatable_redeploy, outcomes.unallocatable_reboot)
+            if flagged is not None:
+                unallocs = np.where(flagged, unallocs + config.investigation_hold, unallocs)
+        if step >= config.max_chain_length:
+            capped += events.size
+            break
+        node = step_node(step, actions, cause, config, keyed_uniforms(seed, events, step, _RECUR_SLOT))
+        if not node.recurrence.any():
+            break
+        events, cause, severity, vm = (a[node.recurrence] for a in (events, cause, severity, vm))
+        recurrences += events.size
+        step += 1
+        u = keyed_uniforms(seed, events, step, _OUTCOME_SLOTS)
+        outcomes = potential_outcome_columns(cause, severity, vm, config, u[:OUTCOME_UNIFORMS], box_muller(u[OUTCOME_UNIFORMS:]))
+        signals = None
+        if policy.reads_signals:
+            u = keyed_uniforms(seed, events, step, _SIGNAL_SLOTS)
+            signals = draw_signal_columns(cause, severity, vm, node.repeat_count, config, u)
 
-    for ev_idx, draw, outs, tick in primaries:
-        signals = draw.signals
-        outcomes = outs
-        history = [tick]
-        chain_step = 0
-        while True:
-            samples += 1
-            action = policy.choose(signals, outcomes)
-            y, ints, blackout, unalloc = outcomes.for_action(action)
-            flagged = isinstance(policy, EnginePolicy) and policy.last_decision is not None and policy.last_decision.unallocatable_flag
-            if flagged:
-                unalloc += config.investigation_hold
-            if chain_step == 0:
-                per_vm_downtimes.extend([y] * signals.vm_count)
-                blackouts.append(blackout)
-                unallocs.append(unalloc)
-                total_vms += signals.vm_count
-            interruptions += ints
-            if action == MitigationAction.REDEPLOY:
-                redeploys += 1
-
-            if chain_step >= config.max_chain_length:
-                capped += 1
-                break
-            if chain_step == 0 and not math.isnan(first_draws[ev_idx]):
-                chain_rng = None
-                u = first_draws[ev_idx]
-            else:
-                chain_rng = rng_for(seed, 200, ev_idx, chain_step)
-                u = chain_rng.random()
-                if chain_step == 0:
-                    first_draws[ev_idx] = u
-            step = step_node(history, action, draw.latent, config, u)
-            if not step.recurrence:
-                break
-            if chain_rng is None:  # the stream resumes past its shared first draw
-                chain_rng = rng_for(seed, 200, ev_idx, 0)
-                chain_rng.random()
-            recurrences += 1
-            chain_step += 1
-            history.append(step.next_tick)
-            signals = _draw_signals(draw.latent, signals.vm_count, step.repeat_count, config, chain_rng)
-            outcomes = potential_outcomes(draw.latent, signals, config, chain_rng)
-
-    downtimes = np.asarray(per_vm_downtimes, dtype=np.float64)
-    unalloc_arr = np.asarray(unallocs, dtype=np.float64)
-    positive_unalloc = unalloc_arr[unalloc_arr > 0]
-    vm_lifetime_days = total_vms * config.horizon_days
+    positive_unalloc = unallocs[unallocs > 0]
+    total_vms = int(primaries.vm_count.sum())
     row = KpiRow(
         policy=policy.name,
         sample_count=samples,
@@ -368,9 +402,9 @@ def _run_one_policy(policy, primaries, config: SimConfig, seed: int, first_draws
         avd_p75=nearest_rank_percentile(downtimes, 75),
         avd_p90=nearest_rank_percentile(downtimes, 90),
         avd_p99=nearest_rank_percentile(downtimes, 99),
-        air=air(interruptions, vm_lifetime_days),
+        air=air(interruptions, total_vms * config.horizon_days),
         blackout_mean=float(np.mean(blackouts)),
-        unallocatable_rate=float((unalloc_arr > 0).mean()),
+        unallocatable_rate=float((unallocs > 0).mean()),
         unallocatable_mean=float(positive_unalloc.mean()) if positive_unalloc.size else 0.0,
         redeploy_count=redeploys,
         recurrence_events=recurrences,
@@ -395,30 +429,25 @@ def run_ab_experiment(
     and stays there; KPIs aggregate per group over that group's events."""
     from .decisions import assign_policy_group
 
-    if n_events < 1:
-        raise InvalidArgument("n_events must be >= 1")
     names = [name for name, _ in groups]
-    if len(set(names)) != len(names):
-        raise InvalidArgument("group names must be unique")
+    _check_policies(names, "group names")
+    _check_events(n_events)
     primaries = _generate_primaries(n_events, config)
-    first_draws = np.full(n_events, np.nan)
     by_group: dict[str, list] = {name: [] for name in names}
     for item in primaries:
-        _, draw, _, _ = item
-        group = assign_policy_group(draw.node_id, experiment_name, groups)
-        by_group[group].append(item)
+        by_group[assign_policy_group(item[1].node_id, experiment_name, groups)].append(item)
 
     result = {"experiment": experiment_name, "n_events": n_events, "groups": {}, "assignment_counts": {}}
-    for g_idx, name in enumerate(names):
+    for name in names:
         subset = by_group[name]
         result["assignment_counts"][name] = len(subset)
         if not subset:
             continue
-        policy_rng = rng_for(seed, 300, g_idx)
-        policy = make_policy(name, policy_rng, model=model, decision_config=decision_config)
+        columns = _Primaries.of(subset)
+        policy = make_policy(name, seed, model=model, decision_config=decision_config)
         if isinstance(policy, EnginePolicy):
-            policy.prepare([draw.signals for _, draw, _, _ in subset])
-        row, _ = _run_one_policy(policy, subset, config, seed, first_draws)
+            policy.prepare(columns.signals)
+        row, _ = _run_one_policy(policy, columns, config, seed)
         result["groups"][name] = to_record(row)
     return result
 

@@ -14,10 +14,10 @@ mitigate again" mode, which makes the marginal reboot downtime bi-modal.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from enum import IntEnum
-from functools import cached_property
 
 import numpy as np
 
@@ -209,14 +209,11 @@ class SimConfig:
         if len(self.vm_count_values) != len(self.vm_count_probs):
             raise InvalidArgument("vm_count_values and vm_count_probs must align")
 
-    # The harness reads these two once per chain step, so each is computed
-    # on first use and kept on the instance (not a field: the record codec
-    # never sees it).
-    @cached_property
+    @property
     def repeat_window_ticks(self) -> int:
         return int(round(self.repeat_window_days * self.ticks_per_day))
 
-    @cached_property
+    @property
     def recurrence_delay_ticks(self) -> int:
         return max(1, int(round(self.recurrence_delay_days * self.ticks_per_day)))
 
@@ -386,6 +383,67 @@ def _choice(rng: np.random.Generator, probs: tuple[float, ...]) -> int:
     return len(probs) - 1
 
 
+# Column-wise forms of the draws above, for the harness's recurrence chains.
+# Each takes the uniforms (and normals) one row of events would consume, in
+# the order the scalar form consumes them from its generator, so row i of a
+# column draw equals the scalar draw fed row i's values.
+SIGNAL_UNIFORMS = 8
+OUTCOME_UNIFORMS = 1
+OUTCOME_NORMALS = 6
+
+
+def box_muller(u: np.ndarray) -> np.ndarray:
+    """Standard normals from uniforms in [0, 1): rows 2k and 2k + 1 of ``u``
+    make row k (the cosine branch of Box & Muller, 1958)."""
+    return np.sqrt(-2.0 * np.log1p(-u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
+
+
+def _choice_columns(u: np.ndarray, probs: tuple[float, ...]) -> np.ndarray:
+    """``_choice`` per entry of ``u``: the first index whose running sum
+    (added in the same order) exceeds the draw, else the last."""
+    return np.minimum(np.searchsorted(list(itertools.accumulate(probs)), u, side="right"), len(probs) - 1)
+
+
+def draw_signal_columns(
+    cause: np.ndarray,
+    severity: np.ndarray,
+    vm_count: np.ndarray,
+    repeat_count: int,
+    config: SimConfig,
+    u: np.ndarray,
+) -> list[DiagnosticSignals]:
+    """``_draw_signals`` for many events at once; ``u`` holds the
+    ``SIGNAL_UNIFORMS`` uniforms of each event, one row per draw."""
+    hardware = cause == Cause.HARDWARE_FAULT
+    important = u[0] < config.important_workload_prob
+    network_ok = (u[1] < np.asarray(config.net_issue_probs)[cause]) == (u[2] < config.network_flip_rate)
+    # per cause: the code drawn below its probability, else the fallback
+    hit_prob = np.array([config.transient_net_timeout_prob, config.software_swfault_prob, config.hardware_hwfailure_prob])
+    codes = np.array([["none", "net_timeout"], ["other", "sw_fault"], ["other", "hw_failure"]], dtype=object)
+    code = codes[cause, (u[3] < hit_prob[cause]).astype(np.int64)]
+    code[u[4] < config.error_code_missing_rate] = None
+    p_unc = np.where(hardware, config.uncorrectable_hw_base + config.uncorrectable_hw_severity_slope * severity, config.uncorrectable_base)
+    uncorrectable = u[5] < np.minimum(p_unc, 1.0)
+    hardware_type = np.asarray(config.hardware_types, dtype=object)[_choice_columns(u[6], config.hardware_type_probs)]
+    session_type = np.asarray(config.session_types, dtype=object)[_choice_columns(u[7], config.session_type_probs)]
+    return [
+        DiagnosticSignals(
+            vm_count=vm,
+            has_important_workload=imp,
+            network_ok=ok,
+            error_code=c,
+            repeat_count=repeat_count,
+            uncorrectable_tag=unc,
+            hardware_type=hw,
+            session_type=st,
+        )
+        for vm, imp, ok, c, unc, hw, st in zip(
+            vm_count.tolist(), important.tolist(), network_ok.tolist(), code.tolist(),
+            uncorrectable.tolist(), hardware_type.tolist(), session_type.tolist(),
+        )
+    ]
+
+
 def _draw_repeat_count(cause: Cause, severity: float, config: SimConfig, rng: np.random.Generator) -> int:
     if cause == Cause.TRANSIENT_FALSE_ALARM:
         lam = config.repeat_lambda_transient
@@ -492,6 +550,64 @@ def potential_outcomes(
     )
 
 
+def potential_outcome_columns(
+    cause: np.ndarray,
+    severity: np.ndarray,
+    vm_count: np.ndarray,
+    config: SimConfig,
+    u: np.ndarray,
+    z: np.ndarray,
+) -> PotentialOutcomes:
+    """``potential_outcomes`` for many events at once, as a record of arrays.
+
+    ``u`` holds each event's ``OUTCOME_UNIFORMS`` uniforms and ``z`` its
+    ``OUTCOME_NORMALS`` standard normals, one row per draw; the k-th
+    log-normal the scalar form draws for an event is exp(mu + sigma·z[k]).
+    A structural reboot that succeeds draws one log-normal fewer, so the
+    normals after it shift up by one on its row.
+    """
+    rows = np.arange(cause.shape[0])
+    if config.effect_kind == EFFECT_STRUCTURAL:
+        fail_base = np.where(cause == Cause.SOFTWARE_FAULT, config.software_reboot_fail_prob, config.hardware_reboot_fail_prob)
+        fail_prob = np.where(
+            cause == Cause.TRANSIENT_FALSE_ALARM, 0.0, np.clip(fail_base + config.reboot_fail_vm_slope * (vm_count - 1), 0.0, 1.0)
+        )
+        failed = u[0] < fail_prob
+        fail_mu = config.reboot_fail_log_mu + config.reboot_fail_severity_slope * severity
+        y_rb = np.where(
+            failed,
+            np.exp(fail_mu + config.reboot_fail_log_sigma * z[0]),
+            np.exp(config.reboot_success_log_mu + config.reboot_success_log_sigma * z[0]),
+        )
+        ints_rb = np.where(failed, 2 * vm_count, vm_count)
+        unalloc_rb = np.where(failed, np.exp(config.unalloc_reboot_fail_log_mu + config.unalloc_log_sigma * z[1]), 0.0)
+        k = 1 + failed
+        y_rd = np.exp(config.redeploy_log_mu + config.migration_cost_per_vm * vm_count + config.redeploy_log_sigma * z[k, rows])
+        k = k + 1
+    else:
+        mu = np.asarray([config.base_log_mu_transient, config.base_log_mu_software, config.base_log_mu_hardware])[cause]
+        y_rb = config.base_offset + np.exp(mu + config.base_severity_slope * severity + config.base_log_sigma * z[0])
+        if config.effect_kind == EFFECT_ZERO:
+            y_rd = y_rb
+        elif config.effect_kind == EFFECT_CONSTANT:
+            y_rd = y_rb + config.effect_constant
+        else:  # two_regime
+            y_rd = y_rb + np.where(vm_count < config.regime_vm_threshold, config.regime_delta, -config.regime_delta)
+        ints_rb = vm_count
+        unalloc_rb = np.zeros(rows.shape[0])
+        k = np.ones(rows.shape[0], dtype=np.int64)
+    return PotentialOutcomes(
+        y_reboot=y_rb,
+        y_redeploy=np.maximum(y_rd, 0.0),
+        interruptions_reboot=ints_rb,
+        interruptions_redeploy=vm_count,
+        blackout_reboot=np.exp(config.blackout_reboot_log_mu + config.blackout_log_sigma * z[k, rows]),
+        blackout_redeploy=np.exp(config.blackout_redeploy_log_mu + config.blackout_log_sigma * z[k + 1, rows]),
+        unallocatable_reboot=unalloc_rb,
+        unallocatable_redeploy=np.exp(config.unalloc_redeploy_log_mu + config.unalloc_log_sigma * z[k + 2, rows]),
+    )
+
+
 def true_tau_two_regime(vm_count: int, config: SimConfig) -> float:
     """Exact individual effect of the two-regime mode for a VM count."""
     return config.regime_delta if vm_count < config.regime_vm_threshold else -config.regime_delta
@@ -562,38 +678,36 @@ def generate_observational_dataset(n: int, config: SimConfig) -> tuple[list[Labe
 
 @dataclass(frozen=True)
 class NodeStep:
-    """Result of advancing one node past a mitigation."""
+    """Result of advancing a step's chains past their mitigations."""
 
     repeat_count: int
-    recurrence: bool
-    next_tick: int
+    recurrence: np.ndarray
 
 
 def step_node(
-    node_history: list[int],
-    action: MitigationAction,
-    latent: LatentNodeState,
+    chain_step: int,
+    actions: np.ndarray,
+    causes: np.ndarray,
     config: SimConfig,
-    u: float,
+    u: np.ndarray,
 ) -> NodeStep:
-    """Advance a node's repeated-failure process after an action.
+    """Advance the repeated-failure process of the chains at ``chain_step``.
 
-    ``node_history`` holds the node's unhealthy-event ticks so far, ending
-    with the event just mitigated. A hardware fault answered by Reboot
-    recurs shortly with high probability; anything else recurs at the
-    background rate. ``u`` is the uniform draw in [0, 1) that decides it:
-    the node recurs when ``u`` falls below that probability. The returned
-    repeat count is the number of history events inside the trailing
-    window as of the would-be recurrence tick.
+    Entry i is a node with latent cause ``causes[i]`` whose ``chain_step``-th
+    recurrence (0: the primary event) was just answered by ``actions[i]``. A
+    hardware fault answered by Reboot recurs shortly with high probability;
+    anything else recurs at the background rate. ``u[i]`` is the uniform draw
+    in [0, 1) that decides it: the node recurs when it falls below that
+    probability.
+
+    Recurrences follow each other ``recurrence_delay_ticks`` apart, so the
+    next event's trailing repeat window holds the min(chain_step + 1,
+    window // delay) events before it: its repeat count, the same for every
+    chain of the step.
     """
-    if not node_history:
-        raise InvalidArgument("node_history must contain at least the current event tick")
-    if latent.cause == Cause.HARDWARE_FAULT and action == MitigationAction.REBOOT:
-        p = config.hw_reboot_recur_prob
-    else:
-        p = config.background_recur_prob
-    recurrence = bool(u < p)
-    next_tick = node_history[-1] + config.recurrence_delay_ticks
-    window = config.repeat_window_ticks
-    repeat_count = sum(1 for t in node_history if next_tick - t <= window)
-    return NodeStep(repeat_count=repeat_count, recurrence=recurrence, next_tick=next_tick)
+    if chain_step < 0:
+        raise InvalidArgument(f"chain_step must be >= 0 (the chain holds at least its current event), got {chain_step}")
+    hardware_reboot = (np.asarray(causes) == Cause.HARDWARE_FAULT) & (np.asarray(actions) == MitigationAction.REBOOT)
+    p = np.where(hardware_reboot, config.hw_reboot_recur_prob, config.background_recur_prob)
+    repeat_count = min(chain_step + 1, config.repeat_window_ticks // config.recurrence_delay_ticks)
+    return NodeStep(repeat_count=repeat_count, recurrence=np.asarray(u) < p)

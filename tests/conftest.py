@@ -146,3 +146,36 @@ def drop_last_tree(trees) -> None:
     for name, column in trees.items():
         if name != "roots":
             del column[end:]
+
+
+class StubGenerator:
+    """Serves given uniforms and standard normals, in order, to the scalar
+    draws of ``simulate``: ``random()`` the next uniform, ``lognormal(mu,
+    sigma)`` exp(mu + sigma·z) of the next normal."""
+
+    def __init__(self, uniforms, normals=()) -> None:
+        self._uniforms = iter(uniforms)
+        self._normals = iter(normals)
+
+    def random(self) -> float:
+        return float(next(self._uniforms))
+
+    def lognormal(self, mean: float, sigma: float) -> float:
+        return float(np.exp(mean + sigma * next(self._normals)))
+
+
+def history_step(node_history, action, latent, config, u):
+    """The recurrence rule over a chain's history of event ticks, as
+    ``simulate.step_node`` once stated it per chain: whether the node recurs,
+    the repeat count of the recurrence (the history events inside its
+    trailing window) and its tick."""
+    from nodemend.domain import MitigationAction
+    from nodemend.simulate import Cause
+
+    if latent.cause == Cause.HARDWARE_FAULT and action == MitigationAction.REBOOT:
+        p = config.hw_reboot_recur_prob
+    else:
+        p = config.background_recur_prob
+    next_tick = node_history[-1] + config.recurrence_delay_ticks
+    repeat_count = sum(1 for t in node_history if next_tick - t <= config.repeat_window_ticks)
+    return u < p, repeat_count, next_tick

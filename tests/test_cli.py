@@ -104,6 +104,17 @@ def test_compare_writes_report(workspace, capsys):
     assert csv_path.read_text().startswith("policy,bin_left,bin_right,count")
 
 
+@pytest.mark.parametrize("policies", [",", "legacy,legacy"])
+def test_compare_refuses_an_empty_or_repeated_policy_list(workspace, capsys, policies):
+    report_path = workspace["root"] / "refused.json"
+    argv = ["compare", "--config", str(workspace["config"]), "--model", str(workspace["model"]), "--n", "50",
+            "--out", str(report_path), "--policies", policies]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "error: policies must be a non-empty list of distinct names" in err
+    assert not report_path.exists()
+
+
 def test_counterfactual_output(workspace, capsys):
     rc = main(
         [

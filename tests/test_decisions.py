@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodemend.decisions import (
     DecisionConfig,
@@ -11,7 +13,7 @@ from nodemend.decisions import (
     fnv1a64,
     legacy_policy,
 )
-from nodemend.domain import DiagnosticSignals, IteEstimate, MitigationAction, from_record
+from nodemend.domain import ERROR_CODES, DiagnosticSignals, IteEstimate, MitigationAction, from_record
 from nodemend.errors import InvalidArgument
 from nodemend.simulate import EventStream, SimConfig, legacy_assignment, sample_event
 
@@ -120,6 +122,39 @@ def test_precedence_truth_table(combo, expected):
     if expected == DecisionSource.FALLBACK:
         assert decision.action == legacy_policy(signals)
         assert decision.reason
+
+
+@settings(max_examples=300)
+@given(
+    tau=st.one_of(st.floats(-20.0, 20.0), st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0])),
+    width=st.one_of(st.floats(0.0, 40.0), st.sampled_from([0.0, 2.0, 15.0, 20.0])),
+    repeat_count=st.integers(0, 30),
+    uncorrectable=st.booleans(),
+    error_code=st.sampled_from([*ERROR_CODES, None]),
+    cfg=st.builds(
+        DecisionConfig,
+        fallback_tau=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+        fallback_width=st.sampled_from([1.0, 2.0, 15.0, 30.0]),
+        capacity_tau=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+        repeat_threshold=st.integers(0, 20),
+    ),
+)
+def test_rule_precedence_property(tau, width, repeat_count, uncorrectable, error_code, cfg):
+    # RepeatOverride, then Fallback, then CapacityOverride, then Model; each
+    # rule implies its action and whether the node is flagged
+    est = ite(tau, width)
+    signals = sig(repeat_count=repeat_count, uncorrectable=uncorrectable, error_code=error_code)
+    if repeat_count > cfg.repeat_threshold:
+        expected = (DecisionSource.REPEAT_OVERRIDE, MitigationAction.REDEPLOY, True)
+    elif abs(tau) <= cfg.fallback_tau and est.width >= cfg.fallback_width:
+        expected = (DecisionSource.FALLBACK, legacy_policy(signals), False)
+    elif tau < 0 and -tau < cfg.capacity_tau:
+        expected = (DecisionSource.CAPACITY_OVERRIDE, MitigationAction.REBOOT, False)
+    else:
+        expected = (DecisionSource.MODEL, MitigationAction.REDEPLOY if tau < 0 else MitigationAction.REBOOT, False)
+    d = decide(est, signals, cfg)
+    assert (d.source, d.action, d.unallocatable_flag) == expected
+    assert d.ite is est
 
 
 def test_tie_goes_to_reboot():

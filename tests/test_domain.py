@@ -14,6 +14,8 @@ from nodemend.domain import (
     encode_features,
     encode_matrix,
     from_record,
+    keyed_counters,
+    keyed_uniforms,
     to_record,
 )
 from nodemend.errors import InvalidArgument, SchemaViolation
@@ -248,3 +250,50 @@ def test_encode_matrix_matches_row_encoder(schema, rows):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     for s in rows:
         assert encode_features(s, schema) == reference_encode_features(s, schema)
+
+
+def test_keyed_uniforms_lie_in_the_unit_interval_with_mean_one_half():
+    u = keyed_uniforms(5, np.arange(20_000)[None, :], 3, np.arange(8)[:, None]).ravel()
+    assert u.size == 160_000
+    assert u.min() >= 0.0 and u.max() < 1.0
+    # the mean of n uniforms has sd 1/sqrt(12 n), ~7e-4 here
+    assert abs(u.mean() - 0.5) < 4 / np.sqrt(12 * u.size)
+    assert keyed_uniforms(5, np.arange(100), 0, 0).dtype == np.float64
+
+
+def test_keyed_counters_are_distinct_over_a_grid_of_keys():
+    events = np.array([0, 1, 2, 255, 256, 2**24, 2**32 - 1])
+    steps = (0, 1, 2, 255, 256, 2**24 - 1)
+    flat = [c for step in steps for c in keyed_counters(events[:, None], step, np.arange(256)).ravel().tolist()]
+    assert len(flat) == len(events) * 256 * 6
+    assert len(set(flat)) == len(flat)
+    for key in ((-1, 0, 0), (2**32, 0, 0), (0, -1, 0), (0, 2**24, 0), (0, 0, -1), (0, 0, 256)):
+        with pytest.raises(InvalidArgument):
+            keyed_counters(*key)
+
+
+def test_keyed_uniforms_are_uncorrelated_across_slots_steps_and_events():
+    n = 100_000
+    events = np.arange(n)
+    base = keyed_uniforms(9, events, 4, 2)
+    neighbours = {
+        "next slot": keyed_uniforms(9, events, 4, 3),
+        "next step": keyed_uniforms(9, events, 5, 2),
+        "next event": keyed_uniforms(9, events + 1, 4, 2),
+        "other seed": keyed_uniforms(10, events, 4, 2),
+    }
+    for name, other in neighbours.items():
+        # the correlation of n independent pairs has sd 1/sqrt(n), ~3e-3 here
+        assert abs(np.corrcoef(base, other)[0, 1]) < 4 / np.sqrt(n), name
+        assert not np.array_equal(base, other), name
+
+
+def test_a_keyed_uniform_is_the_same_alone_or_in_a_batch():
+    events = np.arange(10_000)
+    batch = keyed_uniforms(21, events[None, :], 6, np.arange(12)[:, None])
+    for event in (0, 1, 4_999, 9_999):
+        for slot in (0, 5, 11):
+            assert keyed_uniforms(21, event, 6, slot) == batch[slot, event]
+            assert keyed_uniforms(21, [event], 6, [slot])[0] == batch[slot, event]
+    shuffled = np.random.default_rng(0).permutation(events)
+    assert np.array_equal(keyed_uniforms(21, shuffled, 6, 3), batch[3, shuffled])

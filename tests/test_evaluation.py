@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodemend.decisions import assign_policy_group
+from nodemend.decisions import DecisionConfig, assign_policy_group
 from nodemend.dml import DmlModel, LinearTheta, TrainConfig
-from nodemend.domain import DiagnosticSignals, LabeledEvent, MitigationAction, rng_for, to_record
+from nodemend.domain import DiagnosticSignals, LabeledEvent, MitigationAction, keyed_uniforms, rng_for
 from nodemend.errors import DegenerateTreatment, InvalidArgument
 from nodemend.evaluation import (
     POLICY_NAMES,
@@ -25,7 +25,17 @@ from nodemend.evaluation import (
     run_ab_experiment,
     run_policy_comparison,
 )
-from nodemend.simulate import PRESETS, _draw_signals, default_config, generate_observational_dataset, potential_outcomes, step_node
+from nodemend.simulate import (
+    PRESETS,
+    PotentialOutcomes,
+    _draw_signals,
+    box_muller,
+    default_config,
+    generate_observational_dataset,
+    potential_outcomes,
+)
+
+from conftest import StubGenerator, history_step
 
 
 def test_avd_arithmetic():
@@ -200,7 +210,7 @@ def test_comparison_avd_matches_manual_reconstruction():
     report = run_policy_comparison(["always_reboot"], 500, cfg, seed=55)
     primaries = _generate_primaries(500, cfg)
     downtimes = []
-    for _, draw, outs, _ in primaries:
+    for _, draw, outs in primaries:
         downtimes.extend([outs.y_reboot] * draw.signals.vm_count)
     assert report.rows["always_reboot"].avd_mean == pytest.approx(avd(downtimes), abs=1e-12)
 
@@ -254,11 +264,19 @@ def test_ab_experiment_sticky_groups(default_bundle):
     assert result["groups"]["engine"]["avd_mean"] < result["groups"]["legacy"]["avd_mean"]
 
 
-def reference_run(policy, primaries, config, seed):
-    """The harness loop as it was before chains shared their first draw:
-    every step seeds its own (event, step) stream with ``rng_for``. The body
-    is kept verbatim except that ``step_node`` takes the stream's first
-    uniform rather than the stream."""
+def _choose_one(policy, signals, outcomes, ev_idx, step):
+    """A policy's choice for one chain, as a batch of one."""
+    column = PotentialOutcomes(*(np.array([getattr(outcomes, f.name)]) for f in dataclasses.fields(PotentialOutcomes)))
+    actions, flags = policy.choose([signals], column, np.array([ev_idx]), step)
+    return MitigationAction(int(actions[0])), flags is not None and bool(flags[0])
+
+
+def reference_run(policy, primaries, config, seed, chain_draws):
+    """The harness loop one event at a time, each chain stepped to its end
+    before the next event starts. ``chain_draws(ev_idx, step)`` gives the
+    uniform that decides whether step ``step`` of event ``ev_idx``'s chain
+    recurs and the generator that draws the recurrence's signals and
+    outcomes; the repeat count comes from the chain's history of ticks."""
     per_vm_downtimes = []
     blackouts = []
     unallocs = []
@@ -269,16 +287,15 @@ def reference_run(policy, primaries, config, seed):
     recurrences = 0
     capped = 0
 
-    for ev_idx, draw, outs, tick in primaries:
+    for ev_idx, draw, outs in primaries:
         signals = draw.signals
         outcomes = outs
-        history = [tick]
+        history = [0]
         chain_step = 0
         while True:
             samples += 1
-            action = policy.choose(signals, outcomes)
+            action, flagged = _choose_one(policy, signals, outcomes, ev_idx, chain_step)
             y, ints, blackout, unalloc = outcomes.for_action(action)
-            flagged = isinstance(policy, EnginePolicy) and policy.last_decision is not None and policy.last_decision.unallocatable_flag
             if flagged:
                 unalloc += config.investigation_hold
             if chain_step == 0:
@@ -293,16 +310,14 @@ def reference_run(policy, primaries, config, seed):
             if chain_step >= config.max_chain_length:
                 capped += 1
                 break
-            # recurrence draws keyed by (event, step): identical chains across
-            # policies see identical randomness
-            chain_rng = rng_for(seed, 200, ev_idx, chain_step)
-            step = step_node(history, action, draw.latent, config, chain_rng.random())
-            if not step.recurrence:
+            u, chain_rng = chain_draws(ev_idx, chain_step)
+            recurs, repeat_count, next_tick = history_step(history, action, draw.latent, config, u)
+            if not recurs:
                 break
             recurrences += 1
             chain_step += 1
-            history.append(step.next_tick)
-            signals = _draw_signals(draw.latent, signals.vm_count, step.repeat_count, config, chain_rng)
+            history.append(next_tick)
+            signals = _draw_signals(draw.latent, signals.vm_count, repeat_count, config, chain_rng)
             outcomes = potential_outcomes(draw.latent, signals, config, chain_rng)
 
     downtimes = np.asarray(per_vm_downtimes, dtype=np.float64)
@@ -332,11 +347,74 @@ def reference_run(policy, primaries, config, seed):
     return row, hist
 
 
-def _reference_policy(name, rng, model, primaries):
-    policy = make_policy(name, rng, model=model)
+def pcg64_draws(seed):
+    """The chain draws before they were keyed: every step seeds its own
+    PCG64 stream for (event, step) with ``rng_for``; its first uniform
+    decides the recurrence and the rest feed the recurrence's draws."""
+
+    def chain_draws(ev_idx, step):
+        rng = rng_for(seed, 200, ev_idx, step)
+        return rng.random(), rng
+
+    return chain_draws
+
+
+def keyed_draws(seed):
+    """The keyed chain draws of (event, step), by slot: 0 decides the
+    recurrence, 1 is the random policy's coin, 2-9 feed the signals, 10 the
+    outcomes' uniform and 11-22 their normals in Box-Muller pairs."""
+
+    def chain_draws(ev_idx, step):
+        recur = float(keyed_uniforms(seed, ev_idx, step, 0))
+        u = keyed_uniforms(seed, ev_idx, step + 1, np.arange(23))
+        return recur, StubGenerator(u[2:11], box_muller(u[11:23]))
+
+    return chain_draws
+
+
+class _KeyedCoin:
+    """The random policy as the keyed rule states it: Redeploy when the
+    coin of (event, step), slot 1, falls below 0.5."""
+
+    name = "random"
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def choose(self, signals, outcomes, events, step):
+        return np.array([int(float(keyed_uniforms(self.seed, events[0], step, 1)) < 0.5)]), None
+
+
+def _reference_policy(name, seed, model, primaries, decision_config):
+    if name == "random":
+        return _KeyedCoin(seed)
+    policy = make_policy(name, seed, model=model, decision_config=decision_config)
     if isinstance(policy, EnginePolicy):
-        policy.prepare([draw.signals for _, draw, _, _ in primaries])
+        policy.prepare([draw.signals for _, draw, _ in primaries])
     return policy
+
+
+# Fields that aggregate over primary events only, and so do not depend on
+# how chains draw: every policy but random keeps them bitwise from the
+# per-step PCG64 streams.
+PRIMARY_FIELDS = ("vm_count", "avd_mean", "avd_p50", "avd_p75", "avd_p90", "avd_p99", "blackout_mean",
+                  "unallocatable_rate", "unallocatable_mean")
+
+
+def _check_against_references(row, hist, name, model, subset, config, seed, decision_config):
+    """``row`` (and ``hist``, unless None) equal the keyed reference's, and
+    outside the random policy their primary fields equal the PCG64 one's."""
+    keyed_row, keyed_hist = reference_run(
+        _reference_policy(name, seed, model, subset, decision_config), subset, config, seed, keyed_draws(seed)
+    )
+    assert row == keyed_row
+    assert hist in (None, keyed_hist)
+    if name != "random":
+        old_row, old_hist = reference_run(
+            _reference_policy(name, seed, model, subset, decision_config), subset, config, seed, pcg64_draws(seed)
+        )
+        assert {f: getattr(row, f) for f in PRIMARY_FIELDS} == {f: getattr(old_row, f) for f in PRIMARY_FIELDS}
+        assert keyed_hist == old_hist
 
 
 @settings(max_examples=40)
@@ -346,38 +424,45 @@ def _reference_policy(name, rng, model, primaries):
     n=st.integers(1, 300),
     max_chain_length=st.sampled_from([0, 1, 2, 25]),
     policies=st.lists(st.sampled_from(POLICY_NAMES), min_size=1, max_size=len(POLICY_NAMES), unique=True),
+    # a low repeat threshold makes the engine flag nodes unallocatable
+    repeat_threshold=st.sampled_from([10, 1]),
     data=st.data(),
 )
-def test_harness_matches_reference_loop(default_bundle, preset, seed, n, max_chain_length, policies, data):
+def test_harness_matches_reference_loop(default_bundle, preset, seed, n, max_chain_length, policies, repeat_threshold, data):
     model = default_bundle["model"]
     config = dataclasses.replace(PRESETS[preset](seed=seed), max_chain_length=max_chain_length)
+    decisions = DecisionConfig(repeat_threshold=repeat_threshold)
     primaries = _generate_primaries(n, config)
 
-    report = run_policy_comparison(policies, n, config, seed, model=model)
+    report = run_policy_comparison(policies, n, config, seed, model=model, decision_config=decisions)
     assert list(report.rows) == policies
-    for p_idx, name in enumerate(policies):
-        policy = _reference_policy(name, rng_for(seed, 100, p_idx), model, primaries)
-        row, hist = reference_run(policy, primaries, config, seed)
-        assert report.rows[name] == row
-        assert report.downtime_histograms[name] == hist
-
-    # a policy's row does not depend on which policies run before it; only
-    # the random policy's own stream is keyed by its position
-    reordered = data.draw(st.permutations(policies))
-    again = run_policy_comparison(reordered, n, config, seed, model=model)
     for name in policies:
-        if name != "random" or reordered.index(name) == policies.index(name):
-            assert again.rows[name] == report.rows[name]
-            assert again.downtime_histograms[name] == report.downtime_histograms[name]
+        _check_against_references(
+            report.rows[name], report.downtime_histograms[name], name, model, primaries, config, seed, decisions
+        )
+
+    # no row depends on which policies run, or in what order
+    reordered = data.draw(st.permutations(policies))
+    again = run_policy_comparison(reordered, n, config, seed, model=model, decision_config=decisions)
+    for name in policies:
+        assert again.rows[name] == report.rows[name]
+        assert again.downtime_histograms[name] == report.downtime_histograms[name]
 
     groups = [(name, 1.0) for name in policies]
-    result = run_ab_experiment(groups, "reference", n, config, seed, model=model)
-    for g_idx, name in enumerate(policies):
+    result = run_ab_experiment(groups, "reference", n, config, seed, model=model, decision_config=decisions)
+    for name in policies:
         subset = [item for item in primaries if assign_policy_group(item[1].node_id, "reference", groups) == name]
         assert result["assignment_counts"][name] == len(subset)
         if not subset:
             assert name not in result["groups"]
             continue
-        policy = _reference_policy(name, rng_for(seed, 300, g_idx), model, subset)
-        row, _ = reference_run(policy, subset, config, seed)
-        assert result["groups"][name] == to_record(row)
+        _check_against_references(KpiRow(**result["groups"][name]), None, name, model, subset, config, seed, decisions)
+
+
+def test_comparison_refuses_empty_or_repeated_policies():
+    cfg = default_config(seed=58)
+    for policies in ([], ["legacy", "legacy"]):
+        with pytest.raises(InvalidArgument, match="policies"):
+            run_policy_comparison(policies, 50, cfg, seed=0)
+    with pytest.raises(InvalidArgument, match="group names"):
+        run_ab_experiment([("legacy", 1.0), ("legacy", 1.0)], "dup", 50, cfg, seed=0)

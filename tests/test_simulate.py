@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,19 +7,31 @@ from nodemend.decisions import legacy_policy
 from nodemend.domain import MitigationAction, from_record, to_record
 from nodemend.errors import InvalidArgument
 from nodemend.simulate import (
+    EFFECT_STRUCTURAL,
+    OUTCOME_NORMALS,
+    OUTCOME_UNIFORMS,
+    PRESETS,
+    SIGNAL_UNIFORMS,
     Cause,
     EventStream,
     LatentNodeState,
+    PotentialOutcomes,
     SimConfig,
+    _draw_signals,
     default_config,
+    draw_signal_columns,
     generate_observational_dataset,
     legacy_assignment,
+    potential_outcome_columns,
     potential_outcomes,
+    recurrence_heavy_config,
     sample_event,
     step_node,
     two_regime_config,
     zero_effect_config,
 )
+
+from conftest import StubGenerator, history_step
 
 
 def fresh_rng(seed=0):
@@ -211,45 +225,94 @@ def test_two_regime_effect_is_exact():
         assert t.y_redeploy >= 0.0
 
 
+REBOOT, REDEPLOY = int(MitigationAction.REBOOT), int(MitigationAction.REDEPLOY)
+HW, SW, TRANSIENT = int(Cause.HARDWARE_FAULT), int(Cause.SOFTWARE_FAULT), int(Cause.TRANSIENT_FALSE_ALARM)
+
+
 def test_step_node_forced_branches():
     cfg = SimConfig(seed=13, hw_reboot_recur_prob=1.0, background_recur_prob=0.0)
-    rng = fresh_rng(3)
-    latent_hw = LatentNodeState(cause=Cause.HARDWARE_FAULT, severity=0.9)
-    step = step_node([100], MitigationAction.REBOOT, latent_hw, cfg, rng.random())
-    assert step.recurrence is True
-    step = step_node([100], MitigationAction.REDEPLOY, latent_hw, cfg, rng.random())
-    assert step.recurrence is False
-    latent_sw = LatentNodeState(cause=Cause.SOFTWARE_FAULT, severity=0.2)
-    step = step_node([100], MitigationAction.REBOOT, latent_sw, cfg, rng.random())
-    assert step.recurrence is False
+    u = fresh_rng(3).random(4)
+    step = step_node(0, np.array([REBOOT, REDEPLOY, REBOOT, REDEPLOY]), np.array([HW, HW, SW, TRANSIENT]), cfg, u)
+    assert step.recurrence.tolist() == [True, False, False, False]
 
 
 def test_step_node_recurs_only_below_the_probability():
     cfg = SimConfig(seed=13, hw_reboot_recur_prob=0.9, background_recur_prob=0.0)
-    latent_hw = LatentNodeState(cause=Cause.HARDWARE_FAULT, severity=0.9)
-    assert step_node([100], MitigationAction.REBOOT, latent_hw, cfg, np.nextafter(0.9, 0.0)).recurrence is True
-    assert step_node([100], MitigationAction.REBOOT, latent_hw, cfg, 0.9).recurrence is False
-    assert step_node([100], MitigationAction.REDEPLOY, latent_hw, cfg, 0.0).recurrence is False
+    u = np.array([np.nextafter(0.9, 0.0), 0.9, 0.0])
+    step = step_node(0, np.array([REBOOT, REBOOT, REDEPLOY]), np.array([HW, HW, HW]), cfg, u)
+    assert step.recurrence.tolist() == [True, False, False]
 
 
 def test_step_node_repeat_count_arms_override():
     cfg = SimConfig(seed=14, hw_reboot_recur_prob=1.0)
     rng = fresh_rng(5)
-    latent = LatentNodeState(cause=Cause.HARDWARE_FAULT, severity=1.0)
-    history = [0]
     repeat = 0
-    for _ in range(12):
-        step = step_node(history, MitigationAction.REBOOT, latent, cfg, rng.random())
-        assert step.recurrence
-        history.append(step.next_tick)
+    for chain_step in range(12):
+        step = step_node(chain_step, np.array([REBOOT]), np.array([HW]), cfg, rng.random(1))
+        assert step.recurrence.all()
         repeat = step.repeat_count
     assert repeat > 10
 
 
 def test_step_node_requires_history():
+    # a chain holds at least the event just mitigated: step 0 is the primary
     cfg = default_config()
     with pytest.raises(InvalidArgument):
-        step_node([], MitigationAction.REBOOT, LatentNodeState(Cause.HARDWARE_FAULT, 0.5), cfg, fresh_rng().random())
+        step_node(-1, np.array([REBOOT]), np.array([HW]), cfg, fresh_rng().random(1))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        default_config(),
+        recurrence_heavy_config(),
+        SimConfig(recurrence_delay_days=0.3, repeat_window_days=2.0, ticks_per_day=7),
+        SimConfig(recurrence_delay_days=3.0, repeat_window_days=1.0),
+        SimConfig(recurrence_delay_days=0.0),
+    ],
+)
+def test_step_node_repeat_count_is_the_window_count_over_the_chain_history(cfg):
+    # recurrences come recurrence_delay_ticks apart, so counting the
+    # chain's history inside the trailing window reduces to a closed form
+    latent = LatentNodeState(Cause.HARDWARE_FAULT, 0.5)
+    history = [1234]
+    for chain_step in range(40):
+        u = fresh_rng(chain_step).random()
+        recurs, repeat_count, next_tick = history_step(history, MitigationAction.REBOOT, latent, cfg, u)
+        step = step_node(chain_step, np.array([REBOOT]), np.array([HW]), cfg, np.array([u]))
+        assert (step.repeat_count, bool(step.recurrence[0])) == (repeat_count, recurs)
+        history.append(next_tick)
+
+
+def _column_draws(n, seed, uniforms, normals):
+    rng = fresh_rng(seed)
+    return rng.random((uniforms, n)), rng.normal(size=(normals, n))
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_column_draws_equal_the_scalar_draws_row_by_row(preset):
+    # the scalar draws, fed row i's uniforms and normals in the order they
+    # consume them, give row i of the column-wise draws exactly
+    cfg = PRESETS[preset](seed=31)
+    n = 2000
+    state = EventStream.from_config(cfg)
+    draws = [sample_event(state) for _ in range(n)]
+    cause = np.array([int(d.latent.cause) for d in draws])
+    severity = np.array([d.latent.severity for d in draws])
+    vm = np.array([d.signals.vm_count for d in draws])
+    u, _ = _column_draws(n, 32, SIGNAL_UNIFORMS, 0)
+    columns = draw_signal_columns(cause, severity, vm, 7, cfg, u)
+    scalar = [_draw_signals(d.latent, d.signals.vm_count, 7, cfg, StubGenerator(u[:, i])) for i, d in enumerate(draws)]
+    assert columns == scalar
+    assert len({s.error_code for s in columns}) > 2  # the draws reach several branches
+
+    u, z = _column_draws(n, 33, OUTCOME_UNIFORMS, OUTCOME_NORMALS)
+    out = potential_outcome_columns(cause, severity, vm, cfg, u, z)
+    for i, d in enumerate(draws):
+        one = potential_outcomes(d.latent, d.signals, cfg, StubGenerator(u[:, i], z[:, i]))
+        assert one == PotentialOutcomes(*(getattr(out, f.name)[i].item() for f in fields(PotentialOutcomes))), i
+    if cfg.effect_kind == EFFECT_STRUCTURAL:
+        assert 0 < (out.interruptions_reboot > vm).sum() < n  # both reboot branches
 
 
 def test_config_dict_round_trip_and_fail_closed():
