@@ -35,15 +35,7 @@ from .forest import CausalForest, ForestParams, fit_forest, predict_tau, predict
 from .interpret import cate_by_feature, fit_policy_tree, render_policy
 from .learners import FoldAssignment, LearnerConfig, crossfit_predict, make_folds
 from .modelio import ActionLogger, ActionLogRecord, load_model, save_model, update_model
-from .simulate import (
-    SimConfig,
-    default_config,
-    generate_observational_dataset,
-    legacy_assignment,
-    potential_outcomes,
-    sample_event,
-    step_node,
-)
+from .simulate import SimConfig, default_config, generate_observational_dataset, step_node
 
 __version__ = "0.1.0"
 
@@ -90,18 +82,15 @@ __all__ = [
     "fit_forest",
     "fit_policy_tree",
     "generate_observational_dataset",
-    "legacy_assignment",
     "legacy_policy",
     "load_model",
     "make_folds",
     "naive_effect",
-    "potential_outcomes",
     "predict_tau",
     "predict_tau_ci",
     "psi_loss",
     "render_policy",
     "run_policy_comparison",
-    "sample_event",
     "save_model",
     "step_node",
     "train_dml",

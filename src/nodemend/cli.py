@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import evaluation, modelio
@@ -220,9 +221,12 @@ def _parse_groups(spec: str) -> list[tuple[str, float]]:
         if name not in evaluation.POLICY_NAMES:
             raise ConfigError(f"unknown policy {name!r}; choose from {evaluation.POLICY_NAMES}")
         try:
-            groups.append((name, float(weight)))
+            value = float(weight)
         except ValueError as exc:
             raise ConfigError(f"bad weight in {part!r}") from exc
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"weight in {part!r} must be finite and positive")
+        groups.append((name, value))
     if not groups:
         raise ConfigError("no groups given")
     return groups

@@ -155,8 +155,8 @@ def assign_policy_group(node_id: str, experiment_name: str, groups: list[tuple[s
     if not groups:
         raise InvalidArgument("at least one group is required")
     total = sum(w for _, w in groups)
-    if total <= 0 or any(w <= 0 for _, w in groups):
-        raise InvalidArgument("group weights must be positive")
+    if not math.isfinite(total) or any(not w > 0 for _, w in groups):  # NaN fails every comparison
+        raise InvalidArgument(f"group weights must be finite and positive, got {[w for _, w in groups]}")
     u = assignment_bucket(node_id, experiment_name) / _HASH_BUCKETS
     acc = 0.0
     for name, weight in groups:

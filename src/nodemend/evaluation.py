@@ -1,13 +1,15 @@
 """KPIs, bias measurement, the policy harness, and counterfactual analysis.
 
-The harness generates fresh events with both potential outcomes, lets each
-policy pick actions over the identical event stream, and reads results off
-the matching potential outcome. Repeated-failure dynamics are stepped for
-all of a policy's live chains together, so a bad reboot spawns recurrences
-that count toward the interruption rate. Downtime, blackout and unallocatable KPIs aggregate
-over the primary events (every policy faces the same ones); interruptions
-count recurrence events too, which is exactly how a reboot-happy policy
-pays for repeat failures.
+The harness draws fresh events with both potential outcomes through the
+same keyed column draws as ``simulate`` (on a stream apart from the
+config's training events), lets each policy pick actions over them, and
+reads results off the matching potential outcome. Repeated-failure
+dynamics are stepped for all of a policy's live chains together, so a bad
+reboot spawns recurrences that count toward the interruption rate.
+Downtime, blackout and unallocatable KPIs aggregate over the primary
+events (every policy faces the same ones); interruptions count recurrence
+events too, which is exactly how a reboot-happy policy pays for repeat
+failures.
 
 Percentile convention: nearest-rank (the ceil(q*n)-th smallest value).
 """
@@ -15,26 +17,33 @@ Percentile convention: nearest-rank (the ceil(q*n)-th smallest value).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .decisions import DecisionConfig, decide, legacy_policy, preferred_action
 from .dml import DmlModel, estimate_ite_batch
 from .dml import estimate_ite  # noqa: F401  perfbench's tracer times evaluation.estimate_ite
-from .domain import KEYED_EVENTS, DiagnosticSignals, IteEstimate, LabeledEvent, MitigationAction, keyed_uniforms, to_record
+from .domain import (
+    KEYED_EVENTS,
+    DiagnosticSignals,
+    IteEstimate,
+    LabeledEvent,
+    MitigationAction,
+    keyed_uniforms,
+    seed_for,
+    to_record,
+)
 from .errors import DegenerateTreatment, InvalidArgument
 from .simulate import (
-    OUTCOME_NORMALS,
-    OUTCOME_UNIFORMS,
-    SIGNAL_UNIFORMS,
-    EventStream,
+    RANDOM_SLOT,
+    RECUR_SLOT,
     GroundTruth,
+    Nodes,
     PotentialOutcomes,
     SimConfig,
-    box_muller,
-    draw_signal_columns,
-    potential_outcome_columns,
+    draw_signals,
+    node_id,
     potential_outcomes,
     sample_event,
     step_node,
@@ -106,7 +115,7 @@ class RandomPolicy:
         self.seed = seed
 
     def choose(self, signals, outcomes, events, step):
-        return (keyed_uniforms(self.seed, events, step, _RANDOM_SLOT) < 0.5).astype(np.int64), None
+        return (keyed_uniforms(self.seed, events, step, RANDOM_SLOT) < 0.5).astype(np.int64), None
 
 
 class LegacyPolicy:
@@ -260,42 +269,6 @@ class KpiReport:
         return "\n".join(lines) + "\n"
 
 
-# Slots of the keyed draws of event e's chain at step s (domain.keyed_uniforms):
-# whether the event at step s recurs, the random policy's choice there, and
-# for a recurrence (s >= 1) its signals' uniforms, its outcomes' uniform and
-# the uniform pairs of its outcomes' normals (Box-Muller).
-_RECUR_SLOT = 0
-_RANDOM_SLOT = 1
-_SIGNAL_SLOTS = 2 + np.arange(SIGNAL_UNIFORMS)[:, None]
-_OUTCOME_SLOTS = 2 + SIGNAL_UNIFORMS + np.arange(OUTCOME_UNIFORMS + 2 * OUTCOME_NORMALS)[:, None]
-
-
-@dataclass(frozen=True)
-class _Primaries:
-    """Primary events column by column: each is step 0 of its event's
-    recurrence chain."""
-
-    events: np.ndarray  # event index: the key of the chain's draws
-    cause: np.ndarray
-    severity: np.ndarray
-    vm_count: np.ndarray
-    signals: list[DiagnosticSignals]
-    outcomes: PotentialOutcomes  # of arrays
-
-    @staticmethod
-    def of(primaries) -> "_Primaries":
-        draws = [draw for _, draw, _ in primaries]
-        outs = [o for _, _, o in primaries]
-        return _Primaries(
-            events=np.array([i for i, _, _ in primaries], dtype=np.int64),
-            cause=np.array([int(d.latent.cause) for d in draws], dtype=np.int64),
-            severity=np.array([d.latent.severity for d in draws]),
-            vm_count=np.array([d.signals.vm_count for d in draws], dtype=np.int64),
-            signals=[d.signals for d in draws],
-            outcomes=PotentialOutcomes(*(np.array([getattr(o, f.name) for o in outs]) for f in fields(PotentialOutcomes))),
-        )
-
-
 def _check_policies(names: list[str], what: str) -> None:
     if not names or len(set(names)) != len(names):
         raise InvalidArgument(f"{what} must be a non-empty list of distinct names, got {names}")
@@ -324,14 +297,14 @@ def run_policy_comparison(
     """
     _check_policies(policies, "policies")
     _check_events(n_events)
-    primaries = _Primaries.of(_generate_primaries(n_events, config))
+    nodes, signals, outcomes = _generate_primaries(n_events, config)
     rows = {}
     histograms = {}
     for name in policies:
         policy = make_policy(name, seed, model=model, decision_config=decision_config)
         if isinstance(policy, EnginePolicy):
-            policy.prepare(primaries.signals)
-        rows[name], histograms[name] = _run_one_policy(policy, primaries, config, seed)
+            policy.prepare(signals)
+        rows[name], histograms[name] = _run_one_policy(policy, nodes, signals, outcomes, config, seed)
     return KpiReport(
         n_events=n_events,
         seed=seed,
@@ -341,17 +314,16 @@ def run_policy_comparison(
     )
 
 
-def _generate_primaries(n_events: int, config: SimConfig):
-    """One shared stream so every policy faces identical events."""
-    state = EventStream.from_config(config)
-    primaries = []
-    for i in range(n_events):
-        draw = sample_event(state, config)
-        primaries.append((i, draw, potential_outcomes(draw.latent, draw.signals, config, state.rng)))
-    return primaries
+def _generate_primaries(n_events: int, config: SimConfig) -> tuple[Nodes, list[DiagnosticSignals], PotentialOutcomes]:
+    """Step 0 of every chain, the events every policy faces: events
+    0..n_events-1 of a stream of their own, so the engine is never scored
+    on the rows it was trained on."""
+    seed = seed_for(config.seed, 300)
+    nodes, signals = sample_event(np.arange(n_events), config, seed)
+    return nodes, signals, potential_outcomes(nodes, config, seed, 0)
 
 
-def _run_one_policy(policy, primaries: _Primaries, config: SimConfig, seed: int):
+def _run_one_policy(policy, nodes: Nodes, signals, outcomes: PotentialOutcomes, config: SimConfig, seed: int):
     """Run one policy over the primary events and their recurrence chains.
 
     Every live chain takes its next step together with the others. Chain
@@ -359,40 +331,34 @@ def _run_one_policy(policy, primaries: _Primaries, config: SimConfig, seed: int)
     identical randomness under every policy, whatever the order or the
     company they run in.
     """
-    events, cause, severity, vm = primaries.events, primaries.cause, primaries.severity, primaries.vm_count
-    signals, outcomes = primaries.signals, primaries.outcomes
+    total_vms = int(nodes.vm_count.sum())
     samples = interruptions = redeploys = recurrences = capped = 0
     step = 0
     while True:
-        actions, flagged = policy.choose(signals, outcomes, events, step)
+        actions, flagged = policy.choose(signals, outcomes, nodes.events, step)
         redeploy = actions == MitigationAction.REDEPLOY
-        samples += events.size
+        samples += nodes.events.size
         interruptions += int(np.where(redeploy, outcomes.interruptions_redeploy, outcomes.interruptions_reboot).sum())
         redeploys += int(redeploy.sum())
         if step == 0:
-            downtimes = np.repeat(np.where(redeploy, outcomes.y_redeploy, outcomes.y_reboot), vm)
+            downtimes = np.repeat(np.where(redeploy, outcomes.y_redeploy, outcomes.y_reboot), nodes.vm_count)
             blackouts = np.where(redeploy, outcomes.blackout_redeploy, outcomes.blackout_reboot)
             unallocs = np.where(redeploy, outcomes.unallocatable_redeploy, outcomes.unallocatable_reboot)
             if flagged is not None:
                 unallocs = np.where(flagged, unallocs + config.investigation_hold, unallocs)
         if step >= config.max_chain_length:
-            capped += events.size
+            capped += nodes.events.size
             break
-        node = step_node(step, actions, cause, config, keyed_uniforms(seed, events, step, _RECUR_SLOT))
-        if not node.recurrence.any():
+        recur = step_node(step, actions, nodes.cause, config, keyed_uniforms(seed, nodes.events, step, RECUR_SLOT))
+        if not recur.recurrence.any():
             break
-        events, cause, severity, vm = (a[node.recurrence] for a in (events, cause, severity, vm))
-        recurrences += events.size
+        nodes = nodes[recur.recurrence]
+        recurrences += nodes.events.size
         step += 1
-        u = keyed_uniforms(seed, events, step, _OUTCOME_SLOTS)
-        outcomes = potential_outcome_columns(cause, severity, vm, config, u[:OUTCOME_UNIFORMS], box_muller(u[OUTCOME_UNIFORMS:]))
-        signals = None
-        if policy.reads_signals:
-            u = keyed_uniforms(seed, events, step, _SIGNAL_SLOTS)
-            signals = draw_signal_columns(cause, severity, vm, node.repeat_count, config, u)
+        outcomes = potential_outcomes(nodes, config, seed, step)
+        signals = draw_signals(nodes, recur.repeat_count, config, seed, step) if policy.reads_signals else None
 
     positive_unalloc = unallocs[unallocs > 0]
-    total_vms = int(primaries.vm_count.sum())
     row = KpiRow(
         policy=policy.name,
         sample_count=samples,
@@ -432,22 +398,20 @@ def run_ab_experiment(
     names = [name for name, _ in groups]
     _check_policies(names, "group names")
     _check_events(n_events)
-    primaries = _generate_primaries(n_events, config)
-    by_group: dict[str, list] = {name: [] for name in names}
-    for item in primaries:
-        by_group[assign_policy_group(item[1].node_id, experiment_name, groups)].append(item)
+    nodes, signals, outcomes = _generate_primaries(n_events, config)
+    group = np.array([assign_policy_group(node_id(e), experiment_name, groups) for e in nodes.events.tolist()])
 
     result = {"experiment": experiment_name, "n_events": n_events, "groups": {}, "assignment_counts": {}}
     for name in names:
-        subset = by_group[name]
-        result["assignment_counts"][name] = len(subset)
-        if not subset:
+        rows = np.flatnonzero(group == name)
+        result["assignment_counts"][name] = rows.size
+        if not rows.size:
             continue
-        columns = _Primaries.of(subset)
+        subset = [signals[i] for i in rows.tolist()]
         policy = make_policy(name, seed, model=model, decision_config=decision_config)
         if isinstance(policy, EnginePolicy):
-            policy.prepare(columns.signals)
-        row, _ = _run_one_policy(policy, columns, config, seed)
+            policy.prepare(subset)
+        row, _ = _run_one_policy(policy, nodes[rows], subset, outcomes[rows], config, seed)
         result["groups"][name] = to_record(row)
     return result
 

@@ -1,11 +1,17 @@
 """Synthetic cluster: unhealthy-event draws with known potential outcomes.
 
-The generator draws a latent node state (cause + severity), emits noisy
-diagnostic signals conditioned on it, computes the outcome of *both*
-actions for every event, and assigns the logged action with a heuristic
-legacy rule. Only the factual outcome lands in the observational dataset;
-both potential outcomes go to a separate ground-truth record that training
-code never reads.
+An event's node has a hidden cause and severity; the model draws its VM
+count and repeat count, noisy diagnostic signals conditioned on them, the
+outcome of *both* actions, and the logged action from a heuristic legacy
+rule. Only the factual outcome lands in the observational dataset; both
+potential outcomes go to a separate ground-truth record that training code
+never reads.
+
+Every draw is column-wise over many events and a pure function of its key:
+the uniform of (seed, event, step, slot) from ``domain.keyed_uniforms``. An
+event is step 0 of its node's recurrence chain, so the dataset's rows, the
+harness's primary events and their recurrences all come from the same
+draws on the slots laid out below.
 
 Outcome families are log-normal: downtimes are positive and right-skewed,
 and a reboot is a mixture of a short "worked" mode and a long "failed,
@@ -29,7 +35,7 @@ from .domain import (
     FeatureSchema,
     LabeledEvent,
     MitigationAction,
-    rng_for,
+    keyed_uniforms,
 )
 from .errors import InvalidArgument
 
@@ -45,35 +51,40 @@ CAUSE_NAMES = {
     Cause.SOFTWARE_FAULT: "software_fault",
     Cause.HARDWARE_FAULT: "hardware_fault",
 }
-CAUSE_BY_NAME = {v: k for k, v in CAUSE_NAMES.items()}
+
+
+class _Columns:
+    """A record of equal-length arrays: indexing it indexes every field."""
+
+    def __getitem__(self, rows):
+        return type(self)(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass(frozen=True)
-class LatentNodeState:
-    """Hidden truth behind one unhealthy event; never visible to training."""
+class Nodes(_Columns):
+    """The nodes of many events, one array per field: row i is the node of
+    event ``events[i]``, the key of its draws. Its cause and severity are
+    the hidden truth that training never sees."""
 
-    cause: Cause
-    severity: float
+    events: np.ndarray
+    cause: np.ndarray
+    severity: np.ndarray
+    vm_count: np.ndarray
 
 
 @dataclass(frozen=True)
-class PotentialOutcomes:
-    """Outcomes of both actions for one event; all values finite and >= 0."""
+class PotentialOutcomes(_Columns):
+    """Outcomes of both actions for many events, one array per field; all
+    values finite and >= 0."""
 
-    y_reboot: float
-    y_redeploy: float
-    interruptions_reboot: int
-    interruptions_redeploy: int
-    blackout_reboot: float
-    blackout_redeploy: float
-    unallocatable_reboot: float
-    unallocatable_redeploy: float
-
-    def for_action(self, action: MitigationAction) -> tuple[float, int, float, float]:
-        """(downtime, interruptions, blackout, unallocatable) of one action."""
-        if action == MitigationAction.REBOOT:
-            return (self.y_reboot, self.interruptions_reboot, self.blackout_reboot, self.unallocatable_reboot)
-        return (self.y_redeploy, self.interruptions_redeploy, self.blackout_redeploy, self.unallocatable_redeploy)
+    y_reboot: np.ndarray
+    y_redeploy: np.ndarray
+    interruptions_reboot: np.ndarray
+    interruptions_redeploy: np.ndarray
+    blackout_reboot: np.ndarray
+    blackout_redeploy: np.ndarray
+    unallocatable_reboot: np.ndarray
+    unallocatable_redeploy: np.ndarray
 
 
 # Effect modes. "structural" is the full cloud model; the others pin the
@@ -206,8 +217,15 @@ class SimConfig:
                 raise InvalidArgument(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.effect_kind not in _EFFECT_KINDS:
             raise InvalidArgument(f"unknown effect_kind {self.effect_kind!r}")
-        if len(self.vm_count_values) != len(self.vm_count_probs):
-            raise InvalidArgument("vm_count_values and vm_count_probs must align")
+        for values, probs in (
+            (tuple(Cause), "cause_probs"),
+            (self.vm_count_values, "vm_count_probs"),
+            (self.hardware_types, "hardware_type_probs"),
+            (self.session_types, "session_type_probs"),
+            (tuple(Cause), "net_issue_probs"),
+        ):
+            if len(getattr(self, probs)) != len(values):
+                raise InvalidArgument(f"{probs} needs one entry per category ({len(values)}), got {len(getattr(self, probs))}")
 
     @property
     def repeat_window_ticks(self) -> int:
@@ -304,27 +322,6 @@ PRESETS = {
 }
 
 
-@dataclass
-class EventStream:
-    """Mutable draw state: one RNG plus a counter for ids and timestamps."""
-
-    rng: np.random.Generator
-    config: SimConfig
-    counter: int = 0
-
-    @staticmethod
-    def from_config(config: SimConfig) -> "EventStream":
-        return EventStream(rng=rng_for(config.seed), config=config)
-
-
-@dataclass(frozen=True)
-class UnhealthyEventDraw:
-    node_id: str
-    timestamp: int
-    signals: DiagnosticSignals
-    latent: LatentNodeState
-
-
 @dataclass(frozen=True)
 class GroundTruth:
     """Per-event oracle record, persisted separately from the training file."""
@@ -335,61 +332,24 @@ class GroundTruth:
     cause: str
 
 
-def _draw_signals(latent: LatentNodeState, vm_count: int, repeat_count: int, config: SimConfig, rng: np.random.Generator) -> DiagnosticSignals:
-    cause = latent.cause
-    important = rng.random() < config.important_workload_prob
-
-    net_issue = rng.random() < config.net_issue_probs[int(cause)]
-    if rng.random() < config.network_flip_rate:
-        net_issue = not net_issue
-
-    if cause == Cause.TRANSIENT_FALSE_ALARM:
-        code = "net_timeout" if rng.random() < config.transient_net_timeout_prob else "none"
-    elif cause == Cause.SOFTWARE_FAULT:
-        code = "sw_fault" if rng.random() < config.software_swfault_prob else "other"
-    else:
-        code = "hw_failure" if rng.random() < config.hardware_hwfailure_prob else "other"
-    if rng.random() < config.error_code_missing_rate:
-        code = None
-
-    if cause == Cause.HARDWARE_FAULT:
-        p_unc = config.uncorrectable_hw_base + config.uncorrectable_hw_severity_slope * latent.severity
-    else:
-        p_unc = config.uncorrectable_base
-    uncorrectable = rng.random() < min(p_unc, 1.0)
-
-    hardware_type = config.hardware_types[_choice(rng, config.hardware_type_probs)]
-    session_type = config.session_types[_choice(rng, config.session_type_probs)]
-
-    return DiagnosticSignals(
-        vm_count=vm_count,
-        has_important_workload=important,
-        network_ok=not net_issue,
-        error_code=code,
-        repeat_count=repeat_count,
-        uncorrectable_tag=uncorrectable,
-        hardware_type=hardware_type,
-        session_type=session_type,
-    )
+# The slots of the keyed draws of event e at step s of its chain (step 0 is
+# the event itself; domain.keyed_uniforms): slot 0 decides whether the event
+# at step s recurs and slot 1 is the random policy's coin there. Slots 2-9
+# draw its signals, slot 10 its outcomes' uniform and slots 11-22 the
+# uniform pairs of their six normals (Box-Muller). At step 0, slots 23-26
+# draw the cause, severity, VM count and repeat count, and slot 27 the
+# legacy policy's exploration flip.
+RECUR_SLOT = 0
+RANDOM_SLOT = 1
+SIGNAL_SLOTS = np.arange(2, 10)[:, None]
+OUTCOME_SLOTS = np.arange(10, 23)[:, None]
+EVENT_SLOTS = np.arange(23, 27)[:, None]
+FLIP_SLOT = 27
 
 
-def _choice(rng: np.random.Generator, probs: tuple[float, ...]) -> int:
-    u = rng.random()
-    acc = 0.0
-    for i, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return i
-    return len(probs) - 1
-
-
-# Column-wise forms of the draws above, for the harness's recurrence chains.
-# Each takes the uniforms (and normals) one row of events would consume, in
-# the order the scalar form consumes them from its generator, so row i of a
-# column draw equals the scalar draw fed row i's values.
-SIGNAL_UNIFORMS = 8
-OUTCOME_UNIFORMS = 1
-OUTCOME_NORMALS = 6
+def node_id(event: int) -> str:
+    """The node of event ``event``; every event has its own."""
+    return f"node-{event:06d}"
 
 
 def box_muller(u: np.ndarray) -> np.ndarray:
@@ -398,23 +358,53 @@ def box_muller(u: np.ndarray) -> np.ndarray:
     return np.sqrt(-2.0 * np.log1p(-u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
 
 
-def _choice_columns(u: np.ndarray, probs: tuple[float, ...]) -> np.ndarray:
-    """``_choice`` per entry of ``u``: the first index whose running sum
-    (added in the same order) exceeds the draw, else the last."""
+def _categorical(u: np.ndarray, probs: tuple[float, ...]) -> np.ndarray:
+    """Per entry of ``u``: the first index whose running sum of ``probs``
+    (added in order) exceeds the draw, else the last."""
     return np.minimum(np.searchsorted(list(itertools.accumulate(probs)), u, side="right"), len(probs) - 1)
 
 
-def draw_signal_columns(
-    cause: np.ndarray,
-    severity: np.ndarray,
-    vm_count: np.ndarray,
-    repeat_count: int,
-    config: SimConfig,
-    u: np.ndarray,
-) -> list[DiagnosticSignals]:
-    """``_draw_signals`` for many events at once; ``u`` holds the
-    ``SIGNAL_UNIFORMS`` uniforms of each event, one row per draw."""
-    hardware = cause == Cause.HARDWARE_FAULT
+def capped_poisson(lam: np.ndarray, cap: int, u: np.ndarray) -> np.ndarray:
+    """min(Poisson(lam), cap) per entry, by inverting the CDF at ``u``: the
+    number of k in 1..cap with u >= P(X <= k - 1), the CDF kept as one
+    running sum over k of p(k) = p(k - 1)·lam / k."""
+    p = np.exp(-lam)
+    cdf = p
+    count = np.zeros(np.shape(u), dtype=np.int64)
+    for k in range(1, cap + 1):
+        more = u >= cdf
+        if not more.any():
+            break
+        count += more
+        p = p * lam / k
+        cdf = cdf + p
+    return count
+
+
+def sample_event(events: np.ndarray, config: SimConfig, seed: int) -> tuple[Nodes, list[DiagnosticSignals]]:
+    """Draw events ``events`` of the stream ``seed``, each step 0 of its
+    chain: the latent cause and severity first, then the VM count, the
+    repeat count and the signals given them."""
+    events = np.asarray(events, dtype=np.int64)
+    u = keyed_uniforms(seed, events, 0, EVENT_SLOTS)
+    cause = _categorical(u[0], config.cause_probs)
+    severity = u[1]
+    vm_count = np.asarray(config.vm_count_values, dtype=np.int64)[_categorical(u[2], config.vm_count_probs)]
+    lam = np.where(
+        cause == Cause.HARDWARE_FAULT,
+        config.repeat_lambda_hw_base + config.repeat_lambda_hw_severity_slope * severity,
+        np.where(cause == Cause.SOFTWARE_FAULT, config.repeat_lambda_software, config.repeat_lambda_transient),
+    )
+    nodes = Nodes(events, cause, severity, vm_count)
+    return nodes, draw_signals(nodes, capped_poisson(lam, config.repeat_count_cap, u[3]), config, seed, 0)
+
+
+def draw_signals(nodes: Nodes, repeat_count, config: SimConfig, seed: int, step: int) -> list[DiagnosticSignals]:
+    """The diagnostic signals of the nodes' events at ``step``, noisy views
+    of each node's latent state; ``repeat_count`` is one per node or one
+    for all."""
+    u = keyed_uniforms(seed, nodes.events, step, SIGNAL_SLOTS)
+    cause = nodes.cause
     important = u[0] < config.important_workload_prob
     network_ok = (u[1] < np.asarray(config.net_issue_probs)[cause]) == (u[2] < config.network_flip_rate)
     # per cause: the code drawn below its probability, else the fallback
@@ -422,86 +412,35 @@ def draw_signal_columns(
     codes = np.array([["none", "net_timeout"], ["other", "sw_fault"], ["other", "hw_failure"]], dtype=object)
     code = codes[cause, (u[3] < hit_prob[cause]).astype(np.int64)]
     code[u[4] < config.error_code_missing_rate] = None
-    p_unc = np.where(hardware, config.uncorrectable_hw_base + config.uncorrectable_hw_severity_slope * severity, config.uncorrectable_base)
+    p_unc = np.where(
+        cause == Cause.HARDWARE_FAULT,
+        config.uncorrectable_hw_base + config.uncorrectable_hw_severity_slope * nodes.severity,
+        config.uncorrectable_base,
+    )
     uncorrectable = u[5] < np.minimum(p_unc, 1.0)
-    hardware_type = np.asarray(config.hardware_types, dtype=object)[_choice_columns(u[6], config.hardware_type_probs)]
-    session_type = np.asarray(config.session_types, dtype=object)[_choice_columns(u[7], config.session_type_probs)]
+    hardware_type = np.asarray(config.hardware_types, dtype=object)[_categorical(u[6], config.hardware_type_probs)]
+    session_type = np.asarray(config.session_types, dtype=object)[_categorical(u[7], config.session_type_probs)]
     return [
         DiagnosticSignals(
             vm_count=vm,
             has_important_workload=imp,
             network_ok=ok,
             error_code=c,
-            repeat_count=repeat_count,
+            repeat_count=rc,
             uncorrectable_tag=unc,
             hardware_type=hw,
             session_type=st,
         )
-        for vm, imp, ok, c, unc, hw, st in zip(
-            vm_count.tolist(), important.tolist(), network_ok.tolist(), code.tolist(),
-            uncorrectable.tolist(), hardware_type.tolist(), session_type.tolist(),
+        for vm, imp, ok, c, rc, unc, hw, st in zip(
+            nodes.vm_count.tolist(), important.tolist(), network_ok.tolist(), code.tolist(),
+            np.broadcast_to(repeat_count, cause.shape).tolist(), uncorrectable.tolist(),
+            hardware_type.tolist(), session_type.tolist(),
         )
     ]
 
 
-def _draw_repeat_count(cause: Cause, severity: float, config: SimConfig, rng: np.random.Generator) -> int:
-    if cause == Cause.TRANSIENT_FALSE_ALARM:
-        lam = config.repeat_lambda_transient
-    elif cause == Cause.SOFTWARE_FAULT:
-        lam = config.repeat_lambda_software
-    else:
-        lam = config.repeat_lambda_hw_base + config.repeat_lambda_hw_severity_slope * severity
-    return min(int(rng.poisson(lam)), config.repeat_count_cap)
-
-
-def sample_event(state: EventStream, config: SimConfig | None = None) -> UnhealthyEventDraw:
-    """Draw one unhealthy event: latent state first, then signals given it."""
-    config = config or state.config
-    rng = state.rng
-    cause = Cause(_choice(rng, config.cause_probs))
-    severity = float(rng.random())
-    latent = LatentNodeState(cause=cause, severity=severity)
-    vm_count = config.vm_count_values[_choice(rng, config.vm_count_probs)]
-    repeat_count = _draw_repeat_count(cause, severity, config, rng)
-    signals = _draw_signals(latent, vm_count, repeat_count, config, rng)
-    idx = state.counter
-    state.counter += 1
-    # timestamp is a placeholder tick; dataset/harness code spaces events
-    # over the configured horizon itself.
-    return UnhealthyEventDraw(
-        node_id=f"node-{idx:06d}",
-        timestamp=idx,
-        signals=signals,
-        latent=latent,
-    )
-
-
-def _reboot_fail_prob(latent: LatentNodeState, vm_count: int, config: SimConfig) -> float:
-    if latent.cause == Cause.TRANSIENT_FALSE_ALARM:
-        return 0.0
-    base = (
-        config.software_reboot_fail_prob
-        if latent.cause == Cause.SOFTWARE_FAULT
-        else config.hardware_reboot_fail_prob
-    )
-    return float(min(max(base + config.reboot_fail_vm_slope * (vm_count - 1), 0.0), 1.0))
-
-
-def _base_log_mu(cause: Cause, config: SimConfig) -> float:
-    if cause == Cause.TRANSIENT_FALSE_ALARM:
-        return config.base_log_mu_transient
-    if cause == Cause.SOFTWARE_FAULT:
-        return config.base_log_mu_software
-    return config.base_log_mu_hardware
-
-
-def potential_outcomes(
-    latent: LatentNodeState,
-    signals: DiagnosticSignals,
-    config: SimConfig,
-    rng: np.random.Generator,
-) -> PotentialOutcomes:
-    """Draw outcomes of both actions for one event.
+def potential_outcomes(nodes: Nodes, config: SimConfig, seed: int, step: int) -> PotentialOutcomes:
+    """Draw the outcomes of both actions for the nodes' events at ``step``.
 
     Structural mode: the reboot downtime is a success/failure mixture (the
     failure branch means a second mitigation ran, doubling interruptions),
@@ -509,63 +448,14 @@ def potential_outcomes(
     with VM count through the migration cost coefficient. Analytic modes
     derive the redeploy outcome from the reboot draw so the individual
     effect is exact.
+
+    The k-th log-normal an event draws is exp(mu + sigma·z[k]). A structural
+    reboot that succeeds draws one log-normal fewer, so the normals after it
+    shift up by one on its row.
     """
-    vm = signals.vm_count
-    if config.effect_kind == EFFECT_STRUCTURAL:
-        failed = rng.random() < _reboot_fail_prob(latent, vm, config)
-        if failed:
-            mu = config.reboot_fail_log_mu + config.reboot_fail_severity_slope * latent.severity
-            y_rb = float(rng.lognormal(mu, config.reboot_fail_log_sigma))
-            ints_rb = 2 * vm
-            unalloc_rb = float(rng.lognormal(config.unalloc_reboot_fail_log_mu, config.unalloc_log_sigma))
-        else:
-            y_rb = float(rng.lognormal(config.reboot_success_log_mu, config.reboot_success_log_sigma))
-            ints_rb = vm
-            unalloc_rb = 0.0
-        y_rd = float(rng.lognormal(config.redeploy_log_mu + config.migration_cost_per_vm * vm, config.redeploy_log_sigma))
-    else:
-        mu = _base_log_mu(latent.cause, config) + config.base_severity_slope * latent.severity
-        base = config.base_offset + float(rng.lognormal(mu, config.base_log_sigma))
-        y_rb = base
-        if config.effect_kind == EFFECT_ZERO:
-            y_rd = base
-        elif config.effect_kind == EFFECT_CONSTANT:
-            y_rd = base + config.effect_constant
-        else:  # two_regime
-            y_rd = base + true_tau_two_regime(vm, config)
-        ints_rb = vm
-        unalloc_rb = 0.0
-    blackout_rb = float(rng.lognormal(config.blackout_reboot_log_mu, config.blackout_log_sigma))
-    blackout_rd = float(rng.lognormal(config.blackout_redeploy_log_mu, config.blackout_log_sigma))
-    unalloc_rd = float(rng.lognormal(config.unalloc_redeploy_log_mu, config.unalloc_log_sigma))
-    return PotentialOutcomes(
-        y_reboot=y_rb,
-        y_redeploy=max(y_rd, 0.0),
-        interruptions_reboot=ints_rb,
-        interruptions_redeploy=vm,
-        blackout_reboot=blackout_rb,
-        blackout_redeploy=blackout_rd,
-        unallocatable_reboot=unalloc_rb,
-        unallocatable_redeploy=unalloc_rd,
-    )
-
-
-def potential_outcome_columns(
-    cause: np.ndarray,
-    severity: np.ndarray,
-    vm_count: np.ndarray,
-    config: SimConfig,
-    u: np.ndarray,
-    z: np.ndarray,
-) -> PotentialOutcomes:
-    """``potential_outcomes`` for many events at once, as a record of arrays.
-
-    ``u`` holds each event's ``OUTCOME_UNIFORMS`` uniforms and ``z`` its
-    ``OUTCOME_NORMALS`` standard normals, one row per draw; the k-th
-    log-normal the scalar form draws for an event is exp(mu + sigma·z[k]).
-    A structural reboot that succeeds draws one log-normal fewer, so the
-    normals after it shift up by one on its row.
-    """
+    cause, severity, vm_count = nodes.cause, nodes.severity, nodes.vm_count
+    u = keyed_uniforms(seed, nodes.events, step, OUTCOME_SLOTS)
+    z = box_muller(u[1:])
     rows = np.arange(cause.shape[0])
     if config.effect_kind == EFFECT_STRUCTURAL:
         fail_base = np.where(cause == Cause.SOFTWARE_FAULT, config.software_reboot_fail_prob, config.hardware_reboot_fail_prob)
@@ -608,72 +498,65 @@ def potential_outcome_columns(
     )
 
 
-def true_tau_two_regime(vm_count: int, config: SimConfig) -> float:
-    """Exact individual effect of the two-regime mode for a VM count."""
-    return config.regime_delta if vm_count < config.regime_vm_threshold else -config.regime_delta
-
-
-def true_tau(latent: LatentNodeState, signals: DiagnosticSignals, config: SimConfig) -> float | None:
+def true_tau(signals: DiagnosticSignals, config: SimConfig) -> float | None:
     """Exact individual effect where the mode defines one; None for structural."""
     if config.effect_kind == EFFECT_ZERO:
         return 0.0
     if config.effect_kind == EFFECT_CONSTANT:
         return config.effect_constant
     if config.effect_kind == EFFECT_TWO_REGIME:
-        return true_tau_two_regime(signals.vm_count, config)
+        return config.regime_delta if signals.vm_count < config.regime_vm_threshold else -config.regime_delta
     return None
 
 
-def legacy_assignment(signals: DiagnosticSignals, config: SimConfig, rng: np.random.Generator) -> MitigationAction:
-    """Heuristic rule plus an exploration flip that guarantees overlap."""
-    action = legacy_policy(signals)
-    if config.legacy_flip_prob > 0 and rng.random() < config.legacy_flip_prob:
-        action = MitigationAction(1 - int(action))
-    return action
-
-
 def generate_observational_dataset(n: int, config: SimConfig) -> tuple[list[LabeledEvent], list[GroundTruth]]:
-    """Draw ``n`` events under the legacy policy.
+    """Draw events 0..n-1 of the config's stream under the legacy policy.
 
-    Only the factual outcome of the assigned action enters each
-    LabeledEvent; both potential outcomes (and the latent cause) go to the
-    companion ground-truth list for oracle-side evaluation.
+    The policy's heuristic rule picks each action and an exploration flip
+    (``legacy_flip_prob``) reverses it, which guarantees overlap. Only the
+    factual outcome of the action enters each LabeledEvent; both potential
+    outcomes (and the latent cause) go to the companion ground-truth list
+    for oracle-side evaluation. Event i's draws do not depend on n.
     """
     if n < 1:
         raise InvalidArgument("n must be >= 1")
-    state = EventStream.from_config(config)
+    events = np.arange(n)
+    nodes, signals = sample_event(events, config, config.seed)
+    outcomes = potential_outcomes(nodes, config, config.seed, 0)
+    flip = keyed_uniforms(config.seed, events, 0, FLIP_SLOT) < config.legacy_flip_prob
+    redeploy = np.array([legacy_policy(s) == MitigationAction.REDEPLOY for s in signals]) != flip
+
+    def factual(if_reboot: np.ndarray, if_redeploy: np.ndarray) -> list:
+        return np.where(redeploy, if_redeploy, if_reboot).tolist()
+
+    columns = zip(
+        signals,
+        redeploy.tolist(),
+        factual(outcomes.y_reboot, outcomes.y_redeploy),
+        factual(outcomes.interruptions_reboot, outcomes.interruptions_redeploy),
+        factual(outcomes.blackout_reboot, outcomes.blackout_redeploy),
+        factual(outcomes.unallocatable_reboot, outcomes.unallocatable_redeploy),
+    )
     horizon = config.horizon_ticks
-    events: list[LabeledEvent] = []
-    truths: list[GroundTruth] = []
-    for i in range(n):
-        draw = sample_event(state, config)
-        outcomes = potential_outcomes(draw.latent, draw.signals, config, state.rng)
-        action = legacy_assignment(draw.signals, config, state.rng)
-        y, ints, blackout, unalloc = outcomes.for_action(action)
-        timestamp = int(horizon * (i + 1) // (n + 1))
-        event_id = f"ev-{i:08d}"
-        events.append(
-            LabeledEvent(
-                event_id=event_id,
-                node_id=draw.node_id,
-                timestamp=timestamp,
-                signals=draw.signals,
-                action=action,
-                avd=y,
-                interruptions=ints,
-                blackout=blackout,
-                unallocatable=unalloc,
-            )
+    labeled = [
+        LabeledEvent(
+            event_id=f"ev-{i:08d}",
+            node_id=node_id(i),
+            timestamp=int(horizon * (i + 1) // (n + 1)),
+            signals=s,
+            action=MitigationAction(int(r)),
+            avd=y,
+            interruptions=ints,
+            blackout=blackout,
+            unallocatable=unalloc,
         )
-        truths.append(
-            GroundTruth(
-                event_id=event_id,
-                y_reboot=outcomes.y_reboot,
-                y_redeploy=outcomes.y_redeploy,
-                cause=CAUSE_NAMES[draw.latent.cause],
-            )
-        )
-    return events, truths
+        for i, (s, r, y, ints, blackout, unalloc) in enumerate(columns)
+    ]
+    truths = [
+        GroundTruth(event_id=f"ev-{i:08d}", y_reboot=rb, y_redeploy=rd, cause=CAUSE_NAMES[c])
+        for i, (rb, rd, c) in enumerate(zip(outcomes.y_reboot.tolist(), outcomes.y_redeploy.tolist(), nodes.cause.tolist()))
+    ]
+    return labeled, truths
 
 
 @dataclass(frozen=True)

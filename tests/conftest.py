@@ -150,8 +150,9 @@ def drop_last_tree(trees) -> None:
 
 class StubGenerator:
     """Serves given uniforms and standard normals, in order, to the scalar
-    draws of ``simulate``: ``random()`` the next uniform, ``lognormal(mu,
-    sigma)`` exp(mu + sigma·z) of the next normal."""
+    draws of ``reference_model``: ``random()`` the next uniform,
+    ``lognormal(mu, sigma)`` exp(mu + sigma·z) of the next normal and
+    ``poisson(lam)`` the inversion of the next uniform."""
 
     def __init__(self, uniforms, normals=()) -> None:
         self._uniforms = iter(uniforms)
@@ -162,6 +163,18 @@ class StubGenerator:
 
     def lognormal(self, mean: float, sigma: float) -> float:
         return float(np.exp(mean + sigma * next(self._normals)))
+
+    def poisson(self, lam: float) -> int:
+        """Inverts the Poisson CDF at the next uniform: the first k with
+        u < P(X <= k), the CDF summed term by term (stopping at 1000)."""
+        u = self.random()
+        k, p = 0, np.exp(-lam)
+        cdf = p
+        while u >= cdf and k < 1000:
+            k += 1
+            p = p * lam / k
+            cdf = cdf + p
+        return k
 
 
 def history_step(node_history, action, latent, config, u):

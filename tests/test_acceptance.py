@@ -54,7 +54,7 @@ def test_criterion_2_effect_recovery(const2_bundle, tworegime_bundle):
     got = adjusted_effect(const2_bundle["forest_model"], const2_bundle["events"])
     ests = estimate_ite_batch(tworegime_bundle["model"], [e.signals for e in tworegime_bundle["test_events"]])
     tau_true = np.asarray(
-        [true_tau(None, e.signals, tworegime_bundle["config"]) for e in tworegime_bundle["test_events"]]
+        [true_tau(e.signals, tworegime_bundle["config"]) for e in tworegime_bundle["test_events"]]
     )
     rmse = float(np.sqrt(np.mean((np.asarray([e.tau for e in ests]) - tau_true) ** 2)))
     runtime = const2_bundle["elapsed_s"] + tworegime_bundle["elapsed_s"] + (time.monotonic() - t0)
@@ -88,7 +88,7 @@ def test_criterion_3_model_ordering():
 
 def test_criterion_4_ci_calibration(tworegime_bundle):
     ests = estimate_ite_batch(tworegime_bundle["model"], [e.signals for e in tworegime_bundle["test_events"]])
-    tau_true = [true_tau(None, e.signals, tworegime_bundle["config"]) for e in tworegime_bundle["test_events"]]
+    tau_true = [true_tau(e.signals, tworegime_bundle["config"]) for e in tworegime_bundle["test_events"]]
     coverage = float(np.mean([e.tau_lower <= t <= e.tau_upper for e, t in zip(ests, tau_true)]))
     ok = 0.80 <= coverage <= 0.97
     report(4, ok, f"nominal 90% intervals cover true effect on {coverage:.1%} of 500 points (in [80%,97%])")

@@ -246,6 +246,16 @@ def test_abtest_engine_requires_model(workspace, capsys):
     assert rc == 2
 
 
+
+@pytest.mark.parametrize("weight", ["inf", "nan", "-inf", "0", "-1"])
+def test_abtest_refuses_a_weight_that_is_not_finite_and_positive(workspace, capsys, weight):
+    groups = f"legacy:{weight},oracle:1"
+    rc = main(["abtest", "--config", str(workspace["config"]), "--experiment", "x", "--groups", groups, "--n", "200"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"legacy:{weight}" in captured.err and "finite and positive" in captured.err
+    assert captured.out == ""
+
 def test_update_gate(workspace, capsys):
     out_path = workspace["root"] / "updated.bin"
     rc = main(

@@ -182,3 +182,20 @@ def test_round_trip_through_dict():
     assert again.train.folds == 4
     assert again.sim == cfg.sim
     assert again.decision == cfg.decision
+
+
+@pytest.mark.parametrize(
+    "field,value,categories",
+    [
+        ("hardware_type_probs", [0.2, 0.2, 0.2, 0.2, 0.2], 4),
+        ("session_type_probs", [0.5, 0.5], 3),
+        ("vm_count_probs", [0.5, 0.5], 8),
+    ],
+)
+def test_category_probabilities_must_match_the_categories_in_length(tmp_path, capsys, field, value, categories):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(minimal(sim={field: value})))
+    out = tmp_path / "events.jsonl"
+    assert main(["simulate", "--config", str(path), "--out", str(out), "--truth", str(tmp_path / "t"), "--n", "50"]) == 2
+    assert f"config error: {field} needs one entry per category ({categories}), got {len(value)}" in capsys.readouterr().err
+    assert not out.exists()

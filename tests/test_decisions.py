@@ -15,7 +15,7 @@ from nodemend.decisions import (
 )
 from nodemend.domain import ERROR_CODES, DiagnosticSignals, IteEstimate, MitigationAction, from_record
 from nodemend.errors import InvalidArgument
-from nodemend.simulate import EventStream, SimConfig, legacy_assignment, sample_event
+from nodemend.simulate import SimConfig, generate_observational_dataset
 
 # computed once from the FNV-1a 64 definition (offset 14695981039346656037,
 # prime 1099511628211) over utf-8 of "<node>|<experiment>", mod 10000
@@ -193,12 +193,9 @@ def test_unit_invariance():
 
 
 def test_legacy_policy_matches_simulator_rule_without_flip():
-    cfg = SimConfig(seed=5, legacy_flip_prob=0.0)
-    state = EventStream.from_config(cfg)
-    rng = np.random.default_rng(9)
-    for _ in range(10_000):
-        s = sample_event(state).signals
-        assert legacy_policy(s) == legacy_assignment(s, cfg, rng)
+    events, _ = generate_observational_dataset(10_000, SimConfig(seed=5, legacy_flip_prob=0.0))
+    for e in events:
+        assert legacy_policy(e.signals) == e.action
 
 
 def test_policy_decision_invariants():
@@ -245,6 +242,9 @@ def test_assignment_weight_validation():
         assign_policy_group("n", "e", [])
     with pytest.raises(InvalidArgument):
         assign_policy_group("n", "e", [("a", 0.0), ("b", 1.0)])
+    for bad in (float("inf"), float("nan"), float("-inf"), 1e308):
+        with pytest.raises(InvalidArgument, match="finite and positive"):
+            assign_policy_group("n", "e", [("a", bad), ("b", 1e308)])
 
 
 def test_assignment_respects_weights():

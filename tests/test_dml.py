@@ -172,7 +172,7 @@ def test_psi_nonnegative_and_true_theta_near_optimal(tworegime_bundle):
 
     X, y, a = prepare_training_arrays(holdout, model.schema)
     y_hat, a_hat = nuisance_predictions(model, X)
-    tau_true = np.asarray([true_tau(None, e.signals, cfg) for e in holdout])
+    tau_true = np.asarray([true_tau(e.signals, cfg) for e in holdout])
     psi_oracle = float(np.mean(((y - y_hat) - tau_true * (a - a_hat)) ** 2))
     assert psi_oracle <= psi_model * 1.10
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nodemend.decisions import DecisionConfig, assign_policy_group
 from nodemend.dml import DmlModel, LinearTheta, TrainConfig
-from nodemend.domain import DiagnosticSignals, LabeledEvent, MitigationAction, keyed_uniforms, rng_for
+from nodemend.domain import DiagnosticSignals, LabeledEvent, MitigationAction, keyed_uniforms, rng_for, seed_for
 from nodemend.errors import DegenerateTreatment, InvalidArgument
 from nodemend.evaluation import (
     POLICY_NAMES,
@@ -28,14 +28,13 @@ from nodemend.evaluation import (
 from nodemend.simulate import (
     PRESETS,
     PotentialOutcomes,
-    _draw_signals,
     box_muller,
     default_config,
     generate_observational_dataset,
-    potential_outcomes,
 )
 
 from conftest import StubGenerator, history_step
+from reference_model import _draw_signals, potential_outcomes, reference_events
 
 
 def test_avd_arithmetic():
@@ -208,11 +207,19 @@ def test_comparison_avd_matches_manual_reconstruction():
     # the reported AVD is avd() of the concatenated per-VM downtimes
     cfg = default_config(seed=55)
     report = run_policy_comparison(["always_reboot"], 500, cfg, seed=55)
-    primaries = _generate_primaries(500, cfg)
+    nodes, _, outcomes = _generate_primaries(500, cfg)
     downtimes = []
-    for _, draw, outs in primaries:
-        downtimes.extend([outs.y_reboot] * draw.signals.vm_count)
+    for y, vm in zip(outcomes.y_reboot.tolist(), nodes.vm_count.tolist()):
+        downtimes.extend([y] * vm)
     assert report.rows["always_reboot"].avd_mean == pytest.approx(avd(downtimes), abs=1e-12)
+
+
+def test_harness_events_are_a_stream_apart_from_the_training_events():
+    cfg = default_config(seed=55)
+    _, signals, outcomes = _generate_primaries(300, cfg)
+    events, truths = generate_observational_dataset(300, cfg)
+    assert sum(s == e.signals for s, e in zip(signals, events)) < 150
+    assert not np.isin(outcomes.y_reboot, [t.y_reboot for t in truths]).any()
 
 
 def test_comparison_requires_model_for_engine():
@@ -432,7 +439,7 @@ def test_harness_matches_reference_loop(default_bundle, preset, seed, n, max_cha
     model = default_bundle["model"]
     config = dataclasses.replace(PRESETS[preset](seed=seed), max_chain_length=max_chain_length)
     decisions = DecisionConfig(repeat_threshold=repeat_threshold)
-    primaries = _generate_primaries(n, config)
+    primaries = [(i, draw, outs) for i, draw, outs, _ in reference_events(n, config, seed_for(config.seed, 300))]
 
     report = run_policy_comparison(policies, n, config, seed, model=model, decision_config=decisions)
     assert list(report.rows) == policies

@@ -210,3 +210,19 @@ def test_gbm_fit_matches_reference(data):
         assert np.array_equal(got_column, want_column)
     Xq = np.vstack([X, X[::-1] + 0.5])
     assert np.array_equal(got.predict(Xq), want.predict(Xq))
+
+
+@settings(max_examples=80)
+@given(n=st.integers(2, 400), k=st.integers(2, 10), seed=st.integers(0, 2**32 - 1))
+def test_folds_partition_the_rows_evenly_and_repeat(n, k, seed):
+    if n < k:
+        with pytest.raises(InvalidArgument):
+            make_folds(n, k, seed)
+        return
+    folds = make_folds(n, k, seed)
+    assert folds.membership.shape == (n,)  # every row in exactly one fold
+    assert 0 <= folds.membership.min() and folds.membership.max() < k
+    sizes = np.bincount(folds.membership, minlength=k)
+    assert sizes.size == k and sizes.sum() == n
+    assert sizes.max() - sizes.min() <= 1
+    assert make_folds(n, k, seed) == folds

@@ -5,8 +5,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nodemend.dml import LinearTheta, TrainConfig, estimate_ite, train_dml
+from nodemend.dml import LinearTheta, TrainConfig, estimate_ite, estimate_ite_batch, train_dml
+from nodemend.domain import DEFAULT_HARDWARE_TYPES, DEFAULT_SESSION_TYPES, DiagnosticSignals
 from nodemend import modelio
 from nodemend.errors import (
     DataError,
@@ -54,6 +57,38 @@ def test_model_round_trip_bitwise(tmp_path, small_model):
         after = estimate_ite(loaded, e.signals)
         assert before == after  # bitwise: exact float equality
 
+
+
+@pytest.fixture(scope="module")
+def saved_and_loaded(tmp_path_factory, small_model):
+    _, _, model = small_model
+    path = str(tmp_path_factory.mktemp("model") / "model.bin")
+    save_model(model, path)
+    return model, load_model(path)
+
+
+signal_rows = st.lists(
+    st.builds(
+        DiagnosticSignals,
+        vm_count=st.integers(0, 40),
+        has_important_workload=st.booleans(),
+        network_ok=st.booleans(),
+        error_code=st.sampled_from([None, "none", "net_timeout", "sw_fault", "hw_failure", "other"]),
+        repeat_count=st.integers(0, 40),
+        uncorrectable_tag=st.booleans(),
+        hardware_type=st.sampled_from(DEFAULT_HARDWARE_TYPES),
+        session_type=st.sampled_from(DEFAULT_SESSION_TYPES),
+    ),
+    min_size=1,
+    max_size=50,
+)
+
+
+@settings(max_examples=60)
+@given(rows=signal_rows)
+def test_batch_estimates_are_bitwise_after_save_and_load(saved_and_loaded, rows):
+    model, loaded = saved_and_loaded
+    assert estimate_ite_batch(loaded, rows) == estimate_ite_batch(model, rows)  # exact float equality
 
 def test_model_save_is_deterministic(tmp_path, small_model):
     _, _, model = small_model

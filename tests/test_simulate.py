@@ -1,28 +1,25 @@
+import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from nodemend.decisions import legacy_policy
-from nodemend.domain import MitigationAction, from_record, to_record
+from nodemend.domain import MitigationAction, from_record, keyed_uniforms, seed_for, to_record
 from nodemend.errors import InvalidArgument
 from nodemend.simulate import (
     EFFECT_STRUCTURAL,
-    OUTCOME_NORMALS,
-    OUTCOME_UNIFORMS,
+    OUTCOME_SLOTS,
     PRESETS,
-    SIGNAL_UNIFORMS,
+    SIGNAL_SLOTS,
     Cause,
-    EventStream,
-    LatentNodeState,
-    PotentialOutcomes,
+    Nodes,
     SimConfig,
-    _draw_signals,
+    box_muller,
+    capped_poisson,
     default_config,
-    draw_signal_columns,
+    draw_signals,
     generate_observational_dataset,
-    legacy_assignment,
-    potential_outcome_columns,
     potential_outcomes,
     recurrence_heavy_config,
     sample_event,
@@ -32,6 +29,8 @@ from nodemend.simulate import (
 )
 
 from conftest import StubGenerator, history_step
+from reference_model import LatentNodeState, _draw_signals, reference_events
+from reference_model import potential_outcomes as scalar_outcomes
 
 
 def fresh_rng(seed=0):
@@ -40,40 +39,46 @@ def fresh_rng(seed=0):
 
 def test_degenerate_cause_distribution():
     cfg = SimConfig(seed=1, cause_probs=(1.0, 0.0, 0.0))
-    state = EventStream.from_config(cfg)
-    for _ in range(200):
-        draw = sample_event(state)
-        assert draw.latent.cause == Cause.TRANSIENT_FALSE_ALARM
+    nodes, _ = sample_event(np.arange(200), cfg, cfg.seed)
+    assert (nodes.cause == Cause.TRANSIENT_FALSE_ALARM).all()
 
 
 def test_degenerate_missing_rate():
     cfg = SimConfig(seed=2, error_code_missing_rate=1.0)
-    state = EventStream.from_config(cfg)
-    for _ in range(200):
-        assert sample_event(state).signals.error_code is None
+    _, signals = sample_event(np.arange(200), cfg, cfg.seed)
+    assert all(s.error_code is None for s in signals)
 
 
 def test_stream_determinism():
+    # every draw is a pure function of its key: the same in any batch
     cfg = default_config(seed=99)
-    a = [sample_event(EventStream.from_config(cfg)) for _ in range(1)]
-    s1, s2 = EventStream.from_config(cfg), EventStream.from_config(cfg)
-    for _ in range(300):
-        assert sample_event(s1) == sample_event(s2)
+    events = np.arange(300)
+    nodes, signals = sample_event(events, cfg, cfg.seed)
+    again, signals_again = sample_event(events, cfg, cfg.seed)
+    assert signals == signals_again
+    assert all((getattr(nodes, f.name) == getattr(again, f.name)).all() for f in fields(Nodes))
+    picked = np.array([299, 3, 150])
+    sub_nodes, sub_signals = sample_event(picked, cfg, cfg.seed)
+    assert sub_signals == [signals[i] for i in picked]
+    assert (sub_nodes.severity == nodes.severity[picked]).all()
+    out = potential_outcomes(nodes, cfg, cfg.seed, 0)
+    sub_out = potential_outcomes(nodes[picked], cfg, cfg.seed, 0)
+    assert (sub_out.y_reboot == out.y_reboot[picked]).all()
+    _, other = sample_event(events, cfg, cfg.seed + 1)
+    assert other != signals
+
+
+def _outcomes(cfg, n):
+    nodes, _ = sample_event(np.arange(n), cfg, cfg.seed)
+    return potential_outcomes(nodes, cfg, cfg.seed, 0)
 
 
 def test_transient_reboot_beats_redeploy_in_expectation():
     # Monte-Carlo mean comparison; oracle values computed from the raw
     # log-normal families give E[y_rb] ~= 2.27 vs E[y_rd] ~= 8.17.
     cfg = SimConfig(seed=3, cause_probs=(1.0, 0.0, 0.0))
-    state = EventStream.from_config(cfg)
-    n = 100_000
-    rb = np.empty(n)
-    rd = np.empty(n)
-    for i in range(n):
-        draw = sample_event(state)
-        out = potential_outcomes(draw.latent, draw.signals, cfg, state.rng)
-        rb[i] = out.y_reboot
-        rd[i] = out.y_redeploy
+    out = _outcomes(cfg, 100_000)
+    rb, rd = out.y_reboot, out.y_redeploy
     assert rb.mean() < rd.mean()
     assert rb.mean() == pytest.approx(2.27, rel=0.05)
     assert rd.mean() == pytest.approx(8.18, rel=0.05)
@@ -81,25 +86,17 @@ def test_transient_reboot_beats_redeploy_in_expectation():
 
 def test_forced_reboot_failure_doubles_interruptions():
     cfg = SimConfig(seed=4, hardware_reboot_fail_prob=1.0)
-    state = EventStream.from_config(cfg)
-    latent = LatentNodeState(cause=Cause.HARDWARE_FAULT, severity=0.7)
-    for _ in range(50):
-        draw = sample_event(state)
-        out = potential_outcomes(latent, draw.signals, cfg, state.rng)
-        assert out.interruptions_reboot == 2 * draw.signals.vm_count
-        assert out.interruptions_redeploy == draw.signals.vm_count
+    drawn, _ = sample_event(np.arange(50), cfg, cfg.seed)
+    nodes = Nodes(drawn.events, np.full(50, int(Cause.HARDWARE_FAULT)), np.full(50, 0.7), drawn.vm_count)
+    out = potential_outcomes(nodes, cfg, cfg.seed, 0)
+    assert (out.interruptions_reboot == 2 * nodes.vm_count).all()
+    assert (out.interruptions_redeploy == nodes.vm_count).all()
 
 
 def test_reboot_downtime_is_bimodal():
     # Histogram-valley oracle: with the default mixture the density in the
     # [8, 14] valley is far below both mode bands [1, 3] and [25, 45].
-    cfg = default_config(seed=5)
-    state = EventStream.from_config(cfg)
-    n = 100_000
-    y = np.empty(n)
-    for i in range(n):
-        draw = sample_event(state)
-        y[i] = potential_outcomes(draw.latent, draw.signals, cfg, state.rng).y_reboot
+    y = _outcomes(default_config(seed=5), 100_000).y_reboot
     short = ((y >= 1.0) & (y <= 3.0)).mean() / 2.0
     valley = ((y >= 8.0) & (y <= 14.0)).mean() / 6.0
     longm = ((y >= 25.0) & (y <= 45.0)).mean() / 20.0
@@ -108,12 +105,10 @@ def test_reboot_downtime_is_bimodal():
 
 def test_legacy_forced_rules():
     cfg = SimConfig(seed=6, legacy_flip_prob=0.0)
-    rng = fresh_rng()
-    state = EventStream.from_config(cfg)
+    events, _ = generate_observational_dataset(500, cfg)
     saw_redeploy = saw_reboot = False
-    for _ in range(500):
-        s = sample_event(state).signals
-        a = legacy_assignment(s, cfg, rng)
+    for e in events:
+        s, a = e.signals, e.action
         assert a == legacy_policy(s)
         if s.uncorrectable_tag or s.error_code == "hw_failure":
             assert a == MitigationAction.REDEPLOY
@@ -126,14 +121,8 @@ def test_legacy_forced_rules():
 
 def test_legacy_flip_half_is_a_coin():
     cfg = SimConfig(seed=7, legacy_flip_prob=0.5)
-    rng = fresh_rng(17)
-    state = EventStream.from_config(cfg)
-    picks = []
-    for _ in range(10_000):
-        s = sample_event(state).signals
-        if s.uncorrectable_tag or s.error_code == "hw_failure":
-            continue
-        picks.append(int(legacy_assignment(s, cfg, rng)))
+    events, _ = generate_observational_dataset(10_000, cfg)
+    picks = [int(e.action) for e in events if not (e.signals.uncorrectable_tag or e.signals.error_code == "hw_failure")]
     frac = np.mean(picks)
     assert abs(frac - 0.5) <= 0.02
 
@@ -284,35 +273,83 @@ def test_step_node_repeat_count_is_the_window_count_over_the_chain_history(cfg):
         history.append(next_tick)
 
 
-def _column_draws(n, seed, uniforms, normals):
-    rng = fresh_rng(seed)
-    return rng.random((uniforms, n)), rng.normal(size=(normals, n))
+def _scalar_row(out):
+    return tuple(getattr(out, f.name) for f in fields(out))
+
+
+def _column_row(out, i):
+    return tuple(getattr(out, f.name)[i].item() for f in fields(out))
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_column_draws_equal_the_scalar_draws_row_by_row(preset):
-    # the scalar draws, fed row i's uniforms and normals in the order they
-    # consume them, give row i of the column-wise draws exactly
+    # the scalar model, fed each event's keyed uniforms in the order it
+    # consumes them, gives every row of the column draws exactly
     cfg = PRESETS[preset](seed=31)
     n = 2000
-    state = EventStream.from_config(cfg)
-    draws = [sample_event(state) for _ in range(n)]
-    cause = np.array([int(d.latent.cause) for d in draws])
-    severity = np.array([d.latent.severity for d in draws])
-    vm = np.array([d.signals.vm_count for d in draws])
-    u, _ = _column_draws(n, 32, SIGNAL_UNIFORMS, 0)
-    columns = draw_signal_columns(cause, severity, vm, 7, cfg, u)
-    scalar = [_draw_signals(d.latent, d.signals.vm_count, 7, cfg, StubGenerator(u[:, i])) for i, d in enumerate(draws)]
-    assert columns == scalar
-    assert len({s.error_code for s in columns}) > 2  # the draws reach several branches
+    for seed in (cfg.seed, seed_for(cfg.seed, 300)):  # the dataset's stream and the harness's
+        reference = reference_events(n, cfg, seed)
+        nodes, signals = sample_event(np.arange(n), cfg, seed)
+        out = potential_outcomes(nodes, cfg, seed, 0)
+        assert signals == [draw.signals for _, draw, _, _ in reference]
+        assert nodes.cause.tolist() == [int(draw.latent.cause) for _, draw, _, _ in reference]
+        for i, (_, _, one, _) in enumerate(reference):
+            assert _scalar_row(one) == _column_row(out, i), i
+    events, truths = generate_observational_dataset(n, cfg)
+    for e, t, (_, draw, one, action) in zip(events, truths, reference_events(n, cfg, cfg.seed)):
+        assert (e.signals, e.action, e.node_id) == (draw.signals, action, draw.node_id)
+        assert (e.avd, e.interruptions, e.blackout, e.unallocatable) == one.for_action(action)
+        assert (t.y_reboot, t.y_redeploy) == (one.y_reboot, one.y_redeploy)
+    assert len({s.error_code for s in signals}) > 2  # the draws reach several branches
+    assert len({s.repeat_count for s in signals}) > 2
 
-    u, z = _column_draws(n, 33, OUTCOME_UNIFORMS, OUTCOME_NORMALS)
-    out = potential_outcome_columns(cause, severity, vm, cfg, u, z)
-    for i, d in enumerate(draws):
-        one = potential_outcomes(d.latent, d.signals, cfg, StubGenerator(u[:, i], z[:, i]))
-        assert one == PotentialOutcomes(*(getattr(out, f.name)[i].item() for f in fields(PotentialOutcomes))), i
+    # a recurrence at step 3 draws its signals and outcomes on the same slots
+    step = 3
+    u = keyed_uniforms(7, nodes.events, step, np.arange(OUTCOME_SLOTS[-1, 0] + 1)[:, None])
+    columns = draw_signals(nodes, 5, cfg, 7, step)
+    out = potential_outcomes(nodes, cfg, 7, step)
+    for i, (_, draw, _, _) in enumerate(reference):
+        rng = StubGenerator(u[SIGNAL_SLOTS[:, 0], i].tolist() + u[OUTCOME_SLOTS[:1, 0], i].tolist(), box_muller(u[OUTCOME_SLOTS[1:, 0], i]))
+        one = _draw_signals(draw.latent, draw.signals.vm_count, 5, cfg, rng)
+        assert columns[i] == one
+        assert _scalar_row(scalar_outcomes(draw.latent, one, cfg, rng)) == _column_row(out, i)
     if cfg.effect_kind == EFFECT_STRUCTURAL:
-        assert 0 < (out.interruptions_reboot > vm).sum() < n  # both reboot branches
+        assert 0 < (out.interruptions_reboot > nodes.vm_count).sum() < n  # both reboot branches
+
+
+def test_dataset_prefix_does_not_depend_on_its_size():
+    cfg = default_config(seed=41)
+    short, short_truths = generate_observational_dataset(300, cfg)
+    long, long_truths = generate_observational_dataset(1000, cfg)
+    for a, b in zip(short, long):
+        assert (a.signals, a.action, a.avd) == (b.signals, b.action, b.avd)
+    assert short_truths == long_truths[:300]
+
+
+def test_capped_poisson_equals_the_scalar_inversion_loop():
+    rng = fresh_rng(42)
+    lam = np.concatenate([np.full(500, 0.3), np.full(500, 0.7), 0.5 + 3.0 * rng.random(1000)])
+    u = rng.random(lam.size)
+    u[:3] = (0.0, np.nextafter(1.0, 0.0), 0.999999)
+    for cap in (0, 2, 30):
+        scalar = [min(StubGenerator([ui]).poisson(li), cap) for li, ui in zip(lam.tolist(), u.tolist())]
+        assert capped_poisson(lam, cap, u).tolist() == scalar
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.7, 3.5])
+@pytest.mark.parametrize("cap", [2, 30])
+def test_capped_poisson_frequencies_match_the_distribution(lam, cap):
+    n = 100_000
+    counts = capped_poisson(np.full(n, lam), cap, fresh_rng(43).random(n))
+    for k in range(6):
+        pmf = math.exp(-lam) * lam**k / math.factorial(k)
+        if k == cap:
+            pmf = 1.0 - sum(math.exp(-lam) * lam**j / math.factorial(j) for j in range(cap))
+        elif k > cap:
+            pmf = 0.0
+        freq = float((counts == k).mean())
+        assert abs(freq - pmf) <= 5.0 * math.sqrt(pmf * (1.0 - pmf) / n) + 1e-12, (k, freq, pmf)
+    assert counts.max() <= cap
 
 
 def test_config_dict_round_trip_and_fail_closed():
