@@ -15,7 +15,7 @@ from .config import load_experiment_config, parse_section
 from .decisions import DecisionConfig, decide
 from .dml import estimate_ite, psi_loss, train_dml
 from .domain import DiagnosticSignals, from_record, to_record
-from .errors import ConfigError, DataError, ModelError, NodemendError
+from .errors import ConfigError, DataError, InvalidArgument, ModelError, NodemendError
 from .evaluation import adjusted_effect, counterfactual_analysis, naive_effect, run_policy_comparison
 from .interpret import cate_by_feature, interpret_model
 from .modelio import ActionLogRecord, ActionLogger, load_model, read_events_jsonl, read_truth_jsonl, save_model
@@ -106,7 +106,10 @@ def _cmd_train(args) -> int:
     if args.final_stage is not None:
         from dataclasses import replace
 
-        train_cfg = replace(train_cfg, final_stage=args.final_stage)
+        try:
+            train_cfg = replace(train_cfg, final_stage=args.final_stage)
+        except InvalidArgument as exc:
+            raise ConfigError(str(exc)) from exc
     events = read_events_jsonl(args.data)
     model = train_dml(events, train_cfg, cfg.sim.schema())
     save_model(model, args.out)

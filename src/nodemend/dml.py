@@ -50,6 +50,9 @@ class TrainConfig:
             raise InvalidArgument(f"unknown final stage {self.final_stage!r}")
         if self.folds < 2:
             raise InvalidArgument("folds must be >= 2")
+        # grouped-bag intervals need a spread between bags
+        if self.final_stage == FINAL_STAGE_FOREST and self.forest.bags < 2:
+            raise InvalidArgument(f"forest.bags must be >= 2 for a forest final stage, got {self.forest.bags}")
 
 
 @dataclass(frozen=True)
@@ -179,12 +182,15 @@ def residualize_dataset(
     X, y, a = prepare_training_arrays(dataset, schema)
     a = a.astype(np.float64)
     folds = make_folds(X.shape[0], config.folds, seed=seed_for(config.seed, 0))
-    y_hat, outcome_learners = crossfit_predict(
-        X, y, folds, config.learner, mode="regression", seed=seed_for(config.seed, 1)
+    (y_hat, a_hat), learners = crossfit_predict(
+        X,
+        (y, a),
+        folds,
+        config.learner,
+        modes=("regression", "propensity"),
+        seeds=(seed_for(config.seed, 1), seed_for(config.seed, 2)),
     )
-    a_hat, propensity_learners = crossfit_predict(
-        X, a, folds, config.learner, mode="propensity", seed=seed_for(config.seed, 2)
-    )
+    outcome_learners, propensity_learners = learners[: folds.k], learners[folds.k :]
     return ResidualData(features=X, ry=y - y_hat, ra=a - a_hat), outcome_learners, propensity_learners
 
 

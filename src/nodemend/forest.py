@@ -61,6 +61,14 @@ class ForestParams:
     def __post_init__(self) -> None:
         if self.bags < 1 or self.trees_per_bag < 1:
             raise InvalidArgument("bags and trees_per_bag must be >= 1")
+        if self.max_depth < 0:
+            raise InvalidArgument(f"max_depth must be >= 0, got {self.max_depth}")
+        if self.max_bins < 2:
+            raise InvalidArgument(f"max_bins must be >= 2, got {self.max_bins}")
+        if self.min_leaf_estimate < 1:
+            raise InvalidArgument(f"min_leaf_estimate must be >= 1, got {self.min_leaf_estimate}")
+        if self.features_per_split is not None and self.features_per_split < 1:
+            raise InvalidArgument(f"features_per_split must be >= 1, got {self.features_per_split}")
         if not (0.0 < self.honest_fraction < 1.0):
             raise InvalidArgument("honest_fraction must lie in (0, 1)")
         if not (0.0 < self.subsample_fraction <= 1.0):

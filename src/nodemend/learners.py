@@ -11,6 +11,7 @@ clamps predictions away from the boundaries.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,13 @@ class LearnerConfig:
             raise InvalidArgument(f"unknown learner kind {self.kind!r}")
         if self.min_leaf < 1:
             raise InvalidArgument("min_leaf must be >= 1")
+        # fewer rounds, levels or bins than these leave every tree one leaf
+        if self.rounds < 1:
+            raise InvalidArgument(f"rounds must be >= 1, got {self.rounds}")
+        if self.max_depth < 1:
+            raise InvalidArgument(f"max_depth must be >= 1, got {self.max_depth}")
+        if self.max_bins < 2:
+            raise InvalidArgument(f"max_bins must be >= 2, got {self.max_bins}")
         if not (0.0 < self.subsample <= 1.0):
             raise InvalidArgument("subsample must lie in (0, 1]")
         if not (0.0 < self.p_min < 0.5):
@@ -91,14 +99,63 @@ def _check_mode(mode: str) -> None:
         raise InvalidArgument(f"unknown learner mode {mode!r}")
 
 
+class _CodeRows:
+    """The distinct code rows of a boosting fit, the items its rounds grow
+    over.
+
+    Group g stands for every row whose code row is ``codes[first[g]]``, and
+    ``group[i]`` is row i's group; groups are numbered in the lexicographic
+    order of their code rows. ``np.unique`` runs over each code row packed
+    into bytes, an order of magnitude faster than over ``axis=0``.
+    """
+
+    def __init__(self, codes: np.ndarray, y: np.ndarray) -> None:
+        top = int(codes.max(initial=0))
+        size = next(s for s in (1, 2, 4, 8) if top < 1 << (8 * s))
+        # big-endian, so a row's bytes compare as its codes do
+        packed = np.ascontiguousarray(codes, dtype=f">u{size}")
+        keys = packed.view(np.dtype((np.void, size * codes.shape[1]))).ravel()
+        _, self.first, self.group = np.unique(keys, return_index=True, return_inverse=True)
+        self.y = y
+        # the rows by group, then by target: a group's rows in a round run
+        # from its least target to its greatest
+        self.order = np.lexsort((y, self.group))
+        self.sorted_y = y[self.order]
+
+    def residuals(self, current: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per group, the residuals ``y - current[group]`` of the distinct
+        matrix rows ``rows``: their sum (added in the order of ``rows``),
+        count, least and greatest (infinite where the group has no row).
+
+        ``y - c`` rounds monotonically in y, so a group's least and
+        greatest residual are those of its least and greatest target.
+        """
+        u = len(current)
+        group = self.group[rows]
+        sums = np.bincount(group, weights=self.y[rows] - current[group], minlength=u)
+        counts = np.bincount(group, minlength=u)
+        chosen = np.zeros(len(self.y), dtype=bool)
+        chosen[rows] = True
+        at = np.flatnonzero(chosen[self.order])
+        present = np.flatnonzero(counts)
+        ends = np.cumsum(counts[present])
+        low = np.full(u, np.inf)
+        high = np.full(u, -np.inf)
+        low[present] = self.sorted_y[at[ends - counts[present]]] - current[present]
+        high[present] = self.sorted_y[at[ends - 1]] - current[present]
+        return sums, counts, low, high
+
+
 @dataclass
 class GradientBoostedTrees:
     """Least-squares boosting over depth-limited trees.
 
     ``mode="propensity"`` clamps predictions into [p_min, 1 - p_min].
     Deterministic for a fixed seed: row subsampling per round is the only
-    random element and is drawn from a private generator. ``trees`` holds
-    the rounds' trees in round order.
+    random element and is drawn from a private generator. Each round grows
+    over the distinct code rows of its subsample, each carrying the sum and
+    count of its rows' residuals. ``trees`` holds the rounds' trees in
+    round order.
     """
 
     config: LearnerConfig
@@ -117,16 +174,18 @@ class GradientBoostedTrees:
     @classmethod
     def fit(cls, config: LearnerConfig, mode: str, seed: int, X: np.ndarray, y: np.ndarray) -> "GradientBoostedTrees":
         rng = rng_for(seed, 0)
-        grower = SseGrower(*bin_features(X, config.max_bins))
+        codes, thresholds = bin_features(X, config.max_bins)
+        groups = _CodeRows(codes, y)
+        grower = SseGrower(codes[groups.first], thresholds)
         base_value = float(y.mean())
         tables = []
-        current = np.full(X.shape[0], base_value)
+        # rows of one code row reach the same leaves, so share one prediction
+        current = np.full(len(groups.first), base_value)
         n = X.shape[0]
         n_sub = max(1, int(round(config.subsample * n)))
         for _ in range(config.rounds):
-            resid = y - current
             rows = rng.choice(n, size=n_sub, replace=False) if n_sub < n else np.arange(n)
-            table = grower.grow(resid, rows, config.max_depth, config.min_leaf)
+            table = grower.grow(*groups.residuals(current, rows), config.max_depth, config.min_leaf)
             tables.append(table)
             current = current + config.learning_rate * grower.leaf_values(table)
         return cls(config, mode, int(seed), base_value, PackedTrees.pack(tables))
@@ -193,35 +252,46 @@ def fit_learner(config: LearnerConfig, mode: str, seed: int, X: np.ndarray, y: n
 
 def crossfit_predict(
     features: np.ndarray,
-    targets: np.ndarray,
+    targets: Sequence[np.ndarray],
     folds: FoldAssignment,
     config: LearnerConfig,
-    mode: str = "regression",
-    seed: int = 0,
-) -> tuple[np.ndarray, list]:
-    """Out-of-fold predictions: fold j's rows are predicted by a learner
-    that was fit on everything except fold j. The k fits run side by side
-    on the available CPUs (``parallel.map_tasks``)."""
+    modes: Sequence[str],
+    seeds: Sequence[int],
+) -> tuple[list[np.ndarray], list]:
+    """Out-of-fold predictions of each target: fold j's rows of target t are
+    predicted by a learner of mode ``modes[t]`` that was fit on everything
+    except fold j. Returns each target's predictions and every learner,
+    target by target and fold by fold within a target.
+
+    The fits of all targets run as one map on the available CPUs
+    (``parallel.map_tasks``), so no CPU waits for the last fold of one
+    target before the next target starts."""
     features = np.asarray(features, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if features.shape[0] != targets.shape[0]:
+    targets = [np.asarray(t, dtype=np.float64) for t in targets]
+    if not len(targets) == len(modes) == len(seeds):
+        raise InvalidArgument("each target needs one mode and one seed")
+    for mode in modes:
+        _check_mode(mode)
+    if any(t.shape != (features.shape[0],) for t in targets):
         raise InvalidArgument("features and targets must have equal length")
     if features.shape[0] != folds.membership.shape[0]:
         raise InvalidArgument("fold assignment does not match dataset length")
-    fits = map_tasks(_fit_fold, (features, targets, folds.membership, config, mode, seed), folds.k)
-    oof = np.empty(targets.shape[0], dtype=np.float64)
-    for j, (learner, predicted) in enumerate(fits):
-        oof[folds.membership == j] = predicted
-    return oof, [learner for learner, _ in fits]
+    fits = map_tasks(_fit_fold, (features, targets, folds, config, modes, seeds), len(targets) * folds.k)
+    predictions = [np.empty(features.shape[0], dtype=np.float64) for _ in targets]
+    for i, (_, predicted) in enumerate(fits):
+        t, j = divmod(i, folds.k)
+        predictions[t][folds.membership == j] = predicted
+    return predictions, [learner for learner, _ in fits]
 
 
-def _fit_fold(shared: tuple, j: int) -> tuple[Learner, np.ndarray]:
-    """Fold j's learner, fit on the other folds, and its predictions for
-    fold j's rows. Its seed derives from (seed, j), so folds fit in any
-    order and in any process give the same learners."""
-    features, targets, membership, config, mode, seed = shared
-    test = membership == j
+def _fit_fold(shared: tuple, i: int) -> tuple[Learner, np.ndarray]:
+    """Task i is fold j of target t, for (t, j) = divmod(i, k): the learner
+    fit on the other folds, and its predictions for fold j's rows. Its seed
+    derives from (seeds[t], j), so folds fit in any order and in any process
+    give the same learners."""
+    features, targets, folds, config, modes, seeds = shared
+    t, j = divmod(i, folds.k)
+    test = folds.membership == j
     train = ~test
-    learner = fit_learner(config, mode, seed_for(seed, j), features[train], targets[train])
+    learner = fit_learner(config, modes[t], seed_for(seeds[t], j), features[train], targets[t][train])
     return learner, learner.predict(features[test])
-

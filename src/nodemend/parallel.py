@@ -1,10 +1,11 @@
 """Independent seeded tasks, fanned out over the CPUs this process may use.
 
 Training has two sets of tasks that share nothing but read-only inputs:
-the k fold fits of a cross-fit and the bags of the forest. Every random
-draw of a task derives from its own seed, so a task's result does not
-depend on which process runs it or when, and the results are bitwise those
-of a serial loop.
+the cross-fit's 2k fold fits, outcome then propensity, mapped as one set
+so that no CPU idles between the two nuisances, and the bags of the
+forest. Every random draw of a task derives from its own seed, so a
+task's result does not depend on which process runs it or when, and the
+results are bitwise those of a serial loop.
 
 Workers are forked. The read-only inputs reach them through the pool's
 initializer, which under fork is inherited rather than pickled, so only

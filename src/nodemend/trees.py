@@ -246,61 +246,82 @@ def best_cut(score: np.ndarray, parent_score: float) -> tuple[int, int] | None:
 
 
 class SseGrower:
-    """Greedy SSE-minimizing trees over one binned matrix (exact within bins).
+    """Greedy SSE-minimizing trees over weighted items of one binned matrix
+    (exact within bins).
 
-    A split maximizes sum_L^2 / n_L + sum_R^2 / n_R, which is the SSE
-    reduction n_L * n_R / n * (mean_L - mean_R)^2 plus a per-node constant.
-    Leaves carry the mean target and row count of their rows; split nodes
-    keep value 0 and count 0.
+    An item is one row of ``codes`` standing for rows of targets: it
+    carries their sum and count, and their least and greatest target. A
+    boosting round folds its rows into their distinct code rows;
+    ``grow_sse_tree`` makes each row its own item.
 
-    A node scores every (feature, bin) cut at once from one weighted and
-    one unweighted bincount over its keys (see ``bin_layout``); a row of
-    the cumsum adds the bins in the order a per-feature cumsum would. A
-    node whose children search again builds both children's histograms
-    from its own keys in one more pair, with the child folded into the
-    key. Each bin still adds its rows in the child's row order, so every
-    sum, score and split is bitwise that of a per-feature search.
+    A split maximizes sum_L^2 / n_L + sum_R^2 / n_R over the rows the items
+    stand for, which is the SSE reduction n_L * n_R / n * (mean_L -
+    mean_R)^2 plus a per-node constant. Leaves carry the mean target and
+    row count of their rows; split nodes keep value 0 and count 0.
+
+    A node scores every (feature, bin) cut at once from two weighted
+    bincounts over its items' keys (see ``bin_layout``); a row of the
+    cumsum adds the bins in the order a per-feature cumsum would. A node
+    whose children search again builds both children's histograms from its
+    own keys in one more pair, with the child folded into the key. Each bin
+    adds its items in item order, so with one item per row, in row order,
+    every sum, score and split is bitwise that of a per-feature search over
+    the rows.
 
     The keyed codes and the layout are built once, here, and shared by
     every tree grown on the matrix, as by the rounds of a boosting fit.
     """
 
     def __init__(self, codes: np.ndarray, thresholds: list[np.ndarray]) -> None:
-        """``codes`` and ``thresholds`` come from ``bin_features``."""
+        """``codes`` holds each item's code row under ``thresholds``, both
+        from ``bin_features``."""
         self.codes = codes
         self.thresholds = thresholds
         self.width, self.is_cut = bin_layout(thresholds)
         self.keyed = codes + np.arange(codes.shape[1], dtype=np.int64) * self.width
 
-    def grow(self, target: np.ndarray, rows: np.ndarray, max_depth: int, min_leaf: int) -> NodeTable:
-        """A tree fitted to ``target`` on the matrix rows ``rows``."""
+    def grow(
+        self,
+        sums: np.ndarray,
+        counts: np.ndarray,
+        low: np.ndarray,
+        high: np.ndarray,
+        max_depth: int,
+        min_leaf: int,
+    ) -> NodeTable:
+        """A tree fitted to the items of nonzero count: per item, the sum and
+        count of its rows' targets and their least and greatest target."""
         codes, thresholds, width, is_cut, keyed = self.codes, self.thresholds, self.width, self.is_cut, self.keyed
         d = codes.shape[1]
         table = NodeTable()
 
-        def searches(r: np.ndarray, depth: int) -> bool:
+        def searches(items: np.ndarray, depth: int) -> bool:
             # a constant target cannot be split; its scores differ only by
             # rounding, which at n * mean^2 scale can exceed MIN_GAIN
-            return depth < max_depth and len(r) >= 2 * min_leaf and r.min() != r.max()
+            return depth < max_depth and counts[items].sum() >= 2 * min_leaf and low[items].min() != high[items].max()
 
-        def histograms(keys: np.ndarray, r: np.ndarray, groups: int) -> tuple[np.ndarray, np.ndarray]:
-            keys = keys.ravel()
+        def gather(items: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            # each item's keys, and its sum and count once per key
+            return np.take(keyed, items, axis=0), np.repeat(sums[items], d), np.repeat(counts[items], d)
+
+        def histograms(keys: np.ndarray, sum_weights: np.ndarray, count_weights: np.ndarray, groups: int) -> list:
+            # (sums, counts) of each group of keys, as (d, width) histograms
             size = groups * d * width
-            sums = np.bincount(keys, weights=np.repeat(r, d), minlength=size)
-            counts = np.bincount(keys, minlength=size)
-            return sums.reshape(groups, d, width), counts.reshape(groups, d, width)
+            hist_sums, hist_counts = (
+                np.bincount(keys.ravel(), weights=w, minlength=size).reshape(groups, d, width)
+                for w in (sum_weights, count_weights)
+            )
+            return list(zip(hist_sums, hist_counts))
 
-        def grow(rows: np.ndarray, depth: int, hist: tuple[np.ndarray, np.ndarray] | None) -> int:
-            r = target[rows]
-            if not searches(r, depth):
-                return table.add(r.mean(), len(rows))
-            keys = None
+        def grow(items: np.ndarray, depth: int, hist: tuple[np.ndarray, np.ndarray] | None) -> int:
+            n = int(counts[items].sum())
+            total_sum = sums[items].sum()
+            if not searches(items, depth):
+                return table.add(total_sum / n, n)
+            gathered = None
             if hist is None:
-                keys = np.take(keyed, rows, axis=0)
-                sums, counts = histograms(keys, r, 1)
-                hist = sums[0], counts[0]
-            n = len(rows)
-            total_sum = r.sum()
+                gathered = gather(items)
+                (hist,) = histograms(*gathered, 1)
             csum = np.cumsum(hist[0], axis=1)
             nl = np.cumsum(hist[1], axis=1)
             nr = n - nl
@@ -309,45 +330,44 @@ class SseGrower:
                 score = np.where(ok, csum * csum / nl + (total_sum - csum) ** 2 / nr, -np.inf)
             cut = best_cut(score, total_sum * total_sum / n)
             if cut is None:
-                return table.add(r.mean(), len(rows))
+                return table.add(total_sum / n, n)
             f, b = cut
             node = table.add()
-            go_left = codes[rows, f] <= b
-            left_rows, right_rows = rows[go_left], rows[~go_left]
+            go_left = codes[items, f] <= b
+            left_items, right_items = items[go_left], items[~go_left]
             left_hist = right_hist = None
-            if searches(target[left_rows], depth + 1) or searches(target[right_rows], depth + 1):
-                if keys is None:
-                    keys = np.take(keyed, rows, axis=0)
-                sums, counts = histograms(keys + np.where(go_left, 0, d * width)[:, None], r, 2)
-                left_hist, right_hist = (sums[0], counts[0]), (sums[1], counts[1])
-            left_id = grow(left_rows, depth + 1, left_hist)
-            right_id = grow(right_rows, depth + 1, right_hist)
+            if searches(left_items, depth + 1) or searches(right_items, depth + 1):
+                keys, sum_weights, count_weights = gathered or gather(items)
+                child_keys = keys + np.where(go_left, 0, d * width)[:, None]
+                left_hist, right_hist = histograms(child_keys, sum_weights, count_weights, 2)
+            left_id = grow(left_items, depth + 1, left_hist)
+            right_id = grow(right_items, depth + 1, right_hist)
             table.split(node, f, thresholds[f][b], left_id, right_id)
             return node
 
-        grow(rows, 0, None)
+        grow(np.flatnonzero(counts), 0, None)
         # grow reaches itself through its closure; unbinding it frees the
-        # target now rather than at the next cyclic garbage collection
+        # item arrays now rather than at the next cyclic garbage collection
         del grow
         return table
 
     def leaf_values(self, table: NodeTable) -> np.ndarray:
-        """The leaf value that ``table``, a tree grown here, gives every row
-        of the matrix.
+        """The leaf value that ``table``, a tree grown here, gives every
+        item, whatever its count.
 
         A split at ``thresholds[f][b]`` sends ``code <= b`` left, which is
-        ``x <= threshold`` for the row the code came from, so each row
-        reaches the leaf that a walk over its float values reaches.
+        ``x <= threshold`` for every row the code row came from, so each
+        item reaches the leaf that a walk over those rows' values reaches.
         """
         out = np.empty(self.codes.shape[0], dtype=np.float64)
         reached = {0: np.arange(self.codes.shape[0])}
         for node, f in enumerate(table.feature):
-            rows = reached.pop(node)
+            items = reached.pop(node)
             if f < 0:
-                out[rows] = table.value[node]
+                out[items] = table.value[node]
                 continue
-            go_left = self.codes[rows, f] <= np.searchsorted(self.thresholds[f], table.threshold[node])
-            reached[table.left[node]], reached[table.right[node]] = rows[go_left], rows[~go_left]
+            go_left = self.codes[items, f] <= np.searchsorted(self.thresholds[f], table.threshold[node])
+            reached[table.left[node]], reached[table.right[node]] = items[go_left], items[~go_left]
         return out
 
 
@@ -359,5 +379,7 @@ def grow_sse_tree(
     max_depth: int,
     min_leaf: int,
 ) -> NodeTable:
-    """One tree of an ``SseGrower`` over ``codes``."""
-    return SseGrower(codes, thresholds).grow(target, rows, max_depth, min_leaf)
+    """One tree of an ``SseGrower`` over the matrix rows ``rows``, each its
+    own item, in the order given."""
+    r = target[rows]
+    return SseGrower(codes[rows], thresholds).grow(r, np.ones(len(r), dtype=np.int64), r, r, max_depth, min_leaf)

@@ -139,6 +139,42 @@ def test_out_of_range_sim_value_exits_2_naming_the_field(tmp_path, capsys, field
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "section,field,value",
+    [
+        ("nuisance", "rounds", 0),
+        ("nuisance", "rounds", -1),
+        ("nuisance", "max_depth", 0),
+        ("nuisance", "max_depth", -2),
+        ("nuisance", "max_bins", 1),
+        ("nuisance", "max_bins", 0),
+        ("forest", "bags", 1),
+        ("forest", "max_depth", -1),
+        ("forest", "max_bins", 1),
+        ("forest", "min_leaf_estimate", 0),
+        ("forest", "features_per_split", 0),
+    ],
+)
+def test_settings_that_cannot_train_a_servable_model_exit_2_naming_the_field(tmp_path, capsys, section, field, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(minimal(**{section: {field: value}})))
+    out = tmp_path / "model.bin"
+    data = tmp_path / "events.jsonl"  # never read: the config fails first
+    assert main(["train", "--config", str(path), "--data", str(data), "--out", str(out)]) == 2
+    assert f"{field} must be >=" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_one_bag_is_refused_only_for_a_forest_final_stage(tmp_path, capsys):
+    raw = minimal(final_stage="linear", forest={"bags": 1})
+    assert parse_experiment_config(raw).train.forest.bags == 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    argv = ["train", "--config", str(path), "--data", str(tmp_path / "e.jsonl"), "--out", str(tmp_path / "m.bin")]
+    assert main(argv + ["--final-stage", "forest"]) == 2
+    assert "forest.bags must be >= 2" in capsys.readouterr().err
+
+
 def test_every_sim_probability_must_lie_in_the_unit_interval():
     names = [
         f.name

@@ -221,3 +221,8 @@ def test_params_validation():
         ForestParams(honest_fraction=1.0)
     with pytest.raises(InvalidArgument):
         from_record(ForestParams, {"bags": 5, "no_such": 1})
+    for field, value in (("max_depth", -1), ("max_bins", 1), ("min_leaf_estimate", 0), ("features_per_split", 0)):
+        with pytest.raises(InvalidArgument, match=f"{field} must be >="):
+            ForestParams(**{field: value})
+    # one bag still grows single trees; only a forest final stage needs two
+    assert ForestParams(bags=1, max_depth=0, features_per_split=1).bags == 1

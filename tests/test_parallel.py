@@ -95,9 +95,10 @@ def test_train_writes_the_same_model_bin_on_any_worker_count(tmp_path, cpus, kin
     argv = ["simulate", "--config", str(cfg_path), "--out", str(events), "--truth", str(tmp_path / "truth.jsonl")]
     assert main(argv + ["--n", "400"]) == 0
     models = []
-    for run, workers in enumerate([1, 2, 2]):
+    # 3 folds make 6 fold fits in one map; 4 workers do not divide them
+    for run, workers in enumerate([1, 2, 2, 3, 4]):
         cpus(workers)
         out = tmp_path / f"model_{run}.bin"
         assert main(["train", "--config", str(cfg_path), "--data", str(events), "--out", str(out)]) == 0
         models.append(out.read_bytes())
-    assert models[0] == models[1] == models[2]
+    assert all(model == models[0] for model in models)
