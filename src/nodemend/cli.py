@@ -252,6 +252,10 @@ def _cmd_abtest(args) -> int:
 
 
 def _cmd_update(args) -> int:
+    try:
+        modelio.check_margin(args.margin)
+    except InvalidArgument as exc:
+        raise ConfigError(f"--margin: {exc}") from exc
     current = load_model(args.current)
     recent = read_events_jsonl(args.recent)
     holdout = read_events_jsonl(args.holdout)

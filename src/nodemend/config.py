@@ -10,7 +10,7 @@ Layout (all sections optional, defaults apply):
     {
       "seed": 42,
       "sim": {"preset": "default", "cause_probs": [...], ...},
-      "nuisance": {"kind": "gbm", "rounds": 200, ...},
+      "nuisance": {"rounds": 200, "learning_rate": 0.1, ...},
       "folds": 5,
       "final_stage": "forest",
       "forest": {"bags": 25, "trees_per_bag": 8, ...},

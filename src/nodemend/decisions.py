@@ -57,6 +57,8 @@ class DecisionConfig:
             raise InvalidArgument(f"fallback_width must be finite and > 0, got {self.fallback_width}")
         if not 0 <= self.capacity_tau < math.inf:
             raise InvalidArgument(f"capacity_tau must be finite and >= 0, got {self.capacity_tau}")
+        if self.repeat_threshold < 0:
+            raise InvalidArgument(f"repeat_threshold must be >= 0, got {self.repeat_threshold}")
 
 
 @dataclass(frozen=True)

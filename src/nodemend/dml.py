@@ -11,7 +11,7 @@ deployment gating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .domain import (
 )
 from .errors import DegenerateTreatment, InsufficientData, InvalidArgument
 from .forest import CausalForest, ForestParams, fit_forest, predict_tau, predict_tau_ci
-from .learners import Learner, LearnerConfig, crossfit_predict, make_folds
+from .learners import GradientBoostedTrees, LearnerConfig, crossfit_predict, make_folds
 
 FINAL_STAGE_FOREST = "forest"
 FINAL_STAGE_LINEAR = "linear"
@@ -109,8 +109,8 @@ class DmlModel:
     """
 
     schema: FeatureSchema
-    outcome_learners: tuple[Learner, ...]
-    propensity_learners: tuple[Learner, ...]
+    outcome_learners: tuple[GradientBoostedTrees, ...]
+    propensity_learners: tuple[GradientBoostedTrees, ...]
     forest: CausalForest | None
     linear: LinearTheta | None
     train_config: TrainConfig
@@ -170,14 +170,14 @@ def train_dml(
     if actions != {0, 1}:
         raise DegenerateTreatment(f"training needs both actions, saw codes {sorted(actions)}")
     res, outcome_learners, propensity_learners = residualize_dataset(dataset, config, schema)
-    return assemble_model(res, outcome_learners, propensity_learners, config.final_stage, config, schema, dataset)
+    return assemble_model(res, outcome_learners, propensity_learners, config, schema, dataset)
 
 
 def residualize_dataset(
     dataset: list[LabeledEvent],
     config: TrainConfig = TrainConfig(),
     schema: FeatureSchema = DEFAULT_SCHEMA,
-) -> tuple[ResidualData, list, list]:
+) -> tuple[ResidualData, list[GradientBoostedTrees], list[GradientBoostedTrees]]:
     """Stage 1 only; lets callers fit several final stages on one residual set."""
     X, y, a = prepare_training_arrays(dataset, schema)
     a = a.astype(np.float64)
@@ -196,22 +196,20 @@ def residualize_dataset(
 
 def assemble_model(
     res: ResidualData,
-    outcome_learners: list,
-    propensity_learners: list,
-    final_stage: str,
+    outcome_learners: list[GradientBoostedTrees],
+    propensity_learners: list[GradientBoostedTrees],
     config: TrainConfig,
     schema: FeatureSchema,
     dataset: list[LabeledEvent],
 ) -> DmlModel:
-    """Build a DmlModel around an existing residual set."""
+    """Build a DmlModel of ``config.final_stage`` around an existing
+    residual set."""
     forest = None
     linear = None
-    if final_stage == FINAL_STAGE_FOREST:
+    if config.final_stage == FINAL_STAGE_FOREST:
         forest = fit_forest(res.features, res.ry, res.ra, config.forest, seed=seed_for(config.seed, 3))
-    elif final_stage == FINAL_STAGE_LINEAR:
-        linear = final_stage_linear(res)
     else:
-        raise InvalidArgument(f"unknown final stage {final_stage!r}")
+        linear = final_stage_linear(res)
     metadata = ModelMetadata(
         n=res.features.shape[0],
         timestamp=max((e.timestamp for e in dataset), default=0),
@@ -223,7 +221,7 @@ def assemble_model(
         propensity_learners=tuple(propensity_learners),
         forest=forest,
         linear=linear,
-        train_config=replace(config, final_stage=final_stage),
+        train_config=config,
         metadata=metadata,
     )
 

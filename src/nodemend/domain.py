@@ -273,10 +273,9 @@ def from_record(cls, d, what: str | None = None):
     raises InvalidArgument naming ``what`` (default: the class name) and the
     field. ``bool``, ``int`` and ``str`` must be exactly that type; ``float``
     also takes an int. An ``NDArray[np.int64]`` comes from a list of ints,
-    an ``NDArray[np.float64]`` from a list of finite numbers. A union of
-    dataclasses decodes as its first member whose required fields the
-    object holds. Fields with defaults may be absent; fields outside
-    ``__init__`` are neither written nor read.
+    an ``NDArray[np.float64]`` from a list of finite numbers. Fields with
+    defaults may be absent; fields outside ``__init__`` are neither written
+    nor read.
     """
     what = what or cls.__name__
     if not isinstance(d, dict):
@@ -366,15 +365,6 @@ def _codec(tp) -> tuple:
             return None if v is None else inner_encode(v)
 
         return exact, decode_optional, None if inner_encode is None else encode_optional
-    if isinstance(tp, types.UnionType) and all(map(is_dataclass, args)):
-
-        def decode_union(v, what, name):
-            # the first member whose required fields the object holds
-            held = v.keys() if type(v) is dict else ()
-            cls = next((a for a in args if all(p[0] in held for p in _plan(a) if p[4])), args[0])
-            return from_record(cls, v, f"{what}.{name}")
-
-        return None, decode_union, to_record
     if typing.get_origin(tp) is tuple and args:
         variadic = len(args) == 2 and args[1] is Ellipsis
         codecs = [_codec(a) for a in args[: 1 if variadic else None]]

@@ -1,10 +1,9 @@
 """First-stage learners and cross-fitting.
 
-The default learner is a small gradient-boosted ensemble of depth-2
+The one nuisance learner is a small gradient-boosted ensemble of depth-2
 regression trees over pre-binned features: deterministic given its seed,
 no dependencies beyond numpy, and comfortable with one-hot plus count
-columns. A closed-form ridge regressor is provided as the oracle-friendly
-alternative. Propensity mode reuses the same regressors on 0/1 targets and
+columns. Propensity mode fits the same regressor to 0/1 targets and
 clamps predictions away from the boundaries.
 """
 
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import FloatArray, rng_for, seed_for
+from .domain import rng_for, seed_for
 from .errors import InvalidArgument
 from .parallel import map_tasks
 from .trees import PackedTrees, SseGrower, bin_features
@@ -62,19 +61,15 @@ def make_folds(n: int, k: int, seed: int) -> FoldAssignment:
 class LearnerConfig:
     """Hyperparameters for the first-stage learners."""
 
-    kind: str = "gbm"
     rounds: int = 200
     learning_rate: float = 0.1
     max_depth: int = 2
     subsample: float = 0.8
     max_bins: int = 32
     min_leaf: int = 5
-    ridge_alpha: float = 1e-8
     p_min: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.kind not in ("gbm", "ridge"):
-            raise InvalidArgument(f"unknown learner kind {self.kind!r}")
         if self.min_leaf < 1:
             raise InvalidArgument("min_leaf must be >= 1")
         # fewer rounds, levels or bins than these leave every tree one leaf
@@ -90,8 +85,6 @@ class LearnerConfig:
             raise InvalidArgument("p_min must lie in (0, 0.5)")
         if not 0.0 < self.learning_rate < math.inf:
             raise InvalidArgument(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not 0.0 <= self.ridge_alpha < math.inf:
-            raise InvalidArgument(f"ridge_alpha must be finite and >= 0, got {self.ridge_alpha}")
 
 
 def _check_mode(mode: str) -> None:
@@ -173,6 +166,12 @@ class GradientBoostedTrees:
 
     @classmethod
     def fit(cls, config: LearnerConfig, mode: str, seed: int, X: np.ndarray, y: np.ndarray) -> "GradientBoostedTrees":
+        """The learner fitted to (X, y); ``seed`` drives the row
+        subsampling."""
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        if X.shape[0] != y.shape[0]:
+            raise InvalidArgument("features and targets must have equal length")
         rng = rng_for(seed, 0)
         codes, thresholds = bin_features(X, config.max_bins)
         groups = _CodeRows(codes, y)
@@ -203,53 +202,6 @@ class GradientBoostedTrees:
         return out
 
 
-@dataclass(frozen=True)
-class RidgeRegression:
-    """Closed-form ridge with an unpenalized-in-practice tiny default alpha."""
-
-    config: LearnerConfig
-    mode: str
-    intercept: float
-    coef: FloatArray
-
-    def __post_init__(self) -> None:
-        _check_mode(self.mode)
-        if not math.isfinite(self.intercept):
-            raise InvalidArgument(f"intercept must be finite, got {self.intercept}")
-
-    @classmethod
-    def fit(cls, config: LearnerConfig, mode: str, X: np.ndarray, y: np.ndarray) -> "RidgeRegression":
-        Z = np.hstack([np.ones((X.shape[0], 1)), X])
-        a = Z.T @ Z + config.ridge_alpha * np.eye(Z.shape[1])
-        b = Z.T @ y
-        try:
-            beta = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
-            beta = np.linalg.lstsq(a, b, rcond=None)[0]
-        return cls(config, mode, float(beta[0]), beta[1:])
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.asarray(X, dtype=np.float64) @ self.coef + self.intercept
-        if self.mode == "propensity":
-            out = np.clip(out, self.config.p_min, 1.0 - self.config.p_min)
-        return out
-
-
-Learner = GradientBoostedTrees | RidgeRegression
-
-
-def fit_learner(config: LearnerConfig, mode: str, seed: int, X: np.ndarray, y: np.ndarray) -> Learner:
-    """A learner of ``config.kind`` fitted to (X, y); ``seed`` drives the
-    boosting's row subsampling."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.shape[0] != y.shape[0]:
-        raise InvalidArgument("features and targets must have equal length")
-    if config.kind == "gbm":
-        return GradientBoostedTrees.fit(config, mode, seed, X, y)
-    return RidgeRegression.fit(config, mode, X, y)
-
-
 def crossfit_predict(
     features: np.ndarray,
     targets: Sequence[np.ndarray],
@@ -257,7 +209,7 @@ def crossfit_predict(
     config: LearnerConfig,
     modes: Sequence[str],
     seeds: Sequence[int],
-) -> tuple[list[np.ndarray], list]:
+) -> tuple[list[np.ndarray], list[GradientBoostedTrees]]:
     """Out-of-fold predictions of each target: fold j's rows of target t are
     predicted by a learner of mode ``modes[t]`` that was fit on everything
     except fold j. Returns each target's predictions and every learner,
@@ -284,7 +236,7 @@ def crossfit_predict(
     return predictions, [learner for learner, _ in fits]
 
 
-def _fit_fold(shared: tuple, i: int) -> tuple[Learner, np.ndarray]:
+def _fit_fold(shared: tuple, i: int) -> tuple[GradientBoostedTrees, np.ndarray]:
     """Task i is fold j of target t, for (t, j) = divmod(i, k): the learner
     fit on the other folds, and its predictions for fold j's rows. Its seed
     derives from (seeds[t], j), so folds fit in any order and in any process
@@ -293,5 +245,5 @@ def _fit_fold(shared: tuple, i: int) -> tuple[Learner, np.ndarray]:
     t, j = divmod(i, folds.k)
     test = folds.membership == j
     train = ~test
-    learner = fit_learner(config, modes[t], seed_for(seeds[t], j), features[train], targets[t][train])
+    learner = GradientBoostedTrees.fit(config, modes[t], seed_for(seeds[t], j), features[train], targets[t][train])
     return learner, learner.predict(features[test])

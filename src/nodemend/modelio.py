@@ -11,8 +11,10 @@ rename, so a deployed-model path never dangles.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -20,20 +22,37 @@ import numpy as np
 
 from .dml import DmlModel, psi_loss, train_dml
 from .domain import LabeledEvent, from_record, to_record
-from .errors import DataError, InsufficientData, ModelError, ModelIntegrityError, ModelVersionError, NodemendError
+from .errors import (
+    DataError,
+    InsufficientData,
+    InvalidArgument,
+    ModelError,
+    ModelIntegrityError,
+    ModelVersionError,
+    NodemendError,
+)
 from .simulate import GroundTruth
 
 MODEL_FORMAT = "nodemend-model"
-FORMAT_VERSION = "3.0"
+FORMAT_VERSION = "4.0"
 
 
 def atomic_write_text(path: str, content: str) -> None:
+    """Write ``content`` to a temp file beside ``path``, then rename it over
+    ``path``. The temp file never outlives the call; an OSError is a
+    DataError naming ``path``."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(content)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(content)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+    finally:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
 
 
 def save_model(model: DmlModel, path: str) -> None:
@@ -177,6 +196,13 @@ class UpdateResult:
     candidate: DmlModel | None
 
 
+def check_margin(margin: float) -> None:
+    """Refuse a gate margin that could deploy a worse model (below 0 or
+    -inf) or never deploy (NaN, +inf)."""
+    if not 0.0 <= margin < math.inf:
+        raise InvalidArgument(f"margin must be finite and >= 0, got {margin}")
+
+
 def update_model(
     current: DmlModel,
     recent: list[LabeledEvent],
@@ -188,6 +214,7 @@ def update_model(
     The candidate reuses the current model's training recipe. With the
     default zero margin a tie keeps the current model.
     """
+    check_margin(margin)
     if not holdout:
         return UpdateResult(False, "empty holdout", None, None, None)
     try:

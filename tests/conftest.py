@@ -3,6 +3,7 @@ and reused by both the module tests and the acceptance suite. Each bundle
 records how long its generate+train step took so the acceptance suite can
 assert pipeline runtimes without retraining."""
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -62,9 +63,10 @@ def const2_bundle():
     events, truths = generate_observational_dataset(10_000, cfg)
     tc = TrainConfig(seed=CONST2_SEED)
     res, outcome_learners, propensity_learners = residualize_dataset(events, tc, cfg.schema())
-    forest_model = assemble_model(res, outcome_learners, propensity_learners, "forest", tc, cfg.schema(), events)
+    forest_model = assemble_model(res, outcome_learners, propensity_learners, tc, cfg.schema(), events)
     elapsed = time.monotonic() - t0
-    linear_model = assemble_model(res, outcome_learners, propensity_learners, "linear", tc, cfg.schema(), events)
+    linear_tc = dataclasses.replace(tc, final_stage="linear")
+    linear_model = assemble_model(res, outcome_learners, propensity_learners, linear_tc, cfg.schema(), events)
     return {
         "elapsed_s": elapsed,
         "config": cfg,

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they pass.
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -76,8 +77,8 @@ def test_criterion_3_model_ordering():
         holdout, _ = generate_observational_dataset(1500, two_regime_config(seed=seed + 50))
         tc = TrainConfig(seed=seed)
         res, ol, pl = residualize_dataset(train_events, tc, cfg.schema())
-        forest_model = assemble_model(res, ol, pl, "forest", tc, cfg.schema(), train_events)
-        linear_model = assemble_model(res, ol, pl, "linear", tc, cfg.schema(), train_events)
+        forest_model = assemble_model(res, ol, pl, tc, cfg.schema(), train_events)
+        linear_model = assemble_model(res, ol, pl, dataclasses.replace(tc, final_stage="linear"), cfg.schema(), train_events)
         psi_f = psi_loss(forest_model, holdout)
         psi_l = psi_loss(linear_model, holdout)
         wins.append(psi_f < psi_l)

@@ -437,7 +437,7 @@ def test_format_1_model_is_refused(workspace, tmp_path, capsys):
     old = tmp_path / "model_v1.bin"
     payload = json.loads(workspace["model"].read_bytes().partition(b"\n")[2])
     old.write_text(json.dumps({"checksum": "0" * 64, "format": "nodemend-model", "format_version": "1.0", "payload": payload}))
-    with pytest.raises(ModelVersionError, match=re.escape("model format '1.0' is incompatible with '3.0'")):
+    with pytest.raises(ModelVersionError, match=re.escape("model format '1.0' is incompatible with '4.0'")):
         load_model(str(old))
     assert main(["eval", "--model", str(old), "--data", str(workspace["events"])]) == 4
     assert "'1.0'" in capsys.readouterr().err
@@ -496,3 +496,92 @@ def test_recommend_non_finite_decision_threshold_is_a_config_error(workspace, tm
     assert main(argv + ["--decision-config", str(cfg_path), "--log", str(log_path)]) == 2
     assert "must be finite" in capsys.readouterr().err
     assert not log_path.exists()
+
+
+def test_format_3_model_is_refused(workspace, tmp_path, capsys):
+    old = tmp_path / "model_v3.bin"
+    head, _, payload = workspace["model"].read_bytes().partition(b"\n")
+    old.write_bytes(json.dumps({**json.loads(head), "format_version": "3.0"}).encode() + b"\n" + payload)
+    assert main(["eval", "--model", str(old), "--data", str(workspace["events"])]) == 4
+    assert "model format '3.0' is incompatible with '4.0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("knob", [{"kind": "ridge"}, {"ridge_alpha": 1e-8}])
+def test_removed_learner_knobs_are_config_errors(tmp_path, capsys, knob):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**FAST_CONFIG, "nuisance": knob}))
+    events = tmp_path / "events.jsonl"
+    rc = main(["simulate", "--config", str(cfg_path), "--out", str(events), "--truth", str(tmp_path / "t"), "--n", "5"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and f"unknown keys {list(knob)}" in err
+    assert not events.exists()
+
+
+# each command that writes a file, as the arguments that write it to path p
+OUTPUT_ARGS = {
+    "simulate_out": lambda ws, tmp, p: ["simulate", "--config", ws["config"], "--n", 20, "--out", p, "--truth", tmp / "t"],
+    "simulate_truth": lambda ws, tmp, p: ["simulate", "--config", ws["config"], "--n", 20, "--out", tmp / "e", "--truth", p],
+    "train_out": lambda ws, tmp, p: ["train", "--config", ws["config"], "--data", ws["events"], "--out", p],
+    "compare_out": lambda ws, tmp, p: [
+        "compare", "--config", ws["config"], "--model", ws["model"], "--n", 20, "--policies", "legacy", "--out", p
+    ],
+    "compare_plot_data": lambda ws, tmp, p: [
+        "compare", "--config", ws["config"], "--model", ws["model"], "--n", 20, "--policies", "legacy",
+        "--out", tmp / "report.json", "--plot-data", p,
+    ],
+    "interpret_cate_out": lambda ws, tmp, p: [
+        "interpret", "--model", ws["model"], "--data", ws["events"], "--cate-feature", "vm_count", "--cate-out", p
+    ],
+    "abtest_out": lambda ws, tmp, p: [
+        "abtest", "--config", ws["config"], "--experiment", "x", "--groups", "legacy:1", "--n", 20, "--out", p
+    ],
+    "update_out": lambda ws, tmp, p: [
+        "update", "--current", ws["model"], "--recent", ws["events"], "--holdout", ws["events"], "--out", p
+    ],
+}
+
+
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+@pytest.mark.parametrize("command", OUTPUT_ARGS)
+def test_unwritable_output_path_is_a_data_error(workspace, tmp_path, capsys, command, target):
+    if target == "missing_dir":
+        out = tmp_path / "no_such_dir" / "out"
+    else:
+        out = tmp_path / "taken"
+        out.mkdir()
+    assert main([str(arg) for arg in OUTPUT_ARGS[command](workspace, tmp_path, out)]) == 3
+    err = capsys.readouterr().err
+    assert "data error: cannot write" in err and str(out) in err
+    assert list(tmp_path.rglob("*.tmp.*")) == []
+    assert target == "missing_dir" or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("margin", ["-inf", "-1e9", "-0.5", "nan", "inf"])
+def test_update_refuses_a_margin_that_is_not_finite_and_non_negative(workspace, tmp_path, capsys, margin):
+    # a negative margin could deploy a candidate that scores worse on the
+    # holdout; NaN or inf would never deploy
+    out = tmp_path / "updated.bin"
+    events = str(workspace["events"])
+    argv = ["update", "--current", str(workspace["model"]), "--recent", events, "--holdout", events]
+    assert main(argv + ["--out", str(out), f"--margin={margin}"]) == 2
+    captured = capsys.readouterr()
+    assert "config error: --margin" in captured.err and "finite and >= 0" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_recommend_refuses_a_negative_repeat_threshold(workspace, tmp_path, capsys):
+    # with -1 every event, repeat_count 0 included, would be a RepeatOverride
+    signals_path = tmp_path / "signals.json"
+    signals_path.write_text(json.dumps(json.loads(workspace["events"].read_text().splitlines()[0])["signals"]))
+    cfg_path = tmp_path / "decision.json"
+    cfg_path.write_text(json.dumps({"repeat_threshold": -1}))
+    log_path = tmp_path / "actions.jsonl"
+    argv = ["recommend", "--model", str(workspace["model"]), "--signals", str(signals_path)]
+    assert main(argv + ["--decision-config", str(cfg_path), "--log", str(log_path)]) == 2
+    captured = capsys.readouterr()
+    assert "config error:" in captured.err and "repeat_threshold must be >= 0" in captured.err
+    assert captured.out == ""
+    assert not log_path.exists()
+    assert list(tmp_path.rglob("*.tmp.*")) == []

@@ -259,3 +259,10 @@ def test_decision_config_fail_closed():
         from_record(DecisionConfig, {"fallback_tau": 1.0, "unknown_knob": 2})
     with pytest.raises(InvalidArgument):
         DecisionConfig(fallback_width=0.0)
+
+
+def test_repeat_threshold_must_not_be_negative():
+    # -1 would override every decision, repeat_count 0 included
+    with pytest.raises(InvalidArgument, match="repeat_threshold must be >= 0"):
+        DecisionConfig(repeat_threshold=-1)
+    assert DecisionConfig(repeat_threshold=0).repeat_threshold == 0

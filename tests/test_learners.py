@@ -8,14 +8,7 @@ from hypothesis import strategies as st
 from nodemend import parallel
 from nodemend.domain import from_record, rng_for, seed_for, to_record
 from nodemend.errors import InvalidArgument
-from nodemend.learners import (
-    GradientBoostedTrees,
-    LearnerConfig,
-    RidgeRegression,
-    crossfit_predict,
-    fit_learner,
-    make_folds,
-)
+from nodemend.learners import GradientBoostedTrees, LearnerConfig, crossfit_predict, make_folds
 from nodemend.trees import MIN_GAIN, NodeTable, PackedTrees, bin_features
 
 
@@ -136,16 +129,6 @@ def test_crossfit_constant_target():
     assert np.allclose(oof, 3.25)
 
 
-def test_crossfit_linear_oracle():
-    # closed-form least squares recovers y = 3*x1 exactly
-    rng = np.random.default_rng(1)
-    X = rng.normal(size=(100, 3))
-    y = 3.0 * X[:, 0]
-    folds = make_folds(100, 5, seed=2)
-    oof, _ = crossfit_one(X, y, folds, LearnerConfig(kind="ridge", ridge_alpha=1e-12), seed=0)
-    assert np.max(np.abs(oof - y)) < 1e-8
-
-
 @pytest.mark.parametrize("workers", [1, 3])
 def test_crossfit_predicts_each_row_with_its_own_fold_and_target(monkeypatch, workers):
     # 2 targets x 4 folds is one map of 8 tasks; 3 workers do not divide it
@@ -164,7 +147,7 @@ def test_crossfit_predicts_each_row_with_its_own_fold_and_target(monkeypatch, wo
     for t, (target, mode, seed) in enumerate(targets):
         for j in range(4):
             test = folds.membership == j
-            want = fit_learner(config, mode, seed_for(seed, j), X[~test], target[~test])
+            want = GradientBoostedTrees.fit(config, mode, seed_for(seed, j), X[~test], target[~test])
             assert to_record(learners[t * 4 + j]) == to_record(want)
             assert np.array_equal(predictions[t][test], want.predict(X[test]))
 
@@ -233,8 +216,8 @@ def test_gbm_deterministic_given_seed():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(200, 6))
     y = X[:, 0] ** 2 + rng.normal(size=200)
-    a = fit_learner(LearnerConfig(rounds=30), "regression", 11, X, y)
-    b = fit_learner(LearnerConfig(rounds=30), "regression", 11, X, y)
+    a = GradientBoostedTrees.fit(LearnerConfig(rounds=30), "regression", 11, X, y)
+    b = GradientBoostedTrees.fit(LearnerConfig(rounds=30), "regression", 11, X, y)
     Xq = rng.normal(size=(50, 6))
     assert np.array_equal(a.predict(Xq), b.predict(Xq))
 
@@ -243,19 +226,9 @@ def test_gbm_serialization_round_trip():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(150, 4))
     y = np.sin(X[:, 0]) + 0.2 * rng.normal(size=150)
-    learner = fit_learner(LearnerConfig(rounds=25), "regression", 9, X, y)
+    learner = GradientBoostedTrees.fit(LearnerConfig(rounds=25), "regression", 9, X, y)
     clone = from_record(GradientBoostedTrees, to_record(learner))
     Xq = rng.normal(size=(40, 4))
-    assert np.array_equal(learner.predict(Xq), clone.predict(Xq))
-
-
-def test_ridge_serialization_round_trip():
-    rng = np.random.default_rng(6)
-    X = rng.normal(size=(50, 3))
-    y = X @ np.array([1.0, -2.0, 0.5]) + 4.0
-    learner = fit_learner(LearnerConfig(kind="ridge"), "regression", 0, X, y)
-    clone = from_record(RidgeRegression, to_record(learner))
-    Xq = rng.normal(size=(20, 3))
     assert np.array_equal(learner.predict(Xq), clone.predict(Xq))
 
 
@@ -268,8 +241,6 @@ def test_degenerate_fold_constant_fit_not_error():
 
 
 def test_config_validation():
-    with pytest.raises(InvalidArgument):
-        LearnerConfig(kind="mlp")
     with pytest.raises(InvalidArgument):
         LearnerConfig(subsample=0.0)
     with pytest.raises(InvalidArgument):

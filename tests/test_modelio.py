@@ -15,6 +15,7 @@ from nodemend.errors import (
     DataError,
     DegenerateTreatment,
     InsufficientData,
+    InvalidArgument,
     ModelError,
     ModelIntegrityError,
     ModelVersionError,
@@ -106,7 +107,7 @@ def test_model_version_mismatch(tmp_path, small_model):
     header = json.loads(head)
     header["format_version"] = "2.0"
     open(path, "wb").write(json.dumps(header).encode() + b"\n" + payload)
-    with pytest.raises(ModelVersionError, match="'2.0' is incompatible with '3.0'"):
+    with pytest.raises(ModelVersionError, match="'2.0' is incompatible with '4.0'"):
         load_model(path)
 
 
@@ -139,7 +140,7 @@ def test_model_file_is_a_header_line_and_the_payload_it_hashes(tmp_path, small_m
     head, _, payload = open(path, "rb").read().partition(b"\n")
     assert json.loads(head) == {
         "format": "nodemend-model",
-        "format_version": "3.0",
+        "format_version": "4.0",
         "sha256": hashlib.sha256(payload).hexdigest(),
     }
     record = json.loads(payload)
@@ -388,6 +389,23 @@ def test_update_tie_keeps_current(small_model):
     assert result.psi_current is not None
     if result.psi_candidate == result.psi_current:
         assert not result.deployed
+
+
+@pytest.mark.parametrize("margin", [-1.0, float("-inf"), float("nan"), float("inf")])
+def test_update_refuses_a_margin_that_is_not_finite_and_non_negative(small_model, margin):
+    _, events, model = small_model
+    with pytest.raises(InvalidArgument, match="margin must be finite and >= 0"):
+        update_model(model, events[:300], events[300:], margin=margin)
+
+
+def test_atomic_write_leaves_no_temp_file_on_failure(tmp_path):
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    with pytest.raises(DataError, match=re.escape(f"cannot write {taken}")):
+        modelio.atomic_write_text(str(taken), "x")
+    with pytest.raises(TypeError):
+        modelio.atomic_write_text(str(tmp_path / "out.txt"), None)
+    assert list(tmp_path.iterdir()) == [taken]
 
 
 def test_update_replaces_corrupted_current(small_model):

@@ -80,12 +80,11 @@ def test_worker_exception_reaches_caller_as_same_type(cpus, workers):
         map_tasks(_divide, 1.0, 3)
 
 
-@pytest.mark.parametrize("kind", ["gbm", "ridge"])
-def test_train_writes_the_same_model_bin_on_any_worker_count(tmp_path, cpus, kind):
+def test_train_writes_the_same_model_bin_on_any_worker_count(tmp_path, cpus):
     config = {
         "seed": 23,
         "sim": {"preset": "default"},
-        "nuisance": {"kind": kind, "rounds": 30},
+        "nuisance": {"rounds": 30},
         "folds": 3,
         "forest": {"bags": 5, "trees_per_bag": 2, "max_depth": 5},
     }
