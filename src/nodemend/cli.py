@@ -17,7 +17,7 @@ from .dml import estimate_ite, psi_loss, train_dml
 from .domain import DiagnosticSignals, from_record, to_record
 from .errors import ConfigError, DataError, InvalidArgument, ModelError, NodemendError
 from .evaluation import adjusted_effect, counterfactual_analysis, naive_effect, run_policy_comparison
-from .interpret import cate_by_feature, interpret_model
+from .interpret import cate_by_feature, check_bins, check_depth, check_feature, interpret_model
 from .modelio import ActionLogRecord, ActionLogger, load_model, read_events_jsonl, read_truth_jsonl, save_model
 from .simulate import generate_observational_dataset
 
@@ -91,8 +91,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(*paths: str | None) -> None:
+    """Refuse an output path that cannot be written before any work runs."""
+    for path in paths:
+        if path:
+            modelio.check_writable(path)
+
+
 def _cmd_simulate(args) -> int:
     cfg = load_experiment_config(args.config)
+    _check_outputs(args.out, args.truth)
     events, truths = generate_observational_dataset(args.n, cfg.sim)
     modelio.write_events_jsonl(events, args.out)
     modelio.write_truth_jsonl(truths, args.truth)
@@ -110,6 +118,7 @@ def _cmd_train(args) -> int:
             train_cfg = replace(train_cfg, final_stage=args.final_stage)
         except InvalidArgument as exc:
             raise ConfigError(str(exc)) from exc
+    _check_outputs(args.out)
     events = read_events_jsonl(args.data)
     model = train_dml(events, train_cfg, cfg.sim.schema())
     save_model(model, args.out)
@@ -132,6 +141,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = load_experiment_config(args.config)
+    _check_outputs(args.out, args.plot_data)
     model = load_model(args.model)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     report = run_policy_comparison(policies, args.n, cfg.sim, cfg.seed, model=model, decision_config=cfg.decision)
@@ -197,6 +207,15 @@ def _cmd_recommend(args) -> int:
 
 
 def _cmd_interpret(args) -> int:
+    checks = [("--depth", check_depth, args.depth), ("--bins", check_bins, args.bins)]
+    if args.cate_feature:
+        checks.append(("--cate-feature", check_feature, args.cate_feature))
+    for flag, check, value in checks:
+        try:
+            check(value)
+        except InvalidArgument as exc:
+            raise InvalidArgument(f"{flag}: {exc}") from exc
+    _check_outputs(args.cate_out)
     model = load_model(args.model)
     events = read_events_jsonl(args.data)
     tree, text = interpret_model(model, events, max_depth=args.depth)
@@ -238,6 +257,7 @@ def _parse_groups(spec: str) -> list[tuple[str, float]]:
 def _cmd_abtest(args) -> int:
     cfg = load_experiment_config(args.config)
     groups = _parse_groups(args.groups)
+    _check_outputs(args.out)
     model = load_model(args.model) if args.model else None
     if any(name == "engine" for name, _ in groups) and model is None:
         raise ConfigError("the engine group needs --model")
@@ -256,9 +276,12 @@ def _cmd_update(args) -> int:
         modelio.check_margin(args.margin)
     except InvalidArgument as exc:
         raise ConfigError(f"--margin: {exc}") from exc
+    _check_outputs(args.out)
     current = load_model(args.current)
-    recent = read_events_jsonl(args.recent)
-    holdout = read_events_jsonl(args.holdout)
+    # both windows must encode under the current schema, so a bad row is a
+    # data error naming its line, not a failed retrain
+    recent = read_events_jsonl(args.recent, current.schema)
+    holdout = read_events_jsonl(args.holdout, current.schema)
     result = modelio.update_model(current, recent, holdout, margin=args.margin)
     deployed_model = result.candidate if result.deployed else current
     save_model(deployed_model, args.out)

@@ -1,7 +1,9 @@
 """Two-stage effect estimation: residualize, then fit the effect model.
 
 Stage 1 cross-fits an outcome regressor and a propensity model so every
-row's nuisance prediction comes from learners that never saw it. Stage 2
+row's nuisance prediction comes from learners that never saw it; each
+propensity prediction is clamped into [p_min, 1 - p_min] here, so no
+treatment residual comes from a propensity at 0 or 1. Stage 2
 regresses the outcome residual on the treatment residual, either with a
 closed-form linear effect model or with the honest forest. The squared
 residual-stage error doubles as the model score used for comparisons and
@@ -74,7 +76,6 @@ class LinearTheta:
 
     intercept: float
     coef: FloatArray
-    condition_number: float
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.intercept):
@@ -183,14 +184,10 @@ def residualize_dataset(
     a = a.astype(np.float64)
     folds = make_folds(X.shape[0], config.folds, seed=seed_for(config.seed, 0))
     (y_hat, a_hat), learners = crossfit_predict(
-        X,
-        (y, a),
-        folds,
-        config.learner,
-        modes=("regression", "propensity"),
-        seeds=(seed_for(config.seed, 1), seed_for(config.seed, 2)),
+        X, (y, a), folds, config.learner, seeds=(seed_for(config.seed, 1), seed_for(config.seed, 2))
     )
-    outcome_learners, propensity_learners = learners[: folds.k], learners[folds.k :]
+    a_hat = clamp_propensity(a_hat, config.learner)
+    outcome_learners, propensity_learners = learners[: config.folds], learners[config.folds :]
     return ResidualData(features=X, ry=y - y_hat, ra=a - a_hat), outcome_learners, propensity_learners
 
 
@@ -230,22 +227,27 @@ def final_stage_linear(res: ResidualData) -> LinearTheta:
     """Least squares for theta(x) = c + beta . x against ry =~ theta(x) * ra.
 
     Solved on the ra-scaled design, so singular layouts fall back to the
-    pseudo-inverse; the design's condition number is kept with the model
-    (inf for a singular design).
+    pseudo-inverse.
     """
     ra = res.ra
     if not np.any(np.abs(ra) > 0.0):
         raise DegenerateTreatment("all treatment residuals are zero")
     Z = np.hstack([np.ones((res.features.shape[0], 1)), res.features]) * ra[:, None]
-    beta, _, _, sv = np.linalg.lstsq(Z, res.ry, rcond=None)
-    cond = float(sv[0] / sv[-1]) if len(sv) and sv[-1] > 0 else float("inf")
-    return LinearTheta(intercept=float(beta[0]), coef=beta[1:], condition_number=cond)
+    beta = np.linalg.lstsq(Z, res.ry, rcond=None)[0]
+    return LinearTheta(intercept=float(beta[0]), coef=beta[1:])
+
+
+def clamp_propensity(p: np.ndarray, config: LearnerConfig) -> np.ndarray:
+    """Propensities clamped into [p_min, 1 - p_min]."""
+    return np.clip(p, config.p_min, 1.0 - config.p_min)
 
 
 def nuisance_predictions(model: DmlModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Average the k fold-learners; rows outside training were seen by none."""
+    """Average the k fold-learners; rows outside training were seen by none.
+    Each propensity learner's prediction is clamped before the average."""
     y_hat = np.mean([lr.predict(X) for lr in model.outcome_learners], axis=0)
-    a_hat = np.mean([lr.predict(X) for lr in model.propensity_learners], axis=0)
+    learner = model.train_config.learner
+    a_hat = np.mean([clamp_propensity(lr.predict(X), learner) for lr in model.propensity_learners], axis=0)
     return y_hat, a_hat
 
 

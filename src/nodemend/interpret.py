@@ -18,7 +18,7 @@ import numpy as np
 
 from .decisions import preferred_action
 from .dml import DmlModel, estimate_ite_batch
-from .domain import DiagnosticSignals, LabeledEvent, MitigationAction
+from .domain import LabeledEvent, MitigationAction
 from .errors import InsufficientData, InvalidArgument
 from .trees import PackedTrees, bin_features, grow_sse_tree
 
@@ -35,8 +35,7 @@ def fit_policy_tree(features: np.ndarray, tau_hat: np.ndarray, max_depth: int = 
         raise InvalidArgument("features and tau_hat must align")
     if X.shape[0] < _MIN_ROWS:
         raise InsufficientData(f"policy tree needs >= {_MIN_ROWS} rows, got {X.shape[0]}")
-    if max_depth < 0:
-        raise InvalidArgument("max_depth must be >= 0")
+    check_depth(max_depth)
 
     codes, thresholds = bin_features(X, max_bins=X.shape[0])
     table = grow_sse_tree(codes, thresholds, tau, np.arange(X.shape[0]), max_depth, _MIN_LEAF)
@@ -74,10 +73,19 @@ SIGNAL_FEATURES = (
 )
 
 
-def _signal_value(signals: DiagnosticSignals, name: str):
+def check_depth(max_depth: int) -> None:
+    if max_depth < 0:
+        raise InvalidArgument("max_depth must be >= 0")
+
+
+def check_bins(bins: int) -> None:
+    if bins < 1:
+        raise InvalidArgument("bins must be >= 1")
+
+
+def check_feature(name: str) -> None:
     if name not in SIGNAL_FEATURES:
         raise InvalidArgument(f"unknown feature {name!r}; choose from {SIGNAL_FEATURES}")
-    return getattr(signals, name)
 
 
 def cate_by_feature(
@@ -92,11 +100,11 @@ def cate_by_feature(
     range; boolean and categorical signals get one bucket per value. Empty
     buckets are omitted. Returns (bin center, mean effect, count) rows.
     """
-    if bins < 1:
-        raise InvalidArgument("bins must be >= 1")
+    check_bins(bins)
     if not dataset:
         raise InvalidArgument("cate_by_feature needs a non-empty dataset")
-    values = [_signal_value(e.signals, feature) for e in dataset]
+    check_feature(feature)
+    values = [getattr(e.signals, feature) for e in dataset]
     estimates = estimate_ite_batch(model, [e.signals for e in dataset])
     taus = np.asarray([e.tau for e in estimates])
 

@@ -3,8 +3,10 @@
 The one nuisance learner is a small gradient-boosted ensemble of depth-2
 regression trees over pre-binned features: deterministic given its seed,
 no dependencies beyond numpy, and comfortable with one-hot plus count
-columns. Propensity mode fits the same regressor to 0/1 targets and
-clamps predictions away from the boundaries.
+columns. It is a plain regressor, fitted to 0/1 targets for the
+propensity as to downtime for the outcome; keeping the propensity away
+from 0 and 1 is the estimator's job (``dml``). Folds are one int array of
+per-row fold indices.
 """
 
 from __future__ import annotations
@@ -21,23 +23,9 @@ from .parallel import map_tasks
 from .trees import PackedTrees, SseGrower, bin_features
 
 
-@dataclass(frozen=True)
-class FoldAssignment:
-    """Per-row fold indices in [0, k). Built by a seeded shuffle."""
-
-    k: int
-    membership: np.ndarray
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FoldAssignment)
-            and self.k == other.k
-            and np.array_equal(self.membership, other.membership)
-        )
-
-
-def make_folds(n: int, k: int, seed: int) -> FoldAssignment:
-    """Shuffle row indices with the seed and cut into k contiguous blocks.
+def make_folds(n: int, k: int, seed: int) -> np.ndarray:
+    """Per-row fold indices in [0, k): shuffle row indices with the seed
+    and cut them into k contiguous blocks.
 
     Block sizes differ by at most one; requires n >= k >= 2.
     """
@@ -47,14 +35,14 @@ def make_folds(n: int, k: int, seed: int) -> FoldAssignment:
         raise InvalidArgument(f"need at least k={k} rows, got {n}")
     rng = rng_for(seed)
     perm = rng.permutation(n)
-    membership = np.empty(n, dtype=np.int64)
+    folds = np.empty(n, dtype=np.int64)
     base, extra = divmod(n, k)
     start = 0
     for j in range(k):
         size = base + (1 if j < extra else 0)
-        membership[perm[start : start + size]] = j
+        folds[perm[start : start + size]] = j
         start += size
-    return FoldAssignment(k=k, membership=membership)
+    return folds
 
 
 @dataclass(frozen=True)
@@ -87,11 +75,6 @@ class LearnerConfig:
             raise InvalidArgument(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in ("regression", "propensity"):
-        raise InvalidArgument(f"unknown learner mode {mode!r}")
-
-
 class _CodeRows:
     """The distinct code rows of a boosting fit, the items its rounds grow
     over.
@@ -110,40 +93,25 @@ class _CodeRows:
         keys = packed.view(np.dtype((np.void, size * codes.shape[1]))).ravel()
         _, self.first, self.group = np.unique(keys, return_index=True, return_inverse=True)
         self.y = y
-        # the rows by group, then by target: a group's rows in a round run
-        # from its least target to its greatest
-        self.order = np.lexsort((y, self.group))
-        self.sorted_y = y[self.order]
 
     def residuals(self, current: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
         """Per group, the residuals ``y - current[group]`` of the distinct
         matrix rows ``rows``: their sum (added in the order of ``rows``),
-        count, least and greatest (infinite where the group has no row).
-
-        ``y - c`` rounds monotonically in y, so a group's least and
-        greatest residual are those of its least and greatest target.
-        """
+        count, least and greatest (infinite where the group has no row)."""
         u = len(current)
         group = self.group[rows]
-        sums = np.bincount(group, weights=self.y[rows] - current[group], minlength=u)
-        counts = np.bincount(group, minlength=u)
-        chosen = np.zeros(len(self.y), dtype=bool)
-        chosen[rows] = True
-        at = np.flatnonzero(chosen[self.order])
-        present = np.flatnonzero(counts)
-        ends = np.cumsum(counts[present])
+        resid = self.y[rows] - current[group]
         low = np.full(u, np.inf)
         high = np.full(u, -np.inf)
-        low[present] = self.sorted_y[at[ends - counts[present]]] - current[present]
-        high[present] = self.sorted_y[at[ends - 1]] - current[present]
-        return sums, counts, low, high
+        np.minimum.at(low, group, resid)
+        np.maximum.at(high, group, resid)
+        return np.bincount(group, weights=resid, minlength=u), np.bincount(group, minlength=u), low, high
 
 
 @dataclass
 class GradientBoostedTrees:
     """Least-squares boosting over depth-limited trees.
 
-    ``mode="propensity"`` clamps predictions into [p_min, 1 - p_min].
     Deterministic for a fixed seed: row subsampling per round is the only
     random element and is drawn from a private generator. Each round grows
     over the distinct code rows of its subsample, each carrying the sum and
@@ -152,20 +120,17 @@ class GradientBoostedTrees:
     """
 
     config: LearnerConfig
-    mode: str
-    seed: int
     base_value: float
     trees: PackedTrees
 
     def __post_init__(self) -> None:
-        _check_mode(self.mode)
         if not math.isfinite(self.base_value):
             raise InvalidArgument(f"base_value must be finite, got {self.base_value}")
         if len(self.trees) != self.config.rounds:
             raise InvalidArgument(f"a learner of {self.config.rounds} rounds holds {len(self.trees)} trees")
 
     @classmethod
-    def fit(cls, config: LearnerConfig, mode: str, seed: int, X: np.ndarray, y: np.ndarray) -> "GradientBoostedTrees":
+    def fit(cls, config: LearnerConfig, seed: int, X: np.ndarray, y: np.ndarray) -> "GradientBoostedTrees":
         """The learner fitted to (X, y); ``seed`` drives the row
         subsampling."""
         X = np.asarray(X, dtype=np.float64)
@@ -178,7 +143,9 @@ class GradientBoostedTrees:
         grower = SseGrower(codes[groups.first], thresholds)
         base_value = float(y.mean())
         tables = []
-        # rows of one code row reach the same leaves, so share one prediction
+        # rows of one code row reach the same leaves, so share one prediction,
+        # walked from one of its float rows
+        first_rows = X[groups.first]
         current = np.full(len(groups.first), base_value)
         n = X.shape[0]
         n_sub = max(1, int(round(config.subsample * n)))
@@ -186,8 +153,8 @@ class GradientBoostedTrees:
             rows = rng.choice(n, size=n_sub, replace=False) if n_sub < n else np.arange(n)
             table = grower.grow(*groups.residuals(current, rows), config.max_depth, config.min_leaf)
             tables.append(table)
-            current = current + config.learning_rate * grower.leaf_values(table)
-        return cls(config, mode, int(seed), base_value, PackedTrees.pack(tables))
+            current = current + config.learning_rate * PackedTrees.pack([table]).values(first_rows)[:, 0]
+        return cls(config, base_value, PackedTrees.pack(tables))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         out = np.full(np.shape(X)[0], self.base_value)
@@ -197,42 +164,39 @@ class GradientBoostedTrees:
             # sum adds out + lr * v_t tree by tree as a per-tree loop does
             terms = np.column_stack([out[rows], lr * self.trees.value[node]])
             out[rows] = np.add.accumulate(terms, axis=1)[:, -1]
-        if self.mode == "propensity":
-            out = np.clip(out, self.config.p_min, 1.0 - self.config.p_min)
         return out
 
 
 def crossfit_predict(
     features: np.ndarray,
     targets: Sequence[np.ndarray],
-    folds: FoldAssignment,
+    folds: np.ndarray,
     config: LearnerConfig,
-    modes: Sequence[str],
     seeds: Sequence[int],
 ) -> tuple[list[np.ndarray], list[GradientBoostedTrees]]:
-    """Out-of-fold predictions of each target: fold j's rows of target t are
-    predicted by a learner of mode ``modes[t]`` that was fit on everything
-    except fold j. Returns each target's predictions and every learner,
-    target by target and fold by fold within a target.
+    """Out-of-fold predictions of each target: with ``folds`` the per-row
+    fold indices of ``make_folds``, fold j's rows of target t are predicted
+    by a learner fit on everything except fold j. Returns each target's
+    predictions and every learner, target by target and fold by fold
+    within a target.
 
     The fits of all targets run as one map on the available CPUs
     (``parallel.map_tasks``), so no CPU waits for the last fold of one
     target before the next target starts."""
     features = np.asarray(features, dtype=np.float64)
     targets = [np.asarray(t, dtype=np.float64) for t in targets]
-    if not len(targets) == len(modes) == len(seeds):
-        raise InvalidArgument("each target needs one mode and one seed")
-    for mode in modes:
-        _check_mode(mode)
+    if len(targets) != len(seeds):
+        raise InvalidArgument("each target needs one seed")
     if any(t.shape != (features.shape[0],) for t in targets):
         raise InvalidArgument("features and targets must have equal length")
-    if features.shape[0] != folds.membership.shape[0]:
+    if features.shape[0] != folds.shape[0]:
         raise InvalidArgument("fold assignment does not match dataset length")
-    fits = map_tasks(_fit_fold, (features, targets, folds, config, modes, seeds), len(targets) * folds.k)
+    k = int(folds.max(initial=-1)) + 1
+    fits = map_tasks(_fit_fold, (features, targets, folds, k, config, seeds), len(targets) * k)
     predictions = [np.empty(features.shape[0], dtype=np.float64) for _ in targets]
     for i, (_, predicted) in enumerate(fits):
-        t, j = divmod(i, folds.k)
-        predictions[t][folds.membership == j] = predicted
+        t, j = divmod(i, k)
+        predictions[t][folds == j] = predicted
     return predictions, [learner for learner, _ in fits]
 
 
@@ -241,9 +205,9 @@ def _fit_fold(shared: tuple, i: int) -> tuple[GradientBoostedTrees, np.ndarray]:
     fit on the other folds, and its predictions for fold j's rows. Its seed
     derives from (seeds[t], j), so folds fit in any order and in any process
     give the same learners."""
-    features, targets, folds, config, modes, seeds = shared
-    t, j = divmod(i, folds.k)
-    test = folds.membership == j
+    features, targets, folds, k, config, seeds = shared
+    t, j = divmod(i, k)
+    test = folds == j
     train = ~test
-    learner = GradientBoostedTrees.fit(config, modes[t], seed_for(seeds[t], j), features[train], targets[t][train])
+    learner = GradientBoostedTrees.fit(config, seed_for(seeds[t], j), features[train], targets[t][train])
     return learner, learner.predict(features[test])

@@ -12,6 +12,7 @@ rename, so a deployed-model path never dangles.
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import json
 import math
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dml import DmlModel, psi_loss, train_dml
-from .domain import LabeledEvent, from_record, to_record
+from .domain import FeatureSchema, LabeledEvent, encode_matrix, from_record, to_record
 from .errors import (
     DataError,
     InsufficientData,
@@ -34,7 +35,7 @@ from .errors import (
 from .simulate import GroundTruth
 
 MODEL_FORMAT = "nodemend-model"
-FORMAT_VERSION = "4.0"
+FORMAT_VERSION = "5.0"
 
 
 def atomic_write_text(path: str, content: str) -> None:
@@ -48,6 +49,22 @@ def atomic_write_text(path: str, content: str) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+    finally:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+
+
+def check_writable(path: str) -> None:
+    """Fail now, as ``atomic_write_text`` would after the work, where
+    ``path`` cannot be written: no temp file can be made beside it, or a
+    directory stands at it. Leaves nothing behind."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        open(tmp, "w").close()
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
     finally:
@@ -97,8 +114,9 @@ def _write_jsonl(path: str, records: list) -> None:
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def _read_jsonl(path: str, cls) -> list:
-    """Every non-blank line as a ``cls`` record; any fault names file:line."""
+def _read_jsonl(path: str, cls, check=None) -> list:
+    """Every non-blank line as a ``cls`` record, passed to ``check`` when
+    given; any fault names file:line."""
     try:
         with open(path, "rb") as fh:
             lines = fh.read().split(b"\n")
@@ -109,9 +127,12 @@ def _read_jsonl(path: str, cls) -> list:
         if not line.strip():
             continue
         try:
-            records.append(from_record(cls, json.loads(line.decode("utf-8"))))
+            record = from_record(cls, json.loads(line.decode("utf-8")))
+            if check is not None:
+                check(record)
         except (ValueError, DataError) as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
+        records.append(record)
     return records
 
 
@@ -119,8 +140,10 @@ def write_events_jsonl(events: list[LabeledEvent], path: str) -> None:
     _write_jsonl(path, events)
 
 
-def read_events_jsonl(path: str) -> list[LabeledEvent]:
-    return _read_jsonl(path, LabeledEvent)
+def read_events_jsonl(path: str, schema: FeatureSchema | None = None) -> list[LabeledEvent]:
+    """The events of a file; given a schema, every event's signals must
+    encode under it."""
+    return _read_jsonl(path, LabeledEvent, None if schema is None else lambda e: encode_matrix([e.signals], schema))
 
 
 def write_truth_jsonl(truths: list[GroundTruth], path: str) -> None:

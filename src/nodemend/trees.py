@@ -3,11 +3,12 @@ one tree-ensemble record and its walk, and the least-squares grower.
 
 Every tree in the package is grown as a flat table in pre-order:
 ``feature`` is -1 at a leaf, otherwise a split sends ``x[feature] <=
-threshold`` left. Every ensemble, a single tree included, is stored and
-served as one ``PackedTrees`` record. Split
-search runs on binned codes: each column's candidate thresholds are fixed
-once, and a row's code is the number of thresholds strictly below its
-value, so ``code <= b`` is exactly ``x <= thresholds[b]``.
+threshold`` left. Every ensemble, a single tree included, is stored as one
+``PackedTrees`` record and walked by its one walk, whether it serves or a
+boosting round updates its predictions. Split search runs on binned codes:
+each column's candidate thresholds are fixed once, and a row's code is the
+number of thresholds strictly below its value, so ``code <= b`` is exactly
+``x <= thresholds[b]``.
 """
 
 from __future__ import annotations
@@ -350,25 +351,6 @@ class SseGrower:
         # item arrays now rather than at the next cyclic garbage collection
         del grow
         return table
-
-    def leaf_values(self, table: NodeTable) -> np.ndarray:
-        """The leaf value that ``table``, a tree grown here, gives every
-        item, whatever its count.
-
-        A split at ``thresholds[f][b]`` sends ``code <= b`` left, which is
-        ``x <= threshold`` for every row the code row came from, so each
-        item reaches the leaf that a walk over those rows' values reaches.
-        """
-        out = np.empty(self.codes.shape[0], dtype=np.float64)
-        reached = {0: np.arange(self.codes.shape[0])}
-        for node, f in enumerate(table.feature):
-            items = reached.pop(node)
-            if f < 0:
-                out[items] = table.value[node]
-                continue
-            go_left = self.codes[items, f] <= np.searchsorted(self.thresholds[f], table.threshold[node])
-            reached[table.left[node]], reached[table.right[node]] = items[go_left], items[~go_left]
-        return out
 
 
 def grow_sse_tree(

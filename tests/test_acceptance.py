@@ -243,7 +243,7 @@ def test_criterion_8_exact_formula_oracles():
         outcome_learners=[Const(4.0), Const(4.0)],
         propensity_learners=[Const(0.5), Const(0.5)],
         forest=None,
-        linear=LinearTheta(intercept=1.5, coef=np.zeros(schema.width), condition_number=1.0),
+        linear=LinearTheta(intercept=1.5, coef=np.zeros(schema.width)),
         train_config=TrainConfig(folds=2, final_stage="linear"),
         metadata={},
     )

@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from nodemend import cli, evaluation, modelio
 from nodemend.cli import main
 from nodemend.errors import ModelIntegrityError, ModelVersionError
 from nodemend.modelio import load_model, read_action_log, read_events_jsonl
@@ -437,7 +438,7 @@ def test_format_1_model_is_refused(workspace, tmp_path, capsys):
     old = tmp_path / "model_v1.bin"
     payload = json.loads(workspace["model"].read_bytes().partition(b"\n")[2])
     old.write_text(json.dumps({"checksum": "0" * 64, "format": "nodemend-model", "format_version": "1.0", "payload": payload}))
-    with pytest.raises(ModelVersionError, match=re.escape("model format '1.0' is incompatible with '4.0'")):
+    with pytest.raises(ModelVersionError, match=re.escape("model format '1.0' is incompatible with '5.0'")):
         load_model(str(old))
     assert main(["eval", "--model", str(old), "--data", str(workspace["events"])]) == 4
     assert "'1.0'" in capsys.readouterr().err
@@ -503,7 +504,35 @@ def test_format_3_model_is_refused(workspace, tmp_path, capsys):
     head, _, payload = workspace["model"].read_bytes().partition(b"\n")
     old.write_bytes(json.dumps({**json.loads(head), "format_version": "3.0"}).encode() + b"\n" + payload)
     assert main(["eval", "--model", str(old), "--data", str(workspace["events"])]) == 4
-    assert "model format '3.0' is incompatible with '4.0'" in capsys.readouterr().err
+    assert "model format '3.0' is incompatible with '5.0'" in capsys.readouterr().err
+
+
+def test_format_4_model_is_refused(workspace, tmp_path, capsys):
+    # 4.x learner records held a propensity mode and a seed, and the linear
+    # record a condition number
+    old = tmp_path / "model_v4.bin"
+    head, _, payload = workspace["model"].read_bytes().partition(b"\n")
+    old.write_bytes(json.dumps({**json.loads(head), "format_version": "4.0"}).encode() + b"\n" + payload)
+    with pytest.raises(ModelVersionError, match=re.escape("model format '4.0' is incompatible with '5.0'")):
+        load_model(str(old))
+    assert main(["eval", "--model", str(old), "--data", str(workspace["events"])]) == 4
+    captured = capsys.readouterr()
+    assert "model error: model format '4.0' is incompatible with '5.0'" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("field,value", [("mode", "propensity"), ("seed", 7)])
+def test_learner_record_with_a_removed_field_is_refused(workspace, tmp_path, capsys, field, value):
+    bad = tmp_path / "learner_field.bin"
+    shutil.copy(workspace["model"], bad)
+    reseal(bad, lambda p: p["propensity_learners"][0].update({field: value}))
+    cause = f"model.propensity_learners[0]: unknown keys ['{field}']"
+    with pytest.raises(ModelIntegrityError, match=re.escape(cause)):
+        load_model(str(bad))
+    assert main(["eval", "--model", str(bad), "--data", str(workspace["events"])]) == 4
+    captured = capsys.readouterr()
+    assert cause in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("knob", [{"kind": "ridge"}, {"ridge_alpha": 1e-8}])
@@ -542,19 +571,81 @@ OUTPUT_ARGS = {
 }
 
 
+# what the commands load and compute, each wrapped to fail the test if it runs
+WORK = {
+    cli: ("generate_observational_dataset", "train_dml", "run_policy_comparison", "interpret_model", "load_model", "read_events_jsonl"),
+    evaluation: ("run_ab_experiment",),
+    modelio: ("update_model",),
+}
+
+
+def refuse_work(monkeypatch):
+    for module, names in WORK.items():
+        for name in names:
+
+            def ran(*args, name=name, **kwargs):
+                raise AssertionError(f"{name} ran")
+
+            monkeypatch.setattr(module, name, ran)
+
+
 @pytest.mark.parametrize("target", ["missing_dir", "directory"])
 @pytest.mark.parametrize("command", OUTPUT_ARGS)
-def test_unwritable_output_path_is_a_data_error(workspace, tmp_path, capsys, command, target):
+def test_unwritable_output_path_is_a_data_error(workspace, tmp_path, capsys, monkeypatch, command, target):
+    # checked before any data loads or any work runs
+    refuse_work(monkeypatch)
     if target == "missing_dir":
         out = tmp_path / "no_such_dir" / "out"
     else:
         out = tmp_path / "taken"
         out.mkdir()
     assert main([str(arg) for arg in OUTPUT_ARGS[command](workspace, tmp_path, out)]) == 3
-    err = capsys.readouterr().err
-    assert "data error: cannot write" in err and str(out) in err
+    captured = capsys.readouterr()
+    assert "data error: cannot write" in captured.err and str(out) in captured.err
+    assert captured.out == ""
     assert list(tmp_path.rglob("*.tmp.*")) == []
     assert target == "missing_dir" or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("window", ["recent", "holdout"])
+def test_update_window_outside_the_schema_is_a_data_error(workspace, tmp_path, capsys, monkeypatch, window):
+    # one row of an unknown hardware type, on line 3: refused before
+    # training, naming the file, the line and the field
+    lines = workspace["events"].read_text().splitlines()
+    row = json.loads(lines[2])
+    row["signals"]["hardware_type"] = "b"
+    lines[2] = json.dumps(row)
+    bad = tmp_path / "window.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(modelio, "update_model", lambda *a, **k: pytest.fail("update_model ran"))
+    windows = {"recent": str(workspace["events"]), "holdout": str(workspace["events"]), window: str(bad)}
+    out = tmp_path / "updated.bin"
+    argv = ["update", "--current", str(workspace["model"]), "--recent", windows["recent"], "--holdout", windows["holdout"]]
+    assert main(argv + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert f"data error: {bad}:3: unknown hardware_type 'b'" in captured.err
+    assert captured.out == ""
+    assert not out.exists() and list(tmp_path.rglob("*.tmp.*")) == []
+
+
+@pytest.mark.parametrize(
+    "flags,cause",
+    [
+        (["--depth", "-1"], "--depth: max_depth must be >= 0"),
+        (["--bins", "0", "--cate-feature", "vm_count"], "--bins: bins must be >= 1"),
+        (["--cate-feature", "nope"], "--cate-feature: unknown feature 'nope'; choose from"),
+    ],
+    ids=["depth", "bins", "cate_feature"],
+)
+def test_interpret_refuses_bad_flags_before_the_work(workspace, tmp_path, capsys, monkeypatch, flags, cause):
+    refuse_work(monkeypatch)
+    curve = tmp_path / "curve.csv"
+    argv = ["interpret", "--model", str(workspace["model"]), "--data", str(workspace["events"]), "--cate-out", str(curve)]
+    assert main(argv + flags) == 3
+    captured = capsys.readouterr()
+    assert f"data error: {cause}" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("margin", ["-inf", "-1e9", "-0.5", "nan", "inf"])

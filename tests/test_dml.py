@@ -1,21 +1,27 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from nodemend.dml import (
     DmlModel,
     LinearTheta,
+    ModelMetadata,
     ResidualData,
     TrainConfig,
     estimate_ite,
     estimate_ite_batch,
     final_stage_linear,
+    nuisance_predictions,
     psi_loss,
+    residualize_dataset,
     theta_values,
     train_dml,
 )
 from nodemend.decisions import preferred_action
-from nodemend.domain import MitigationAction, encode_matrix
+from nodemend.domain import DEFAULT_SCHEMA, MitigationAction, encode_matrix
 from nodemend.errors import DegenerateTreatment, InsufficientData, SchemaViolation
+from nodemend.learners import LearnerConfig, crossfit_predict, make_folds
 from nodemend.simulate import (
     default_config,
     generate_observational_dataset,
@@ -120,10 +126,49 @@ def _hand_model(schema, y_hat: float, a_hat: float, theta0: float) -> DmlModel:
         outcome_learners=[_ConstLearner(y_hat), _ConstLearner(y_hat)],
         propensity_learners=[_ConstLearner(a_hat), _ConstLearner(a_hat)],
         forest=None,
-        linear=LinearTheta(intercept=theta0, coef=np.zeros(schema.width), condition_number=1.0),
+        linear=LinearTheta(intercept=theta0, coef=np.zeros(schema.width)),
         train_config=TrainConfig(folds=2, final_stage="linear"),
         metadata={"version": "1.0"},
     )
+
+
+def test_propensity_clamp_on_pure_stratum():
+    # every row has the same signals and was redeployed: each fold's
+    # propensity learner predicts 1, which residualizing clamps to 1 - p_min
+    events, _ = generate_observational_dataset(40, default_config(seed=0))
+    events = [dataclasses.replace(e, signals=events[0].signals, action=MitigationAction.REDEPLOY) for e in events]
+    res, _, _ = residualize_dataset(events, TrainConfig(folds=4), default_config(seed=0).schema())
+    assert np.allclose(1.0 - res.ra, 0.99)
+
+
+def test_propensity_outputs_bounded():
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(300, 5))
+    y = (rng.random(300) < 0.5).astype(float)
+    folds = make_folds(300, 5, seed=0)
+    _, learners = crossfit_predict(X, (y,), folds, LearnerConfig(), seeds=(0,))
+    model = DmlModel(
+        schema=DEFAULT_SCHEMA,
+        outcome_learners=tuple(learners),
+        propensity_learners=tuple(learners),
+        forest=None,
+        linear=LinearTheta(intercept=0.0, coef=np.zeros(DEFAULT_SCHEMA.width)),
+        train_config=TrainConfig(folds=5, final_stage="linear"),
+        metadata=ModelMetadata(n=300, timestamp=0, version="1.0"),
+    )
+    _, a_hat = nuisance_predictions(model, X)
+    assert a_hat.min() >= 0.01
+    assert a_hat.max() <= 0.99
+
+
+def test_nuisance_predictions_clamp_each_fold_learner_before_the_mean():
+    # clamped one by one: (0.99 + 0.2) / 2; clamping the mean of 1.2 and
+    # 0.2 would give 0.7
+    model = _hand_model(DEFAULT_SCHEMA, y_hat=3.0, a_hat=0.5, theta0=0.0)
+    model.propensity_learners = (_ConstLearner(1.2), _ConstLearner(0.2))
+    y_hat, a_hat = nuisance_predictions(model, np.zeros((3, DEFAULT_SCHEMA.width)))
+    assert np.array_equal(y_hat, np.full(3, 3.0))
+    assert np.array_equal(a_hat, np.full(3, (0.99 + 0.2) / 2))
 
 
 def test_psi_loss_hand_computed_four_rows():

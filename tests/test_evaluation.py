@@ -135,7 +135,7 @@ def _constant_model(schema, c: float) -> DmlModel:
         outcome_learners=[_ZeroLearner(), _ZeroLearner()],
         propensity_learners=[_ZeroLearner(), _ZeroLearner()],
         forest=None,
-        linear=LinearTheta(intercept=c, coef=np.zeros(schema.width), condition_number=1.0),
+        linear=LinearTheta(intercept=c, coef=np.zeros(schema.width)),
         train_config=TrainConfig(folds=2, final_stage="linear"),
         metadata={"version": "1.0"},
     )

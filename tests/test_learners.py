@@ -12,7 +12,7 @@ from nodemend.learners import GradientBoostedTrees, LearnerConfig, crossfit_pred
 from nodemend.trees import MIN_GAIN, NodeTable, PackedTrees, bin_features
 
 
-def reference_fit(cls, config, mode, seed, X, y):
+def reference_fit(cls, config, seed, X, y):
     """``GradientBoostedTrees.fit`` written out as plain loops over the
     distinct code rows. Each round sums every group's residuals over the
     subsample, in subsample order, then grows a tree over the groups
@@ -41,7 +41,7 @@ def reference_fit(cls, config, mode, seed, X, y):
         tables.append(table)
         for g, key in enumerate(keys):
             current[g] = current[g] + config.learning_rate * reference_leaf_value(table, key, thresholds)
-    return cls(config, mode, int(seed), base_value, PackedTrees.pack(tables))
+    return cls(config, base_value, PackedTrees.pack(tables))
 
 
 def reference_group_tree(keys, thresholds, sums, counts, resid, groups, max_depth, min_leaf):
@@ -92,27 +92,27 @@ def reference_leaf_value(table, key, thresholds):
     return table.value[node]
 
 
-def crossfit_one(X, y, folds, config, mode="regression", seed=0):
+def crossfit_one(X, y, folds, config, seed=0):
     """``crossfit_predict`` of one target: its predictions and learners."""
-    (oof,), learners = crossfit_predict(X, (y,), folds, config, modes=(mode,), seeds=(seed,))
+    (oof,), learners = crossfit_predict(X, (y,), folds, config, seeds=(seed,))
     return oof, learners
 
 
 def test_make_folds_exact_division():
     folds = make_folds(10, 5, seed=0)
-    sizes = np.bincount(folds.membership, minlength=5)
+    sizes = np.bincount(folds, minlength=5)
     assert list(sizes) == [2, 2, 2, 2, 2]
 
 
 def test_make_folds_remainder():
     folds = make_folds(7, 5, seed=1)
-    sizes = sorted(np.bincount(folds.membership, minlength=5))
+    sizes = sorted(np.bincount(folds, minlength=5))
     assert sizes == [1, 1, 1, 2, 2]
 
 
 def test_make_folds_determinism_and_errors():
-    assert make_folds(100, 5, seed=3) == make_folds(100, 5, seed=3)
-    assert make_folds(100, 5, seed=3) != make_folds(100, 5, seed=4)
+    assert np.array_equal(make_folds(100, 5, seed=3), make_folds(100, 5, seed=3))
+    assert not np.array_equal(make_folds(100, 5, seed=3), make_folds(100, 5, seed=4))
     with pytest.raises(InvalidArgument):
         make_folds(3, 5, seed=0)
     with pytest.raises(InvalidArgument):
@@ -139,15 +139,13 @@ def test_crossfit_predicts_each_row_with_its_own_fold_and_target(monkeypatch, wo
     a = (rng.random(90) < 0.3 + 0.1 * X[:, 2]).astype(np.float64)
     folds = make_folds(90, 4, seed=2)
     config = LearnerConfig(rounds=15)
-    targets = [(y, "regression", 11), (a, "propensity", 12)]
-    predictions, learners = crossfit_predict(
-        X, [t for t, _, _ in targets], folds, config, modes=[m for _, m, _ in targets], seeds=[s for _, _, s in targets]
-    )
+    targets = [(y, 11), (a, 12)]
+    predictions, learners = crossfit_predict(X, [t for t, _ in targets], folds, config, seeds=[s for _, s in targets])
     assert len(predictions) == 2 and len(learners) == 8
-    for t, (target, mode, seed) in enumerate(targets):
+    for t, (target, seed) in enumerate(targets):
         for j in range(4):
-            test = folds.membership == j
-            want = GradientBoostedTrees.fit(config, mode, seed_for(seed, j), X[~test], target[~test])
+            test = folds == j
+            want = GradientBoostedTrees.fit(config, seed_for(seed, j), X[~test], target[~test])
             assert to_record(learners[t * 4 + j]) == to_record(want)
             assert np.array_equal(predictions[t][test], want.predict(X[test]))
 
@@ -155,30 +153,13 @@ def test_crossfit_predicts_each_row_with_its_own_fold_and_target(monkeypatch, wo
 def test_crossfit_needs_a_mode_and_a_seed_per_target():
     X = np.zeros((20, 2))
     folds = make_folds(20, 2, seed=0)
-    with pytest.raises(InvalidArgument, match="one mode and one seed"):
-        crossfit_predict(X, (np.zeros(20), np.ones(20)), folds, LearnerConfig(), modes=("regression",), seeds=(0, 1))
-    with pytest.raises(InvalidArgument, match="mode"):
-        crossfit_predict(X, (np.zeros(20),), folds, LearnerConfig(), modes=("logistic",), seeds=(0,))
+    with pytest.raises(InvalidArgument, match="one seed"):
+        crossfit_predict(X, (np.zeros(20), np.ones(20)), folds, LearnerConfig(), seeds=(0,))
+    # the learner is one plain regressor: there is no mode to choose
+    with pytest.raises(TypeError, match="modes"):
+        crossfit_predict(X, (np.zeros(20),), folds, LearnerConfig(), modes=("regression",), seeds=(0,))
     with pytest.raises(InvalidArgument, match="equal length"):
-        crossfit_predict(X, (np.zeros(19),), folds, LearnerConfig(), modes=("regression",), seeds=(0,))
-
-
-def test_propensity_clamp_on_pure_stratum():
-    X = np.ones((40, 2))
-    y = np.ones(40)
-    folds = make_folds(40, 4, seed=0)
-    oof, _ = crossfit_one(X, y, folds, LearnerConfig(), mode="propensity", seed=0)
-    assert np.allclose(oof, 0.99)
-
-
-def test_propensity_outputs_bounded():
-    rng = np.random.default_rng(2)
-    X = rng.normal(size=(300, 5))
-    y = (rng.random(300) < 0.5).astype(float)
-    folds = make_folds(300, 5, seed=0)
-    oof, _ = crossfit_one(X, y, folds, LearnerConfig(), mode="propensity", seed=0)
-    assert oof.min() >= 0.01
-    assert oof.max() <= 0.99
+        crossfit_predict(X, (np.zeros(19),), folds, LearnerConfig(), seeds=(0,))
 
 
 def test_no_leakage_of_own_row():
@@ -216,8 +197,8 @@ def test_gbm_deterministic_given_seed():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(200, 6))
     y = X[:, 0] ** 2 + rng.normal(size=200)
-    a = GradientBoostedTrees.fit(LearnerConfig(rounds=30), "regression", 11, X, y)
-    b = GradientBoostedTrees.fit(LearnerConfig(rounds=30), "regression", 11, X, y)
+    a = GradientBoostedTrees.fit(LearnerConfig(rounds=30), 11, X, y)
+    b = GradientBoostedTrees.fit(LearnerConfig(rounds=30), 11, X, y)
     Xq = rng.normal(size=(50, 6))
     assert np.array_equal(a.predict(Xq), b.predict(Xq))
 
@@ -226,7 +207,7 @@ def test_gbm_serialization_round_trip():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(150, 4))
     y = np.sin(X[:, 0]) + 0.2 * rng.normal(size=150)
-    learner = GradientBoostedTrees.fit(LearnerConfig(rounds=25), "regression", 9, X, y)
+    learner = GradientBoostedTrees.fit(LearnerConfig(rounds=25), 9, X, y)
     clone = from_record(GradientBoostedTrees, to_record(learner))
     Xq = rng.normal(size=(40, 4))
     assert np.array_equal(learner.predict(Xq), clone.predict(Xq))
@@ -289,8 +270,8 @@ def test_gbm_fit_matches_reference(data):
         min_leaf=data.draw(st.integers(1, n // 2 + 1), label="min_leaf"),
     )
     seed = data.draw(st.integers(0, 2**31), label="seed")
-    got = GradientBoostedTrees.fit(config, mode, seed, X, y)
-    want = reference_fit(GradientBoostedTrees, config, mode, seed, X, y)
+    got = GradientBoostedTrees.fit(config, seed, X, y)
+    want = reference_fit(GradientBoostedTrees, config, seed, X, y)
     assert got.base_value == want.base_value
     assert len(got.trees) == len(want.trees)
     for name in ("roots", "feature", "threshold", "left", "right", "value", "count"):
@@ -309,9 +290,9 @@ def test_folds_partition_the_rows_evenly_and_repeat(n, k, seed):
             make_folds(n, k, seed)
         return
     folds = make_folds(n, k, seed)
-    assert folds.membership.shape == (n,)  # every row in exactly one fold
-    assert 0 <= folds.membership.min() and folds.membership.max() < k
-    sizes = np.bincount(folds.membership, minlength=k)
+    assert folds.shape == (n,)  # every row in exactly one fold
+    assert 0 <= folds.min() and folds.max() < k
+    sizes = np.bincount(folds, minlength=k)
     assert sizes.size == k and sizes.sum() == n
     assert sizes.max() - sizes.min() <= 1
-    assert make_folds(n, k, seed) == folds
+    assert np.array_equal(make_folds(n, k, seed), folds)

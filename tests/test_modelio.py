@@ -107,7 +107,7 @@ def test_model_version_mismatch(tmp_path, small_model):
     header = json.loads(head)
     header["format_version"] = "2.0"
     open(path, "wb").write(json.dumps(header).encode() + b"\n" + payload)
-    with pytest.raises(ModelVersionError, match="'2.0' is incompatible with '4.0'"):
+    with pytest.raises(ModelVersionError, match="'2.0' is incompatible with '5.0'"):
         load_model(path)
 
 
@@ -140,7 +140,7 @@ def test_model_file_is_a_header_line_and_the_payload_it_hashes(tmp_path, small_m
     head, _, payload = open(path, "rb").read().partition(b"\n")
     assert json.loads(head) == {
         "format": "nodemend-model",
-        "format_version": "4.0",
+        "format_version": "5.0",
         "sha256": hashlib.sha256(payload).hexdigest(),
     }
     record = json.loads(payload)
@@ -156,7 +156,7 @@ def test_model_file_is_a_header_line_and_the_payload_it_hashes(tmp_path, small_m
 
 def test_singular_linear_design_round_trips(tmp_path, small_model):
     _, events, model = small_model
-    linear = LinearTheta(intercept=0.5, coef=np.zeros(model.schema.width), condition_number=float("inf"))
+    linear = LinearTheta(intercept=0.5, coef=np.zeros(model.schema.width))
     singular = dataclasses.replace(
         model,
         forest=None,
@@ -165,10 +165,11 @@ def test_singular_linear_design_round_trips(tmp_path, small_model):
     )
     path = str(tmp_path / "singular.bin")
     save_model(singular, path)
-    assert b'"condition_number":Infinity' in open(path, "rb").read()
+    # every number in the file is finite, so it is plain JSON
+    data = open(path, "rb").read()
+    assert b"Infinity" not in data and b"NaN" not in data
     loaded = load_model(path)
     assert loaded.final_stage == "linear"
-    assert loaded.linear.condition_number == float("inf")
     assert estimate_ite(loaded, events[0].signals) == estimate_ite(singular, events[0].signals)
 
 
@@ -419,7 +420,7 @@ def test_update_replaces_corrupted_current(small_model):
         outcome_learners=model.outcome_learners,
         propensity_learners=model.propensity_learners,
         forest=None,
-        linear=LinearTheta(intercept=500.0, coef=np.zeros(model.schema.width), condition_number=1.0),
+        linear=LinearTheta(intercept=500.0, coef=np.zeros(model.schema.width)),
         train_config=dataclasses.replace(model.train_config, final_stage="linear"),
         metadata=model.metadata,
     )

@@ -454,8 +454,6 @@ def reference_gbm_predict(learner, X):
     out = np.full(X.shape[0], learner.base_value)
     for tree in learner.trees:
         out = out + learner.config.learning_rate * tree.value[reference_leaf_index(X, *walk_columns(tree))]
-    if learner.mode == "propensity":
-        out = np.clip(out, learner.config.p_min, 1.0 - learner.config.p_min)
     return out
 
 
@@ -477,7 +475,9 @@ def test_serving_matches_per_tree_loops(tworegime_bundle, tmp_path):
     per_tree = np.column_stack([t.value[reference_leaf_index(X, *walk_columns(t))] for t in forest.trees])
     np.testing.assert_array_equal(forest.trees.values(X), per_tree)
     y_hat = np.mean([reference_gbm_predict(lr, X) for lr in model.outcome_learners], axis=0)
-    a_hat = np.mean([reference_gbm_predict(lr, X) for lr in model.propensity_learners], axis=0)
+    # dml clamps each propensity learner's prediction before the mean
+    p_min = model.train_config.learner.p_min
+    a_hat = np.mean([np.clip(reference_gbm_predict(lr, X), p_min, 1.0 - p_min) for lr in model.propensity_learners], axis=0)
     got_y, got_a = nuisance_predictions(model, X)
     np.testing.assert_array_equal(got_y, y_hat)
     np.testing.assert_array_equal(got_a, a_hat)
