@@ -15,7 +15,7 @@ from .config import load_experiment_config, parse_section
 from .decisions import DecisionConfig, decide
 from .dml import estimate_ite, psi_loss, train_dml
 from .domain import DiagnosticSignals, from_record, to_record
-from .errors import ConfigError, DataError, InvalidArgument, ModelError, NodemendError
+from .errors import ConfigError, DataError, InvalidArgument, ModelError, NodemendError, SchemaViolation
 from .evaluation import adjusted_effect, counterfactual_analysis, naive_effect, run_policy_comparison
 from .interpret import cate_by_feature, check_bins, check_depth, check_feature, interpret_model
 from .modelio import ActionLogRecord, ActionLogger, load_model, read_events_jsonl, read_truth_jsonl, save_model
@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--policies", default="random,legacy,always_reboot,always_redeploy,engine,oracle")
+    p.add_argument("--policies", default=",".join(evaluation.POLICY_NAMES))
     p.add_argument("--plot-data", default=None, help="optional CSV path for downtime histograms")
 
     p = sub.add_parser("counterfactual", help="what-if analysis of logged actions under the model")
@@ -119,7 +119,7 @@ def _cmd_train(args) -> int:
         except InvalidArgument as exc:
             raise ConfigError(str(exc)) from exc
     _check_outputs(args.out)
-    events = read_events_jsonl(args.data)
+    events = read_events_jsonl(args.data, cfg.sim.schema())
     model = train_dml(events, train_cfg, cfg.sim.schema())
     save_model(model, args.out)
     print(json.dumps({"model": args.out, "n": len(events), "final_stage": train_cfg.final_stage}))
@@ -128,7 +128,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = load_model(args.model)
-    events = read_events_jsonl(args.data)
+    events = read_events_jsonl(args.data, model.schema)
     result = {
         "psi": psi_loss(model, events),
         "naive_effect": naive_effect(events),
@@ -154,7 +154,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_counterfactual(args) -> int:
     model = load_model(args.model)
-    events = read_events_jsonl(args.data)
+    events = read_events_jsonl(args.data, model.schema)
     truths = read_truth_jsonl(args.truth) if args.truth else None
     report = counterfactual_analysis(model, events, truths)
     print(json.dumps(to_record(report), sort_keys=True))
@@ -166,7 +166,8 @@ def _cmd_recommend(args) -> int:
     try:
         with open(args.signals, "r", encoding="utf-8") as fh:
             signals = from_record(DiagnosticSignals, json.load(fh), "signals")
-    except (OSError, ValueError) as exc:
+        model.schema.check(signals)
+    except (OSError, ValueError, SchemaViolation) as exc:
         raise DataError(f"bad signals file {args.signals}: {exc}") from exc
     if args.decision_config:
         try:
@@ -217,7 +218,7 @@ def _cmd_interpret(args) -> int:
             raise InvalidArgument(f"{flag}: {exc}") from exc
     _check_outputs(args.cate_out)
     model = load_model(args.model)
-    events = read_events_jsonl(args.data)
+    events = read_events_jsonl(args.data, model.schema)
     tree, text = interpret_model(model, events, max_depth=args.depth)
     print(text)
     if args.cate_feature:

@@ -194,8 +194,25 @@ class FeatureSchema:
         return tuple(cols)
 
     @property
+    def categories(self) -> tuple[tuple[str, tuple], ...]:
+        """(field, closed set) of each categorical signal, in column order;
+        error_code's set ends with None, its missing indicator."""
+        return (
+            ("error_code", (*self.error_codes, None)),
+            ("hardware_type", self.hardware_types),
+            ("session_type", self.session_types),
+        )
+
+    @property
     def width(self) -> int:
         return 5 + len(self.error_codes) + 1 + len(self.hardware_types) + len(self.session_types)
+
+    def check(self, signals: DiagnosticSignals) -> None:
+        """Raise SchemaViolation, as ``encode_matrix`` would, for a
+        categorical value outside its closed set."""
+        for name, values in self.categories:
+            if getattr(signals, name) not in values:
+                raise SchemaViolation(f"unknown {name} {getattr(signals, name)!r}")
 
     @property
     def schema_id(self) -> str:
@@ -235,11 +252,7 @@ def encode_matrix(signal_rows: list[DiagnosticSignals], schema: FeatureSchema = 
     numeric = [[s.vm_count, s.has_important_workload, s.network_ok, s.repeat_count, s.uncorrectable_tag] for s in signal_rows]
     out[:, :5] = np.array(numeric, dtype=np.float64).reshape(n, 5)
     off = 5
-    for name, values in (
-        ("error_code", (*schema.error_codes, None)),
-        ("hardware_type", schema.hardware_types),
-        ("session_type", schema.session_types),
-    ):
+    for name, values in schema.categories:
         column = {v: off + i for i, v in enumerate(values)}
         try:
             cols = [column[getattr(s, name)] for s in signal_rows]

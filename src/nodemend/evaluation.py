@@ -49,9 +49,6 @@ from .simulate import (
     step_node,
 )
 
-POLICY_NAMES = ("random", "legacy", "always_reboot", "always_redeploy", "engine", "oracle")
-
-
 def avd(per_vm_downtimes) -> float:
     """Average downtime over a flat list of per-VM downtimes."""
     values = np.asarray(per_vm_downtimes, dtype=np.float64)
@@ -156,40 +153,50 @@ class EnginePolicy:
     def __init__(self, model: DmlModel, decision_config: DecisionConfig | None = None) -> None:
         self.model = model
         self.cfg = decision_config or DecisionConfig()
-        self._prepared: dict[DiagnosticSignals, IteEstimate] = {}
+        self._estimates: dict[DiagnosticSignals, IteEstimate] = {}
 
     def prepare(self, signal_rows: list[DiagnosticSignals]) -> None:
-        """Batch-estimate known signals up front; identical signals share
-        the same estimate, so collisions are harmless."""
-        estimates = estimate_ite_batch(self.model, signal_rows)
-        self._prepared.update(zip(signal_rows, estimates))
+        """Estimate, in one batch, each distinct row not estimated yet; every
+        estimate is a function of its row alone, so no row needs a second."""
+        unseen = list(dict.fromkeys(s for s in signal_rows if s not in self._estimates))
+        if unseen:
+            self._estimates.update(zip(unseen, estimate_ite_batch(self.model, unseen)))
 
     def choose(self, signals, outcomes, events, step):
-        unseen = list(dict.fromkeys(s for s in signals if s not in self._prepared))
-        if unseen:  # one batch per step; every estimate is a function of its row alone
-            self._prepared.update(zip(unseen, estimate_ite_batch(self.model, unseen)))
-        decisions = [decide(self._prepared[s], s, self.cfg) for s in signals]
+        self.prepare(signals)
+        decisions = [decide(self._estimates[s], s, self.cfg) for s in signals]
         actions = np.array([d.action for d in decisions], dtype=np.int64)
         return actions, np.array([d.unallocatable_flag for d in decisions], dtype=bool)
 
 
+# name -> constructor(seed, model, decision_config)
+POLICIES = {
+    "random": lambda seed, model, cfg: RandomPolicy(seed),
+    "legacy": lambda seed, model, cfg: LegacyPolicy(),
+    "always_reboot": lambda seed, model, cfg: AlwaysPolicy(MitigationAction.REBOOT),
+    "always_redeploy": lambda seed, model, cfg: AlwaysPolicy(MitigationAction.REDEPLOY),
+    "engine": lambda seed, model, cfg: EnginePolicy(model, cfg),
+    "oracle": lambda seed, model, cfg: OraclePolicy(),
+}
+POLICY_NAMES = tuple(POLICIES)
+
+
+def _check_policies(names: list[str], model: DmlModel | None, what: str = "policies") -> None:
+    """Refuse an empty or repeating list, an unknown name, or the engine
+    without a model, before anything is drawn."""
+    if not names or len(set(names)) != len(names):
+        raise InvalidArgument(f"{what} must be a non-empty list of distinct names, got {names}")
+    for name in names:
+        if name not in POLICIES:
+            raise InvalidArgument(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
+    if "engine" in names and model is None:
+        raise InvalidArgument("engine policy needs a trained model")
+
+
 def make_policy(name: str, seed: int, model: DmlModel | None = None,
                 decision_config: DecisionConfig | None = None):
-    if name == "random":
-        return RandomPolicy(seed)
-    if name == "legacy":
-        return LegacyPolicy()
-    if name == "always_reboot":
-        return AlwaysPolicy(MitigationAction.REBOOT)
-    if name == "always_redeploy":
-        return AlwaysPolicy(MitigationAction.REDEPLOY)
-    if name == "oracle":
-        return OraclePolicy()
-    if name == "engine":
-        if model is None:
-            raise InvalidArgument("engine policy needs a trained model")
-        return EnginePolicy(model, decision_config)
-    raise InvalidArgument(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
+    _check_policies([name], model)
+    return POLICIES[name](seed, model, decision_config)
 
 
 # ---------------------------------------------------------------------------
@@ -245,21 +252,11 @@ class KpiReport:
             ("redeploys", "redeploy_count", "d"),
             ("conv", "convergence_events", "d"),
         ]
-        order = [n for n in POLICY_NAMES if n in self.rows] + [n for n in sorted(self.rows) if n not in POLICY_NAMES]
-        widths = []
-        header = []
-        for title, attr, fmt in cols:
-            vals = [format(getattr(self.rows[n], attr), fmt) for n in order]
-            w = max(len(title), *(len(v) for v in vals)) if vals else len(title)
-            widths.append(w)
-            header.append(title.rjust(w))
-        lines = ["  ".join(header)]
-        for n in order:
-            cells = []
-            for (title, attr, fmt), w in zip(cols, widths):
-                cells.append(format(getattr(self.rows[n], attr), fmt).rjust(w))
-            lines.append("  ".join(cells))
-        return "\n".join(lines)
+        order = [n for n in POLICY_NAMES if n in self.rows]
+        cells = [[title for title, _, _ in cols]]
+        cells += [[format(getattr(self.rows[n], attr), fmt) for _, attr, fmt in cols] for n in order]
+        widths = [max(map(len, column)) for column in zip(*cells)]
+        return "\n".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells)
 
     def histogram_csv(self) -> str:
         lines = ["policy,bin_left,bin_right,count"]
@@ -267,11 +264,6 @@ class KpiReport:
             for left, right, count in self.downtime_histograms[name]:
                 lines.append(f"{name},{left:.6g},{right:.6g},{count}")
         return "\n".join(lines) + "\n"
-
-
-def _check_policies(names: list[str], what: str) -> None:
-    if not names or len(set(names)) != len(names):
-        raise InvalidArgument(f"{what} must be a non-empty list of distinct names, got {names}")
 
 
 def _check_events(n_events: int) -> None:
@@ -295,15 +287,13 @@ def run_policy_comparison(
     relapses; recurrence events rejoin the queue with a raised repeat count
     until the chain breaks or the cap is hit.
     """
-    _check_policies(policies, "policies")
+    _check_policies(policies, model)
     _check_events(n_events)
     nodes, signals, outcomes = _generate_primaries(n_events, config)
     rows = {}
     histograms = {}
     for name in policies:
         policy = make_policy(name, seed, model=model, decision_config=decision_config)
-        if isinstance(policy, EnginePolicy):
-            policy.prepare(signals)
         rows[name], histograms[name] = _run_one_policy(policy, nodes, signals, outcomes, config, seed)
     return KpiReport(
         n_events=n_events,
@@ -396,7 +386,7 @@ def run_ab_experiment(
     from .decisions import assign_policy_group
 
     names = [name for name, _ in groups]
-    _check_policies(names, "group names")
+    _check_policies(names, model, "group names")
     _check_events(n_events)
     nodes, signals, outcomes = _generate_primaries(n_events, config)
     group = np.array([assign_policy_group(node_id(e), experiment_name, groups) for e in nodes.events.tolist()])
@@ -409,8 +399,6 @@ def run_ab_experiment(
             continue
         subset = [signals[i] for i in rows.tolist()]
         policy = make_policy(name, seed, model=model, decision_config=decision_config)
-        if isinstance(policy, EnginePolicy):
-            policy.prepare(subset)
         row, _ = _run_one_policy(policy, nodes[rows], subset, outcomes[rows], config, seed)
         result["groups"][name] = to_record(row)
     return result

@@ -305,13 +305,12 @@ def _interval_variance(per_tree: np.ndarray, m: np.ndarray, params: ForestParams
     return np.maximum(v_between - v_within / s, np.maximum(rel_floor, params.variance_floor))
 
 
-def predict_tau_ci(forest: CausalForest, X: np.ndarray, level: float | None = None) -> list[IteEstimate]:
-    """Point estimates with grouped-bag confidence intervals."""
+def predict_tau_ci(forest: CausalForest, X: np.ndarray) -> list[IteEstimate]:
+    """Point estimates with grouped-bag confidence intervals at the forest's
+    ``confidence_level``."""
     if forest.params.bags < 2:
         raise InsufficientData("confidence intervals need at least 2 bags")
-    level = forest.params.confidence_level if level is None else level
-    if not (0.0 < level < 1.0):
-        raise InvalidArgument("confidence level must lie in (0, 1)")
+    level = forest.params.confidence_level
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     m = np.empty(X.shape[0], dtype=np.float64)
     v = np.empty(X.shape[0], dtype=np.float64)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dml import DmlModel, psi_loss, train_dml
-from .domain import FeatureSchema, LabeledEvent, encode_matrix, from_record, to_record
+from .domain import FeatureSchema, LabeledEvent, from_record, to_record
 from .errors import (
     DataError,
     InsufficientData,
@@ -142,8 +142,8 @@ def write_events_jsonl(events: list[LabeledEvent], path: str) -> None:
 
 def read_events_jsonl(path: str, schema: FeatureSchema | None = None) -> list[LabeledEvent]:
     """The events of a file; given a schema, every event's signals must
-    encode under it."""
-    return _read_jsonl(path, LabeledEvent, None if schema is None else lambda e: encode_matrix([e.signals], schema))
+    lie in its closed sets."""
+    return _read_jsonl(path, LabeledEvent, None if schema is None else lambda e: schema.check(e.signals))
 
 
 def write_truth_jsonl(truths: list[GroundTruth], path: str) -> None:

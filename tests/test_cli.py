@@ -676,3 +676,39 @@ def test_recommend_refuses_a_negative_repeat_threshold(workspace, tmp_path, caps
     assert captured.out == ""
     assert not log_path.exists()
     assert list(tmp_path.rglob("*.tmp.*")) == []
+
+
+# each command that reads signals records, as its arguments with the
+# records read from path p
+SCHEMA_ARGS = {
+    "train": lambda ws, tmp, p: ["train", "--config", ws["config"], "--data", p, "--out", tmp / "model.bin"],
+    "eval": lambda ws, tmp, p: ["eval", "--model", ws["model"], "--data", p],
+    "counterfactual": lambda ws, tmp, p: ["counterfactual", "--model", ws["model"], "--data", p, "--truth", ws["truth"]],
+    "interpret": lambda ws, tmp, p: [
+        "interpret", "--model", ws["model"], "--data", p, "--cate-feature", "vm_count", "--cate-out", tmp / "curve.csv"
+    ],
+    "recommend": lambda ws, tmp, p: ["recommend", "--model", ws["model"], "--signals", p, "--log", tmp / "actions.jsonl"],
+}
+
+
+@pytest.mark.parametrize("command", SCHEMA_ARGS)
+def test_signals_outside_the_schema_are_refused_naming_the_file(workspace, tmp_path, capsys, monkeypatch, command):
+    # one record of an unknown hardware type, on line 5 of an event file or
+    # as the signals file: refused before any model work, writing nothing
+    for name in ("train_dml", "psi_loss", "naive_effect", "counterfactual_analysis", "interpret_model", "estimate_ite"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+    rows = [json.loads(line) for line in workspace["events"].read_text().splitlines()]
+    rows[4]["signals"]["hardware_type"] = "b"
+    if command == "recommend":
+        bad = tmp_path / "signals.json"
+        bad.write_text(json.dumps(rows[4]["signals"]))
+        where = f"bad signals file {bad}"
+    else:
+        bad = tmp_path / "events.jsonl"
+        bad.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        where = f"{bad}:5"
+    assert main([str(arg) for arg in SCHEMA_ARGS[command](workspace, tmp_path, bad)]) == 3
+    captured = capsys.readouterr()
+    assert f"data error: {where}: unknown hardware_type 'b'" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [bad]

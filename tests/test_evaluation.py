@@ -1,13 +1,16 @@
 import dataclasses
 import json
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodemend.decisions import DecisionConfig, assign_policy_group
-from nodemend.dml import DmlModel, LinearTheta, TrainConfig
+from nodemend import evaluation
+from nodemend.decisions import DecisionConfig, assign_policy_group, decide
+from nodemend.dml import DmlModel, LinearTheta, TrainConfig, estimate_ite, estimate_ite_batch
 from nodemend.domain import DiagnosticSignals, LabeledEvent, MitigationAction, keyed_uniforms, rng_for, seed_for
 from nodemend.errors import DegenerateTreatment, InvalidArgument
 from nodemend.evaluation import (
@@ -473,3 +476,55 @@ def test_comparison_refuses_empty_or_repeated_policies():
             run_policy_comparison(policies, 50, cfg, seed=0)
     with pytest.raises(InvalidArgument, match="group names"):
         run_ab_experiment([("legacy", 1.0), ("legacy", 1.0)], "dup", 50, cfg, seed=0)
+
+
+@pytest.mark.parametrize(
+    "policies,cause",
+    [
+        (["legacy", "oracle", "bogus"], "unknown policy 'bogus'"),
+        (["legacy", "engine"], "engine policy needs a trained model"),
+        (["bogus", "engine"], "unknown policy 'bogus'"),
+        (["engine", "engine"], "must be a non-empty list of distinct names"),
+    ],
+)
+def test_runners_check_the_policy_list_before_any_draw(monkeypatch, policies, cause):
+    for name in ("_generate_primaries", "_run_one_policy"):
+        monkeypatch.setattr(evaluation, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+    cfg = default_config(seed=59)
+    with pytest.raises(InvalidArgument, match=cause):
+        run_policy_comparison(policies, 50, cfg, seed=0, model=None)
+    with pytest.raises(InvalidArgument, match=cause):
+        run_ab_experiment([(name, 1.0) for name in policies], "early", 50, cfg, seed=0, model=None)
+
+
+@settings(max_examples=25)
+@given(
+    picks=st.lists(st.integers(0, 39), min_size=1, max_size=40),
+    extra=st.lists(st.integers(0, 79), min_size=1, max_size=20),
+    repeat_threshold=st.sampled_from([10, 1]),
+    data=st.data(),
+)
+def test_engine_decides_each_row_as_decide_does_and_estimates_it_once(default_bundle, picks, extra, repeat_threshold, data):
+    # duplicated and shuffled batches, as the harness hands them over:
+    # the primaries up front, then one batch per chain step
+    model = default_bundle["model"]
+    pool = [e.signals for e in default_bundle["events"][:80]]
+    rows = [pool[i] for i in picks]
+    batches = [rows, data.draw(st.permutations(rows)), [pool[i] for i in extra]]
+    cfg = DecisionConfig(repeat_threshold=repeat_threshold)
+    seen = []
+
+    def spy(model, signal_rows):
+        seen.extend(signal_rows)
+        return estimate_ite_batch(model, signal_rows)
+
+    policy = EnginePolicy(model, cfg)
+    with mock.patch.object(evaluation, "estimate_ite_batch", spy):
+        policy.prepare(rows + batches[1])
+        for step, batch in enumerate(batches):
+            actions, flags = policy.choose(batch, None, np.arange(len(batch)), step)
+            expected = [decide(estimate_ite(model, s), s, cfg) for s in batch]
+            assert actions.tolist() == [int(d.action) for d in expected]
+            assert flags.tolist() == [d.unallocatable_flag for d in expected]
+    assert max(Counter(seen).values()) == 1
+    assert set(seen) == set(rows) | set(batches[2])

@@ -11,10 +11,11 @@ CLI (simulate, train), then, on 2 000 fresh events from seed 2020:
   model after save and load;
 * ``psi_fresh`` and ``psi_train``: psi on the fresh and the training
   events, as float hex;
-* ``compare``, ``counterfactual`` and ``interpret``: sha256 of a
-  2 000-event ``compare`` report (legacy, engine, oracle) with its table,
-  of the ``counterfactual`` output, and of the ``interpret`` text with a
-  ``vm_count`` effect curve.
+* ``compare``, ``abtest``, ``counterfactual`` and ``interpret``: sha256
+  of a 2 000-event ``compare`` report (legacy, engine, oracle) with its
+  table, of a 2 000-event ``abtest`` output (legacy and engine, weight 1
+  each), of the ``counterfactual`` output, and of the ``interpret`` text
+  with a ``vm_count`` effect curve.
 
 The model file itself is left out, as its bytes change with the format
 version; its sha256 and size go to stderr.
@@ -98,6 +99,10 @@ def digest(preset: str, n: int, final_stage: str, work: str) -> dict:
         "psi_fresh": psi_loss(model, fresh).hex(),
         "psi_train": psi_loss(model, train).hex(),
         "compare": sha256(report + table.encode("utf-8")),
+        "abtest": sha256(
+            cli("abtest", "--config", path("fresh_config.json"), "--experiment", "digest", "--groups", "legacy:1,engine:1",
+                "--n", FRESH_N, "--model", path("model.bin"))
+        ),
         "counterfactual": sha256(
             cli("counterfactual", "--model", path("model.bin"), "--data", path("fresh.jsonl"), "--truth", path("fresh_truth.jsonl"))
         ),
