@@ -15,7 +15,7 @@ from .config import load_experiment_config, parse_section
 from .decisions import DecisionConfig, decide
 from .dml import estimate_ite, psi_loss, train_dml
 from .domain import DiagnosticSignals, from_record, to_record
-from .errors import ConfigError, DataError, InvalidArgument, ModelError, NodemendError, SchemaViolation
+from .errors import ConfigError, DataError, InvalidArgument, MissingTruth, ModelError, NodemendError, SchemaViolation
 from .evaluation import adjusted_effect, counterfactual_analysis, naive_effect, run_policy_comparison
 from .interpret import cate_by_feature, check_bins, check_depth, check_feature, interpret_model
 from .modelio import ActionLogRecord, ActionLogger, load_model, read_events_jsonl, read_truth_jsonl, save_model
@@ -156,7 +156,10 @@ def _cmd_counterfactual(args) -> int:
     model = load_model(args.model)
     events = read_events_jsonl(args.data, model.schema)
     truths = read_truth_jsonl(args.truth) if args.truth else None
-    report = counterfactual_analysis(model, events, truths)
+    try:
+        report = counterfactual_analysis(model, events, truths)
+    except MissingTruth as exc:
+        raise DataError(f"truth file {args.truth} has {exc}") from exc
     print(json.dumps(to_record(report), sort_keys=True))
     return 0
 
@@ -241,8 +244,6 @@ def _parse_groups(spec: str) -> list[tuple[str, float]]:
         if ":" not in part:
             raise ConfigError(f"group {part!r} must look like name:weight")
         name, _, weight = part.partition(":")
-        if name not in evaluation.POLICY_NAMES:
-            raise ConfigError(f"unknown policy {name!r}; choose from {evaluation.POLICY_NAMES}")
         try:
             value = float(weight)
         except ValueError as exc:
@@ -258,10 +259,12 @@ def _parse_groups(spec: str) -> list[tuple[str, float]]:
 def _cmd_abtest(args) -> int:
     cfg = load_experiment_config(args.config)
     groups = _parse_groups(args.groups)
+    try:
+        evaluation.check_policies([name for name, _ in groups], args.model is not None, "group names")
+    except InvalidArgument as exc:
+        raise ConfigError(str(exc)) from exc
     _check_outputs(args.out)
     model = load_model(args.model) if args.model else None
-    if any(name == "engine" for name, _ in groups) and model is None:
-        raise ConfigError("the engine group needs --model")
     report = evaluation.run_ab_experiment(
         groups, args.experiment, args.n, cfg.sim, cfg.seed, model=model, decision_config=cfg.decision
     )

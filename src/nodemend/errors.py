@@ -25,6 +25,10 @@ class SchemaViolation(DataError):
     """Signals or vectors incompatible with a feature schema."""
 
 
+class MissingTruth(DataError):
+    """Ground truth lacks a record of an event it is asked about."""
+
+
 class InsufficientData(DataError):
     """Not enough rows to run the requested estimator."""
 

@@ -34,7 +34,7 @@ from .domain import (
     seed_for,
     to_record,
 )
-from .errors import DegenerateTreatment, InvalidArgument
+from .errors import DegenerateTreatment, InvalidArgument, MissingTruth
 from .simulate import (
     RANDOM_SLOT,
     RECUR_SLOT,
@@ -181,7 +181,7 @@ POLICIES = {
 POLICY_NAMES = tuple(POLICIES)
 
 
-def _check_policies(names: list[str], model: DmlModel | None, what: str = "policies") -> None:
+def check_policies(names: list[str], has_model: bool, what: str = "policies") -> None:
     """Refuse an empty or repeating list, an unknown name, or the engine
     without a model, before anything is drawn."""
     if not names or len(set(names)) != len(names):
@@ -189,13 +189,13 @@ def _check_policies(names: list[str], model: DmlModel | None, what: str = "polic
     for name in names:
         if name not in POLICIES:
             raise InvalidArgument(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
-    if "engine" in names and model is None:
+    if "engine" in names and not has_model:
         raise InvalidArgument("engine policy needs a trained model")
 
 
 def make_policy(name: str, seed: int, model: DmlModel | None = None,
                 decision_config: DecisionConfig | None = None):
-    _check_policies([name], model)
+    check_policies([name], model is not None)
     return POLICIES[name](seed, model, decision_config)
 
 
@@ -287,7 +287,7 @@ def run_policy_comparison(
     relapses; recurrence events rejoin the queue with a raised repeat count
     until the chain breaks or the cap is hit.
     """
-    _check_policies(policies, model)
+    check_policies(policies, model is not None)
     _check_events(n_events)
     nodes, signals, outcomes = _generate_primaries(n_events, config)
     rows = {}
@@ -386,7 +386,7 @@ def run_ab_experiment(
     from .decisions import assign_policy_group
 
     names = [name for name, _ in groups]
-    _check_policies(names, model, "group names")
+    check_policies(names, model is not None, "group names")
     _check_events(n_events)
     nodes, signals, outcomes = _generate_primaries(n_events, config)
     group = np.array([assign_policy_group(node_id(e), experiment_name, groups) for e in nodes.events.tolist()])
@@ -429,10 +429,16 @@ def counterfactual_analysis(
     Rows where the sign rule prefers the other action are 'switches'; the
     mean |tau| within a switch group is the predicted per-event saving. On
     simulated data the ground-truth file also yields the realized saving
-    (logged outcome minus the outcome of the model's pick).
+    (logged outcome minus the outcome of the model's pick); it must hold a
+    record of every event, or MissingTruth is raised before any estimate.
     """
     if not dataset:
         raise InvalidArgument("counterfactual analysis needs a non-empty dataset")
+    if truths is not None:
+        by_id = {t.event_id: t for t in truths}
+        missing = next((e.event_id for e in dataset if e.event_id not in by_id), None)
+        if missing is not None:
+            raise MissingTruth(f"no record of event {missing}")
     estimates = estimate_ite_batch(model, [e.signals for e in dataset])
     taus = np.asarray([e.tau for e in estimates])
     logged = np.asarray([int(e.action) for e in dataset])
@@ -447,7 +453,6 @@ def counterfactual_analysis(
 
     true_rb = true_rd = None
     if truths is not None:
-        by_id = {t.event_id: t for t in truths}
         y0 = np.asarray([by_id[e.event_id].y_reboot for e in dataset])
         y1 = np.asarray([by_id[e.event_id].y_redeploy for e in dataset])
         saving = np.where(to_reboot, y1 - y0, y0 - y1)  # logged minus preferred

@@ -35,10 +35,10 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .domain import IteEstimate, rng_for, seed_for
+from .domain import KEYED_SLOTS, IteEstimate, keyed_uniforms, rng_for, seed_for
 from .errors import InsufficientData, InvalidArgument
 from .parallel import map_tasks
-from .trees import NodeTable, PackedTrees, best_cut, bin_features, bin_layout
+from .trees import NodeTable, PackedTrees, best_cuts, bin_features, bin_layout, level_histograms, node_sums, route
 
 _MIN_STRUCTURE_CHILD = 5
 
@@ -63,6 +63,9 @@ class ForestParams:
             raise InvalidArgument("bags and trees_per_bag must be >= 1")
         if self.max_depth < 0:
             raise InvalidArgument(f"max_depth must be >= 0, got {self.max_depth}")
+        # a node's feature draw is keyed by its heap position, below 2^32
+        if self.max_depth > 32:
+            raise InvalidArgument(f"max_depth must be <= 32, got {self.max_depth}")
         if self.max_bins < 2:
             raise InvalidArgument(f"max_bins must be >= 2, got {self.max_bins}")
         if self.min_leaf_estimate < 1:
@@ -146,16 +149,17 @@ def grow_tree(
     ``min_leaf_estimate`` rows with a nonzero treatment residual. A leaf
     whose estimation rows carry no treatment variation inherits its
     parent's value.
+
+    The tree grows a level at a time on the kernel of ``trees``. A node
+    searches the m features of smallest keyed uniform of (``seed``, heap
+    position, feature), the root at position 0 and node p's children at
+    2p + 1 and 2p + 2, so the tree does not depend on how its nodes grow.
     """
     ry = np.asarray(ry, dtype=np.float64)
     ra = np.asarray(ra, dtype=np.float64)
     subsample = np.asarray(subsample, dtype=np.int64)
-    rng = rng_for(seed)
-    structure, estimate = honest_halves(subsample, params, rng)
+    structure, estimate = honest_halves(subsample, params, rng_for(seed))
 
-    u = ry * ra
-    w = ra * ra
-    has_ra = w > 0.0
     d = codes.shape[1]
     if params.features_per_split is not None:
         mtry = max(1, min(params.features_per_split, d))
@@ -163,78 +167,60 @@ def grow_tree(
         # sqrt(d) keeps split-time attenuation too high at the default
         # depth/size limits; the regression-forest d/3 rule fixes that
         mtry = max(1, min(max(math.ceil(math.sqrt(d)), math.ceil(d / 3)), d))
-    width, _ = bin_layout(thresholds)
+    grid = bin_layout(thresholds)
+    # structure rows, then estimation rows: their codes, u and w, and one weight per
+    # key for each histogram channel (structure count, u, w, estimation rows with w > 0)
+    rows = np.concatenate([structure, estimate])
+    est = np.arange(len(rows)) >= len(structure)
+    row_codes = codes[rows]
+    row_index = np.arange(len(rows))[:, None]
+    offsets = np.arange(mtry) * grid.shape[1]
+    u = ry[rows] * ra[rows]
+    w = ra[rows] * ra[rows]
+    counted = np.where(est, w > 0.0, 1.0)
+    channels = [np.repeat(np.where(est, 0.0, c), mtry) for c in (1.0, u, w)] + [np.repeat(est * counted, mtry)]
     table = NodeTable()
-
-    def prefix(keys: np.ndarray, weights: np.ndarray | None, m: int) -> np.ndarray:
-        """Left-side totals of every cut of m drawn features, shape (m, B):
-        one bincount over all of them, then a cumsum along each row."""
-        return np.bincount(keys, weights, minlength=m * width).reshape(m, width).cumsum(axis=1)
-
-    def leaf_tau(est_rows: np.ndarray, parent_tau: float) -> tuple[float, int]:
-        sw = w[est_rows].sum()
-        n_est = int(has_ra[est_rows].sum())
-        if sw <= 0.0:
-            return parent_tau, n_est
-        return float(u[est_rows].sum() / sw), n_est
-
-    def grow(struct_rows: np.ndarray, est_rows: np.ndarray, depth: int, parent_tau: float) -> int:
-        tau_here, n_est_here = leaf_tau(est_rows, parent_tau)
-        node = table.add(tau_here, n_est_here)
-
-        n = len(struct_rows)
-        if depth >= params.max_depth or n < params.min_split:
-            return node
-
-        sw_all = w[struct_rows].sum()
-        su_all = u[struct_rows].sum()
-        if sw_all <= 0.0:
-            return node
-        parent_score = n * (su_all / sw_all) ** 2
-
-        est_flag = has_ra[est_rows].astype(np.float64)
-        feats = rng.choice(d, size=min(mtry, d), replace=False)
-        m = len(feats)
-        offsets = np.arange(m, dtype=np.int64) * width
-        s_keys = (np.take(codes, struct_rows, axis=0)[:, feats] + offsets).ravel()
-        e_keys = (np.take(codes, est_rows, axis=0)[:, feats] + offsets).ravel()
-        nl = prefix(s_keys, None, m)
-        csu = prefix(s_keys, np.repeat(u[struct_rows], m), m)
-        wl = prefix(s_keys, np.repeat(w[struct_rows], m), m)
-        el = prefix(e_keys, np.repeat(est_flag, m), m)
-        nr = n - nl
-        wr = sw_all - wl
-        er = est_flag.sum() - el
-        # a bin past a feature's last cut has every row on the left, so the
-        # nr check rules it out
-        ok = (
-            (nl >= _MIN_STRUCTURE_CHILD)
-            & (nr >= _MIN_STRUCTURE_CHILD)
-            & (wl > 0.0)
-            & (wr > 0.0)
-            & (el >= params.min_leaf_estimate)
-            & (er >= params.min_leaf_estimate)
-        )
-        # ok implies wl > 0 and wr > 0, so every slope that counts is finite
+    # each row's open node, len(position) for a row in none
+    node = np.zeros(len(rows), dtype=np.int64)
+    position = np.zeros(1, dtype=np.int64)
+    parent_tau = np.zeros(1)
+    for depth in range(params.max_depth + 1):
+        nodes = len(position)
+        # per node, column 0 totals its structure rows, column 1 its estimation rows
+        half = 2 * node + est
+        n, n_est = np.bincount(half, counted, minlength=2 * nodes)[: 2 * nodes].reshape(nodes, 2).T
+        (sw, ew), (su, eu) = (t.reshape(nodes, 2).T for t in node_sums(half, 2 * nodes, w, u))
         with np.errstate(divide="ignore", invalid="ignore"):
-            tl = csu / wl
-            tr = (su_all - csu) / wr
-            score = np.where(ok, nl * tl * tl + nr * tr * tr, -np.inf)
-        cut = best_cut(score, parent_score)
-        if cut is None:
-            return node
-        f, b = int(feats[cut[0]]), cut[1]
-        s_mask = codes[struct_rows, f] <= b
-        e_mask = codes[est_rows, f] <= b
-        left_id = grow(struct_rows[s_mask], est_rows[e_mask], depth + 1, tau_here)
-        right_id = grow(struct_rows[~s_mask], est_rows[~e_mask], depth + 1, tau_here)
-        table.split(node, f, thresholds[f][b], left_id, right_id)
-        return node
-
-    grow(structure, estimate, 0, 0.0)
-    # grow reaches itself through its closure; unbinding it frees the
-    # per-tree arrays now rather than at the next cyclic garbage collection
-    del grow
+            tau = np.where(ew > 0.0, eu / ew, parent_tau)
+        searches = (depth < params.max_depth) & (n >= params.min_split) & (sw > 0.0)
+        feature = np.full(nodes, -1)
+        cut = np.zeros(nodes, dtype=np.int64)
+        if searches.any():
+            feats = np.argsort(keyed_uniforms(seed, position[:, None], 0, np.arange(d)), axis=1, kind="stable")[:, :mtry]
+            # a row in no open node keys into the dropped slot; any features do
+            keyed = row_codes[row_index, feats[np.minimum(node, nodes - 1)]] + offsets
+            nl, csu, wl, el = level_histograms(keyed, node, nodes, grid.shape[1], *channels)
+            nr = n[:, None, None] - nl
+            wr = sw[:, None, None] - wl
+            er = n_est[:, None, None] - el
+            # a bin past a feature's last cut has every row on the left, so
+            # the nr check rules it out
+            ok = (np.minimum(nl, nr) >= _MIN_STRUCTURE_CHILD) & (np.minimum(wl, wr) > 0.0)
+            ok &= np.minimum(el, er) >= params.min_leaf_estimate
+            # ok implies wl > 0 and wr > 0, so every slope that counts is finite
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tl = csu / wl
+                tr = (su[:, None, None] - csu) / wr
+                score = np.where(ok, nl * tl * tl + nr * tr * tr, -np.inf)
+                j, cut, found = best_cuts(score, n * (su / sw) ** 2)
+            feature = np.where(searches & found, feats[np.arange(nodes), j], -1)
+        table.add_level(tau, n_est, feature, cut, grid)
+        split = feature >= 0
+        if not split.any():
+            break
+        node = route(row_codes, node, feature, cut)
+        position = (2 * position[split, None] + [1, 2]).ravel()
+        parent_tau = np.repeat(tau[split], 2)
     return table
 
 
@@ -257,7 +243,8 @@ def fit_forest(
     n = X.shape[0]
     if n < 2 * params.min_split:
         raise InsufficientData(f"forest needs at least {2 * params.min_split} rows, got {n}")
-
+    if X.shape[1] > KEYED_SLOTS:
+        raise InvalidArgument(f"a forest's feature draws are keyed by column, below {KEYED_SLOTS}; got {X.shape[1]} columns")
     codes, thresholds = bin_features(X, params.max_bins)
     bags = map_tasks(_grow_bag, (codes, thresholds, ry, ra, params, seed), params.bags)
     trees = PackedTrees.pack([table for bag in bags for table in bag])

@@ -143,17 +143,15 @@ class GradientBoostedTrees:
         grower = SseGrower(codes[groups.first], thresholds)
         base_value = float(y.mean())
         tables = []
-        # rows of one code row reach the same leaves, so share one prediction,
-        # walked from one of its float rows
-        first_rows = X[groups.first]
+        # rows of one code row reach the same leaves, so share one prediction
         current = np.full(len(groups.first), base_value)
         n = X.shape[0]
         n_sub = max(1, int(round(config.subsample * n)))
         for _ in range(config.rounds):
             rows = rng.choice(n, size=n_sub, replace=False) if n_sub < n else np.arange(n)
-            table = grower.grow(*groups.residuals(current, rows), config.max_depth, config.min_leaf)
+            table, leaf_values = grower.grow(*groups.residuals(current, rows), config.max_depth, config.min_leaf)
             tables.append(table)
-            current = current + config.learning_rate * PackedTrees.pack([table]).values(first_rows)[:, 0]
+            current = current + config.learning_rate * leaf_values
         return cls(config, base_value, PackedTrees.pack(tables))
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -1,14 +1,13 @@
-"""Shared tree machinery: feature binning, the grower's node table, the
-one tree-ensemble record and its walk, and the least-squares grower.
+"""Shared tree machinery: feature binning, the node table, the one
+tree-ensemble record and its walk, the level kernel every grower runs on,
+and the least-squares grower.
 
-Every tree in the package is grown as a flat table in pre-order:
+Every tree grows breadth-first, a level at a time, as a flat table:
 ``feature`` is -1 at a leaf, otherwise a split sends ``x[feature] <=
-threshold`` left. Every ensemble, a single tree included, is stored as one
-``PackedTrees`` record and walked by its one walk, whether it serves or a
-boosting round updates its predictions. Split search runs on binned codes:
-each column's candidate thresholds are fixed once, and a row's code is the
-number of thresholds strictly below its value, so ``code <= b`` is exactly
-``x <= thresholds[b]``.
+threshold`` left. Every ensemble, a single tree included, is one
+``PackedTrees`` record, served by its one walk. Split search runs on binned
+codes: a row's code is the number of its column's thresholds strictly
+below its value, so ``code <= b`` is exactly ``x <= thresholds[b]``.
 """
 
 from __future__ import annotations
@@ -51,7 +50,8 @@ def bin_features(X: np.ndarray, max_bins: int) -> tuple[np.ndarray, list[np.ndar
 
 
 class NodeTable:
-    """Builds a flat tree node by node, in pre-order."""
+    """Builds a flat tree: node by node (``add``, ``split``), or a level at a
+    time (``add_level``), as the growers number their nodes breadth-first."""
 
     def __init__(self) -> None:
         self.feature: list[int] = []
@@ -77,6 +77,17 @@ class NodeTable:
         self.left[node] = left
         self.right[node] = right
 
+    def add_level(self, value: np.ndarray, count: np.ndarray, feature: np.ndarray, cut: np.ndarray, grid: np.ndarray) -> None:
+        """Append a level. Node k splits when ``feature[k] >= 0``, sending ``x
+        <= grid[feature[k], cut[k]]`` left (``bin_layout``); the next level
+        holds the children of the splits, left then right, in node order."""
+        child = len(self.feature) + len(feature)
+        for f, c, v, n in zip(feature.tolist(), cut.tolist(), value.tolist(), count.tolist()):
+            node = self.add(v, n)
+            if f >= 0:
+                self.split(node, f, grid[f, c], child, child + 1)
+                child += 2
+
 
 # rows x trees held by one chunk of the packed walk; bounds its temporaries
 CHUNK_ELEMENTS = 1 << 14
@@ -86,11 +97,12 @@ CHUNK_ELEMENTS = 1 << 14
 class PackedTrees:
     """An ensemble of trees as one flat record, walked in lockstep.
 
-    Tree t is nodes ``roots[t]`` up to the next root, in pre-order. Node k
-    sends ``x[feature[k]] <= threshold[k]`` to ``left[k]`` and the rest to
-    ``right[k]``, both packed node indices; at a leaf ``feature``, ``left``
-    and ``right`` are -1. ``value`` and ``count`` are what the grower
-    recorded for each node; at a leaf, its value and its row count.
+    Tree t is nodes ``roots[t]`` up to the next root, breadth-first from a
+    grower. Node k sends ``x[feature[k]] <= threshold[k]`` to ``left[k]``
+    and the rest to ``right[k]``, both packed node indices; at a leaf
+    ``feature``, ``left`` and ``right`` are -1. ``value`` and ``count`` are
+    what the grower recorded for each node; at a leaf, its value and its
+    row count.
 
     Construction checks the record once, so a malformed one never serves,
     and derives the walk: ``child`` sends a leaf to itself, so once a row
@@ -147,9 +159,9 @@ class PackedTrees:
 
     @classmethod
     def pack(cls, tables: Sequence) -> PackedTrees:
-        """One record of several trees, each given as pre-order node columns
-        whose children count from its own root: a grower's ``NodeTable``,
-        or one tree of a record."""
+        """One record of several trees, each given as node columns whose
+        children count from its own root: a grower's ``NodeTable``, or one
+        tree of a record."""
         sizes = np.array([len(t.feature) for t in tables], dtype=np.int64)
         roots = np.cumsum(sizes) - sizes
         offset = np.repeat(roots, sizes)
@@ -214,36 +226,79 @@ class PackedTrees:
         return out
 
 
-def bin_layout(thresholds: list[np.ndarray]) -> tuple[int, np.ndarray]:
-    """The padded histogram layout of a binned matrix.
+def bin_layout(thresholds: list[np.ndarray]) -> np.ndarray:
+    """The padded histogram layout of a binned matrix: the (d, B) grid whose
+    cell (f, b) is the threshold of the cut that sends ``code <= b`` of
+    feature f left, NaN where bin b of f is no cut. B, the largest bin
+    count, is the width of every histogram row (``level_histograms``)."""
+    grid = np.full((len(thresholds), max((len(t) + 1 for t in thresholds), default=1)), np.nan)
+    for f, t in enumerate(thresholds):
+        grid[f, : len(t)] = t
+    return grid
 
-    Returns the row width B, the largest bin count, and the (d, B) mask of
-    bins that are candidate cuts: bin b of feature f may send ``code <= b``
-    left when b < nbins_f - 1. Bin k of feature f is key ``f * B + k``, so
-    one bincount over the keys of all features fills a (d, B) histogram.
+
+def node_sums(node: np.ndarray, nodes: int, *values: np.ndarray) -> list[np.ndarray]:
+    """For each array of per-row values, the sum of each node's values, for
+    the nodes below ``nodes``: in row order and pairwise, as ``v[node ==
+    k].sum()`` adds them (``np.add.reduceat`` adds in sequence)."""
+    # labels in their smallest unsigned type: below 2^16, a radix sort
+    order = np.argsort(node.astype(np.min_scalar_type(node.max(initial=0))), kind="stable")
+    ends = np.cumsum(np.bincount(node, minlength=nodes)[:nodes]).tolist()
+    bounds = list(zip([0, *ends[:-1]], ends))
+    return [np.array([np.add.reduce(v[a:b]) for a, b in bounds]) for v in (v[order] for v in values)]
+
+
+def level_histograms(keyed: np.ndarray, node: np.ndarray, nodes: int, width: int, *weights: np.ndarray) -> list:
+    """Left-side totals of every cut of every open node of one level.
+
+    Row i of ``keyed`` holds j·B + code for each of the m features its node
+    ``node[i]`` searches (B is ``width``); a row in none has node ``nodes``.
+    Keyed by node·m·B more, each channel of ``weights`` (one weight per key,
+    row by row) fills a padded (nodes, m, B) histogram with one bincount,
+    adding each bin's rows in row order, then a cumsum.
     """
-    nbins = np.array([len(t) + 1 for t in thresholds], dtype=np.int64)
-    width = int(nbins.max(initial=1))
-    return width, np.arange(width) < (nbins - 1)[:, None]
+    m = keyed.shape[1]
+    # the root's level has every row in node 0, and so no node offset
+    keys = (keyed + (node * (m * width))[:, None]).ravel() if node.any() else keyed.ravel()
+    size = (nodes + 1) * m * width
+    return [np.bincount(keys, w, minlength=size).reshape(nodes + 1, m, width)[:nodes].cumsum(axis=2) for w in weights]
 
 
-def best_cut(score: np.ndarray, parent_score: float) -> tuple[int, int] | None:
-    """(row, bin) of the best cut in a (features, bins) score matrix, or
-    None when no gain over ``parent_score`` exceeds MIN_GAIN.
+def best_cuts(score: np.ndarray, parent_score: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per node of a (nodes, features, bins) score array: the feature and
+    bin of its best cut, and whether that cut's gain over the node's
+    ``parent_score`` exceeds MIN_GAIN.
 
-    Ties resolve as a scan over the rows would: the first maximal bin of a
-    row, then the first row whose gain strictly beats every earlier one. A
-    row holding NaN never wins, as np.argmax lands on the NaN.
+    Ties resolve as a scan over a node's features would: the first maximal
+    bin of a feature, then the first feature whose gain strictly beats
+    every earlier one. A feature holding NaN never wins, as np.argmax lands
+    on the NaN. With no feature, no node gains.
     """
-    if score.size == 0:
-        return None
-    bins = np.argmax(score, axis=1)
-    gain = score[np.arange(score.shape[0]), bins] - parent_score
+    score = score if score.shape[1] else np.full((len(score), 1, 1), -np.inf)
+    bins = np.argmax(score, axis=2)
+    # the maximum is the score at that bin, NaN included
+    gain = score.max(axis=2) - parent_score[:, None]
     gain[np.isnan(gain)] = -np.inf
-    row = int(np.argmax(gain))
-    if not gain[row] > MIN_GAIN:
-        return None
-    return row, int(bins[row])
+    feature = np.argmax(gain, axis=1)
+    nodes = np.arange(len(score))
+    return feature, bins[nodes, feature], gain[nodes, feature] > MIN_GAIN
+
+
+def route(codes: np.ndarray, node: np.ndarray, feature: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """Each row's node on the next level.
+
+    Row i sits in node ``node[i]``, or in none when that is ``len(feature)``.
+    Node k splits when ``feature[k] >= 0``, sending ``codes[i, feature[k]]
+    <= cut[k]`` left to node 2j and the rest right to 2j + 1, j its rank
+    among the splits, as ``NodeTable.add_level`` numbers them; every other
+    row gets node 2·splits, in none.
+    """
+    split = feature >= 0
+    # per node, then for the rows of none: left child, column read, and a cut no code passes
+    child = np.append(np.where(split, 2 * np.cumsum(split) - 2, 2 * split.sum()), 2 * split.sum())
+    column = np.append(np.maximum(feature, 0), 0)
+    last = np.append(np.where(split, cut, np.iinfo(np.int64).max), np.iinfo(np.int64).max)
+    return child[node] + (codes[np.arange(len(node)), column[node]] > last[node])
 
 
 class SseGrower:
@@ -256,30 +311,21 @@ class SseGrower:
     ``grow_sse_tree`` makes each row its own item.
 
     A split maximizes sum_L^2 / n_L + sum_R^2 / n_R over the rows the items
-    stand for, which is the SSE reduction n_L * n_R / n * (mean_L -
-    mean_R)^2 plus a per-node constant. Leaves carry the mean target and
-    row count of their rows; split nodes keep value 0 and count 0.
-
-    A node scores every (feature, bin) cut at once from two weighted
-    bincounts over its items' keys (see ``bin_layout``); a row of the
-    cumsum adds the bins in the order a per-feature cumsum would. A node
-    whose children search again builds both children's histograms from its
-    own keys in one more pair, with the child folded into the key. Each bin
-    adds its items in item order, so with one item per row, in row order,
-    every sum, score and split is bitwise that of a per-feature search over
-    the rows.
-
-    The keyed codes and the layout are built once, here, and shared by
-    every tree grown on the matrix, as by the rounds of a boosting fit.
+    stand for, the SSE reduction n_L * n_R / n * (mean_L - mean_R)^2 plus a
+    per-node constant. Leaves carry the mean target and row count of their
+    rows; split nodes keep value 0 and count 0. Items keep their order from
+    level to level, so with one item per row, in row order, every sum,
+    score and split is bitwise that of a per-feature search over the rows.
     """
 
     def __init__(self, codes: np.ndarray, thresholds: list[np.ndarray]) -> None:
         """``codes`` holds each item's code row under ``thresholds``, both
-        from ``bin_features``."""
+        from ``bin_features``. The layout and keyed codes built here serve
+        every tree grown on the matrix, as the rounds of a boosting fit."""
         self.codes = codes
-        self.thresholds = thresholds
-        self.width, self.is_cut = bin_layout(thresholds)
-        self.keyed = codes + np.arange(codes.shape[1], dtype=np.int64) * self.width
+        self.grid = bin_layout(thresholds)
+        self.is_cut = ~np.isnan(self.grid)
+        self.keyed = codes + np.arange(codes.shape[1], dtype=np.int64) * self.grid.shape[1]
 
     def grow(
         self,
@@ -289,68 +335,55 @@ class SseGrower:
         high: np.ndarray,
         max_depth: int,
         min_leaf: int,
-    ) -> NodeTable:
+    ) -> tuple[NodeTable, np.ndarray]:
         """A tree fitted to the items of nonzero count: per item, the sum and
-        count of its rows' targets and their least and greatest target."""
-        codes, thresholds, width, is_cut, keyed = self.codes, self.thresholds, self.width, self.is_cut, self.keyed
-        d = codes.shape[1]
+        count of its rows' targets and their least and greatest target.
+        Returns it with the value of the leaf each code row reaches, items
+        of count 0 included."""
         table = NodeTable()
-
-        def searches(items: np.ndarray, depth: int) -> bool:
-            # a constant target cannot be split; its scores differ only by
-            # rounding, which at n * mean^2 scale can exceed MIN_GAIN
-            return depth < max_depth and counts[items].sum() >= 2 * min_leaf and low[items].min() != high[items].max()
-
-        def gather(items: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            # each item's keys, and its sum and count once per key
-            return np.take(keyed, items, axis=0), np.repeat(sums[items], d), np.repeat(counts[items], d)
-
-        def histograms(keys: np.ndarray, sum_weights: np.ndarray, count_weights: np.ndarray, groups: int) -> list:
-            # (sums, counts) of each group of keys, as (d, width) histograms
-            size = groups * d * width
-            hist_sums, hist_counts = (
-                np.bincount(keys.ravel(), weights=w, minlength=size).reshape(groups, d, width)
-                for w in (sum_weights, count_weights)
-            )
-            return list(zip(hist_sums, hist_counts))
-
-        def grow(items: np.ndarray, depth: int, hist: tuple[np.ndarray, np.ndarray] | None) -> int:
-            n = int(counts[items].sum())
-            total_sum = sums[items].sum()
-            if not searches(items, depth):
-                return table.add(total_sum / n, n)
-            gathered = None
-            if hist is None:
-                gathered = gather(items)
-                (hist,) = histograms(*gathered, 1)
-            csum = np.cumsum(hist[0], axis=1)
-            nl = np.cumsum(hist[1], axis=1)
-            nr = n - nl
-            ok = is_cut & (nl >= min_leaf) & (nr >= min_leaf)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                score = np.where(ok, csum * csum / nl + (total_sum - csum) ** 2 / nr, -np.inf)
-            cut = best_cut(score, total_sum * total_sum / n)
-            if cut is None:
-                return table.add(total_sum / n, n)
-            f, b = cut
-            node = table.add()
-            go_left = codes[items, f] <= b
-            left_items, right_items = items[go_left], items[~go_left]
-            left_hist = right_hist = None
-            if searches(left_items, depth + 1) or searches(right_items, depth + 1):
-                keys, sum_weights, count_weights = gathered or gather(items)
-                child_keys = keys + np.where(go_left, 0, d * width)[:, None]
-                left_hist, right_hist = histograms(child_keys, sum_weights, count_weights, 2)
-            left_id = grow(left_items, depth + 1, left_hist)
-            right_id = grow(right_items, depth + 1, right_hist)
-            table.split(node, f, thresholds[f][b], left_id, right_id)
-            return node
-
-        grow(np.flatnonzero(counts), 0, None)
-        # grow reaches itself through its closure; unbinding it frees the
-        # item arrays now rather than at the next cyclic garbage collection
-        del grow
-        return table
+        items = np.flatnonzero(counts)
+        sums = sums[items]
+        counts = counts[items].astype(np.float64)
+        low = low[items]
+        high = high[items]
+        keyed = np.take(self.keyed, items, axis=0)
+        key_sums = np.repeat(sums, keyed.shape[1])
+        key_counts = np.repeat(counts, keyed.shape[1])
+        # every code row's node on the level, and the value of its leaf
+        node = np.zeros(len(self.codes), dtype=np.int64)
+        value = np.zeros(len(self.codes))
+        nodes = 1
+        for depth in range(max_depth + 1):
+            at = node[items]
+            n = np.bincount(at, counts, minlength=nodes)[:nodes]
+            (total,) = node_sums(at, nodes, sums)
+            feature = np.full(nodes, -1)
+            cut = np.zeros(nodes, dtype=np.int64)
+            searches = (depth < max_depth) & (n >= 2 * min_leaf)
+            if searches.any():
+                # a constant target cannot be split; its scores differ only
+                # by rounding, which at n * mean^2 scale can exceed MIN_GAIN
+                lo = np.full(nodes + 1, np.inf)
+                hi = np.full(nodes + 1, -np.inf)
+                np.minimum.at(lo, at, low)
+                np.maximum.at(hi, at, high)
+                searches &= lo[:nodes] != hi[:nodes]
+                csum, nl = level_histograms(keyed, at, nodes, self.grid.shape[1], key_sums, key_counts)
+                nr = n[:, None, None] - nl
+                ok = self.is_cut & (nl >= min_leaf) & (nr >= min_leaf)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    score = np.where(ok, csum * csum / nl + (total[:, None, None] - csum) ** 2 / nr, -np.inf)
+                f, cut, found = best_cuts(score, total * total / n)
+                feature = np.where(searches & found, f, -1)
+            leaf = feature < 0
+            leaf_value = np.where(leaf, total / n, 0.0)
+            table.add_level(leaf_value, np.where(leaf, n, 0), feature, cut, self.grid)
+            value = np.where(np.append(leaf, False)[node], np.append(leaf_value, 0.0)[node], value)
+            if leaf.all():
+                break
+            node = route(self.codes, node, feature, cut)
+            nodes = 2 * int((~leaf).sum())
+        return table, value
 
 
 def grow_sse_tree(
@@ -364,4 +397,4 @@ def grow_sse_tree(
     """One tree of an ``SseGrower`` over the matrix rows ``rows``, each its
     own item, in the order given."""
     r = target[rows]
-    return SseGrower(codes[rows], thresholds).grow(r, np.ones(len(r), dtype=np.int64), r, r, max_depth, min_leaf)
+    return SseGrower(codes[rows], thresholds).grow(r, np.ones(len(r), dtype=np.int64), r, r, max_depth, min_leaf)[0]

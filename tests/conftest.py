@@ -21,6 +21,7 @@ from nodemend.simulate import (
     vm_risk_config,
     zero_effect_config,
 )
+from nodemend.trees import NodeTable
 
 # Every property test draws the same examples on every run, and none has a
 # per-example deadline: a slow machine must not fail a test.
@@ -124,6 +125,23 @@ def synthetic_residuals(n: int, seed: int, kind: str = "two_regime", d: int = 6,
     ra = a - propensity
     ry = tau * ra + rng.normal(scale=noise, size=n)
     return X, ry, ra, tau
+
+
+def breadth_first(table: NodeTable) -> NodeTable:
+    """A node table renumbered breadth-first, left child before right, as
+    the growers number their nodes."""
+    order = [0]
+    for k in order:  # grows as it goes: each split appends its children
+        if table.feature[k] >= 0:
+            order += [table.left[k], table.right[k]]
+    new_id = {old: new for new, old in enumerate(order)}
+    out = NodeTable()
+    for k in order:
+        out.add(table.value[k], table.count[k])
+    for k in order:
+        if table.feature[k] >= 0:
+            out.split(new_id[k], table.feature[k], table.threshold[k], new_id[table.left[k]], new_id[table.right[k]])
+    return out
 
 
 def reseal(path, edit) -> None:

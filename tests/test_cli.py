@@ -135,6 +135,19 @@ def test_counterfactual_output(workspace, capsys):
     assert out["true_saving_to_reboot"] is not None
 
 
+def test_counterfactual_refuses_a_truth_file_missing_an_event(workspace, tmp_path, capsys, monkeypatch):
+    # the truth file holds the first 100 of the 500 events: refused as a data
+    # error naming the file and the first event it lacks, before any estimate
+    monkeypatch.setattr(evaluation, "estimate_ite_batch", lambda *a, **k: pytest.fail("estimate_ite_batch ran"))
+    truth = tmp_path / "truth.jsonl"
+    truth.write_text("".join(workspace["truth"].read_text().splitlines(keepends=True)[:100]))
+    argv = ["counterfactual", "--model", str(workspace["model"]), "--data", str(workspace["events"]), "--truth", str(truth)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert f"data error: truth file {truth} has no record of event ev-00000100" in captured.err
+    assert captured.out == ""
+
+
 def test_recommend_logs_action(workspace, capsys):
     signals_path = workspace["root"] / "signals.json"
     signals_path.write_text(
@@ -247,6 +260,23 @@ def test_abtest_engine_requires_model(workspace, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "groups, message",
+    [
+        ("legacy:1,legacy:1", "group names must be a non-empty list of distinct names"),
+        ("legacy:1,bogus:1", "unknown policy 'bogus'"),
+    ],
+)
+def test_abtest_refuses_a_bad_group_list_as_a_config_error(workspace, capsys, monkeypatch, groups, message):
+    # refused by the policy-list check before any model loads or event is drawn
+    monkeypatch.setattr(evaluation, "run_ab_experiment", lambda *a, **k: pytest.fail("run_ab_experiment ran"))
+    monkeypatch.setattr(cli, "load_model", lambda *a, **k: pytest.fail("load_model ran"))
+    rc = main(["abtest", "--config", str(workspace["config"]), "--experiment", "x", "--groups", groups, "--n", "200"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"config error: {message}" in captured.err
+    assert captured.out == ""
+
 
 @pytest.mark.parametrize("weight", ["inf", "nan", "-inf", "0", "-1"])
 def test_abtest_refuses_a_weight_that_is_not_finite_and_positive(workspace, capsys, weight):
@@ -256,6 +286,21 @@ def test_abtest_refuses_a_weight_that_is_not_finite_and_positive(workspace, caps
     captured = capsys.readouterr()
     assert f"legacy:{weight}" in captured.err and "finite and positive" in captured.err
     assert captured.out == ""
+
+
+def test_forest_depth_past_the_keyed_bound_is_a_config_error(workspace, tmp_path, capsys, monkeypatch):
+    # a node's feature draw is keyed by its heap position, below 2^32 only
+    # up to depth 32: a deeper forest is refused before any data is read
+    monkeypatch.setattr(cli, "read_events_jsonl", lambda *a, **k: pytest.fail("read_events_jsonl ran"))
+    cfg_path = tmp_path / "deep.json"
+    cfg_path.write_text(json.dumps({**FAST_CONFIG, "forest": {"max_depth": 40}}))
+    argv = ["train", "--config", str(cfg_path), "--data", str(workspace["events"]), "--out", str(tmp_path / "model.bin")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "config error:" in captured.err and "max_depth must be <= 32, got 40" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
 
 def test_update_gate(workspace, capsys):
     out_path = workspace["root"] / "updated.bin"

@@ -12,7 +12,7 @@ from nodemend import evaluation
 from nodemend.decisions import DecisionConfig, assign_policy_group, decide
 from nodemend.dml import DmlModel, LinearTheta, TrainConfig, estimate_ite, estimate_ite_batch
 from nodemend.domain import DiagnosticSignals, LabeledEvent, MitigationAction, keyed_uniforms, rng_for, seed_for
-from nodemend.errors import DegenerateTreatment, InvalidArgument
+from nodemend.errors import DegenerateTreatment, InvalidArgument, MissingTruth
 from nodemend.evaluation import (
     POLICY_NAMES,
     EnginePolicy,
@@ -254,6 +254,15 @@ def test_counterfactual_true_savings_positive(default_bundle):
     assert rep.switch_to_redeploy_fraction > 0.0
     assert rep.true_saving_to_reboot > 0.0
     assert rep.true_saving_to_redeploy > 0.0
+
+
+def test_counterfactual_refuses_truths_missing_an_event(default_bundle, monkeypatch):
+    # checked before any estimate: the model is never asked
+    monkeypatch.setattr(evaluation, "estimate_ite_batch", lambda *a, **k: pytest.fail("estimate_ite_batch ran"))
+    events = default_bundle["events"]
+    truths = [t for t in default_bundle["truths"] if t.event_id != events[7].event_id]
+    with pytest.raises(MissingTruth, match=f"no record of event {events[7].event_id}$"):
+        counterfactual_analysis(default_bundle["model"], events, truths)
 
 
 def test_ab_experiment_sticky_groups(default_bundle):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from nodemend import forest as forest_module
 from nodemend.domain import from_record, rng_for, seed_for, to_record
 from nodemend.errors import InsufficientData, InvalidArgument
 from nodemend.forest import (
@@ -226,3 +227,30 @@ def test_params_validation():
             ForestParams(**{field: value})
     # one bag still grows single trees; only a forest final stage needs two
     assert ForestParams(bags=1, max_depth=0, features_per_split=1).bags == 1
+
+
+def test_keyed_draws_bound_depth_and_columns(monkeypatch):
+    # a node's feature draw is keyed by (heap position, feature): positions
+    # stay below 2^32 up to depth 32, and features below 2^8
+    assert ForestParams(max_depth=32).max_depth == 32
+    with pytest.raises(InvalidArgument, match="max_depth must be <= 32, got 33"):
+        ForestParams(max_depth=33)
+    monkeypatch.setattr(forest_module, "map_tasks", lambda *a, **k: pytest.fail("a bag grew"))
+    rng = np.random.default_rng(0)
+    with pytest.raises(InvalidArgument, match="got 257 columns"):
+        fit_forest(rng.normal(size=(60, 257)), rng.normal(size=60), rng.normal(size=60), small_params(), seed=0)
+
+
+def test_tree_does_not_depend_on_the_nodes_grown_beside_it():
+    # the keyed draws make a node's features a function of its position: a
+    # tree capped at depth 3 is the top of the same tree grown to depth 6
+    X, ry, ra, _ = synthetic_residuals(3000, seed=12)
+    codes, thresholds = bin_features(X, BINS)
+    deep = grow_one(codes, thresholds, ry, ra, np.arange(3000), ForestParams(max_depth=6), seed=3)
+    shallow = grow_one(codes, thresholds, ry, ra, np.arange(3000), ForestParams(max_depth=3), seed=3)
+    top = len(shallow.feature)
+    assert top < len(deep.feature)
+    splits = shallow.feature >= 0
+    for name in ("feature", "threshold", "left", "right"):
+        np.testing.assert_array_equal(getattr(shallow, name)[splits], getattr(deep, name)[:top][splits], err_msg=name)
+    np.testing.assert_array_equal(shallow.value, deep.value[:top])

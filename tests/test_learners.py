@@ -11,12 +11,15 @@ from nodemend.errors import InvalidArgument
 from nodemend.learners import GradientBoostedTrees, LearnerConfig, crossfit_predict, make_folds
 from nodemend.trees import MIN_GAIN, NodeTable, PackedTrees, bin_features
 
+from conftest import breadth_first
+
 
 def reference_fit(cls, config, seed, X, y):
     """``GradientBoostedTrees.fit`` written out as plain loops over the
     distinct code rows. Each round sums every group's residuals over the
     subsample, in subsample order, then grows a tree over the groups
-    present, ordered as their code rows compare."""
+    present, ordered as their code rows compare, recursively in pre-order,
+    and numbers its nodes breadth-first as the level grower does."""
     rng = rng_for(seed, 0)
     codes, thresholds = bin_features(X, config.max_bins)
     keys = sorted({tuple(row) for row in codes.tolist()})
@@ -37,7 +40,7 @@ def reference_fit(cls, config, seed, X, y):
             counts[g] += 1
             resid[g].append(r)
         present = [g for g in range(len(keys)) if counts[g]]
-        table = reference_group_tree(keys, thresholds, sums, counts, resid, present, config.max_depth, config.min_leaf)
+        table = breadth_first(reference_group_tree(keys, thresholds, sums, counts, resid, present, config.max_depth, config.min_leaf))
         tables.append(table)
         for g, key in enumerate(keys):
             current[g] = current[g] + config.learning_rate * reference_leaf_value(table, key, thresholds)

@@ -1,11 +1,15 @@
 """The vectorized tree kernels give exactly what the loops they replaced gave.
 
-The reference growers below are the per-feature loops that
+The reference growers below are the recursive per-feature loops that
 ``trees.grow_sse_tree`` and ``forest.grow_tree`` used before their search
-was vectorized, kept as they were. On random inputs, including exact score
-ties, constant targets and columns, rows at the leaf-size boundaries, a
-quantile grid and exact bins, every node table must equal the reference's
-array for array.
+was vectorized and before they grew a level at a time, kept as they were
+but for two edits: the forest reference draws each node's features from
+the same keyed uniforms of (tree seed, heap position, feature) as
+``grow_tree``, and both references renumber their pre-order tables
+breadth-first (``breadth_first``), as the level growers number nodes. On
+random inputs, including exact score ties, constant targets and columns,
+rows at the leaf-size boundaries, a quantile grid and exact bins, every
+node table must equal the reference's array for array.
 
 ``reference_leaf_index`` is the per-tree walk that ``trees.PackedTrees``
 replaced, kept as it was. The packed walk must route every row to the same
@@ -22,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodemend.dml import estimate_ite, estimate_ite_batch, nuisance_predictions, prepare_training_arrays, psi_loss
-from nodemend.domain import from_record, rng_for, to_record
+from nodemend.domain import from_record, keyed_uniforms, rng_for, to_record
 from nodemend.errors import InvalidArgument
 from nodemend.forest import _MIN_STRUCTURE_CHILD, ForestParams, grow_tree, honest_halves
 from nodemend.modelio import load_model, save_model
@@ -31,10 +35,13 @@ from nodemend.trees import (
     MIN_GAIN,
     NodeTable,
     PackedTrees,
-    best_cut,
+    best_cuts,
     bin_features,
     grow_sse_tree,
+    node_sums,
 )
+
+from conftest import breadth_first
 
 PROPERTY = settings(max_examples=80)
 
@@ -83,7 +90,7 @@ def reference_sse_tree(codes, thresholds, target, rows, max_depth, min_leaf):
         return node
 
     grow(rows, 0)
-    return table
+    return breadth_first(table)
 
 
 def reference_forest_tree(codes, thresholds, ry, ra, subsample, params, seed):
@@ -111,7 +118,7 @@ def reference_forest_tree(codes, thresholds, ry, ra, subsample, params, seed):
             return parent_tau, n_est
         return float(u[est_rows].sum() / sw), n_est
 
-    def grow(struct_rows, est_rows, depth, parent_tau):
+    def grow(struct_rows, est_rows, depth, parent_tau, position):
         tau_here, n_est_here = leaf_tau(est_rows, parent_tau)
         node = table.add(tau_here, n_est_here)
         n = len(struct_rows)
@@ -124,7 +131,7 @@ def reference_forest_tree(codes, thresholds, ry, ra, subsample, params, seed):
         parent_score = n * (su_all / sw_all) ** 2
 
         est_flag = has_ra[est_rows].astype(np.float64)
-        feats = rng.choice(d, size=min(mtry, d), replace=False)
+        feats = np.argsort(keyed_uniforms(seed, position, 0, np.arange(d)), kind="stable")[:mtry]
         best_gain = MIN_GAIN
         best = None
         for f in feats:
@@ -169,13 +176,13 @@ def reference_forest_tree(codes, thresholds, ry, ra, subsample, params, seed):
         f, b = best
         s_mask = codes[struct_rows, f] <= b
         e_mask = codes[est_rows, f] <= b
-        left_id = grow(struct_rows[s_mask], est_rows[e_mask], depth + 1, tau_here)
-        right_id = grow(struct_rows[~s_mask], est_rows[~e_mask], depth + 1, tau_here)
+        left_id = grow(struct_rows[s_mask], est_rows[e_mask], depth + 1, tau_here, 2 * position + 1)
+        right_id = grow(struct_rows[~s_mask], est_rows[~e_mask], depth + 1, tau_here, 2 * position + 2)
         table.split(node, f, thresholds[f][b], left_id, right_id)
         return node
 
-    grow(structure_idx, estimate_idx, 0, 0.0)
-    return table, structure_idx, estimate_idx
+    grow(structure_idx, estimate_idx, 0, 0.0, 0)
+    return breadth_first(table), structure_idx, estimate_idx
 
 
 def assert_same_table(got, want):
@@ -280,15 +287,38 @@ def test_forest_tree_matches_per_feature_scan(data):
 def test_best_cut_resolves_ties_like_a_scan():
     score = np.array(
         [
-            [0.0, 3.0, 3.0],  # first maximal bin of a row wins
-            [3.0, 1.0, -np.inf],  # an equal later row does not replace it
-            [np.nan, 9.0, 9.0],  # a row holding NaN never wins
+            [0.0, 3.0, 3.0],  # first maximal bin of a feature wins
+            [3.0, 1.0, -np.inf],  # an equal later feature does not replace it
+            [np.nan, 9.0, 9.0],  # a feature holding NaN never wins
         ]
     )
-    assert best_cut(score, 1.0) == (0, 1)
-    assert best_cut(score, 3.0) is None  # gain 0 does not beat MIN_GAIN
-    assert best_cut(np.full((2, 3), -np.inf), 0.0) is None
-    assert best_cut(np.empty((0, 4)), 0.0) is None
+
+    def cut(node_scores, parent_scores):
+        """Each node's (feature, bin), or None where it finds no cut."""
+        feature, bins, found = best_cuts(np.asarray(node_scores, dtype=np.float64), np.asarray(parent_scores, dtype=np.float64))
+        return [(int(f), int(b)) if ok else None for f, b, ok in zip(feature, bins, found)]
+
+    assert cut([score], [1.0]) == [(0, 1)]
+    assert cut([score], [3.0]) == [None]  # gain 0 does not beat MIN_GAIN
+    assert cut([np.full((2, 3), -np.inf)], [0.0]) == [None]
+    assert cut(np.empty((1, 0, 4)), [0.0]) == [None]
+    # each node resolves alone, against its own parent score
+    assert cut([score, score[::-1], np.full((3, 3), -np.inf)], [1.0, 1.0, 0.0]) == [(0, 1), (1, 0), None]
+    assert cut(np.empty((0, 3, 3)), []) == []
+
+
+@pytest.mark.parametrize("nodes", [1, 3, 300])
+def test_node_sums_add_each_node_as_its_own_sum(nodes):
+    # labels past one byte take the two-byte sort; label ``nodes`` is a row
+    # in no node, and past one node, one node holds no row
+    rng = np.random.default_rng(nodes)
+    node = rng.integers(0, nodes + 1, size=5000)
+    if nodes > 1:
+        node[node == nodes // 2] = nodes
+    values = rng.normal(size=(2, 5000)) * 10.0 ** rng.integers(-3, 6, size=(2, 5000))
+    got = node_sums(node, nodes, *values)
+    for v, sums in zip(values, got, strict=True):
+        np.testing.assert_array_equal(sums, [v[node == k].sum() for k in range(nodes)])
 
 
 def reference_leaf_index(X, feature, threshold, left, right):
