@@ -24,6 +24,7 @@ from .domain import (
     FloatArray,
     IteEstimate,
     LabeledEvent,
+    distinct_rows,
     encode_features,  # noqa: F401  perfbench's tracer times dml.encode_features
     encode_matrix,
     seed_for,
@@ -265,8 +266,12 @@ def psi_loss(model: DmlModel, dataset: list[LabeledEvent]) -> float:
     if not dataset:
         raise InvalidArgument("psi_loss needs a non-empty dataset")
     X, y, a = prepare_training_arrays(dataset, model.schema)
-    y_hat, a_hat = nuisance_predictions(model, X)
-    theta = theta_values(model, X)
+    # each prediction is a pure function of its row: predict each distinct
+    # row once, and gather
+    first, inverse = distinct_rows(X)
+    distinct = X[first]
+    y_hat, a_hat = (p[inverse] for p in nuisance_predictions(model, distinct))
+    theta = theta_values(model, distinct)[inverse]
     resid = (y - y_hat) - theta * (a - a_hat)
     return float(np.mean(resid**2))
 

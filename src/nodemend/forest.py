@@ -29,6 +29,7 @@ floor covers the degenerate all-identical forest.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -262,7 +263,7 @@ def predict_tau(forest: CausalForest, X: np.ndarray) -> np.ndarray:
     """Mean leaf slope over all trees for each query row."""
     tau = np.empty(np.shape(X)[0], dtype=np.float64)
     for rows, node in forest.trees.leaves(X):
-        tau[rows] = forest.trees.value[node].mean(axis=1)
+        tau[rows] = np.add.reduce(forest.trees.value.take(node), axis=1) / node.shape[1]
     return tau
 
 
@@ -275,21 +276,20 @@ def _interval_variance(per_tree: np.ndarray, m: np.ndarray, params: ForestParams
     are the same whatever rows share the call.
     """
     bags, s = params.bags, params.trees_per_bag
-    # column j: the j-th tree of every bag
-    members = np.arange(bags * s).reshape(bags, s)
-    # np.take gives C order, which keeps the mean over bags below a
-    # pairwise sum of each row for any row count
-    m_b = np.take(per_tree, members[:, 0], axis=1)
-    for j in range(1, s):
-        m_b += np.take(per_tree, members[:, j], axis=1)
-    m_b /= s
-    spread = np.zeros_like(m_b)
-    for j in range(s):
-        spread += (np.take(per_tree, members[:, j], axis=1) - m_b) ** 2
-    v_within = np.add.accumulate(spread, axis=1, out=spread)[:, -1] / (bags * s)
-    v_between = ((m_b - m[:, None]) ** 2).mean(axis=1)
+    # a C-order (rows, bags, trees_per_bag) view: every sum runs along one
+    # row's own cells, and the (rows, bags) arrays made from it are C order,
+    # so the mean over bags is a pairwise sum of each row for any row count
+    trees = per_tree.reshape(len(per_tree), bags, s)
+    m_b = np.add.accumulate(trees, axis=2)[:, :, -1] / s
+    spread = np.add.accumulate((trees - m_b[:, :, None]) ** 2, axis=2)[:, :, -1]
+    v_within = np.add.accumulate(spread, axis=1)[:, -1] / (bags * s)
+    v_between = np.add.reduce((m_b - m[:, None]) ** 2, axis=1) / bags
     rel_floor = params.variance_floor_frac * v_between
     return np.maximum(v_between - v_within / s, np.maximum(rel_floor, params.variance_floor))
+
+
+# the standard normal quantile, computed once per confidence level
+_normal_quantile = functools.lru_cache(maxsize=16)(NormalDist().inv_cdf)
 
 
 def predict_tau_ci(forest: CausalForest, X: np.ndarray) -> list[IteEstimate]:
@@ -303,14 +303,13 @@ def predict_tau_ci(forest: CausalForest, X: np.ndarray) -> list[IteEstimate]:
     v = np.empty(X.shape[0], dtype=np.float64)
     # chunk by chunk, so no (rows, trees) matrix of the whole batch is built
     for rows, node in forest.trees.leaves(X):
-        per_tree = forest.trees.value[node]
-        m[rows] = per_tree.mean(axis=1)
+        per_tree = forest.trees.value.take(node)
+        m[rows] = np.add.reduce(per_tree, axis=1) / node.shape[1]
         v[rows] = _interval_variance(per_tree, m[rows], forest.params)
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    half = z * np.sqrt(v)
+    half = _normal_quantile(0.5 + level / 2.0) * np.sqrt(v)
     return [
-        IteEstimate(tau=float(m[i]), tau_lower=float(m[i] - half[i]), tau_upper=float(m[i] + half[i]), confidence_level=level)
-        for i in range(X.shape[0])
+        IteEstimate(tau=t, tau_lower=lo, tau_upper=hi, confidence_level=level)
+        for t, lo, hi in zip(m.tolist(), (m - half).tolist(), (m + half).tolist())
     ]
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import rng_for, seed_for
+from .domain import distinct_rows, rng_for, seed_for
 from .errors import InvalidArgument
 from .parallel import map_tasks
 from .trees import PackedTrees, SseGrower, bin_features
@@ -81,17 +81,14 @@ class _CodeRows:
 
     Group g stands for every row whose code row is ``codes[first[g]]``, and
     ``group[i]`` is row i's group; groups are numbered in the lexicographic
-    order of their code rows. ``np.unique`` runs over each code row packed
-    into bytes, an order of magnitude faster than over ``axis=0``.
+    order of their code rows.
     """
 
     def __init__(self, codes: np.ndarray, y: np.ndarray) -> None:
         top = int(codes.max(initial=0))
         size = next(s for s in (1, 2, 4, 8) if top < 1 << (8 * s))
         # big-endian, so a row's bytes compare as its codes do
-        packed = np.ascontiguousarray(codes, dtype=f">u{size}")
-        keys = packed.view(np.dtype((np.void, size * codes.shape[1]))).ravel()
-        _, self.first, self.group = np.unique(keys, return_index=True, return_inverse=True)
+        self.first, self.group = distinct_rows(np.ascontiguousarray(codes, dtype=f">u{size}"))
         self.y = y
 
     def residuals(self, current: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -160,7 +157,7 @@ class GradientBoostedTrees:
         for rows, node in self.trees.leaves(X):
             # column 0 is the base, then each tree in order, so the running
             # sum adds out + lr * v_t tree by tree as a per-tree loop does
-            terms = np.column_stack([out[rows], lr * self.trees.value[node]])
+            terms = np.column_stack([out[rows], lr * self.trees.value.take(node)])
             out[rows] = np.add.accumulate(terms, axis=1)[:, -1]
         return out
 

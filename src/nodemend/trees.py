@@ -207,22 +207,22 @@ class PackedTrees:
             raise InvalidArgument(f"trees split on feature {self.n_features - 1}, rows have {d} columns")
         step = max(1, CHUNK_ELEMENTS // max(1, len(self.roots)))
         for start in range(0, n, step):
-            chunk = np.ascontiguousarray(X[start : start + step])
-            flat = chunk.ravel()
-            row_base = np.arange(chunk.shape[0], dtype=np.int64)[:, None] * d
-            node = np.repeat(self.roots[None, :], chunk.shape[0], axis=0)
+            flat = np.ascontiguousarray(X[start : start + step]).ravel()
+            rows = min(step, n - start)
+            # per (row, tree), row-major: the index of the row's first cell, and the node
+            row_base = np.repeat(np.arange(rows, dtype=np.int64) * d, len(self.roots))
+            node = np.tile(self.roots, rows)
             for _ in range(self.depth):
-                # at a leaf, feature -1 reads the cell before the row's
-                # first (the last cell for row 0); its child ignores it
-                go_left = np.take(flat, row_base + np.take(self.feature, node)) <= np.take(self.threshold, node)
-                node = np.take(self.child, 2 * node + go_left)
-            yield slice(start, start + chunk.shape[0]), node
+                # at a leaf, feature -1 reads the cell before the row's first (the
+                # last cell for row 0); the leaf's child is itself either way
+                node = self.child.take(2 * node + (flat.take(row_base + self.feature.take(node)) <= self.threshold.take(node)))
+            yield slice(start, start + rows), node.reshape(rows, len(self.roots))
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """(n, trees) matrix of the leaf value each tree gives each row."""
         out = np.empty((np.shape(X)[0], len(self.roots)), dtype=np.float64)
         for rows, node in self.leaves(X):
-            out[rows] = self.value[node]
+            out[rows] = self.value.take(node)
         return out
 
 

@@ -222,6 +222,42 @@ def test_psi_nonnegative_and_true_theta_near_optimal(tworegime_bundle):
     assert psi_oracle <= psi_model * 1.10
 
 
+def test_psi_loss_predicts_each_distinct_row_once(tworegime_bundle, monkeypatch):
+    from nodemend import dml
+    from nodemend.dml import clamp_propensity, prepare_training_arrays
+    from nodemend.forest import predict_tau
+    from nodemend.learners import GradientBoostedTrees
+
+    model = tworegime_bundle["model"]
+    holdout = tworegime_bundle["test_events"][:120]
+    rng = np.random.default_rng(5)
+    events = [holdout[i] for i in rng.permutation(np.repeat(np.arange(len(holdout)), 3))]
+    # the all-rows formula: every prediction made on every row
+    X, y, a = prepare_training_arrays(events, model.schema)
+    y_hat = np.mean([lr.predict(X) for lr in model.outcome_learners], axis=0)
+    a_hat = np.mean([clamp_propensity(lr.predict(X), model.train_config.learner) for lr in model.propensity_learners], axis=0)
+    expected = float(np.mean(((y - y_hat) - predict_tau(model.forest, X) * (a - a_hat)) ** 2))
+
+    seen = []
+    gbm_predict = GradientBoostedTrees.predict
+
+    def spy_gbm(self, rows):
+        seen.append(rows)
+        return gbm_predict(self, rows)
+
+    def spy_tau(forest, rows):
+        seen.append(rows)
+        return predict_tau(forest, rows)
+
+    monkeypatch.setattr(GradientBoostedTrees, "predict", spy_gbm)
+    monkeypatch.setattr(dml, "predict_tau", spy_tau)
+    assert psi_loss(model, events).hex() == expected.hex()
+    distinct = len(np.unique(X, axis=0))
+    assert distinct < len(holdout) * 3
+    assert len(seen) == len(model.outcome_learners) + len(model.propensity_learners) + 1
+    assert all(len(rows) == distinct == len(np.unique(rows, axis=0)) for rows in seen)
+
+
 def test_psi_schema_mismatch():
     cfg = default_config(seed=13)
     events, _ = generate_observational_dataset(60, cfg)

@@ -122,6 +122,25 @@ def test_schema_id_changes_with_layout():
         encode_features(make_signals(), other)
 
 
+def test_schemas_used_alternately_each_encode_to_their_own_columns():
+    # each schema builds its value -> column maps once; two layouts in one
+    # process must never read each other's maps
+    first = FeatureSchema(hardware_types=("alpha", "beta"))
+    second = FeatureSchema(hardware_types=("gamma", "delta", "beta"), session_types=("solo",))
+    for _ in range(2):
+        for schema, hardware, session in ((first, "beta", "premium"), (second, "beta", "solo"), (first, "alpha", "system")):
+            row = encode_matrix([make_signals(hardware_type=hardware, session_type=session)], schema)[0]
+            names = schema.column_names
+            hot = {names.index("error_code=sw_fault"), names.index(f"hardware_type={hardware}"), names.index(f"session_type={session}")}
+            assert len(row) == schema.width
+            assert {i for i in range(5, schema.width) if row[i] == 1.0} == hot
+            assert all(row[i] == 0.0 for i in range(5, schema.width) if i not in hot)
+        with pytest.raises(SchemaViolation):
+            encode_matrix([make_signals(hardware_type="gamma", session_type="standard")], first)
+        with pytest.raises(SchemaViolation):
+            encode_matrix([make_signals(hardware_type="alpha", session_type="solo")], second)
+
+
 def test_signal_invariants():
     with pytest.raises(InvalidArgument):
         make_signals(vm_count=-1)

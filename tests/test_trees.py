@@ -14,11 +14,15 @@ node table must equal the reference's array for array.
 ``reference_leaf_index`` is the per-tree walk that ``trees.PackedTrees``
 replaced, kept as it was. The packed walk must route every row to the same
 leaf of every tree, and the GBM, forest and psi predictions built on it must
-equal per-tree loops over the reference bit for bit.
+equal per-tree loops over the reference bit for bit. ``reference_interval``
+computes one row's grouped-bag interval in the order that
+``forest._interval_variance`` documents; ``predict_tau_ci`` must equal it
+bit for bit on random forests, whatever rows share its call.
 """
 
 import json
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -28,7 +32,15 @@ from hypothesis import strategies as st
 from nodemend.dml import estimate_ite, estimate_ite_batch, nuisance_predictions, prepare_training_arrays, psi_loss
 from nodemend.domain import from_record, keyed_uniforms, rng_for, to_record
 from nodemend.errors import InvalidArgument
-from nodemend.forest import _MIN_STRUCTURE_CHILD, ForestParams, grow_tree, honest_halves
+from nodemend.forest import (
+    _MIN_STRUCTURE_CHILD,
+    CausalForest,
+    ForestParams,
+    grow_tree,
+    honest_halves,
+    predict_tau,
+    predict_tau_ci,
+)
 from nodemend.modelio import load_model, save_model
 from nodemend.trees import (
     CHUNK_ELEMENTS,
@@ -415,6 +427,69 @@ def test_packed_walk_matches_per_tree_walk(data):
             np.testing.assert_array_equal(getattr(copy, name), getattr(packed, name), err_msg=name)
             assert getattr(copy, name).dtype == getattr(packed, name).dtype
         np.testing.assert_array_equal(np.vstack([c for _, c in copy.leaves(X)] or [node]), node)
+
+
+def reference_interval(values, params):
+    """One row's (tau, lower, upper) from its per-tree leaf values, in the
+    order ``forest._interval_variance`` documents: each bag's trees added one
+    at a time in tree order, then the within-bag total over the bags in bag
+    order; the mean over all trees and the mean over bags are numpy means of
+    the row's own values."""
+    bags, s = params.bags, params.trees_per_bag
+    tau = float(np.mean(values))
+    means, spreads = [], []
+    for b in range(bags):
+        trees = values[b * s : (b + 1) * s]
+        total = trees[0]
+        for v in trees[1:]:
+            total += v
+        mean = total / s
+        spread = 0.0
+        for v in trees:
+            spread += (v - mean) * (v - mean)
+        means.append(mean)
+        spreads.append(spread)
+    within = spreads[0]
+    for spread in spreads[1:]:
+        within += spread
+    within /= bags * s
+    between = float(np.mean([(m - tau) * (m - tau) for m in means]))
+    variance = max(between - within / s, max(params.variance_floor_frac * between, params.variance_floor))
+    half = NormalDist().inv_cdf(0.5 + params.confidence_level / 2.0) * math.sqrt(variance)
+    return tau, tau - half, tau + half
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_forest_interval_matches_a_per_row_reference(data):
+    """``predict_tau_ci`` on random forests equals, bit for bit, the per-row
+    reference over the per-tree walk, for one row, a chunk of rows and one
+    row either side of it, on duplicated and shuffled rows."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    d = data.draw(st.integers(1, 4), label="d")
+    params = ForestParams(
+        bags=data.draw(st.integers(2, 12), label="bags"),
+        trees_per_bag=data.draw(st.integers(1, 12), label="trees_per_bag"),
+        confidence_level=data.draw(st.sampled_from((0.5, 0.9, 0.95)), label="level"),
+        variance_floor_frac=data.draw(st.sampled_from((0.0, 0.2)), label="floor_frac"),
+    )
+    grid = np.round(rng.normal(size=6), 1)
+    tables = [random_tree(data, rng, d, grid, f"tree{t}") for t in range(params.n_trees)]
+    for table in tables:
+        # leaf values of mixed magnitude, so every change of summation order shows
+        table.value = (np.asarray(table.value) * 10.0 ** rng.integers(-4, 5, len(table.value))).tolist()
+    forest = CausalForest(trees=PackedTrees.pack(tables), params=params, seed=0, n=100)
+    step = CHUNK_ELEMENTS // params.n_trees
+    pool = rng.choice(np.concatenate([grid, SPECIAL_VALUES]), size=(8, d))
+    X = pool[rng.integers(len(pool), size=step + 1)]
+    per_tree = np.column_stack([np.asarray(t.value)[reference_leaf_index(X, *walk_columns(t))] for t in tables])
+    want = [reference_interval(row, params) for row in per_tree.tolist()]
+    for n in (1, step - 1, step, step + 1):
+        got = predict_tau_ci(forest, X[:n])
+        assert [(e.tau, e.tau_lower, e.tau_upper) for e in got] == want[:n]
+        assert predict_tau(forest, X[:n]).tolist() == [e.tau for e in got]
+    order = rng.permutation(len(X))
+    assert [(e.tau, e.tau_lower, e.tau_upper) for e in predict_tau_ci(forest, X[order])] == [want[i] for i in order]
 
 
 def test_packed_depth_is_the_deepest_tree():

@@ -15,7 +15,10 @@ CLI (simulate, train), then, on 2 000 fresh events from seed 2020:
   of a 2 000-event ``compare`` report (legacy, engine, oracle) with its
   table, of a 2 000-event ``abtest`` output (legacy and engine, weight 1
   each), of the ``counterfactual`` output, and of the ``interpret`` text
-  with a ``vm_count`` effect curve.
+  with a ``vm_count`` effect curve;
+* ``recommend``: sha256 over the stdout and the action log of ``nodemend
+  recommend`` run on each of the first 20 fresh events, with the event's
+  own signals file, node id, event id and timestamp.
 
 The model file itself is left out, as its bytes change with the format
 version; its sha256 and size go to stderr.
@@ -35,12 +38,14 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from nodemend.cli import main  # noqa: E402
 from nodemend.dml import estimate_ite, estimate_ite_batch, psi_loss  # noqa: E402
+from nodemend.domain import to_record  # noqa: E402
 from nodemend.modelio import load_model, read_events_jsonl  # noqa: E402
 
 SEED = 1010
 FRESH_SEED = 2020
 FRESH_N = 2000
 SINGLE_ROWS = 100
+RECOMMEND_EVENTS = 20
 # (preset, training events, final stage)
 TRAININGS = (
     ("default", 3000, "forest"),
@@ -93,6 +98,16 @@ def digest(preset: str, n: int, final_stage: str, work: str) -> dict:
     )
     with open(path("report.json"), "rb") as fh:
         report = fh.read()
+    decisions = []
+    for i, e in enumerate(fresh[:RECOMMEND_EVENTS]):
+        with open(path(f"signals_{i}.json"), "w", encoding="utf-8") as fh:
+            json.dump(to_record(e.signals), fh)
+        decisions.append(
+            cli("recommend", "--model", path("model.bin"), "--signals", path(f"signals_{i}.json"), "--log", path("actions.jsonl"),
+                "--node-id", e.node_id, "--event-id", e.event_id, "--timestamp", e.timestamp)
+        )
+    with open(path("actions.jsonl"), "rb") as fh:
+        action_log = fh.read()
     return {
         "training": f"{preset} {n} {final_stage}",
         "estimates": sha256(estimates_hex(batch) + "\n--\n" + estimates_hex(single)),
@@ -107,6 +122,7 @@ def digest(preset: str, n: int, final_stage: str, work: str) -> dict:
             cli("counterfactual", "--model", path("model.bin"), "--data", path("fresh.jsonl"), "--truth", path("fresh_truth.jsonl"))
         ),
         "interpret": sha256(cli("interpret", "--model", path("model.bin"), "--data", path("fresh.jsonl"), "--cate-feature", "vm_count")),
+        "recommend": sha256("".join(decisions).encode("utf-8") + action_log),
     }
 
 
