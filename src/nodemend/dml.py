@@ -24,13 +24,14 @@ from .domain import (
     FloatArray,
     IteEstimate,
     LabeledEvent,
+    SignalColumns,
     distinct_rows,
     encode_features,  # noqa: F401  perfbench's tracer times dml.encode_features
     encode_matrix,
     seed_for,
 )
 from .errors import DegenerateTreatment, InsufficientData, InvalidArgument
-from .forest import CausalForest, ForestParams, fit_forest, predict_tau, predict_tau_ci
+from .forest import CausalForest, ForestParams, fit_forest, predict_interval, predict_tau, predict_tau_ci
 from .learners import GradientBoostedTrees, LearnerConfig, crossfit_predict, make_folds
 
 FINAL_STAGE_FOREST = "forest"
@@ -285,15 +286,22 @@ def estimate_ite(model: DmlModel, signals: DiagnosticSignals) -> IteEstimate:
     return estimate_ite_batch(model, [signals])[0]
 
 
-def estimate_ite_batch(model: DmlModel, signal_rows: list[DiagnosticSignals]) -> list[IteEstimate]:
+def estimate_ite_batch(model: DmlModel, signal_rows: SignalColumns | list[DiagnosticSignals]) -> list[IteEstimate]:
     """Vectorized estimate_ite: each row's estimate and bounds equal those
     of the single-row path."""
     X = encode_matrix(signal_rows, model.schema)
     if model.final_stage == FINAL_STAGE_FOREST:
         assert model.forest is not None
         return predict_tau_ci(model.forest, X)
-    assert model.linear is not None
-    taus = model.linear.predict(X)
     level = model.train_config.forest.confidence_level
-    return [IteEstimate(tau=float(t), tau_lower=float(t), tau_upper=float(t), confidence_level=level) for t in taus]
+    return [IteEstimate(tau=t, tau_lower=t, tau_upper=t, confidence_level=level) for t in effect_bounds(model, X)[0].tolist()]
 
+
+def effect_bounds(model: DmlModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tau, lower, upper) arrays of encoded rows, as ``estimate_ite_batch`` gives them."""
+    if model.final_stage == FINAL_STAGE_FOREST:
+        assert model.forest is not None
+        return predict_interval(model.forest, X)
+    assert model.linear is not None
+    tau = model.linear.predict(X)
+    return tau, tau, tau

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import operator
 import types
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
@@ -165,6 +166,50 @@ class IteEstimate:
         return self.tau_upper - self.tau_lower
 
 
+class _Columns:
+    """Equal-length arrays, read by index, never iterated: indexing it indexes every field."""
+
+    __iter__ = None
+
+    def __getitem__(self, rows):
+        return type(self)(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+
+_SIGNAL_FIELDS = tuple(f.name for f in fields(DiagnosticSignals))
+_signal_fields = operator.attrgetter(*_SIGNAL_FIELDS)
+_CATEGORICAL = ("error_code", "hardware_type", "session_type")
+
+
+@dataclass(frozen=True)
+class SignalColumns(_Columns):
+    """The signals of many events, one array per field; object arrays for the categoricals."""
+
+    vm_count: np.ndarray
+    has_important_workload: np.ndarray
+    network_ok: np.ndarray
+    error_code: np.ndarray
+    repeat_count: np.ndarray
+    uncorrectable_tag: np.ndarray
+    hardware_type: np.ndarray
+    session_type: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: list[DiagnosticSignals]) -> SignalColumns:
+        """The columns of ``records``. A numeric column takes the dtype numpy
+        finds for its values, or is an object array where that dtype would
+        be a float: numpy holds ints past 64 bits as rounded floats."""
+        fields_of_rows = zip(*map(_signal_fields, records)) if records else [()] * len(_SIGNAL_FIELDS)
+        columns = []
+        for name, values in zip(_SIGNAL_FIELDS, fields_of_rows):
+            column = np.array(values, dtype=object if name in _CATEGORICAL else None)
+            columns.append(np.array(values, dtype=object) if column.dtype.kind == "f" else column)
+        return cls(*columns)
+
+    def records(self) -> list[DiagnosticSignals]:
+        """Row i as the record ``DiagnosticSignals``, for every row."""
+        return [DiagnosticSignals(*row) for row in zip(*(getattr(self, name).tolist() for name in _SIGNAL_FIELDS))]
+
+
 @dataclass(frozen=True)
 class FeatureSchema:
     """Fixed column layout for encoded signals.
@@ -246,9 +291,9 @@ def encode_features(signals: DiagnosticSignals, schema: FeatureSchema = DEFAULT_
     return FeatureVector(values=tuple(encode_matrix([signals], schema)[0].tolist()), schema_id=schema.schema_id)
 
 
-def encode_matrix(signal_rows: list[DiagnosticSignals], schema: FeatureSchema = DEFAULT_SCHEMA) -> np.ndarray:
-    """Encode signal records into a dense (n, width) float64 matrix, column
-    by column, in the schema's column layout.
+def encode_matrix(signals: SignalColumns | list[DiagnosticSignals], schema: FeatureSchema = DEFAULT_SCHEMA) -> np.ndarray:
+    """Encode signals, columns or a list of records, into a dense (n, width)
+    float64 matrix, column by column, in the schema's column layout.
 
     Numerics pass through, booleans become 0/1, categoricals one-hot over
     their closed set. A missing error_code keeps its one-hot block all zero
@@ -257,28 +302,36 @@ def encode_matrix(signal_rows: list[DiagnosticSignals], schema: FeatureSchema = 
 
     Raises SchemaViolation for any categorical value outside the closed set.
     """
-    n = len(signal_rows)
-    out = np.zeros((n, schema.width), dtype=np.float64)
-    numeric = [[s.vm_count, s.has_important_workload, s.network_ok, s.repeat_count, s.uncorrectable_tag] for s in signal_rows]
-    out[:, :5] = np.array(numeric, dtype=np.float64).reshape(n, 5)
+    if not isinstance(signals, SignalColumns):
+        signals = SignalColumns.from_records(signals)
+    # the numeric fields, in field order, are the first five columns
+    numeric = np.array([getattr(signals, name) for name in _SIGNAL_FIELDS if name not in _CATEGORICAL], dtype=np.float64)
+    out = np.zeros((numeric.shape[1], schema.width), dtype=np.float64)
+    out[:, :5] = numeric.T
+    cols = []
     for name, column in schema.category_columns:
         try:
-            cols = [column[getattr(s, name)] for s in signal_rows]
+            cols.append([column[v] for v in getattr(signals, name).tolist()])
         except KeyError as exc:
             raise SchemaViolation(f"unknown {name} {exc.args[0]!r}") from None
-        out[np.arange(n), np.asarray(cols, dtype=np.int64)] = 1.0
+    out[np.arange(len(out)), np.array(cols, dtype=np.int64)] = 1.0
     return out
 
 
 def distinct_rows(matrix: np.ndarray) -> tuple[IntArray, IntArray]:
-    """(first, inverse) of the distinct rows of a C-order 2-d array: row
-    ``first[g]`` is the first of group g, and row i belongs to group
-    ``inverse[i]``. ``np.unique`` runs over each row's bytes, an order of
-    magnitude faster than over ``axis=0``; groups follow the order of those
-    bytes."""
-    keys = matrix.view(np.dtype((np.void, matrix.itemsize * matrix.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first, inverse
+    """(first, inverse) of the distinct rows of a 2-d array: row ``first[g]``
+    is the first of group g, and row i belongs to group ``inverse[i]``.
+    Groups follow the rows' lexicographic order, column 0 first: a
+    ``lexsort`` and a pass per column that marks where groups start."""
+    order = np.lexsort(matrix.T[::-1])
+    start = np.arange(len(order)) == 0
+    for j in range(matrix.shape[1]):
+        column = matrix[order, j]
+        start[1:] |= column[1:] != column[:-1]
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(start) - 1
+    # lexsort is stable, so a group's first row in that order is its first
+    return order[start], inverse
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decisions import DecisionConfig, decide, legacy_policy, preferred_action
-from .dml import DmlModel, estimate_ite_batch
+from .decisions import SOURCES, DecisionConfig, DecisionSource, decision_sources, legacy_redeploys, preferred_action
+from .decisions import decide  # noqa: F401  perfbench's tracer times evaluation.decide
+from .dml import DmlModel, effect_bounds, estimate_ite_batch
 from .dml import estimate_ite  # noqa: F401  perfbench's tracer times evaluation.estimate_ite
 from .domain import (
     KEYED_EVENTS,
-    DiagnosticSignals,
-    IteEstimate,
     LabeledEvent,
     MitigationAction,
+    SignalColumns,
+    distinct_rows,
+    encode_matrix,
     keyed_uniforms,
     seed_for,
     to_record,
@@ -96,8 +98,8 @@ def adjusted_effect(model: DmlModel, dataset: list[LabeledEvent]) -> float:
 # policies
 #
 # A policy chooses for one step of many chains at once: ``choose(signals,
-# outcomes, events, step)`` gets the step's signal rows (None for a policy
-# that does not read them), its potential outcomes as a record of arrays,
+# outcomes, events, step)`` gets the step's ``SignalColumns`` (None for a
+# policy that does not read them), its potential outcomes as a record of arrays,
 # the chains' event indices and the step number, and returns the actions
 # (0/1 per chain) with the unallocatable flags, or None where it never flags.
 
@@ -120,7 +122,7 @@ class LegacyPolicy:
     reads_signals = True
 
     def choose(self, signals, outcomes, events, step):
-        return np.array([legacy_policy(s) for s in signals], dtype=np.int64), None
+        return legacy_redeploys(signals).astype(np.int64), None
 
 
 class AlwaysPolicy:
@@ -145,7 +147,8 @@ class OraclePolicy:
 
 
 class EnginePolicy:
-    """The trained model behind the decision layer."""
+    """The trained model behind the decision layer, in one array pass per
+    step over the step's distinct signal rows, each estimated once."""
 
     name = "engine"
     reads_signals = True
@@ -153,20 +156,27 @@ class EnginePolicy:
     def __init__(self, model: DmlModel, decision_config: DecisionConfig | None = None) -> None:
         self.model = model
         self.cfg = decision_config or DecisionConfig()
-        self._estimates: dict[DiagnosticSignals, IteEstimate] = {}
 
-    def prepare(self, signal_rows: list[DiagnosticSignals]) -> None:
-        """Estimate, in one batch, each distinct row not estimated yet; every
-        estimate is a function of its row alone, so no row needs a second."""
-        unseen = list(dict.fromkeys(s for s in signal_rows if s not in self._estimates))
-        if unseen:
-            self._estimates.update(zip(unseen, estimate_ite_batch(self.model, unseen)))
+    def prepare(self, signals: SignalColumns) -> tuple[np.ndarray, ...]:
+        """(first, inverse) of the step's distinct encoded rows, as
+        ``distinct_rows`` gives them, and their tau, lower and upper."""
+        X = encode_matrix(signals, self.model.schema)
+        first, inverse = distinct_rows(X)
+        tau, lower, upper = effect_bounds(self.model, X[first])
+        i = np.argmin((lower <= tau) & (tau <= upper))  # the first row out of order, if any
+        if not lower[i] <= tau[i] <= upper[i]:  # NaN fails it, as in IteEstimate
+            raise InvalidArgument(f"bounds must satisfy lower <= tau <= upper, got ({lower[i]}, {tau[i]}, {upper[i]})")
+        return first, inverse, tau, lower, upper
 
-    def choose(self, signals, outcomes, events, step):
-        self.prepare(signals)
-        decisions = [decide(self._estimates[s], s, self.cfg) for s in signals]
-        actions = np.array([d.action for d in decisions], dtype=np.int64)
-        return actions, np.array([d.unallocatable_flag for d in decisions], dtype=bool)
+    def choose(self, signals: SignalColumns, outcomes, events, step):
+        first, inverse, tau, lower, upper = self.prepare(signals)
+        rows = signals[first]
+        source = decision_sources(tau, upper - lower, rows.repeat_count, self.cfg)
+        # per source, in the order of SOURCES: the sign rule, the legacy
+        # heuristic, the capacity override's Reboot, the repeat override's Redeploy
+        redeploy = np.choose(source, [tau < 0.0, legacy_redeploys(rows), False, True])
+        flagged = source == SOURCES.index(DecisionSource.REPEAT_OVERRIDE)
+        return redeploy.astype(np.int64)[inverse], flagged[inverse]
 
 
 # name -> constructor(seed, model, decision_config)
@@ -304,7 +314,7 @@ def run_policy_comparison(
     )
 
 
-def _generate_primaries(n_events: int, config: SimConfig) -> tuple[Nodes, list[DiagnosticSignals], PotentialOutcomes]:
+def _generate_primaries(n_events: int, config: SimConfig) -> tuple[Nodes, SignalColumns, PotentialOutcomes]:
     """Step 0 of every chain, the events every policy faces: events
     0..n_events-1 of a stream of their own, so the engine is never scored
     on the rows it was trained on."""
@@ -397,9 +407,8 @@ def run_ab_experiment(
         result["assignment_counts"][name] = rows.size
         if not rows.size:
             continue
-        subset = [signals[i] for i in rows.tolist()]
         policy = make_policy(name, seed, model=model, decision_config=decision_config)
-        row, _ = _run_one_policy(policy, nodes[rows], subset, outcomes[rows], config, seed)
+        row, _ = _run_one_policy(policy, nodes[rows], signals[rows], outcomes[rows], config, seed)
         result["groups"][name] = to_record(row)
     return result
 

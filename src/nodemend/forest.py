@@ -267,37 +267,22 @@ def predict_tau(forest: CausalForest, X: np.ndarray) -> np.ndarray:
     return tau
 
 
-def _interval_variance(per_tree: np.ndarray, m: np.ndarray, params: ForestParams) -> np.ndarray:
-    """Grouped-bag variance estimate per query point.
-
-    ``per_tree`` has shape (n_points, n_trees) and ``m`` holds its row
-    means. Sums over a bag's trees add them one at a time in tree order, and
-    the within-bag total adds the bags in bag order, so each row's figures
-    are the same whatever rows share the call.
-    """
-    bags, s = params.bags, params.trees_per_bag
-    # a C-order (rows, bags, trees_per_bag) view: every sum runs along one
-    # row's own cells, and the (rows, bags) arrays made from it are C order,
-    # so the mean over bags is a pairwise sum of each row for any row count
-    trees = per_tree.reshape(len(per_tree), bags, s)
-    m_b = np.add.accumulate(trees, axis=2)[:, :, -1] / s
-    spread = np.add.accumulate((trees - m_b[:, :, None]) ** 2, axis=2)[:, :, -1]
-    v_within = np.add.accumulate(spread, axis=1)[:, -1] / (bags * s)
-    v_between = np.add.reduce((m_b - m[:, None]) ** 2, axis=1) / bags
-    rel_floor = params.variance_floor_frac * v_between
-    return np.maximum(v_between - v_within / s, np.maximum(rel_floor, params.variance_floor))
-
-
 # the standard normal quantile, computed once per confidence level
 _normal_quantile = functools.lru_cache(maxsize=16)(NormalDist().inv_cdf)
 
 
-def predict_tau_ci(forest: CausalForest, X: np.ndarray) -> list[IteEstimate]:
-    """Point estimates with grouped-bag confidence intervals at the forest's
-    ``confidence_level``."""
-    if forest.params.bags < 2:
+def predict_interval(forest: CausalForest, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tau, lower, upper) arrays: each row's point estimate and grouped-bag
+    interval at the forest's ``confidence_level``.
+
+    Sums over a bag's trees add them one at a time in tree order, and the
+    within-bag total adds the bags in bag order, so each row's figures are
+    the same whatever rows share the call.
+    """
+    p = forest.params
+    bags, s = p.bags, p.trees_per_bag
+    if bags < 2:
         raise InsufficientData("confidence intervals need at least 2 bags")
-    level = forest.params.confidence_level
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     m = np.empty(X.shape[0], dtype=np.float64)
     v = np.empty(X.shape[0], dtype=np.float64)
@@ -305,11 +290,25 @@ def predict_tau_ci(forest: CausalForest, X: np.ndarray) -> list[IteEstimate]:
     for rows, node in forest.trees.leaves(X):
         per_tree = forest.trees.value.take(node)
         m[rows] = np.add.reduce(per_tree, axis=1) / node.shape[1]
-        v[rows] = _interval_variance(per_tree, m[rows], forest.params)
-    half = _normal_quantile(0.5 + level / 2.0) * np.sqrt(v)
+        # a C-order (rows, bags, trees_per_bag) view: every sum runs along one
+        # row's own cells, and the (rows, bags) arrays made from it are C order,
+        # so the mean over bags is a pairwise sum of each row for any row count
+        trees = per_tree.reshape(len(per_tree), bags, s)
+        m_b = np.add.accumulate(trees, axis=2)[:, :, -1] / s
+        spread = np.add.accumulate((trees - m_b[:, :, None]) ** 2, axis=2)[:, :, -1]
+        v_within = np.add.accumulate(spread, axis=1)[:, -1] / (bags * s)
+        v_between = np.add.reduce((m_b - m[rows][:, None]) ** 2, axis=1) / bags
+        v[rows] = np.maximum(v_between - v_within / s, np.maximum(p.variance_floor_frac * v_between, p.variance_floor))
+    half = _normal_quantile(0.5 + p.confidence_level / 2.0) * np.sqrt(v)
+    return m, m - half, m + half
+
+
+def predict_tau_ci(forest: CausalForest, X: np.ndarray) -> list[IteEstimate]:
+    """``predict_interval`` as one estimate per row."""
+    level = forest.params.confidence_level
     return [
         IteEstimate(tau=t, tau_lower=lo, tau_upper=hi, confidence_level=level)
-        for t, lo, hi in zip(m.tolist(), (m - half).tolist(), (m + half).tolist())
+        for t, lo, hi in zip(*(a.tolist() for a in predict_interval(forest, X)))
     ]
 
 

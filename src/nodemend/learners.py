@@ -85,10 +85,8 @@ class _CodeRows:
     """
 
     def __init__(self, codes: np.ndarray, y: np.ndarray) -> None:
-        top = int(codes.max(initial=0))
-        size = next(s for s in (1, 2, 4, 8) if top < 1 << (8 * s))
-        # big-endian, so a row's bytes compare as its codes do
-        self.first, self.group = distinct_rows(np.ascontiguousarray(codes, dtype=f">u{size}"))
+        # the narrowest unsigned dtype sorts fastest, in the same order
+        self.first, self.group = distinct_rows(codes.astype(np.min_scalar_type(codes.max(initial=0))))
         self.y = y
 
     def residuals(self, current: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:

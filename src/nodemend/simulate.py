@@ -27,7 +27,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .decisions import legacy_policy
+from .decisions import legacy_redeploys
 from .domain import (
     DEFAULT_HARDWARE_TYPES,
     DEFAULT_SESSION_TYPES,
@@ -35,6 +35,8 @@ from .domain import (
     FeatureSchema,
     LabeledEvent,
     MitigationAction,
+    SignalColumns,
+    _Columns,
     keyed_uniforms,
 )
 from .errors import InvalidArgument
@@ -51,13 +53,6 @@ CAUSE_NAMES = {
     Cause.SOFTWARE_FAULT: "software_fault",
     Cause.HARDWARE_FAULT: "hardware_fault",
 }
-
-
-class _Columns:
-    """A record of equal-length arrays: indexing it indexes every field."""
-
-    def __getitem__(self, rows):
-        return type(self)(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -381,7 +376,7 @@ def capped_poisson(lam: np.ndarray, cap: int, u: np.ndarray) -> np.ndarray:
     return count
 
 
-def sample_event(events: np.ndarray, config: SimConfig, seed: int) -> tuple[Nodes, list[DiagnosticSignals]]:
+def sample_event(events: np.ndarray, config: SimConfig, seed: int) -> tuple[Nodes, SignalColumns]:
     """Draw events ``events`` of the stream ``seed``, each step 0 of its
     chain: the latent cause and severity first, then the VM count, the
     repeat count and the signals given them."""
@@ -399,7 +394,7 @@ def sample_event(events: np.ndarray, config: SimConfig, seed: int) -> tuple[Node
     return nodes, draw_signals(nodes, capped_poisson(lam, config.repeat_count_cap, u[3]), config, seed, 0)
 
 
-def draw_signals(nodes: Nodes, repeat_count, config: SimConfig, seed: int, step: int) -> list[DiagnosticSignals]:
+def draw_signals(nodes: Nodes, repeat_count, config: SimConfig, seed: int, step: int) -> SignalColumns:
     """The diagnostic signals of the nodes' events at ``step``, noisy views
     of each node's latent state; ``repeat_count`` is one per node or one
     for all."""
@@ -420,23 +415,8 @@ def draw_signals(nodes: Nodes, repeat_count, config: SimConfig, seed: int, step:
     uncorrectable = u[5] < np.minimum(p_unc, 1.0)
     hardware_type = np.asarray(config.hardware_types, dtype=object)[_categorical(u[6], config.hardware_type_probs)]
     session_type = np.asarray(config.session_types, dtype=object)[_categorical(u[7], config.session_type_probs)]
-    return [
-        DiagnosticSignals(
-            vm_count=vm,
-            has_important_workload=imp,
-            network_ok=ok,
-            error_code=c,
-            repeat_count=rc,
-            uncorrectable_tag=unc,
-            hardware_type=hw,
-            session_type=st,
-        )
-        for vm, imp, ok, c, rc, unc, hw, st in zip(
-            nodes.vm_count.tolist(), important.tolist(), network_ok.tolist(), code.tolist(),
-            np.broadcast_to(repeat_count, cause.shape).tolist(), uncorrectable.tolist(),
-            hardware_type.tolist(), session_type.tolist(),
-        )
-    ]
+    repeat_count = np.broadcast_to(np.asarray(repeat_count, dtype=np.int64), cause.shape)
+    return SignalColumns(nodes.vm_count, important, network_ok, code, repeat_count, uncorrectable, hardware_type, session_type)
 
 
 def potential_outcomes(nodes: Nodes, config: SimConfig, seed: int, step: int) -> PotentialOutcomes:
@@ -524,13 +504,13 @@ def generate_observational_dataset(n: int, config: SimConfig) -> tuple[list[Labe
     nodes, signals = sample_event(events, config, config.seed)
     outcomes = potential_outcomes(nodes, config, config.seed, 0)
     flip = keyed_uniforms(config.seed, events, 0, FLIP_SLOT) < config.legacy_flip_prob
-    redeploy = np.array([legacy_policy(s) == MitigationAction.REDEPLOY for s in signals]) != flip
+    redeploy = legacy_redeploys(signals) != flip
 
     def factual(if_reboot: np.ndarray, if_redeploy: np.ndarray) -> list:
         return np.where(redeploy, if_redeploy, if_reboot).tolist()
 
     columns = zip(
-        signals,
+        signals.records(),
         redeploy.tolist(),
         factual(outcomes.y_reboot, outcomes.y_redeploy),
         factual(outcomes.interruptions_reboot, outcomes.interruptions_redeploy),

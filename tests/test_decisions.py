@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodemend.decisions import (
+    SOURCES,
     DecisionConfig,
     DecisionSource,
     PolicyDecision,
     assign_policy_group,
     assignment_bucket,
     decide,
+    decision_sources,
     fnv1a64,
     legacy_policy,
 )
@@ -155,6 +157,52 @@ def test_rule_precedence_property(tau, width, repeat_count, uncorrectable, error
     d = decide(est, signals, cfg)
     assert (d.source, d.action, d.unallocatable_flag) == expected
     assert d.ite is est
+
+
+def readme_rule_order(tau, width, repeat_count, cfg):
+    """The README's rule order for one row, written out: the repeat
+    override, the fallback, the sign rule, then the capacity override of a
+    Redeploy it picks."""
+    if repeat_count > cfg.repeat_threshold:
+        return DecisionSource.REPEAT_OVERRIDE
+    if abs(tau) <= cfg.fallback_tau and width >= cfg.fallback_width:
+        return DecisionSource.FALLBACK
+    if tau < 0.0 and abs(tau) < cfg.capacity_tau:
+        return DecisionSource.CAPACITY_OVERRIDE
+    return DecisionSource.MODEL
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_decision_sources_follow_the_rule_order_row_by_row(data):
+    cfg = DecisionConfig(
+        fallback_tau=data.draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]), label="fallback_tau"),
+        fallback_width=data.draw(st.sampled_from([0.5, 15.0]), label="fallback_width"),
+        capacity_tau=data.draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]), label="capacity_tau"),
+        repeat_threshold=data.draw(st.integers(0, 12), label="repeat_threshold"),
+    )
+    # values exactly at each threshold, one ulp either side, and anywhere
+    edges = [0.0, cfg.fallback_tau, cfg.capacity_tau]
+    at_tau = [x for e in edges for x in (e, -e, np.nextafter(e, np.inf), -np.nextafter(e, np.inf), np.nextafter(e, -np.inf))]
+    at_width = [cfg.fallback_width, np.nextafter(cfg.fallback_width, 0.0), np.nextafter(cfg.fallback_width, np.inf), 0.0]
+    at_repeat = [cfg.repeat_threshold - 1, cfg.repeat_threshold, cfg.repeat_threshold + 1, 0]
+    rows = data.draw(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from(at_tau), st.floats(-20.0, 20.0)),
+                st.one_of(st.sampled_from(at_width), st.floats(0.0, 40.0)),
+                st.one_of(st.sampled_from(at_repeat), st.integers(0, 30)),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        label="rows",
+    )
+    tau, width, repeat = (np.array(column) for column in zip(*rows))
+    got = [SOURCES[code] for code in decision_sources(tau, width, repeat, cfg).tolist()]
+    assert got == [readme_rule_order(t, w, r, cfg) for t, w, r in rows]
+    for t, w, r in rows[:5]:
+        assert SOURCES[int(decision_sources(t, w, r, cfg))] == readme_rule_order(t, w, r, cfg)
 
 
 def test_tie_goes_to_reboot():

@@ -11,6 +11,8 @@ from nodemend.domain import (
     IteEstimate,
     LabeledEvent,
     MitigationAction,
+    SignalColumns,
+    distinct_rows,
     encode_features,
     encode_matrix,
     from_record,
@@ -316,3 +318,47 @@ def test_a_keyed_uniform_is_the_same_alone_or_in_a_batch():
             assert keyed_uniforms(21, [event], 6, [slot])[0] == batch[slot, event]
     shuffled = np.random.default_rng(0).permutation(events)
     assert np.array_equal(keyed_uniforms(21, shuffled, 6, 3), batch[3, shuffled])
+
+
+@settings(max_examples=100)
+@given(st.lists(SIGNALS, max_size=12), st.data())
+def test_signal_columns_keep_their_records_when_indexed_and_round_tripped(rows, data):
+    columns = SignalColumns.from_records(rows)
+    assert all(len(getattr(columns, name)) == len(rows) for name in ("vm_count", "error_code", "session_type"))
+    assert columns.records() == rows
+    assert SignalColumns.from_records(columns.records()).records() == rows
+    picks = data.draw(st.lists(st.integers(0, len(rows) - 1)) if rows else st.just([]), label="picks")
+    assert columns[np.array(picks, dtype=np.int64)].records() == [rows[i] for i in picks]
+    with pytest.raises(TypeError):
+        iter(columns)  # a row is read by index, never by iteration
+
+
+def byte_keyed_distinct_rows(matrix):
+    """``distinct_rows`` as it was: ``np.unique`` over each row's bytes."""
+    keys = np.ascontiguousarray(matrix).view(np.dtype((np.void, matrix.itemsize * matrix.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_distinct_rows_equal_the_byte_keyed_unique(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = data.draw(st.integers(0, 200), label="n")
+    d = data.draw(st.integers(1, 6), label="d")
+    codes = rng.integers(0, data.draw(st.sampled_from([2, 5, 300, 70_000]), label="high"), size=(n, d))
+    # code rows: non-negative ints, whose big-endian bytes order as the
+    # rows do, so even the group numbers agree
+    size = next(s for s in (1, 2, 4, 8) if codes.max(initial=0) < 1 << (8 * s))
+    first, inverse = distinct_rows(codes)
+    want_first, want_inverse = byte_keyed_distinct_rows(np.ascontiguousarray(codes, dtype=f">u{size}"))
+    assert (first.tolist(), inverse.tolist()) == (want_first.tolist(), want_inverse.tolist())
+    # float rows: the same partition, each group's first row the same
+    X = rng.integers(-3, 4, size=(n, d)) * 0.5
+    first, inverse = distinct_rows(X)
+    want_first, want_inverse = byte_keyed_distinct_rows(X)
+    relabel = dict(zip(inverse.tolist(), want_inverse.tolist()))
+    assert len(relabel) == len(set(relabel.values())) == len(first)
+    assert [relabel[g] for g in inverse.tolist()] == want_inverse.tolist()
+    assert sorted(first.tolist()) == sorted(want_first.tolist())
+    assert (X[first][inverse] == X).all()

@@ -9,14 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodemend import evaluation
-from nodemend.decisions import DecisionConfig, assign_policy_group, decide
-from nodemend.dml import DmlModel, LinearTheta, TrainConfig, estimate_ite, estimate_ite_batch
-from nodemend.domain import DiagnosticSignals, LabeledEvent, MitigationAction, keyed_uniforms, rng_for, seed_for
+from nodemend.decisions import DecisionConfig, assign_policy_group, decide, legacy_policy, legacy_redeploys
+from nodemend.dml import DmlModel, LinearTheta, TrainConfig, effect_bounds, estimate_ite
+from nodemend.domain import (
+    DiagnosticSignals,
+    LabeledEvent,
+    MitigationAction,
+    SignalColumns,
+    encode_matrix,
+    keyed_uniforms,
+    rng_for,
+    seed_for,
+)
 from nodemend.errors import DegenerateTreatment, InvalidArgument, MissingTruth
 from nodemend.evaluation import (
     POLICY_NAMES,
     EnginePolicy,
     KpiRow,
+    LegacyPolicy,
     _generate_primaries,
     adjusted_effect,
     air,
@@ -34,6 +44,7 @@ from nodemend.simulate import (
     box_muller,
     default_config,
     generate_observational_dataset,
+    sample_event,
 )
 
 from conftest import StubGenerator, history_step
@@ -221,7 +232,7 @@ def test_harness_events_are_a_stream_apart_from_the_training_events():
     cfg = default_config(seed=55)
     _, signals, outcomes = _generate_primaries(300, cfg)
     events, truths = generate_observational_dataset(300, cfg)
-    assert sum(s == e.signals for s, e in zip(signals, events)) < 150
+    assert sum(s == e.signals for s, e in zip(signals.records(), events)) < 150
     assert not np.isin(outcomes.y_reboot, [t.y_reboot for t in truths]).any()
 
 
@@ -286,7 +297,7 @@ def test_ab_experiment_sticky_groups(default_bundle):
 def _choose_one(policy, signals, outcomes, ev_idx, step):
     """A policy's choice for one chain, as a batch of one."""
     column = PotentialOutcomes(*(np.array([getattr(outcomes, f.name)]) for f in dataclasses.fields(PotentialOutcomes)))
-    actions, flags = policy.choose([signals], column, np.array([ev_idx]), step)
+    actions, flags = policy.choose(SignalColumns.from_records([signals]), column, np.array([ev_idx]), step)
     return MitigationAction(int(actions[0])), flags is not None and bool(flags[0])
 
 
@@ -407,10 +418,7 @@ class _KeyedCoin:
 def _reference_policy(name, seed, model, primaries, decision_config):
     if name == "random":
         return _KeyedCoin(seed)
-    policy = make_policy(name, seed, model=model, decision_config=decision_config)
-    if isinstance(policy, EnginePolicy):
-        policy.prepare([draw.signals for _, draw, _ in primaries])
-    return policy
+    return make_policy(name, seed, model=model, decision_config=decision_config)
 
 
 # Fields that aggregate over primary events only, and so do not depend on
@@ -511,29 +519,60 @@ def test_runners_check_the_policy_list_before_any_draw(monkeypatch, policies, ca
     picks=st.lists(st.integers(0, 39), min_size=1, max_size=40),
     extra=st.lists(st.integers(0, 79), min_size=1, max_size=20),
     repeat_threshold=st.sampled_from([10, 1]),
+    # the shipped fallback, and one wide enough that most rows fall back
+    fallback=st.sampled_from([(1.0, 15.0), (50.0, 0.1)]),
     data=st.data(),
 )
-def test_engine_decides_each_row_as_decide_does_and_estimates_it_once(default_bundle, picks, extra, repeat_threshold, data):
-    # duplicated and shuffled batches, as the harness hands them over:
-    # the primaries up front, then one batch per chain step
+def test_engine_decides_each_row_as_decide_does_and_estimates_it_once(default_bundle, picks, extra, repeat_threshold, fallback, data):
+    # duplicated and shuffled batches, as the harness hands them over: the
+    # primaries, then one batch per chain step. The engine keeps no state
+    # between steps, so "once" holds within a step: each distinct row of a
+    # step is predicted once
     model = default_bundle["model"]
     pool = [e.signals for e in default_bundle["events"][:80]]
     rows = [pool[i] for i in picks]
     batches = [rows, data.draw(st.permutations(rows)), [pool[i] for i in extra]]
-    cfg = DecisionConfig(repeat_threshold=repeat_threshold)
+    cfg = DecisionConfig(repeat_threshold=repeat_threshold, fallback_tau=fallback[0], fallback_width=fallback[1])
     seen = []
 
-    def spy(model, signal_rows):
-        seen.extend(signal_rows)
-        return estimate_ite_batch(model, signal_rows)
+    def spy(model, X):
+        seen.append(X)
+        return effect_bounds(model, X)
 
     policy = EnginePolicy(model, cfg)
-    with mock.patch.object(evaluation, "estimate_ite_batch", spy):
-        policy.prepare(rows + batches[1])
+    with mock.patch.object(evaluation, "effect_bounds", spy):
         for step, batch in enumerate(batches):
-            actions, flags = policy.choose(batch, None, np.arange(len(batch)), step)
+            actions, flags = policy.choose(SignalColumns.from_records(batch), None, np.arange(len(batch)), step)
             expected = [decide(estimate_ite(model, s), s, cfg) for s in batch]
             assert actions.tolist() == [int(d.action) for d in expected]
             assert flags.tolist() == [d.unallocatable_flag for d in expected]
-    assert max(Counter(seen).values()) == 1
-    assert set(seen) == set(rows) | set(batches[2])
+            (predicted,) = seen
+            seen.clear()
+            assert Counter(map(tuple, predicted.tolist())) == Counter(set(map(tuple, encode_matrix(batch, model.schema).tolist())))
+    assert set(vars(policy)) == {"model", "cfg"}
+
+
+def test_legacy_columns_equal_the_legacy_policy_per_record():
+    cfg = default_config(seed=60)
+    events, _ = generate_observational_dataset(2000, cfg)
+    _, drawn = sample_event(np.arange(2000), cfg, 61)
+    for columns in (SignalColumns.from_records([e.signals for e in events]), drawn):
+        # the rule written out: hardware evidence means Redeploy
+        want = [int(s.uncorrectable_tag or s.error_code == "hw_failure") for s in columns.records()]
+        assert want == [int(legacy_policy(s)) for s in columns.records()]
+        assert 0 < sum(want) < len(want)
+        assert legacy_redeploys(columns).astype(np.int64).tolist() == want
+        actions, flags = LegacyPolicy().choose(columns, None, np.arange(len(want)), 0)
+        assert actions.tolist() == want and flags is None
+
+
+def test_the_harness_builds_no_signal_records(default_bundle):
+    cfg = default_bundle["config"]
+    model = default_bundle["model"]
+    with mock.patch.object(DiagnosticSignals, "__post_init__", side_effect=AssertionError("a DiagnosticSignals was built")):
+        with pytest.raises(AssertionError):
+            make_event(0, 1.0, MitigationAction.REBOOT)  # the patch is live
+        report = run_policy_comparison(list(POLICY_NAMES), 800, cfg, seed=3, model=model)
+        result = run_ab_experiment([(name, 1.0) for name in POLICY_NAMES], "columns", 800, cfg, seed=3, model=model)
+    assert list(report.rows) == list(POLICY_NAMES)
+    assert set(result["groups"]) == set(POLICY_NAMES)

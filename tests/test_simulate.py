@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nodemend.decisions import legacy_policy
-from nodemend.domain import MitigationAction, from_record, keyed_uniforms, seed_for, to_record
+from nodemend.domain import MitigationAction, encode_matrix, from_record, keyed_uniforms, seed_for, to_record
 from nodemend.errors import InvalidArgument
 from nodemend.simulate import (
     EFFECT_STRUCTURAL,
@@ -46,7 +46,7 @@ def test_degenerate_cause_distribution():
 def test_degenerate_missing_rate():
     cfg = SimConfig(seed=2, error_code_missing_rate=1.0)
     _, signals = sample_event(np.arange(200), cfg, cfg.seed)
-    assert all(s.error_code is None for s in signals)
+    assert all(s.error_code is None for s in signals.records())
 
 
 def test_stream_determinism():
@@ -55,17 +55,17 @@ def test_stream_determinism():
     events = np.arange(300)
     nodes, signals = sample_event(events, cfg, cfg.seed)
     again, signals_again = sample_event(events, cfg, cfg.seed)
-    assert signals == signals_again
+    assert signals.records() == signals_again.records()
     assert all((getattr(nodes, f.name) == getattr(again, f.name)).all() for f in fields(Nodes))
     picked = np.array([299, 3, 150])
     sub_nodes, sub_signals = sample_event(picked, cfg, cfg.seed)
-    assert sub_signals == [signals[i] for i in picked]
+    assert sub_signals.records() == [signals.records()[i] for i in picked]
     assert (sub_nodes.severity == nodes.severity[picked]).all()
     out = potential_outcomes(nodes, cfg, cfg.seed, 0)
     sub_out = potential_outcomes(nodes[picked], cfg, cfg.seed, 0)
     assert (sub_out.y_reboot == out.y_reboot[picked]).all()
     _, other = sample_event(events, cfg, cfg.seed + 1)
-    assert other != signals
+    assert other.records() != signals.records()
 
 
 def _outcomes(cfg, n):
@@ -289,7 +289,8 @@ def test_column_draws_equal_the_scalar_draws_row_by_row(preset):
     n = 2000
     for seed in (cfg.seed, seed_for(cfg.seed, 300)):  # the dataset's stream and the harness's
         reference = reference_events(n, cfg, seed)
-        nodes, signals = sample_event(np.arange(n), cfg, seed)
+        nodes, columns = sample_event(np.arange(n), cfg, seed)
+        signals = columns.records()
         out = potential_outcomes(nodes, cfg, seed, 0)
         assert signals == [draw.signals for _, draw, _, _ in reference]
         assert nodes.cause.tolist() == [int(draw.latent.cause) for _, draw, _, _ in reference]
@@ -306,7 +307,7 @@ def test_column_draws_equal_the_scalar_draws_row_by_row(preset):
     # a recurrence at step 3 draws its signals and outcomes on the same slots
     step = 3
     u = keyed_uniforms(7, nodes.events, step, np.arange(OUTCOME_SLOTS[-1, 0] + 1)[:, None])
-    columns = draw_signals(nodes, 5, cfg, 7, step)
+    columns = draw_signals(nodes, 5, cfg, 7, step).records()
     out = potential_outcomes(nodes, cfg, 7, step)
     for i, (_, draw, _, _) in enumerate(reference):
         rng = StubGenerator(u[SIGNAL_SLOTS[:, 0], i].tolist() + u[OUTCOME_SLOTS[:1, 0], i].tolist(), box_muller(u[OUTCOME_SLOTS[1:, 0], i]))
@@ -315,6 +316,13 @@ def test_column_draws_equal_the_scalar_draws_row_by_row(preset):
         assert _scalar_row(scalar_outcomes(draw.latent, one, cfg, rng)) == _column_row(out, i)
     if cfg.effect_kind == EFFECT_STRUCTURAL:
         assert 0 < (out.interruptions_reboot > nodes.vm_count).sum() < n  # both reboot branches
+
+
+def test_drawn_columns_encode_as_their_records():
+    cfg = recurrence_heavy_config(seed=32)
+    nodes, columns = sample_event(np.arange(500), cfg, cfg.seed)
+    for signals in (columns, draw_signals(nodes, 4, cfg, cfg.seed, 2)):
+        assert encode_matrix(signals, cfg.schema()).tobytes() == encode_matrix(signals.records(), cfg.schema()).tobytes()
 
 
 def test_dataset_prefix_does_not_depend_on_its_size():

@@ -16,7 +16,7 @@ replaced, kept as it was. The packed walk must route every row to the same
 leaf of every tree, and the GBM, forest and psi predictions built on it must
 equal per-tree loops over the reference bit for bit. ``reference_interval``
 computes one row's grouped-bag interval in the order that
-``forest._interval_variance`` documents; ``predict_tau_ci`` must equal it
+``forest.predict_interval`` documents; ``predict_tau_ci`` must equal it
 bit for bit on random forests, whatever rows share its call.
 """
 
@@ -431,7 +431,7 @@ def test_packed_walk_matches_per_tree_walk(data):
 
 def reference_interval(values, params):
     """One row's (tau, lower, upper) from its per-tree leaf values, in the
-    order ``forest._interval_variance`` documents: each bag's trees added one
+    order ``forest.predict_interval`` documents: each bag's trees added one
     at a time in tree order, then the within-bag total over the bags in bag
     order; the mean over all trees and the mean over bags are numpy means of
     the row's own values."""

@@ -12,7 +12,7 @@ CLI (simulate, train), then, on 2 000 fresh events from seed 2020:
 * ``psi_fresh`` and ``psi_train``: psi on the fresh and the training
   events, as float hex;
 * ``compare``, ``abtest``, ``counterfactual`` and ``interpret``: sha256
-  of a 2 000-event ``compare`` report (legacy, engine, oracle) with its
+  of a 2 000-event ``compare`` report (all six policies) with its
   table, of a 2 000-event ``abtest`` output (legacy and engine, weight 1
   each), of the ``counterfactual`` output, and of the ``interpret`` text
   with a ``vm_count`` effect curve;
@@ -39,6 +39,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 from nodemend.cli import main  # noqa: E402
 from nodemend.dml import estimate_ite, estimate_ite_batch, psi_loss  # noqa: E402
 from nodemend.domain import to_record  # noqa: E402
+from nodemend.evaluation import POLICY_NAMES  # noqa: E402
 from nodemend.modelio import load_model, read_events_jsonl  # noqa: E402
 
 SEED = 1010
@@ -94,7 +95,7 @@ def digest(preset: str, n: int, final_stage: str, work: str) -> dict:
     single = [estimate_ite(model, e.signals) for e in fresh[:SINGLE_ROWS]]
     table = cli(
         "compare", "--config", path("fresh_config.json"), "--model", path("model.bin"), "--n", FRESH_N,
-        "--policies", "legacy,engine,oracle", "--out", path("report.json"),
+        "--policies", ",".join(POLICY_NAMES), "--out", path("report.json"),
     )
     with open(path("report.json"), "rb") as fh:
         report = fh.read()
