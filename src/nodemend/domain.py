@@ -302,16 +302,20 @@ def encode_matrix(signals: SignalColumns | list[DiagnosticSignals], schema: Feat
 
     Raises SchemaViolation for any categorical value outside the closed set.
     """
-    if not isinstance(signals, SignalColumns):
-        signals = SignalColumns.from_records(signals)
+    if isinstance(signals, SignalColumns):
+        fields_of = {name: getattr(signals, name) for name in _SIGNAL_FIELDS}
+    else:
+        # one pass over the records: a tuple of values per field, no arrays
+        fields_of = dict(zip(_SIGNAL_FIELDS, zip(*map(_signal_fields, signals)))) or dict.fromkeys(_SIGNAL_FIELDS, ())
     # the numeric fields, in field order, are the first five columns
-    numeric = np.array([getattr(signals, name) for name in _SIGNAL_FIELDS if name not in _CATEGORICAL], dtype=np.float64)
+    numeric = np.array([fields_of[name] for name in _SIGNAL_FIELDS if name not in _CATEGORICAL], dtype=np.float64)
     out = np.zeros((numeric.shape[1], schema.width), dtype=np.float64)
     out[:, :5] = numeric.T
     cols = []
     for name, column in schema.category_columns:
+        values = fields_of[name]
         try:
-            cols.append([column[v] for v in getattr(signals, name).tolist()])
+            cols.append([column[v] for v in (values.tolist() if isinstance(values, np.ndarray) else values)])
         except KeyError as exc:
             raise SchemaViolation(f"unknown {name} {exc.args[0]!r}") from None
     out[np.arange(len(out)), np.array(cols, dtype=np.int64)] = 1.0

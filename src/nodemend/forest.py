@@ -130,20 +130,20 @@ def honest_halves(subsample: np.ndarray, params: ForestParams, rng: np.random.Ge
     return perm[:n_structure], perm[n_structure:]
 
 
-def grow_tree(
-    codes: np.ndarray,
-    thresholds: list[np.ndarray],
-    ry: np.ndarray,
-    ra: np.ndarray,
-    subsample: np.ndarray,
-    params: ForestParams,
-    seed: int,
-) -> NodeTable:
-    """Grow one honest tree on the given subsample of pre-binned rows.
+def grow_tree(codes: np.ndarray, thresholds: list, ry: np.ndarray, ra: np.ndarray, subsample: np.ndarray, params: ForestParams, seed: int) -> NodeTable:
+    """One honest tree on the given subsample: the bag of one tree (``grow_trees``)."""
+    return grow_trees(codes, thresholds, ry, ra, [subsample], params, [seed])[0]
+
+
+def grow_trees(
+    codes: np.ndarray, thresholds: list, ry: np.ndarray, ra: np.ndarray, subsamples: list, params: ForestParams, seeds: list[int]
+) -> list[NodeTable]:
+    """Grow one honest tree per subsample of pre-binned rows, tree t on
+    ``subsamples[t]`` with seed ``seeds[t]``, side by side.
 
     ``codes`` and ``thresholds`` come from ``trees.bin_features``.
 
-    ``honest_halves`` cuts the subsample into the structure half and the
+    ``honest_halves`` cuts each subsample into the structure half and the
     estimation half with the tree's own generator, so no row serves both
     purposes. A candidate split is valid only when both structure children
     stay splittable and both estimation children keep at least
@@ -151,15 +151,17 @@ def grow_tree(
     whose estimation rows carry no treatment variation inherits its
     parent's value.
 
-    The tree grows a level at a time on the kernel of ``trees``. A node
-    searches the m features of smallest keyed uniform of (``seed``, heap
-    position, feature), the root at position 0 and node p's children at
-    2p + 1 and 2p + 2, so the tree does not depend on how its nodes grow.
+    The trees grow a level at a time on the kernel of ``trees``, in one
+    loop: a level numbers the nodes of every tree, each tree's together and
+    the trees in order, and each tree gets its slice. A node searches the m
+    features of smallest keyed uniform of (its tree's seed, heap position,
+    feature), the root at position 0 and node p's children at 2p + 1 and
+    2p + 2, so a tree does not depend on how its nodes grow, nor on the
+    trees beside it.
     """
     ry = np.asarray(ry, dtype=np.float64)
     ra = np.asarray(ra, dtype=np.float64)
-    subsample = np.asarray(subsample, dtype=np.int64)
-    structure, estimate = honest_halves(subsample, params, rng_for(seed))
+    halves = [honest_halves(np.asarray(sub, dtype=np.int64), params, rng_for(s)) for sub, s in zip(subsamples, seeds)]
 
     d = codes.shape[1]
     if params.features_per_split is not None:
@@ -169,24 +171,32 @@ def grow_tree(
         # depth/size limits; the regression-forest d/3 rule fixes that
         mtry = max(1, min(max(math.ceil(math.sqrt(d)), math.ceil(d / 3)), d))
     grid = bin_layout(thresholds)
-    # structure rows, then estimation rows: their codes, u and w, and one weight per
-    # key for each histogram channel (structure count, u, w, estimation rows with w > 0)
-    rows = np.concatenate([structure, estimate])
-    est = np.arange(len(rows)) >= len(structure)
-    row_codes = codes[rows]
-    row_index = np.arange(len(rows))[:, None]
-    offsets = np.arange(mtry) * grid.shape[1]
+    width = grid.shape[1]
+    # every tree's structure rows, then every tree's estimation rows: where their codes
+    # start in the flat code matrix, their u and w, and the key weights by honest half
+    structure, estimate = zip(*halves)
+    rows = np.concatenate([*structure, *estimate])
+    n_structure = sum(len(part) for part in structure)
+    est = np.arange(len(rows)) >= n_structure
+    flat = codes.ravel()
+    base = rows * d
     u = ry[rows] * ra[rows]
     w = ra[rows] * ra[rows]
     counted = np.where(est, w > 0.0, 1.0)
-    channels = [np.repeat(np.where(est, 0.0, c), mtry) for c in (1.0, u, w)] + [np.repeat(est * counted, mtry)]
-    table = NodeTable()
-    # each row's open node, len(position) for a row in none
-    node = np.zeros(len(rows), dtype=np.int64)
-    position = np.zeros(1, dtype=np.int64)
-    parent_tau = np.zeros(1)
+    structure_u, structure_w = (np.repeat(c[:n_structure], mtry) for c in (u, w))
+    estimated = np.repeat(counted[n_structure:], mtry)
+    offsets = np.arange(mtry) * width
+    tables = [NodeTable() for _ in halves]
+    # each row's open node, len(position) for a row in none, and each node's
+    # tree; tree t's root is node t
+    tree = np.arange(len(halves))
+    node = np.repeat(np.tile(tree, 2), [len(part) for part in (*structure, *estimate)])
+    position = np.zeros(len(halves), dtype=np.int64)
+    parent_tau = np.zeros(len(halves))
     for depth in range(params.max_depth + 1):
         nodes = len(position)
+        ends = np.cumsum(np.bincount(tree, minlength=len(halves))).tolist()
+        slices = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
         # per node, column 0 totals its structure rows, column 1 its estimation rows
         half = 2 * node + est
         n, n_est = np.bincount(half, counted, minlength=2 * nodes)[: 2 * nodes].reshape(nodes, 2).T
@@ -197,10 +207,12 @@ def grow_tree(
         feature = np.full(nodes, -1)
         cut = np.zeros(nodes, dtype=np.int64)
         if searches.any():
-            feats = np.argsort(keyed_uniforms(seed, position[:, None], 0, np.arange(d)), axis=1, kind="stable")[:, :mtry]
+            draws = np.concatenate([keyed_uniforms(s, position[k, None], 0, np.arange(d)) for s, k in zip(seeds, slices)])
+            feats = np.argsort(draws, axis=1, kind="stable")[:, :mtry]
             # a row in no open node keys into the dropped slot; any features do
-            keyed = row_codes[row_index, feats[np.minimum(node, nodes - 1)]] + offsets
-            nl, csu, wl, el = level_histograms(keyed, node, nodes, grid.shape[1], *channels)
+            keys = flat.take(base[:, None] + feats[np.minimum(node, nodes - 1)]) + offsets + (node * (mtry * width))[:, None]
+            nl, csu, wl = level_histograms(keys[:n_structure].ravel(), nodes, mtry, width, None, structure_u, structure_w)
+            (el,) = level_histograms(keys[n_structure:].ravel(), nodes, mtry, width, estimated)
             nr = n[:, None, None] - nl
             wr = sw[:, None, None] - wl
             er = n_est[:, None, None] - el
@@ -215,14 +227,16 @@ def grow_tree(
                 score = np.where(ok, nl * tl * tl + nr * tr * tr, -np.inf)
                 j, cut, found = best_cuts(score, n * (su / sw) ** 2)
             feature = np.where(searches & found, feats[np.arange(nodes), j], -1)
-        table.add_level(tau, n_est, feature, cut, grid)
+        for table, k in zip(tables, slices):
+            table.add_level(tau[k], n_est[k], feature[k], cut[k], grid)
         split = feature >= 0
         if not split.any():
             break
-        node = route(row_codes, node, feature, cut)
+        node = route(flat, base, node, feature, cut)
         position = (2 * position[split, None] + [1, 2]).ravel()
         parent_tau = np.repeat(tau[split], 2)
-    return table
+        tree = np.repeat(tree[split], 2)
+    return tables
 
 
 def fit_forest(
@@ -256,7 +270,7 @@ def _grow_bag(shared: tuple, b: int) -> list[NodeTable]:
     """The trees of bag ``b``, in tree order."""
     codes, thresholds, ry, ra, params, seed = shared
     subsamples = bag_subsamples(codes.shape[0], params, seed, b)
-    return [grow_tree(codes, thresholds, ry, ra, sub, params, seed_for(seed, b, i)) for i, sub in enumerate(subsamples)]
+    return grow_trees(codes, thresholds, ry, ra, subsamples, params, [seed_for(seed, b, i) for i in range(len(subsamples))])
 
 
 def predict_tau(forest: CausalForest, X: np.ndarray) -> np.ndarray:

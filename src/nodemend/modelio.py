@@ -37,6 +37,10 @@ from .simulate import GroundTruth
 MODEL_FORMAT = "nodemend-model"
 FORMAT_VERSION = "5.0"
 
+# json.dumps(..., separators=(",", ":"), ensure_ascii=False) for every JSONL
+# line and model payload, from one encoder rather than a new one per call
+_compact = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
 
 def atomic_write_text(path: str, content: str) -> None:
     """Write ``content`` to a temp file beside ``path``, then rename it over
@@ -73,7 +77,7 @@ def check_writable(path: str) -> None:
 
 
 def save_model(model: DmlModel, path: str) -> None:
-    payload = json.dumps(to_record(model), separators=(",", ":"), ensure_ascii=False)
+    payload = _compact(to_record(model))
     header = {
         "format": MODEL_FORMAT,
         "format_version": FORMAT_VERSION,
@@ -110,7 +114,7 @@ def load_model(path: str) -> DmlModel:
 
 
 def _write_jsonl(path: str, records: list) -> None:
-    lines = [json.dumps(to_record(r), separators=(",", ":"), ensure_ascii=False) for r in records]
+    lines = [_compact(to_record(r)) for r in records]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -189,7 +193,7 @@ class ActionLogger:
         self._fh = open(path, "a", encoding="utf-8", newline="\n")
 
     def log(self, record: ActionLogRecord) -> None:
-        self._fh.write(json.dumps(to_record(record), separators=(",", ":"), ensure_ascii=False) + "\n")
+        self._fh.write(_compact(to_record(record)) + "\n")
         self._fh.flush()
 
     def close(self) -> None:

@@ -21,6 +21,7 @@ from .domain import FloatArray, IntArray
 from .errors import InvalidArgument
 
 MIN_GAIN = 1e-12
+_NO_CUT = np.iinfo(np.int64).max  # a cut no code passes (``route``)
 
 
 def _thresholds(col: np.ndarray, max_bins: int) -> np.ndarray:
@@ -248,18 +249,15 @@ def node_sums(node: np.ndarray, nodes: int, *values: np.ndarray) -> list[np.ndar
     return [np.array([np.add.reduce(v[a:b]) for a, b in bounds]) for v in (v[order] for v in values)]
 
 
-def level_histograms(keyed: np.ndarray, node: np.ndarray, nodes: int, width: int, *weights: np.ndarray) -> list:
+def level_histograms(keys: np.ndarray, nodes: int, m: int, width: int, *weights: np.ndarray | None) -> list:
     """Left-side totals of every cut of every open node of one level.
 
-    Row i of ``keyed`` holds j·B + code for each of the m features its node
-    ``node[i]`` searches (B is ``width``); a row in none has node ``nodes``.
-    Keyed by node·m·B more, each channel of ``weights`` (one weight per key,
-    row by row) fills a padded (nodes, m, B) histogram with one bincount,
-    adding each bin's rows in row order, then a cumsum.
+    A key is node·m·B + j·B + code (B is ``width``) for a code in the j-th
+    of the m features its node searches; a key of node ``nodes`` is in none.
+    Each channel of ``weights``, one weight per key or None to count the
+    keys, fills a padded (nodes, m, B) histogram with one bincount, adding
+    each bin's keys in key order, then a cumsum.
     """
-    m = keyed.shape[1]
-    # the root's level has every row in node 0, and so no node offset
-    keys = (keyed + (node * (m * width))[:, None]).ravel() if node.any() else keyed.ravel()
     size = (nodes + 1) * m * width
     return [np.bincount(keys, w, minlength=size).reshape(nodes + 1, m, width)[:nodes].cumsum(axis=2) for w in weights]
 
@@ -284,12 +282,13 @@ def best_cuts(score: np.ndarray, parent_score: np.ndarray) -> tuple[np.ndarray, 
     return feature, bins[nodes, feature], gain[nodes, feature] > MIN_GAIN
 
 
-def route(codes: np.ndarray, node: np.ndarray, feature: np.ndarray, cut: np.ndarray) -> np.ndarray:
+def route(flat: np.ndarray, base: np.ndarray, node: np.ndarray, feature: np.ndarray, cut: np.ndarray) -> np.ndarray:
     """Each row's node on the next level.
 
-    Row i sits in node ``node[i]``, or in none when that is ``len(feature)``.
-    Node k splits when ``feature[k] >= 0``, sending ``codes[i, feature[k]]
-    <= cut[k]`` left to node 2j and the rest right to 2j + 1, j its rank
+    Row i's codes start at ``flat[base[i]]`` of a flat code matrix, and it
+    sits in node ``node[i]``, or in none when that is ``len(feature)``.
+    Node k splits when ``feature[k] >= 0``, sending a code ``<= cut[k]`` of
+    that feature left to node 2j and the rest right to 2j + 1, j its rank
     among the splits, as ``NodeTable.add_level`` numbers them; every other
     row gets node 2·splits, in none.
     """
@@ -297,8 +296,8 @@ def route(codes: np.ndarray, node: np.ndarray, feature: np.ndarray, cut: np.ndar
     # per node, then for the rows of none: left child, column read, and a cut no code passes
     child = np.append(np.where(split, 2 * np.cumsum(split) - 2, 2 * split.sum()), 2 * split.sum())
     column = np.append(np.maximum(feature, 0), 0)
-    last = np.append(np.where(split, cut, np.iinfo(np.int64).max), np.iinfo(np.int64).max)
-    return child[node] + (codes[np.arange(len(node)), column[node]] > last[node])
+    last = np.append(np.where(split, cut, _NO_CUT), _NO_CUT)
+    return child.take(node) + (flat.take(base + column.take(node)) > last.take(node))
 
 
 class SseGrower:
@@ -320,12 +319,20 @@ class SseGrower:
 
     def __init__(self, codes: np.ndarray, thresholds: list[np.ndarray]) -> None:
         """``codes`` holds each item's code row under ``thresholds``, both
-        from ``bin_features``. The layout and keyed codes built here serve
+        from ``bin_features``. The layout and the key lists built here serve
         every tree grown on the matrix, as the rounds of a boosting fit."""
-        self.codes = codes
         self.grid = bin_layout(thresholds)
         self.is_cut = ~np.isnan(self.grid)
-        self.keyed = codes + np.arange(codes.shape[1], dtype=np.int64) * self.grid.shape[1]
+        d = codes.shape[1]
+        self.flat = codes.ravel()
+        self.base = np.arange(len(codes), dtype=np.int64) * d
+        keyed = (codes + np.arange(d, dtype=np.int64) * self.grid.shape[1]).ravel()
+        # every item keys every histogram, row-major so that ``repeat`` spreads a
+        # per-item value over its keys, but the residual sums skip each feature's
+        # last bin, never a cut, and the counts skip bin 0 (``grow``)
+        sums, counts = codes != [len(t) for t in thresholds], codes != 0
+        self.sum_keys, self.sum_repeat = keyed[sums.ravel()], sums.sum(axis=1)
+        self.count_keys, self.count_repeat = keyed[counts.ravel()], counts.sum(axis=1)
 
     def grow(
         self,
@@ -339,36 +346,44 @@ class SseGrower:
         """A tree fitted to the items of nonzero count: per item, the sum and
         count of its rows' targets and their least and greatest target.
         Returns it with the value of the leaf each code row reaches, items
-        of count 0 included."""
+        of count 0 included. Such an item keys the histograms, where its +0.0
+        changes no bin (a bincount sum starts at +0.0, never turns -0.0), but
+        not the node totals, which add items pairwise in item order."""
         table = NodeTable()
         items = np.flatnonzero(counts)
-        sums = sums[items]
-        counts = counts[items].astype(np.float64)
-        low = low[items]
-        high = high[items]
-        keyed = np.take(self.keyed, items, axis=0)
-        key_sums = np.repeat(sums, keyed.shape[1])
-        key_counts = np.repeat(counts, keyed.shape[1])
+        item_sums, low, high = sums[items], low[items], high[items]
+        counts = counts.astype(np.float64)
+        key_sums, key_counts = np.repeat(sums, self.sum_repeat), np.repeat(counts, self.count_repeat)
+        d, width = self.grid.shape
         # every code row's node on the level, and the value of its leaf
-        node = np.zeros(len(self.codes), dtype=np.int64)
-        value = np.zeros(len(self.codes))
+        node = np.zeros(len(self.base), dtype=np.int64)
+        value = np.zeros(len(self.base))
         nodes = 1
         for depth in range(max_depth + 1):
-            at = node[items]
-            n = np.bincount(at, counts, minlength=nodes)[:nodes]
-            (total,) = node_sums(at, nodes, sums)
+            n = np.bincount(node, counts, minlength=nodes)[:nodes]
+            # the root holds every item: no sort, no node offset
+            at = node.take(items) if depth else None
+            total = node_sums(at, nodes, item_sums)[0] if depth else np.array([np.add.reduce(item_sums)])
             feature = np.full(nodes, -1)
             cut = np.zeros(nodes, dtype=np.int64)
             searches = (depth < max_depth) & (n >= 2 * min_leaf)
             if searches.any():
                 # a constant target cannot be split; its scores differ only
                 # by rounding, which at n * mean^2 scale can exceed MIN_GAIN
-                lo = np.full(nodes + 1, np.inf)
-                hi = np.full(nodes + 1, -np.inf)
-                np.minimum.at(lo, at, low)
-                np.maximum.at(hi, at, high)
-                searches &= lo[:nodes] != hi[:nodes]
-                csum, nl = level_histograms(keyed, at, nodes, self.grid.shape[1], key_sums, key_counts)
+                if depth:
+                    lo = np.full(nodes + 1, np.inf)
+                    hi = np.full(nodes + 1, -np.inf)
+                    np.minimum.at(lo, at, low)
+                    np.maximum.at(hi, at, high)
+                    searches &= lo[:nodes] != hi[:nodes]
+                    offset = node * (d * width)
+                    keys = (self.sum_keys + np.repeat(offset, self.sum_repeat), self.count_keys + np.repeat(offset, self.count_repeat))
+                else:
+                    searches &= low.min() != high.max()
+                    keys = (self.sum_keys, self.count_keys)
+                (csum,), (nl,) = (level_histograms(k, nodes, d, width, w) for k, w in zip(keys, (key_sums, key_counts)))
+                # bin 0 holds the node's count less the other bins': exact, as counts are whole numbers
+                nl = nl + (n[:, None] - nl[:, :, -1])[:, :, None]
                 nr = n[:, None, None] - nl
                 ok = self.is_cut & (nl >= min_leaf) & (nr >= min_leaf)
                 with np.errstate(divide="ignore", invalid="ignore"):
@@ -381,7 +396,7 @@ class SseGrower:
             value = np.where(np.append(leaf, False)[node], np.append(leaf_value, 0.0)[node], value)
             if leaf.all():
                 break
-            node = route(self.codes, node, feature, cut)
+            node = route(self.flat, self.base, node, feature, cut)
             nodes = 2 * int((~leaf).sum())
         return table, value
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,6 +273,30 @@ def test_encode_matrix_matches_row_encoder(schema, rows):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     for s in rows:
         assert encode_features(s, schema) == reference_encode_features(s, schema)
+
+
+# counts past int64, as far as 10^30, where a numpy column of them is an object array
+WIDE_COUNTS = st.one_of(st.integers(0, 2**80), st.sampled_from((2**63 - 1, 2**63, 2**64, 10**30)))
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from((DEFAULT_SCHEMA, SMALL_SCHEMA)),
+    st.lists(SIGNALS.flatmap(lambda s: st.builds(dataclasses.replace, st.just(s), vm_count=WIDE_COUNTS, repeat_count=WIDE_COUNTS)), max_size=12),
+)
+def test_records_and_their_columns_encode_alike(schema, rows):
+    # a list of records skips the column arrays; the matrix, or the first
+    # unknown category named, must be what its SignalColumns gives
+    columns = SignalColumns.from_records(rows)
+    try:
+        want = encode_matrix(columns, schema)
+    except SchemaViolation as exc:
+        with pytest.raises(SchemaViolation) as info:
+            encode_matrix(rows, schema)
+        assert str(info.value) == str(exc)
+        return
+    got = encode_matrix(rows, schema)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_keyed_uniforms_lie_in_the_unit_interval_with_mean_one_half():

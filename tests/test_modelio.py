@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodemend.dml import LinearTheta, TrainConfig, estimate_ite, estimate_ite_batch, train_dml
-from nodemend.domain import DEFAULT_HARDWARE_TYPES, DEFAULT_SESSION_TYPES, DiagnosticSignals
+from nodemend.domain import DEFAULT_HARDWARE_TYPES, DEFAULT_SESSION_TYPES, DiagnosticSignals, to_record
 from nodemend import modelio
 from nodemend.errors import (
     DataError,
@@ -224,6 +224,33 @@ def test_events_jsonl_round_trip_and_bytes(tmp_path):
     blob = open(p1, "rb").read()
     assert b"\r" not in blob
     assert blob.endswith(b"\n")
+
+
+def test_files_and_log_lines_are_the_bytes_of_compact_json_dumps(tmp_path, small_model):
+    # non-ASCII text, None and nested signals: each line, and the model
+    # payload, is what json.dumps writes with the compact UTF-8 arguments
+    def dumps(record) -> str:
+        return json.dumps(to_record(record), separators=(",", ":"), ensure_ascii=False)
+
+    _, _, model = small_model
+    events, truths = generate_observational_dataset(40, default_config(seed=84))
+    events = [
+        dataclasses.replace(e, node_id=f"nœud-{i}-東京", signals=dataclasses.replace(e.signals, error_code=None) if i % 2 else e.signals)
+        for i, e in enumerate(events)
+    ]
+    records = [dataclasses.replace(make_record(i), reason="repli — règle «héritée»", tau=None if i % 2 else 0.25) for i in range(3)]
+    paths = {name: str(tmp_path / f"{name}.jsonl") for name in ("events", "truth", "actions")}
+    write_events_jsonl(events, paths["events"])
+    write_truth_jsonl(truths, paths["truth"])
+    with ActionLogger(paths["actions"]) as logger:
+        for record in records:
+            logger.log(record)
+    for name, rows in (("events", events), ("truth", truths), ("actions", records)):
+        assert open(paths[name], "rb").read() == "".join(dumps(r) + "\n" for r in rows).encode("utf-8"), name
+    assert any(e.signals.error_code is None for e in events) and "œ" in open(paths["events"], encoding="utf-8").read()
+    model_path = str(tmp_path / "model.bin")
+    save_model(model, model_path)
+    assert open(model_path, "rb").read().partition(b"\n")[2] == dumps(model).encode("utf-8")
 
 
 def test_events_jsonl_bad_record(tmp_path):

@@ -37,6 +37,7 @@ from nodemend.forest import (
     CausalForest,
     ForestParams,
     grow_tree,
+    grow_trees,
     honest_halves,
     predict_tau,
     predict_tau_ci,
@@ -294,6 +295,42 @@ def test_forest_tree_matches_per_feature_scan(data):
     assert_same_table(grow_tree(codes, thresholds, ry, ra, subsample, params, seed), want)
     for g, w in zip(honest_halves(np.asarray(subsample, dtype=np.int64), params, rng_for(seed)), (structure, estimate)):
         np.testing.assert_array_equal(g, w)
+
+
+@PROPERTY
+@given(st.data())
+def test_every_tree_of_a_bag_matches_its_own_scan(data):
+    # a bag grows its trees in one level loop; each tree must be the tree its
+    # own subsample and seed grow alone, whatever trees grow beside it
+    n = data.draw(st.integers(4, 160), label="n")
+    kinds = data.draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=8), label="kinds")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    X = make_matrix(rng, n, kinds)
+    ra = rng.normal(size=n) * (rng.random(n) < data.draw(st.sampled_from((1.0, 0.6)), label="ra_share"))
+    ry = make_target(rng, n, data.draw(st.sampled_from(("normal", "integer")), label="ry")) * ra + rng.normal(size=n)
+    max_bins = n if data.draw(st.booleans(), label="exact_bins") else data.draw(st.integers(2, 8), label="max_bins")
+    params = ForestParams(
+        max_depth=data.draw(st.integers(0, 6), label="max_depth"),
+        min_split=data.draw(st.sampled_from((2, 10, 20)), label="min_split"),
+        min_leaf_estimate=data.draw(st.sampled_from((1, 3, 10)), label="min_leaf_est"),
+        max_bins=max_bins,
+        features_per_split=data.draw(st.sampled_from((None, 1, 2, len(kinds))), label="mtry"),
+    )
+    subsamples, seeds = [], []
+    for t in range(data.draw(st.integers(1, 4), label="trees")):
+        # a tiny subsample grows a tree that never splits; sizes differ, so
+        # the trees stop at different depths
+        if data.draw(st.booleans(), label=f"tiny_{t}"):
+            subsamples.append(rng.choice(n, size=min(n, data.draw(st.integers(1, 3), label=f"tiny_size_{t}")), replace=False))
+        else:
+            subsamples.append(draw_rows(data, rng, n))
+        seeds.append(data.draw(st.integers(0, 2**31 - 1), label=f"tree_seed_{t}"))
+
+    codes, thresholds = bin_features(X, max_bins)
+    tables = grow_trees(codes, thresholds, ry, ra, subsamples, params, seeds)
+    assert len(tables) == len(subsamples)
+    for table, subsample, seed in zip(tables, subsamples, seeds):
+        assert_same_table(table, reference_forest_tree(codes, thresholds, ry, ra, subsample, params, seed)[0])
 
 
 def test_best_cut_resolves_ties_like_a_scan():

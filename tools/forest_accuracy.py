@@ -18,7 +18,10 @@ events, where the true effect is exactly +delta or -delta, each fit gives:
 * ``bias+`` and ``bias-``: the mean error where the true effect is +delta
   and where it is -delta;
 * ``w10``, ``w50``, ``w90``: the 10th, 50th and 90th percentiles of the
-  interval width.
+  interval width;
+* ``fit_s``: the wall seconds of the ``fit_forest`` call, its bags grown
+  on the available CPUs. Unlike the other columns it varies from run to
+  run.
 
 One line per fit, then the mean of each column over all fits.
 """
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import os
 import sys
+import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
@@ -42,7 +46,7 @@ FOREST_SEEDS = 3
 TRAIN = 5000
 FRESH = 3000
 FRESH_SEED_OFFSET = 10_000
-COLUMNS = ("rmse", "coverage", "bias+", "bias-", "w10", "w50", "w90")
+COLUMNS = ("rmse", "coverage", "bias+", "bias-", "w10", "w50", "w90", "fit_s")
 
 
 def accuracy(tau: np.ndarray, lower: np.ndarray, upper: np.ndarray, truth: np.ndarray) -> dict[str, float]:
@@ -69,10 +73,12 @@ def main() -> None:
         X = encode_matrix([e.signals for e in fresh], config.schema())
         truth = np.array([true_tau(e.signals, config) for e in fresh])
         for f in range(FOREST_SEEDS):
+            start = time.perf_counter()
             forest = fit_forest(res.features, res.ry, res.ra, train_config.forest, seed=seed_for(s, 3, f))
+            fit_s = time.perf_counter() - start
             estimates = predict_tau_ci(forest, X)
             tau, lower, upper = (np.array([getattr(e, k) for e in estimates]) for k in ("tau", "tau_lower", "tau_upper"))
-            rows.append(accuracy(tau, lower, upper, truth))
+            rows.append({**accuracy(tau, lower, upper, truth), "fit_s": fit_s})
             print(f"{s:>4} {f:>6} " + " ".join(f"{rows[-1][c]:>8.4f}" for c in COLUMNS), flush=True)
     print(f"{'mean':>11} " + " ".join(f"{np.mean([r[c] for r in rows]):>8.4f}" for c in COLUMNS))
 
