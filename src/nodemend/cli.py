@@ -275,6 +275,10 @@ def _cmd_abtest(args) -> int:
     return 0
 
 
+def _finite_or_none(x: float | None) -> float | None:
+    return x if x is not None and math.isfinite(x) else None
+
+
 def _cmd_update(args) -> int:
     try:
         modelio.check_margin(args.margin)
@@ -294,11 +298,13 @@ def _cmd_update(args) -> int:
             {
                 "deployed": result.deployed,
                 "reason": result.reason,
-                "psi_current": result.psi_current,
-                "psi_candidate": result.psi_candidate,
+                # JSON holds no Infinity or NaN: a non-finite score prints as null
+                "psi_current": _finite_or_none(result.psi_current),
+                "psi_candidate": _finite_or_none(result.psi_candidate),
                 "out": args.out,
             },
             sort_keys=True,
+            allow_nan=False,
         )
     )
     return 0

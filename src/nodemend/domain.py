@@ -193,18 +193,6 @@ class SignalColumns(_Columns):
     hardware_type: np.ndarray
     session_type: np.ndarray
 
-    @classmethod
-    def from_records(cls, records: list[DiagnosticSignals]) -> SignalColumns:
-        """The columns of ``records``. A numeric column takes the dtype numpy
-        finds for its values, or is an object array where that dtype would
-        be a float: numpy holds ints past 64 bits as rounded floats."""
-        fields_of_rows = zip(*map(_signal_fields, records)) if records else [()] * len(_SIGNAL_FIELDS)
-        columns = []
-        for name, values in zip(_SIGNAL_FIELDS, fields_of_rows):
-            column = np.array(values, dtype=object if name in _CATEGORICAL else None)
-            columns.append(np.array(values, dtype=object) if column.dtype.kind == "f" else column)
-        return cls(*columns)
-
     def records(self) -> list[DiagnosticSignals]:
         """Row i as the record ``DiagnosticSignals``, for every row."""
         return [DiagnosticSignals(*row) for row in zip(*(getattr(self, name).tolist() for name in _SIGNAL_FIELDS))]

@@ -130,11 +130,6 @@ def honest_halves(subsample: np.ndarray, params: ForestParams, rng: np.random.Ge
     return perm[:n_structure], perm[n_structure:]
 
 
-def grow_tree(codes: np.ndarray, thresholds: list, ry: np.ndarray, ra: np.ndarray, subsample: np.ndarray, params: ForestParams, seed: int) -> NodeTable:
-    """One honest tree on the given subsample: the bag of one tree (``grow_trees``)."""
-    return grow_trees(codes, thresholds, ry, ra, [subsample], params, [seed])[0]
-
-
 def grow_trees(
     codes: np.ndarray, thresholds: list, ry: np.ndarray, ra: np.ndarray, subsamples: list, params: ForestParams, seeds: list[int]
 ) -> list[NodeTable]:

@@ -53,9 +53,9 @@ def render_policy(tree: PackedTrees, feature_names: list[str]) -> str:
             return
         name = feature_names[tree.feature[node]]
         lines.append(f"{indent}if {name} <= {tree.threshold[node]:.4g}:")
-        walk(tree.left[node], indent + "    ")
+        walk(tree.child[2 * node + 1], indent + "    ")
         lines.append(f"{indent}else:")
-        walk(tree.right[node], indent + "    ")
+        walk(tree.child[2 * node], indent + "    ")
 
     walk(0, "")
     return "\n".join(lines)

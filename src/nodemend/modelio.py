@@ -35,7 +35,7 @@ from .errors import (
 from .simulate import GroundTruth
 
 MODEL_FORMAT = "nodemend-model"
-FORMAT_VERSION = "5.0"
+FORMAT_VERSION = "6.0"
 
 # json.dumps(..., separators=(",", ":"), ensure_ascii=False) for every JSONL
 # line and model payload, from one encoder rather than a new one per call
@@ -239,7 +239,8 @@ def update_model(
     """Retrain on the recent window and deploy only on a strict holdout win.
 
     The candidate reuses the current model's training recipe. With the
-    default zero margin a tie keeps the current model.
+    default zero margin a tie keeps the current model. A candidate whose
+    holdout score is not finite is refused.
     """
     check_margin(margin)
     if not holdout:
@@ -252,6 +253,8 @@ def update_model(
         return UpdateResult(False, f"training failed: {exc}", None, None, None)
     psi_cur = psi_loss(current, holdout)
     psi_cand = psi_loss(candidate, holdout)
+    if not math.isfinite(psi_cand):
+        return UpdateResult(False, "candidate holdout score is not finite", psi_cur, psi_cand, candidate)
     if psi_cand < psi_cur - margin:
         return UpdateResult(True, "candidate improved holdout score", psi_cur, psi_cand, candidate)
     return UpdateResult(False, "candidate did not improve holdout score", psi_cur, psi_cand, candidate)

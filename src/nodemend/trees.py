@@ -51,43 +51,26 @@ def bin_features(X: np.ndarray, max_bins: int) -> tuple[np.ndarray, list[np.ndar
 
 
 class NodeTable:
-    """Builds a flat tree: node by node (``add``, ``split``), or a level at a
-    time (``add_level``), as the growers number their nodes breadth-first."""
+    """Builds a flat tree a level at a time (``add_level``), as the growers
+    number their nodes breadth-first."""
 
     def __init__(self) -> None:
         self.feature: list[int] = []
         self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
         self.value: list[float] = []
         self.count: list[int] = []
-
-    def add(self, value: float = 0.0, count: int = 0) -> int:
-        """Append a leaf and return its id; ``split`` may turn it into a split."""
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(float(value))
-        self.count.append(int(count))
-        return len(self.feature) - 1
-
-    def split(self, node: int, feature: int, threshold: float, left: int, right: int) -> None:
-        self.feature[node] = int(feature)
-        self.threshold[node] = float(threshold)
-        self.left[node] = left
-        self.right[node] = right
 
     def add_level(self, value: np.ndarray, count: np.ndarray, feature: np.ndarray, cut: np.ndarray, grid: np.ndarray) -> None:
         """Append a level. Node k splits when ``feature[k] >= 0``, sending ``x
         <= grid[feature[k], cut[k]]`` left (``bin_layout``); the next level
         holds the children of the splits, left then right, in node order."""
-        child = len(self.feature) + len(feature)
-        for f, c, v, n in zip(feature.tolist(), cut.tolist(), value.tolist(), count.tolist()):
-            node = self.add(v, n)
-            if f >= 0:
-                self.split(node, f, grid[f, c], child, child + 1)
-                child += 2
+        split = feature >= 0
+        threshold = np.zeros(len(feature))
+        threshold[split] = grid[feature[split], cut[split]]
+        self.feature += feature.tolist()
+        self.threshold += threshold.tolist()
+        self.value += np.asarray(value, dtype=np.float64).tolist()
+        self.count += np.asarray(count, dtype=np.int64).tolist()
 
 
 # rows x trees held by one chunk of the packed walk; bounds its temporaries
@@ -98,12 +81,13 @@ CHUNK_ELEMENTS = 1 << 14
 class PackedTrees:
     """An ensemble of trees as one flat record, walked in lockstep.
 
-    Tree t is nodes ``roots[t]`` up to the next root, breadth-first from a
-    grower. Node k sends ``x[feature[k]] <= threshold[k]`` to ``left[k]``
-    and the rest to ``right[k]``, both packed node indices; at a leaf
-    ``feature``, ``left`` and ``right`` are -1. ``value`` and ``count`` are
-    what the grower recorded for each node; at a leaf, its value and its
-    row count.
+    Tree t is nodes ``roots[t]`` up to the next root, numbered breadth-first
+    as the growers number them: the i-th split of a tree, counting its
+    splits in node order, has its left child at ``root + 2i + 1`` and its
+    right child next to it. Node k is a leaf where ``feature[k]`` is -1,
+    and otherwise sends ``x[feature[k]] <= threshold[k]`` left. ``value``
+    and ``count`` are what the grower recorded for each node; at a leaf,
+    its value and its row count.
 
     Construction checks the record once, so a malformed one never serves,
     and derives the walk: ``child`` sends a leaf to itself, so once a row
@@ -116,8 +100,6 @@ class PackedTrees:
     roots: IntArray
     feature: IntArray
     threshold: FloatArray
-    left: IntArray
-    right: IntArray
     value: FloatArray
     count: IntArray
     child: IntArray = field(init=False, repr=False, compare=False)
@@ -126,7 +108,7 @@ class PackedTrees:
 
     def __post_init__(self) -> None:
         n = len(self.feature)
-        if any(len(column) != n for column in (self.threshold, self.left, self.right, self.value, self.count)):
+        if any(len(column) != n for column in (self.threshold, self.value, self.count)):
             raise InvalidArgument("a tree record's node columns must share their length")
         roots = self.roots
         if (len(roots) > 0) != (n > 0) or (n and (roots[0] != 0 or np.any(np.diff(roots) <= 0) or roots[-1] >= n)):
@@ -134,49 +116,42 @@ class PackedTrees:
         if np.any(self.count < 0) or np.any(self.feature < -1):
             raise InvalidArgument("a tree record needs counts >= 0 and features >= -1")
         node = np.arange(n, dtype=np.int64)
-        ends = np.append(roots[1:], n)[: len(roots)]
-        end = np.repeat(ends, ends - roots)
-        leaf = self.feature < 0
-        left, right = self.left, self.right
-        # every child follows its parent inside the tree, and every node but
-        # a root is the child of exactly one node: each tree is a tree, so
-        # the walk ends and nothing in the columns is unreachable
-        inside = (left > node) & (left < end) & (right > node) & (right < end)
-        if np.any(np.where(leaf, (left != -1) | (right != -1), ~inside)) or np.any(
-            np.bincount(np.concatenate([roots, left[~leaf], right[~leaf]]), minlength=n) != 1
-        ):
-            raise InvalidArgument("a tree's children must follow their parent inside the tree, once each; a leaf has none")
+        sizes = np.diff(roots, append=n)
+        root = np.repeat(roots, sizes)
+        split = self.feature >= 0
+        # the splits before node k, for k up to n; so a split's rank in its tree
+        seen = np.concatenate([[0], np.cumsum(split)])
+        rank = seen[:-1] - seen[root]
+        # a tree of s splits holds 2s + 1 nodes, its i-th split at most 2i past
+        # its root: then every child follows its parent inside the tree, and
+        # every node but a root is the child of exactly one split, so the
+        # walk ends and nothing in the columns is unreachable
+        if np.any(sizes != 2 * np.diff(seen[np.append(roots, n)]) + 1) or np.any(split & (node - root > 2 * rank)):
+            raise InvalidArgument("a tree of s splits must hold 2s + 1 nodes, its i-th split at most 2i past its root")
+        left = root + 2 * rank + 1
         self.n_features = int(self.feature.max(initial=-1)) + 1
         # the child of node k sits at 2k + (x <= threshold): right, then left
-        self.child = np.column_stack([np.where(leaf, node, right), np.where(leaf, node, left)]).ravel()
+        self.child = np.column_stack([np.where(split, left + 1, node), np.where(split, left, node)]).ravel()
         self.depth = 0
-        frontier = roots
-        while True:
-            frontier = frontier[~leaf[frontier]]
-            if not frontier.size:
-                break
-            frontier = np.concatenate([left[frontier], right[frontier]])
+        frontier = roots[split[roots]]  # the splits of a level
+        while frontier.size:
+            frontier = np.concatenate([left[frontier], left[frontier] + 1])
+            frontier = frontier[split[frontier]]
             self.depth += 1
 
     @classmethod
     def pack(cls, tables: Sequence) -> PackedTrees:
-        """One record of several trees, each given as node columns whose
-        children count from its own root: a grower's ``NodeTable``, or one
-        tree of a record."""
+        """One record of several trees, each given as its node columns: a
+        grower's ``NodeTable``, or one tree of a record."""
         sizes = np.array([len(t.feature) for t in tables], dtype=np.int64)
-        roots = np.cumsum(sizes) - sizes
-        offset = np.repeat(roots, sizes)
 
         def column(name: str, dtype: type) -> np.ndarray:
             return np.concatenate([np.asarray(getattr(t, name), dtype=dtype) for t in tables] or [np.empty(0, dtype)])
 
-        left, right = (np.where(c >= 0, c + offset, -1) for c in (column("left", np.int64), column("right", np.int64)))
         return cls(
-            roots,
+            np.cumsum(sizes) - sizes,
             column("feature", np.int64),
             column("threshold", np.float64),
-            left,
-            right,
             column("value", np.float64),
             column("count", np.int64),
         )
@@ -188,16 +163,7 @@ class PackedTrees:
         """Each tree alone, as a one-tree record."""
         for start, stop in zip(self.roots.tolist(), [*self.roots[1:].tolist(), len(self.feature)]):
             nodes = slice(start, stop)
-            left, right = (np.where(c[nodes] >= 0, c[nodes] - start, -1) for c in (self.left, self.right))
-            yield PackedTrees(
-                np.zeros(1, dtype=np.int64),
-                self.feature[nodes],
-                self.threshold[nodes],
-                left,
-                right,
-                self.value[nodes],
-                self.count[nodes],
-            )
+            yield PackedTrees(np.zeros(1, dtype=np.int64), self.feature[nodes], self.threshold[nodes], self.value[nodes], self.count[nodes])
 
     def leaves(self, X: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
         """Per chunk of rows, (rows, node): node[i, t] is the packed leaf that

@@ -6,6 +6,7 @@ assert pipeline runtimes without retraining."""
 import dataclasses
 import hashlib
 import json
+import operator
 import time
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import settings
 
 from nodemend.dml import TrainConfig, assemble_model, residualize_dataset, train_dml
+from nodemend.domain import DiagnosticSignals, SignalColumns
 from nodemend.simulate import (
     constant_effect_config,
     default_config,
@@ -127,21 +129,60 @@ def synthetic_residuals(n: int, seed: int, kind: str = "two_regime", d: int = 6,
     return X, ry, ra, tau
 
 
-def breadth_first(table: NodeTable) -> NodeTable:
-    """A node table renumbered breadth-first, left child before right, as
-    the growers number their nodes."""
+class PreorderTable:
+    """A tree as the recursive reference growers build it: node by node in
+    pre-order, each split naming its children. ``add`` appends a leaf and
+    returns its id, ``split`` turns it into a split."""
+
+    def __init__(self) -> None:
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.value: list[float] = []
+        self.count: list[int] = []
+
+    def add(self, value: float = 0.0, count: int = 0) -> int:
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.value.append(float(value))
+        self.count.append(int(count))
+        return len(self.feature) - 1
+
+    def split(self, node: int, feature: int, threshold: float, left: int, right: int) -> None:
+        self.feature[node] = int(feature)
+        self.threshold[node] = float(threshold)
+        self.left[node] = left
+        self.right[node] = right
+
+
+def breadth_first(table: PreorderTable) -> NodeTable:
+    """The tree renumbered breadth-first, left child before right, as the
+    growers number their nodes: a node table, whose children follow from
+    that numbering."""
     order = [0]
     for k in order:  # grows as it goes: each split appends its children
         if table.feature[k] >= 0:
             order += [table.left[k], table.right[k]]
-    new_id = {old: new for new, old in enumerate(order)}
     out = NodeTable()
-    for k in order:
-        out.add(table.value[k], table.count[k])
-    for k in order:
-        if table.feature[k] >= 0:
-            out.split(new_id[k], table.feature[k], table.threshold[k], new_id[table.left[k]], new_id[table.right[k]])
+    for name in ("feature", "threshold", "value", "count"):
+        setattr(out, name, [getattr(table, name)[k] for k in order])
     return out
+
+
+def signal_columns(records: list[DiagnosticSignals]) -> SignalColumns:
+    """The columns of ``records``. A numeric column takes the dtype numpy
+    finds for its values, or is an object array where that dtype would be a
+    float: numpy holds ints past 64 bits as rounded floats."""
+    names = [f.name for f in dataclasses.fields(DiagnosticSignals)]
+    fields_of_rows = zip(*map(operator.attrgetter(*names), records)) if records else [()] * len(names)
+    columns = []
+    for name, values in zip(names, fields_of_rows):
+        column = np.array(values, dtype=object if name in ("error_code", "hardware_type", "session_type") else None)
+        columns.append(np.array(values, dtype=object) if column.dtype.kind == "f" else column)
+    return SignalColumns(*columns)
 
 
 def reseal(path, edit) -> None:

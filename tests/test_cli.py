@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import re
 import shutil
+import warnings
 
 import pytest
 
@@ -324,6 +326,37 @@ def test_update_gate(workspace, capsys):
     load_model(str(out_path))
 
 
+def test_update_refuses_a_candidate_whose_holdout_score_is_not_finite(tmp_path, capsys):
+    # one outcome of 1e160 in the recent window overflows the candidate's
+    # holdout psi; the gate refuses it by name and prints plain JSON
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"seed": 5, "sim": {"preset": "two_regime"}}))
+    events, model = tmp_path / "events.jsonl", tmp_path / "model.bin"
+    assert main(["simulate", "--config", str(cfg), "--n", "2000", "--out", str(events), "--truth", str(tmp_path / "truth.jsonl")]) == 0
+    assert main(["train", "--config", str(cfg), "--data", str(events), "--out", str(model)]) == 0
+    lines = events.read_text().splitlines()[:1500]
+    row = json.loads(lines[7])
+    row["avd"] = 1e160
+    lines[7] = json.dumps(row)
+    recent = tmp_path / "recent.jsonl"
+    recent.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "updated.bin"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        rc = main(["update", "--current", str(model), "--recent", str(recent), "--holdout", str(events), "--out", str(out)])
+    assert rc == 0
+
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    result = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert result["deployed"] is False
+    assert result["reason"] == "candidate holdout score is not finite"
+    assert result["psi_candidate"] is None and math.isfinite(result["psi_current"])
+    assert out.read_bytes() == model.read_bytes()
+
+
 def test_exit_code_config_error(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"seed": 1, "wrong_key": 2}))
@@ -417,8 +450,9 @@ def _swap_roots(p):
 
 
 def _child_in_next_tree(p):
-    trees = p["forest"]["trees"]
-    trees["left"][_first(trees["feature"], leaf=False)] = trees["roots"][1]
+    # the first tree's last node moves into the second: a split of the first
+    # tree would have its right child in the next tree
+    p["forest"]["trees"]["roots"][1] -= 1
 
 
 ROOTS = "tree roots must start at 0 and rise strictly inside the node columns"
@@ -444,7 +478,7 @@ ROOTS = "tree roots must start at 0 and rise strictly inside the node columns"
         (_swap_roots, ROOTS),
         (lambda p: p["forest"]["trees"]["roots"].append(len(p["forest"]["trees"]["feature"])), ROOTS),
         (lambda p: p["forest"]["trees"]["threshold"].pop(), "a tree record's node columns must share their length"),
-        (_child_in_next_tree, "a tree's children must follow their parent inside the tree"),
+        (_child_in_next_tree, "a tree of s splits must hold 2s + 1 nodes, its i-th split at most 2i past its root"),
     ],
     ids=[
         "feature_99",
@@ -483,7 +517,7 @@ def test_format_1_model_is_refused(workspace, tmp_path, capsys):
     old = tmp_path / "model_v1.bin"
     payload = json.loads(workspace["model"].read_bytes().partition(b"\n")[2])
     old.write_text(json.dumps({"checksum": "0" * 64, "format": "nodemend-model", "format_version": "1.0", "payload": payload}))
-    with pytest.raises(ModelVersionError, match=re.escape("model format '1.0' is incompatible with '5.0'")):
+    with pytest.raises(ModelVersionError, match=re.escape("model format '1.0' is incompatible with '6.0'")):
         load_model(str(old))
     assert main(["eval", "--model", str(old), "--data", str(workspace["events"])]) == 4
     assert "'1.0'" in capsys.readouterr().err
@@ -549,7 +583,7 @@ def test_format_3_model_is_refused(workspace, tmp_path, capsys):
     head, _, payload = workspace["model"].read_bytes().partition(b"\n")
     old.write_bytes(json.dumps({**json.loads(head), "format_version": "3.0"}).encode() + b"\n" + payload)
     assert main(["eval", "--model", str(old), "--data", str(workspace["events"])]) == 4
-    assert "model format '3.0' is incompatible with '5.0'" in capsys.readouterr().err
+    assert "model format '3.0' is incompatible with '6.0'" in capsys.readouterr().err
 
 
 def test_format_4_model_is_refused(workspace, tmp_path, capsys):
@@ -558,11 +592,24 @@ def test_format_4_model_is_refused(workspace, tmp_path, capsys):
     old = tmp_path / "model_v4.bin"
     head, _, payload = workspace["model"].read_bytes().partition(b"\n")
     old.write_bytes(json.dumps({**json.loads(head), "format_version": "4.0"}).encode() + b"\n" + payload)
-    with pytest.raises(ModelVersionError, match=re.escape("model format '4.0' is incompatible with '5.0'")):
+    with pytest.raises(ModelVersionError, match=re.escape("model format '4.0' is incompatible with '6.0'")):
         load_model(str(old))
     assert main(["eval", "--model", str(old), "--data", str(workspace["events"])]) == 4
     captured = capsys.readouterr()
-    assert "model error: model format '4.0' is incompatible with '5.0'" in captured.err
+    assert "model error: model format '4.0' is incompatible with '6.0'" in captured.err
+    assert captured.out == ""
+
+
+def test_format_5_model_is_refused(workspace, tmp_path, capsys):
+    # 5.x tree records stored each split's children in ``left`` and ``right``
+    old = tmp_path / "model_v5.bin"
+    head, _, payload = workspace["model"].read_bytes().partition(b"\n")
+    old.write_bytes(json.dumps({**json.loads(head), "format_version": "5.0"}).encode() + b"\n" + payload)
+    with pytest.raises(ModelVersionError, match=re.escape("model format '5.0' is incompatible with '6.0'")):
+        load_model(str(old))
+    assert main(["eval", "--model", str(old), "--data", str(workspace["events"])]) == 4
+    captured = capsys.readouterr()
+    assert "model error: model format '5.0' is incompatible with '6.0'" in captured.err
     assert captured.out == ""
 
 

@@ -13,7 +13,6 @@ from nodemend.domain import (
     IteEstimate,
     LabeledEvent,
     MitigationAction,
-    SignalColumns,
     distinct_rows,
     encode_features,
     encode_matrix,
@@ -23,6 +22,8 @@ from nodemend.domain import (
     to_record,
 )
 from nodemend.errors import InvalidArgument, SchemaViolation
+
+from conftest import signal_columns
 
 
 def make_signals(**overrides):
@@ -287,7 +288,7 @@ WIDE_COUNTS = st.one_of(st.integers(0, 2**80), st.sampled_from((2**63 - 1, 2**63
 def test_records_and_their_columns_encode_alike(schema, rows):
     # a list of records skips the column arrays; the matrix, or the first
     # unknown category named, must be what its SignalColumns gives
-    columns = SignalColumns.from_records(rows)
+    columns = signal_columns(rows)
     try:
         want = encode_matrix(columns, schema)
     except SchemaViolation as exc:
@@ -349,10 +350,10 @@ def test_a_keyed_uniform_is_the_same_alone_or_in_a_batch():
 @settings(max_examples=100)
 @given(st.lists(SIGNALS, max_size=12), st.data())
 def test_signal_columns_keep_their_records_when_indexed_and_round_tripped(rows, data):
-    columns = SignalColumns.from_records(rows)
+    columns = signal_columns(rows)
     assert all(len(getattr(columns, name)) == len(rows) for name in ("vm_count", "error_code", "session_type"))
     assert columns.records() == rows
-    assert SignalColumns.from_records(columns.records()).records() == rows
+    assert signal_columns(columns.records()).records() == rows
     picks = data.draw(st.lists(st.integers(0, len(rows) - 1)) if rows else st.just([]), label="picks")
     assert columns[np.array(picks, dtype=np.int64)].records() == [rows[i] for i in picks]
     with pytest.raises(TypeError):

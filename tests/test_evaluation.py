@@ -15,7 +15,6 @@ from nodemend.domain import (
     DiagnosticSignals,
     LabeledEvent,
     MitigationAction,
-    SignalColumns,
     encode_matrix,
     keyed_uniforms,
     rng_for,
@@ -47,7 +46,7 @@ from nodemend.simulate import (
     sample_event,
 )
 
-from conftest import StubGenerator, history_step
+from conftest import StubGenerator, history_step, signal_columns
 from reference_model import _draw_signals, potential_outcomes, reference_events
 
 
@@ -297,7 +296,7 @@ def test_ab_experiment_sticky_groups(default_bundle):
 def _choose_one(policy, signals, outcomes, ev_idx, step):
     """A policy's choice for one chain, as a batch of one."""
     column = PotentialOutcomes(*(np.array([getattr(outcomes, f.name)]) for f in dataclasses.fields(PotentialOutcomes)))
-    actions, flags = policy.choose(SignalColumns.from_records([signals]), column, np.array([ev_idx]), step)
+    actions, flags = policy.choose(signal_columns([signals]), column, np.array([ev_idx]), step)
     return MitigationAction(int(actions[0])), flags is not None and bool(flags[0])
 
 
@@ -542,7 +541,7 @@ def test_engine_decides_each_row_as_decide_does_and_estimates_it_once(default_bu
     policy = EnginePolicy(model, cfg)
     with mock.patch.object(evaluation, "effect_bounds", spy):
         for step, batch in enumerate(batches):
-            actions, flags = policy.choose(SignalColumns.from_records(batch), None, np.arange(len(batch)), step)
+            actions, flags = policy.choose(signal_columns(batch), None, np.arange(len(batch)), step)
             expected = [decide(estimate_ite(model, s), s, cfg) for s in batch]
             assert actions.tolist() == [int(d.action) for d in expected]
             assert flags.tolist() == [d.unallocatable_flag for d in expected]
@@ -556,7 +555,7 @@ def test_legacy_columns_equal_the_legacy_policy_per_record():
     cfg = default_config(seed=60)
     events, _ = generate_observational_dataset(2000, cfg)
     _, drawn = sample_event(np.arange(2000), cfg, 61)
-    for columns in (SignalColumns.from_records([e.signals for e in events]), drawn):
+    for columns in (signal_columns([e.signals for e in events]), drawn):
         # the rule written out: hardware evidence means Redeploy
         want = [int(s.uncorrectable_tag or s.error_code == "hw_failure") for s in columns.records()]
         assert want == [int(legacy_policy(s)) for s in columns.records()]

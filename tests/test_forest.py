@@ -11,21 +11,21 @@ from nodemend.forest import (
     ForestParams,
     audit_honesty,
     fit_forest,
-    grow_tree,
+    grow_trees,
     honest_halves,
     predict_tau,
     predict_tau_ci,
 )
-from nodemend.trees import NodeTable, PackedTrees, bin_features
+from nodemend.trees import PackedTrees, bin_features
 
 from conftest import synthetic_residuals
 
 BINS = ForestParams().max_bins
 
 
-def grow_one(*args, **kwargs) -> PackedTrees:
-    """``grow_tree`` packed as a one-tree record."""
-    return PackedTrees.pack([grow_tree(*args, **kwargs)])
+def grow_one(codes, thresholds, ry, ra, subsample, params, seed) -> PackedTrees:
+    """One honest tree on ``subsample``, grown as a bag of one tree, as a one-tree record."""
+    return PackedTrees.pack([grow_trees(codes, thresholds, ry, ra, [subsample], params, [seed])[0]])
 
 
 def small_params(**overrides):
@@ -65,7 +65,7 @@ def test_grow_tree_min_leaf_larger_than_subsample():
 
 
 def test_grow_tree_honesty_disjoint():
-    # grow_tree cuts its subsample with this helper and the tree's generator
+    # a tree's subsample is cut with this helper and the tree's generator
     structure, estimate = honest_halves(np.arange(500), ForestParams(), rng_for(4))
     assert np.intersect1d(structure, estimate).size == 0
     assert len(structure) + len(estimate) == 500
@@ -123,10 +123,10 @@ def test_single_bag_single_tree_reduces_to_grow_tree():
 
 
 def _constant_forest(c: float, n_trees: int = 8, bags: int = 4) -> CausalForest:
-    leaf = NodeTable()
-    leaf.add(c, 10)
+    # n_trees one-leaf trees of value c and count 10
+    trees = PackedTrees(np.arange(n_trees), np.full(n_trees, -1), np.zeros(n_trees), np.full(n_trees, c), np.full(n_trees, 10))
     params = ForestParams(bags=bags, trees_per_bag=n_trees // bags)
-    return CausalForest(trees=PackedTrees.pack([leaf] * n_trees), params=params, seed=0, n=100)
+    return CausalForest(trees=trees, params=params, seed=0, n=100)
 
 
 def test_predict_constant_forest():
@@ -251,6 +251,8 @@ def test_tree_does_not_depend_on_the_nodes_grown_beside_it():
     top = len(shallow.feature)
     assert top < len(deep.feature)
     splits = shallow.feature >= 0
-    for name in ("feature", "threshold", "left", "right"):
+    for name in ("feature", "threshold"):
         np.testing.assert_array_equal(getattr(shallow, name)[splits], getattr(deep, name)[:top][splits], err_msg=name)
+    # so each split's children, from the numbering, are the same nodes
+    np.testing.assert_array_equal(shallow.child.reshape(-1, 2)[splits], deep.child.reshape(-1, 2)[:top][splits])
     np.testing.assert_array_equal(shallow.value, deep.value[:top])

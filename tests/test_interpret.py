@@ -27,8 +27,7 @@ def test_policy_tree_splits_on_hw_failure(hw_clustered):
     tree = fit_policy_tree(X, tau, max_depth=3)
     assert tree.feature[0] == hw_col
     # hw side (one-hot == 1 goes right of threshold 0.5) recommends Redeploy
-    right = tree.right[0]
-    left = tree.left[0]
+    right, left = tree.child[:2]  # node k's children sit at 2k (right) and 2k + 1 (left)
     assert preferred_action(tree.value[right]) == MitigationAction.REDEPLOY
     assert preferred_action(tree.value[left]) == MitigationAction.REBOOT
 

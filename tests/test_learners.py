@@ -9,9 +9,9 @@ from nodemend import parallel
 from nodemend.domain import from_record, rng_for, seed_for, to_record
 from nodemend.errors import InvalidArgument
 from nodemend.learners import GradientBoostedTrees, LearnerConfig, crossfit_predict, make_folds
-from nodemend.trees import MIN_GAIN, NodeTable, PackedTrees, bin_features
+from nodemend.trees import MIN_GAIN, PackedTrees, bin_features
 
-from conftest import breadth_first
+from conftest import PreorderTable, breadth_first
 
 
 def reference_fit(cls, config, seed, X, y):
@@ -40,17 +40,17 @@ def reference_fit(cls, config, seed, X, y):
             counts[g] += 1
             resid[g].append(r)
         present = [g for g in range(len(keys)) if counts[g]]
-        table = breadth_first(reference_group_tree(keys, thresholds, sums, counts, resid, present, config.max_depth, config.min_leaf))
-        tables.append(table)
+        tree = reference_group_tree(keys, thresholds, sums, counts, resid, present, config.max_depth, config.min_leaf)
+        tables.append(breadth_first(tree))
         for g, key in enumerate(keys):
-            current[g] = current[g] + config.learning_rate * reference_leaf_value(table, key, thresholds)
+            current[g] = current[g] + config.learning_rate * reference_leaf_value(tree, key, thresholds)
     return cls(config, base_value, PackedTrees.pack(tables))
 
 
 def reference_group_tree(keys, thresholds, sums, counts, resid, groups, max_depth, min_leaf):
     """A per-feature scan over groups: each bin adds its groups' sums and
     counts one by one, in group order."""
-    table = NodeTable()
+    table = PreorderTable()
 
     def grow(groups, depth):
         n = sum(counts[g] for g in groups)
@@ -277,7 +277,7 @@ def test_gbm_fit_matches_reference(data):
     want = reference_fit(GradientBoostedTrees, config, seed, X, y)
     assert got.base_value == want.base_value
     assert len(got.trees) == len(want.trees)
-    for name in ("roots", "feature", "threshold", "left", "right", "value", "count"):
+    for name in ("roots", "feature", "threshold", "value", "count"):
         got_column, want_column = getattr(got.trees, name), getattr(want.trees, name)
         assert got_column.dtype == want_column.dtype
         assert np.array_equal(got_column, want_column)

@@ -107,7 +107,7 @@ def test_model_version_mismatch(tmp_path, small_model):
     header = json.loads(head)
     header["format_version"] = "2.0"
     open(path, "wb").write(json.dumps(header).encode() + b"\n" + payload)
-    with pytest.raises(ModelVersionError, match="'2.0' is incompatible with '5.0'"):
+    with pytest.raises(ModelVersionError, match="'2.0' is incompatible with '6.0'"):
         load_model(path)
 
 
@@ -140,13 +140,13 @@ def test_model_file_is_a_header_line_and_the_payload_it_hashes(tmp_path, small_m
     head, _, payload = open(path, "rb").read().partition(b"\n")
     assert json.loads(head) == {
         "format": "nodemend-model",
-        "format_version": "5.0",
+        "format_version": "6.0",
         "sha256": hashlib.sha256(payload).hexdigest(),
     }
     record = json.loads(payload)
     # every ensemble is one record; the honesty halves are drawn again from
     # the forest's seed, never stored
-    columns = {"roots", "feature", "threshold", "left", "right", "value", "count"}
+    columns = {"roots", "feature", "threshold", "value", "count"}
     assert set(record["forest"]["trees"]) == columns
     assert set(record["outcome_learners"][0]["trees"]) == columns
     assert "final_stage" not in record and record["train_config"]["final_stage"] == "forest"
@@ -174,9 +174,11 @@ def test_singular_linear_design_round_trips(tmp_path, small_model):
 
 
 def _loop_first_split(payload):
-    trees = payload["forest"]["trees"]
-    split = next(i for i, f in enumerate(trees["feature"]) if f >= 0)
-    trees["left"][split] = split
+    # the first tree's root swaps with its first leaf: node 1 is then the
+    # tree's first split, and the numbering would make it its own left child
+    feature = payload["forest"]["trees"]["feature"]
+    leaf = feature.index(-1)
+    feature[0], feature[leaf] = feature[leaf], feature[0]
 
 
 def _uneven_bags(payload):

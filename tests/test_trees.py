@@ -1,23 +1,28 @@
 """The vectorized tree kernels give exactly what the loops they replaced gave.
 
 The reference growers below are the recursive per-feature loops that
-``trees.grow_sse_tree`` and ``forest.grow_tree`` used before their search
+``trees.grow_sse_tree`` and ``forest.grow_trees`` used before their search
 was vectorized and before they grew a level at a time, kept as they were
-but for two edits: the forest reference draws each node's features from
+but for three edits: the forest reference draws each node's features from
 the same keyed uniforms of (tree seed, heap position, feature) as
-``grow_tree``, and both references renumber their pre-order tables
-breadth-first (``breadth_first``), as the level growers number nodes. On
-random inputs, including exact score ties, constant targets and columns,
-rows at the leaf-size boundaries, a quantile grid and exact bins, every
-node table must equal the reference's array for array.
+``grow_trees``, both build a ``PreorderTable``, whose splits name their
+children, and both renumber it breadth-first (``breadth_first``), as the
+level growers number nodes. On random inputs, including exact score ties,
+constant targets and columns, rows at the leaf-size boundaries, a quantile
+grid and exact bins, every node table must equal the reference's array for
+array.
 
 ``reference_leaf_index`` is the per-tree walk that ``trees.PackedTrees``
-replaced, kept as it was. The packed walk must route every row to the same
-leaf of every tree, and the GBM, forest and psi predictions built on it must
-equal per-tree loops over the reference bit for bit. ``reference_interval``
-computes one row's grouped-bag interval in the order that
-``forest.predict_interval`` documents; ``predict_tau_ci`` must equal it
-bit for bit on random forests, whatever rows share its call.
+replaced, kept as it was. It follows explicit children: a pre-order
+table's own, or those ``decode_breadth_first`` reads off a breadth-first
+tree. The packed walk, whose children follow from the numbering, must route
+every row to the same leaf of every tree, and the GBM, forest and psi
+predictions built on it must equal per-tree loops over the reference bit
+for bit. A record is accepted exactly when every tree in it decodes.
+
+``reference_interval`` computes one row's grouped-bag interval in the
+order that ``forest.predict_interval`` documents; ``predict_tau_ci`` must
+equal it bit for bit on random forests, whatever rows share its call.
 """
 
 import json
@@ -36,7 +41,6 @@ from nodemend.forest import (
     _MIN_STRUCTURE_CHILD,
     CausalForest,
     ForestParams,
-    grow_tree,
     grow_trees,
     honest_halves,
     predict_tau,
@@ -46,7 +50,6 @@ from nodemend.modelio import load_model, save_model
 from nodemend.trees import (
     CHUNK_ELEMENTS,
     MIN_GAIN,
-    NodeTable,
     PackedTrees,
     best_cuts,
     bin_features,
@@ -54,14 +57,14 @@ from nodemend.trees import (
     node_sums,
 )
 
-from conftest import breadth_first
+from conftest import PreorderTable, breadth_first
 
 PROPERTY = settings(max_examples=80)
 
 
 def reference_sse_tree(codes, thresholds, target, rows, max_depth, min_leaf):
     nbins = [len(t) + 1 for t in thresholds]
-    table = NodeTable()
+    table = PreorderTable()
 
     def grow(rows, depth):
         r = target[rows]
@@ -122,7 +125,7 @@ def reference_forest_tree(codes, thresholds, ry, ra, subsample, params, seed):
         mtry = max(1, min(params.features_per_split, d))
     else:
         mtry = max(1, min(max(math.ceil(math.sqrt(d)), math.ceil(d / 3)), d))
-    table = NodeTable()
+    table = PreorderTable()
 
     def leaf_tau(est_rows, parent_tau):
         sw = w[est_rows].sum()
@@ -292,7 +295,7 @@ def test_forest_tree_matches_per_feature_scan(data):
 
     codes, thresholds = bin_features(X, max_bins)
     want, structure, estimate = reference_forest_tree(codes, thresholds, ry, ra, subsample, params, seed)
-    assert_same_table(grow_tree(codes, thresholds, ry, ra, subsample, params, seed), want)
+    assert_same_table(grow_trees(codes, thresholds, ry, ra, [subsample], params, [seed])[0], want)
     for g, w in zip(honest_halves(np.asarray(subsample, dtype=np.int64), params, rng_for(seed)), (structure, estimate)):
         np.testing.assert_array_equal(g, w)
 
@@ -385,9 +388,46 @@ def reference_leaf_index(X, feature, threshold, left, right):
     return idx
 
 
+def decode_breadth_first(feature):
+    """(left, right) of one tree numbered breadth-first, -1 at a leaf, or
+    None where its nodes are no such tree. Level by level, each split of a
+    level, in node order, takes the next two untaken nodes as its children,
+    left then right; the tree decodes when every node is taken exactly
+    once."""
+    n = len(feature)
+    left, right = [-1] * n, [-1] * n
+
+    def level(nodes, taken):
+        if not nodes:
+            return taken == n
+        children = []
+        for k in nodes:
+            if feature[k] >= 0:
+                left[k], right[k] = taken, taken + 1
+                children += [taken, taken + 1]
+                taken += 2
+        return taken <= n and level(children, taken)
+
+    return (left, right) if n and level([0], 1) else None
+
+
+def decode_record(roots, feature):
+    """Each tree's ``decode_breadth_first`` children, or None where the
+    record's roots or features are out of range or a tree does not decode."""
+    n = len(feature)
+    if (len(roots) > 0) != (n > 0) or any(f < -1 for f in feature):
+        return None
+    if roots and (roots[0] != 0 or roots[-1] >= n or any(a >= b for a, b in zip(roots, roots[1:]))):
+        return None
+    trees = [decode_breadth_first(feature[start:stop]) for start, stop in zip(roots, [*roots[1:], n])]
+    return None if None in trees else trees
+
+
 def walk_columns(table):
-    """(feature, threshold, left, right) of one tree as arrays."""
-    return tuple(np.asarray(c) for c in (table.feature, table.threshold, table.left, table.right))
+    """(feature, threshold, left, right) of one tree as arrays: a pre-order
+    table's own children, or those its breadth-first numbering decodes to."""
+    left, right = (table.left, table.right) if isinstance(table, PreorderTable) else decode_breadth_first(list(table.feature))
+    return tuple(np.asarray(c) for c in (table.feature, table.threshold, left, right))
 
 
 def tree_depth(table, node):
@@ -403,7 +443,7 @@ def random_tree(data, rng, d, cuts, label):
     """A pre-order table of random splits over the given cut values."""
     max_depth = data.draw(st.integers(0, 6), label=f"{label}_depth")
     stop = data.draw(st.sampled_from((0.0, 0.3, 0.6)), label=f"{label}_stop")
-    table = NodeTable()
+    table = PreorderTable()
 
     def grow(depth):
         if depth >= max_depth or rng.random() < stop:
@@ -433,7 +473,7 @@ def test_packed_walk_matches_per_tree_walk(data):
     n = data.draw(st.sampled_from((0, 1, 2, 17, step - 1, step, step + 1, 2 * step + 1)), label="n")
     X = rng.choice(np.concatenate([grid, SPECIAL_VALUES]), size=(n, d))
 
-    packed = PackedTrees.pack(tables)
+    packed = PackedTrees.pack([breadth_first(t) for t in tables])
     assert len(packed) == n_trees
     assert packed.depth == max(tree_depth(t, 0) for t in tables)
     node = np.empty((n, n_trees), dtype=np.int64)
@@ -445,12 +485,14 @@ def test_packed_walk_matches_per_tree_walk(data):
         seen = rows.stop
     assert seen == n
     values = packed.values(X)
-    # each tree taken out of the record is the table it was packed from
+    # every row reaches the leaf of the breadth-first tree, decoded, that it
+    # reaches in the pre-order table; each tree taken out of the record is the
+    # table it was packed from
     for t, (table, tree) in enumerate(zip(tables, packed, strict=True)):
-        want = reference_leaf_index(X, *walk_columns(table))
+        want = reference_leaf_index(X, *walk_columns(breadth_first(table)))
         np.testing.assert_array_equal(node[:, t] - packed.roots[t], want)
-        np.testing.assert_array_equal(values[:, t], np.asarray(table.value)[want])
-        assert_same_table(tree, PackedTrees.pack([table]))
+        np.testing.assert_array_equal(values[:, t], np.asarray(table.value)[reference_leaf_index(X, *walk_columns(table))])
+        assert_same_table(tree, PackedTrees.pack([breadth_first(table)]))
     # saved and loaded through the record codec, then packed again from its
     # own trees, the record keeps every column and routes every row alike;
     # the codec refuses a threshold that is not finite
@@ -460,7 +502,7 @@ def test_packed_walk_matches_per_tree_walk(data):
             from_record(PackedTrees, saved)
         saved = None
     for copy in (PackedTrees.pack(list(packed)), *([from_record(PackedTrees, saved)] if saved else [])):
-        for name in ("roots", "feature", "threshold", "left", "right", "value", "count"):
+        for name in ("roots", "feature", "threshold", "value", "count"):
             np.testing.assert_array_equal(getattr(copy, name), getattr(packed, name), err_msg=name)
             assert getattr(copy, name).dtype == getattr(packed, name).dtype
         np.testing.assert_array_equal(np.vstack([c for _, c in copy.leaves(X)] or [node]), node)
@@ -515,7 +557,7 @@ def test_forest_interval_matches_a_per_row_reference(data):
     for table in tables:
         # leaf values of mixed magnitude, so every change of summation order shows
         table.value = (np.asarray(table.value) * 10.0 ** rng.integers(-4, 5, len(table.value))).tolist()
-    forest = CausalForest(trees=PackedTrees.pack(tables), params=params, seed=0, n=100)
+    forest = CausalForest(trees=PackedTrees.pack([breadth_first(t) for t in tables]), params=params, seed=0, n=100)
     step = CHUNK_ELEMENTS // params.n_trees
     pool = rng.choice(np.concatenate([grid, SPECIAL_VALUES]), size=(8, d))
     X = pool[rng.integers(len(pool), size=step + 1)]
@@ -530,66 +572,113 @@ def test_forest_interval_matches_a_per_row_reference(data):
 
 
 def test_packed_depth_is_the_deepest_tree():
-    leaf = NodeTable()
+    leaf = PreorderTable()
     leaf.add(2.5, 4)
-    chain = NodeTable()
+    chain = PreorderTable()
     root = chain.add()
     inner = chain.add()
     chain.split(inner, 0, 1.0, chain.add(1.0), chain.add(2.0))
     chain.split(root, 1, 0.0, inner, chain.add(3.0))
-    packed = PackedTrees.pack([leaf, chain, leaf])
+    packed = PackedTrees.pack([breadth_first(t) for t in (leaf, chain, leaf)])
     assert packed.depth == 2
     assert list(packed.roots) == [0, 1, 6]
-    assert list(packed.left) == [-1, 2, 3, -1, -1, -1, -1]
-    assert list(packed.right) == [-1, 5, 4, -1, -1, -1, -1]
+    # node k's children sit at 2k (right) and 2k + 1 (left) of ``child``; a leaf is its own
+    right, left = packed.child.reshape(-1, 2).T
+    assert list(left) == [0, 2, 4, 3, 4, 5, 6]
+    assert list(right) == [0, 3, 5, 3, 4, 5, 6]
     X = np.array([[0.5, -1.0], [np.nan, -1.0], [0.0, np.nan], [0.0, 1.0]])
     np.testing.assert_array_equal(packed.values(X)[:, 1], [1.0, 2.0, 3.0, 3.0])
     np.testing.assert_array_equal(packed.values(X)[:, [0, 2]], np.full((4, 2), 2.5))
-    assert PackedTrees.pack([leaf]).depth == 0
+    assert PackedTrees.pack([breadth_first(leaf)]).depth == 0
     assert len(PackedTrees.pack([])) == 0
     assert PackedTrees.pack([]).values(X).shape == (4, 0)
 
 
-def record(roots, feature, left, right, count=None, threshold=None):
+def record(roots, feature, count=None, threshold=None):
     """A record from plain lists; value 0 and count 1 unless given."""
     n = len(feature)
     return PackedTrees(
         np.array(roots, dtype=np.int64),
         np.array(feature, dtype=np.int64),
         np.zeros(n) if threshold is None else np.array(threshold, dtype=np.float64),
-        np.array(left, dtype=np.int64),
-        np.array(right, dtype=np.int64),
         np.zeros(n),
         np.ones(n, dtype=np.int64) if count is None else np.array(count, dtype=np.int64),
     )
 
 
 # two stumps, nodes 0-2 and 3-5, in the columns ``record`` takes
-STUMPS = ([0, 3], [0, -1, -1, 1, -1, -1], [1, -1, -1, 4, -1, -1], [2, -1, -1, 5, -1, -1])
+STUMPS = ([0, 3], [0, -1, -1, 1, -1, -1])
 
 
 def test_packed_rejects_bad_tables():
-    roots, feature, left, right = STUMPS
+    roots, feature = STUMPS
     assert record(*STUMPS).depth == 1
+    assert list(record(*STUMPS).child) == [2, 1, 1, 1, 2, 2, 5, 4, 4, 4, 5, 5]
     bad = {
-        "first root is not node 0": ([1, 3], feature, left, right, None),
-        "roots fall": ([3, 0], feature, left, right, None),
-        "a tree of no nodes": ([0, 0, 3], feature, left, right, None),
-        "a root past the end": ([0, 6], feature, left, right, None),
-        "columns of unequal length": (roots, feature, left, [2, -1, -1, 5, -1], None),
-        "a child in the next tree": (roots, feature, left, [4, -1, -1, 5, -1, -1], None),
-        "a node its own child": (roots, feature, [0, -1, -1, 4, -1, -1], right, None),
-        "one child twice": (roots, feature, left, [1, -1, -1, 5, -1, -1], None),
-        "a leaf with a child": (roots, feature, left, [2, 0, -1, 5, -1, -1], None),
-        "a feature below -1": (roots, [0, -1, -1, -2, -1, -1], left, right, None),
-        "a negative count": (roots, feature, left, right, [1, 1, -1, 1, 1, 1]),
+        "first root is not node 0": ([1, 3], feature, None, None),
+        "roots fall": ([3, 0], feature, None, None),
+        "a tree of no nodes": ([0, 0, 3], feature, None, None),
+        "a root past the end": ([0, 6], feature, None, None),
+        "columns of unequal length": (roots, feature, None, [0.0] * 5),
+        "a split's child in the next tree": ([0, 2], feature, None, None),
+        "a split turned leaf": (roots, [-1, -1, -1, 1, -1, -1], None, None),
+        "a leaf turned split": (roots, [0, -1, 0, 1, -1, -1], None, None),
+        "a split its own child": (roots, [-1, 0, -1, 1, -1, -1], None, None),
+        "the last node dropped": (roots, feature[:-1], None, None),
+        "a feature below -1": (roots, [0, -1, -1, -2, -1, -1], None, None),
+        "a negative count": (roots, feature, [1, 1, -1, 1, 1, 1], None),
     }
     for case, columns in bad.items():
         with pytest.raises(InvalidArgument):
             record(*columns)
             pytest.fail(case)
     with pytest.raises(InvalidArgument, match="trees split on feature 2, rows have 2 columns"):
-        next(record([0], [2, -1, -1], [1, -1, -1], [2, -1, -1]).leaves(np.zeros((3, 2))))
+        next(record([0], [2, -1, -1]).leaves(np.zeros((3, 2))))
+
+
+MUTATIONS = ("leaf_to_split", "split_to_leaf", "move_root", "drop_last")
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_a_record_is_accepted_exactly_when_its_trees_decode(data):
+    """Random trees, renumbered breadth-first and packed, then edited 0-2
+    times: a leaf turned split, a split turned leaf, a root moved by one, or
+    the last node dropped. Construction accepts the record exactly when
+    ``decode_record`` does, and an accepted record walks every row as the
+    per-tree reference walks the decoded children."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    d = data.draw(st.integers(1, 4), label="d")
+    grid = np.round(rng.normal(size=6), 1)
+    tables = [breadth_first(random_tree(data, rng, d, grid, f"tree{t}")) for t in range(data.draw(st.integers(1, 4), label="trees"))]
+    packed = PackedTrees.pack(tables)
+    roots, feature, threshold = (getattr(packed, name).tolist() for name in ("roots", "feature", "threshold"))
+    for m in range(data.draw(st.integers(0, 2), label="mutations")):
+        mutation = data.draw(st.sampled_from(MUTATIONS), label=f"mutation_{m}")
+        leaves, splits = ([k for k, f in enumerate(feature) if (f >= 0) == s] for s in (False, True))
+        if mutation == "leaf_to_split" and leaves:
+            feature[data.draw(st.sampled_from(leaves), label=f"node_{m}")] = data.draw(st.integers(0, d - 1), label=f"feature_{m}")
+        elif mutation == "split_to_leaf" and splits:
+            feature[data.draw(st.sampled_from(splits), label=f"node_{m}")] = -1
+        elif mutation == "move_root":
+            roots[data.draw(st.integers(0, len(roots) - 1), label=f"root_{m}")] += data.draw(st.sampled_from((-1, 1)), label=f"step_{m}")
+        elif mutation == "drop_last" and feature:
+            del feature[-1], threshold[-1]
+    n = len(feature)
+    columns = (np.array(roots, dtype=np.int64), np.array(feature, dtype=np.int64), np.array(threshold), np.zeros(n), np.ones(n, dtype=np.int64))
+    decoded = decode_record(roots, feature)
+    if decoded is None:
+        with pytest.raises(InvalidArgument):
+            PackedTrees(*columns)
+        return
+    accepted = PackedTrees(*columns)
+    assert accepted.depth < n
+    X = rng.choice(np.concatenate([grid, SPECIAL_VALUES]), size=(30, d))
+    node = np.vstack([chunk for _, chunk in accepted.leaves(X)])
+    for t, (start, (left, right)) in enumerate(zip(roots, decoded, strict=True)):
+        nodes = slice(start, start + len(left))
+        want = reference_leaf_index(X, np.array(feature[nodes]), np.array(threshold[nodes]), np.array(left), np.array(right))
+        np.testing.assert_array_equal(node[:, t] - start, want)
 
 
 def reference_gbm_predict(learner, X):

@@ -21,7 +21,9 @@ CLI (simulate, train), then, on 2 000 fresh events from seed 2020:
   own signals file, node id, event id and timestamp.
 
 The model file itself is left out, as its bytes change with the format
-version; its sha256 and size go to stderr.
+version; its sha256, its size and its ``load_model`` time (the best of
+``LOAD_REPEATS`` loads, so a format change shows its load cost) go to
+stderr.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
@@ -47,6 +50,7 @@ FRESH_SEED = 2020
 FRESH_N = 2000
 SINGLE_ROWS = 100
 RECOMMEND_EVENTS = 20
+LOAD_REPEATS = 7
 # (preset, training events, final stage)
 TRAININGS = (
     ("default", 3000, "forest"),
@@ -86,9 +90,17 @@ def digest(preset: str, n: int, final_stage: str, work: str) -> dict:
     cli("train", "--config", path("config.json"), "--data", path("train.jsonl"), "--out", path("model.bin"), "--final-stage", final_stage)
     with open(path("model.bin"), "rb") as fh:
         model_bytes = fh.read()
-    print(f"{preset} {n} {final_stage}: model.bin sha256 {sha256(model_bytes)} bytes {len(model_bytes)}", file=sys.stderr)
+    load_s = []
+    for _ in range(LOAD_REPEATS):
+        start = time.perf_counter()
+        model = load_model(path("model.bin"))
+        load_s.append(time.perf_counter() - start)
+    print(
+        f"{preset} {n} {final_stage}: model.bin sha256 {sha256(model_bytes)} bytes {len(model_bytes)}"
+        f" load_model {min(load_s) * 1e3:.2f} ms (best of {LOAD_REPEATS})",
+        file=sys.stderr,
+    )
 
-    model = load_model(path("model.bin"))
     fresh = read_events_jsonl(path("fresh.jsonl"))
     train = read_events_jsonl(path("train.jsonl"))
     batch = estimate_ite_batch(model, [e.signals for e in fresh])
