@@ -36,11 +36,6 @@ def seed_for(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
 
 
-def rng_for(seed: int, *key: int) -> np.random.Generator:
-    """A generator for the independent stream ``key`` under ``seed``."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
-
-
 # Counter-based draws (the idea of Random123, Salmon et al., SC 2011): the
 # uniform of (event, step, slot) is the SplitMix64 output (Steele, Lea &
 # Flood, OOPSLA 2014) at the packed counter event·2³² + step·2⁸ + slot of
@@ -82,6 +77,17 @@ def keyed_uniforms(seed: int, events, step: int, slots) -> np.ndarray:
     counters = keyed_counters(events, step, slots)
     z = _splitmix64(counters.reshape(-1) * _GAMMA + _keyed_start(seed))  # 1-d: wraps without a warning
     return ((z >> 11).astype(np.float64) * 2.0**-53).reshape(counters.shape)
+
+
+def keyed_sample(seed: int, n: int, k: int, step: int = 0) -> IntArray:
+    """The k rows of 0..n-1 with the smallest keyed uniform of (seed, row,
+    step), ascending; all n when k >= n. ``np.partition`` only finds the
+    k-th value, so the pick rests on the keys alone, ties lowest row first."""
+    if k >= n:
+        return np.arange(n)
+    u = keyed_uniforms(seed, np.arange(n), step, 0)
+    rows = np.flatnonzero(u <= np.partition(u, k - 1)[k - 1])
+    return rows if len(rows) == k else np.sort(rows[np.argsort(u[rows], kind="stable")[:k]])
 
 
 class MitigationAction(IntEnum):

@@ -36,7 +36,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .domain import KEYED_SLOTS, IteEstimate, keyed_uniforms, rng_for, seed_for
+from .domain import KEYED_SLOTS, IteEstimate, keyed_sample, keyed_uniforms, seed_for
 from .errors import InsufficientData, InvalidArgument
 from .parallel import map_tasks
 from .trees import NodeTable, PackedTrees, best_cuts, bin_features, bin_layout, level_histograms, node_sums, route
@@ -114,20 +114,20 @@ def bag_subsamples(n: int, params: ForestParams, seed: int, b: int) -> list[np.n
     """The rows each tree of bag ``b`` grows on.
 
     The bag draws a half-sample of the n rows without replacement; each of
-    its trees then subsamples that half-sample independently. Every draw
-    derives from (seed, bag, tree).
+    its trees then subsamples that half-sample independently. Each draw is
+    the ``keyed_sample`` of a seed derived from (seed, bag, tree), ascending.
     """
-    half = rng_for(seed, b).choice(n, size=max(1, n // 2), replace=False)
+    half = keyed_sample(seed_for(seed, b), n, max(1, n // 2))
     size = min(max(2, int(round(params.subsample_fraction * len(half)))), len(half))
-    return [half[rng_for(seed, b, i, 1).choice(len(half), size=size, replace=False)] for i in range(params.trees_per_bag)]
+    return [half[keyed_sample(seed_for(seed, b, i, 1), len(half), size)] for i in range(params.trees_per_bag)]
 
 
-def honest_halves(subsample: np.ndarray, params: ForestParams, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """(structure rows, estimation rows): the subsample shuffled by ``rng``
-    and cut at ``honest_fraction``."""
-    perm = subsample[rng.permutation(len(subsample))]
-    n_structure = max(1, int(round(params.honest_fraction * len(perm))))
-    return perm[:n_structure], perm[n_structure:]
+def honest_halves(subsample: np.ndarray, params: ForestParams, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(structure rows, estimation rows), each in subsample order. The
+    structure rows are an ``honest_fraction`` share, the ``keyed_sample`` of
+    (seed, position in the subsample, step 1); step 0 keys feature draws."""
+    picked = keyed_sample(seed, len(subsample), max(1, int(round(params.honest_fraction * len(subsample)))), 1)
+    return subsample[picked], np.delete(subsample, picked)
 
 
 def grow_trees(
@@ -139,7 +139,7 @@ def grow_trees(
     ``codes`` and ``thresholds`` come from ``trees.bin_features``.
 
     ``honest_halves`` cuts each subsample into the structure half and the
-    estimation half with the tree's own generator, so no row serves both
+    estimation half on the tree's own keyed draws, so no row serves both
     purposes. A candidate split is valid only when both structure children
     stay splittable and both estimation children keep at least
     ``min_leaf_estimate`` rows with a nonzero treatment residual. A leaf
@@ -156,7 +156,7 @@ def grow_trees(
     """
     ry = np.asarray(ry, dtype=np.float64)
     ra = np.asarray(ra, dtype=np.float64)
-    halves = [honest_halves(np.asarray(sub, dtype=np.int64), params, rng_for(s)) for sub, s in zip(subsamples, seeds)]
+    halves = [honest_halves(np.asarray(sub, dtype=np.int64), params, s) for sub, s in zip(subsamples, seeds)]
 
     d = codes.shape[1]
     if params.features_per_split is not None:
@@ -329,9 +329,8 @@ def audit_honesty(forest: CausalForest) -> bool:
     the sampler, not rows kept in the file.
     """
     p = forest.params
-    for b in range(p.bags):
-        for i, sub in enumerate(bag_subsamples(forest.n, p, forest.seed, b)):
-            structure, estimate = honest_halves(sub, p, rng_for(seed_for(forest.seed, b, i)))
-            if np.intersect1d(structure, estimate).size:
-                return False
-    return True
+    return not any(
+        np.intersect1d(*honest_halves(sub, p, seed_for(forest.seed, b, i))).size
+        for b in range(p.bags)
+        for i, sub in enumerate(bag_subsamples(forest.n, p, forest.seed, b))
+    )

@@ -17,15 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import distinct_rows, rng_for, seed_for
+from .domain import KEYED_STEPS, distinct_rows, keyed_sample, keyed_uniforms, seed_for
 from .errors import InvalidArgument
 from .parallel import map_tasks
 from .trees import PackedTrees, SseGrower, bin_features
 
 
 def make_folds(n: int, k: int, seed: int) -> np.ndarray:
-    """Per-row fold indices in [0, k): shuffle row indices with the seed
-    and cut them into k contiguous blocks.
+    """Per-row fold indices in [0, k): the rows, stably sorted by their
+    keyed uniforms of (seed, row), cut into k contiguous blocks.
 
     Block sizes differ by at most one; requires n >= k >= 2.
     """
@@ -33,15 +33,10 @@ def make_folds(n: int, k: int, seed: int) -> np.ndarray:
         raise InvalidArgument(f"fold count must be >= 2, got {k}")
     if n < k:
         raise InvalidArgument(f"need at least k={k} rows, got {n}")
-    rng = rng_for(seed)
-    perm = rng.permutation(n)
-    folds = np.empty(n, dtype=np.int64)
     base, extra = divmod(n, k)
-    start = 0
-    for j in range(k):
-        size = base + (1 if j < extra else 0)
-        folds[perm[start : start + size]] = j
-        start += size
+    folds = np.empty(n, dtype=np.int64)
+    order = np.argsort(keyed_uniforms(seed, np.arange(n), 0, 0), kind="stable")
+    folds[order] = np.repeat(np.arange(k), base + (np.arange(k) < extra))
     return folds
 
 
@@ -63,6 +58,8 @@ class LearnerConfig:
         # fewer rounds, levels or bins than these leave every tree one leaf
         if self.rounds < 1:
             raise InvalidArgument(f"rounds must be >= 1, got {self.rounds}")
+        if self.rounds >= KEYED_STEPS:
+            raise InvalidArgument(f"rounds must be < {KEYED_STEPS}: round r draws its rows at keyed step r, got {self.rounds}")
         if self.max_depth < 1:
             raise InvalidArgument(f"max_depth must be >= 1, got {self.max_depth}")
         if self.max_bins < 2:
@@ -108,10 +105,10 @@ class GradientBoostedTrees:
     """Least-squares boosting over depth-limited trees.
 
     Deterministic for a fixed seed: row subsampling per round is the only
-    random element and is drawn from a private generator. Each round grows
-    over the distinct code rows of its subsample, each carrying the sum and
-    count of its rows' residuals. ``trees`` holds the rounds' trees in
-    round order.
+    random element, round r's rows the ``keyed_sample`` of (seed, r). Each
+    round grows over the distinct code rows of its subsample, each carrying
+    the sum and count of its rows' residuals. ``trees`` holds the rounds'
+    trees in round order.
     """
 
     config: LearnerConfig
@@ -132,7 +129,6 @@ class GradientBoostedTrees:
         y = np.asarray(y, dtype=np.float64)
         if X.shape[0] != y.shape[0]:
             raise InvalidArgument("features and targets must have equal length")
-        rng = rng_for(seed, 0)
         codes, thresholds = bin_features(X, config.max_bins)
         groups = _CodeRows(codes, y)
         grower = SseGrower(codes[groups.first], thresholds)
@@ -140,10 +136,9 @@ class GradientBoostedTrees:
         tables = []
         # rows of one code row reach the same leaves, so share one prediction
         current = np.full(len(groups.first), base_value)
-        n = X.shape[0]
-        n_sub = max(1, int(round(config.subsample * n)))
-        for _ in range(config.rounds):
-            rows = rng.choice(n, size=n_sub, replace=False) if n_sub < n else np.arange(n)
+        n_sub = max(1, int(round(config.subsample * len(y))))
+        for r in range(config.rounds):
+            rows = keyed_sample(seed, len(y), n_sub, r)
             table, leaf_values = grower.grow(*groups.residuals(current, rows), config.max_depth, config.min_leaf)
             tables.append(table)
             current = current + config.learning_rate * leaf_values

@@ -118,15 +118,16 @@ def _write_jsonl(path: str, records: list) -> None:
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def _read_jsonl(path: str, cls, check=None) -> list:
+def _read_jsonl(path: str, cls, check=None, unique_ids: bool = True) -> list:
     """Every non-blank line as a ``cls`` record, passed to ``check`` when
-    given; any fault names file:line."""
+    given; any fault names file:line. With ``unique_ids``, an ``event_id``
+    that repeats is a fault naming both lines."""
     try:
         with open(path, "rb") as fh:
             lines = fh.read().split(b"\n")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    records = []
+    records, first_line = [], {}
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -136,6 +137,8 @@ def _read_jsonl(path: str, cls, check=None) -> list:
                 check(record)
         except (ValueError, DataError) as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
+        if unique_ids and first_line.setdefault(record.event_id, lineno) != lineno:
+            raise DataError(f"{path}:{lineno}: event_id {record.event_id!r} repeats line {first_line[record.event_id]}")
         records.append(record)
     return records
 
@@ -145,8 +148,8 @@ def write_events_jsonl(events: list[LabeledEvent], path: str) -> None:
 
 
 def read_events_jsonl(path: str, schema: FeatureSchema | None = None) -> list[LabeledEvent]:
-    """The events of a file; given a schema, every event's signals must
-    lie in its closed sets."""
+    """The events of a file, each id once; given a schema, every event's
+    signals must lie in its closed sets."""
     return _read_jsonl(path, LabeledEvent, None if schema is None else lambda e: schema.check(e.signals))
 
 
@@ -155,6 +158,7 @@ def write_truth_jsonl(truths: list[GroundTruth], path: str) -> None:
 
 
 def read_truth_jsonl(path: str) -> list[GroundTruth]:
+    """The truth records of a file, each event id once."""
     return _read_jsonl(path, GroundTruth)
 
 
@@ -207,7 +211,9 @@ class ActionLogger:
 
 
 def read_action_log(path: str) -> list[ActionLogRecord]:
-    return _read_jsonl(path, ActionLogRecord)
+    """The records of an action log; an event id may repeat, as
+    ``recommend``'s default one does."""
+    return _read_jsonl(path, ActionLogRecord, unique_ids=False)
 
 
 # ---------------------------------------------------------------------------

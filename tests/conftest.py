@@ -209,6 +209,12 @@ def drop_last_tree(trees) -> None:
             del column[end:]
 
 
+def pcg64_stream(seed: int, *key: int) -> np.random.Generator:
+    """numpy's PCG64 generator for the stream ``key`` under ``seed``, seeded
+    as the package seeded its draws before every draw was keyed."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
 class StubGenerator:
     """Serves given uniforms and standard normals, in order, to the scalar
     draws of ``reference_model``: ``random()`` the next uniform,

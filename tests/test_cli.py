@@ -150,6 +150,30 @@ def test_counterfactual_refuses_a_truth_file_missing_an_event(workspace, tmp_pat
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("kind", ["events", "truth"])
+def test_a_repeated_event_id_is_a_data_error(workspace, tmp_path, capsys, monkeypatch, kind):
+    # line 5 takes line 2's event id: refused naming the file and both lines,
+    # before any work (a truth join would silently keep the later record);
+    # the action log is exempt, as test_recommend_logs_action shows
+    lines = workspace[kind].read_text().splitlines()
+    row = json.loads(lines[4])
+    row["event_id"] = json.loads(lines[1])["event_id"]
+    lines[4] = json.dumps(row)
+    bad = tmp_path / f"{kind}.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(cli, "train_dml", lambda *a, **k: pytest.fail("train_dml ran"))
+    monkeypatch.setattr(evaluation, "estimate_ite_batch", lambda *a, **k: pytest.fail("estimate_ite_batch ran"))
+    if kind == "events":
+        argv = ["train", "--config", str(workspace["config"]), "--data", str(bad), "--out", str(tmp_path / "model.bin")]
+    else:
+        argv = ["counterfactual", "--model", str(workspace["model"]), "--data", str(workspace["events"]), "--truth", str(bad)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert f"data error: {bad}:5: event_id 'ev-00000001' repeats line 2" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "model.bin").exists()
+
+
 def test_recommend_logs_action(workspace, capsys):
     signals_path = workspace["root"] / "signals.json"
     signals_path.write_text(

@@ -1,4 +1,7 @@
 import dataclasses
+import pathlib
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,10 +21,14 @@ from nodemend.domain import (
     encode_matrix,
     from_record,
     keyed_counters,
+    keyed_sample,
     keyed_uniforms,
     to_record,
 )
+from nodemend import domain
 from nodemend.errors import InvalidArgument, SchemaViolation
+from nodemend.forest import ForestParams, bag_subsamples, honest_halves
+from nodemend.learners import make_folds
 
 from conftest import signal_columns
 
@@ -345,6 +352,52 @@ def test_a_keyed_uniform_is_the_same_alone_or_in_a_batch():
             assert keyed_uniforms(21, [event], 6, [slot])[0] == batch[slot, event]
     shuffled = np.random.default_rng(0).permutation(events)
     assert np.array_equal(keyed_uniforms(21, shuffled, 6, 3), batch[3, shuffled])
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 300),
+    k=st.integers(0, 320),
+    step=st.integers(0, 2**24 - 1),
+    levels=st.sampled_from((None, 2, 7)),
+)
+def test_keyed_sample_is_the_first_k_of_a_stable_sort_of_its_keys(seed, n, k, step, levels):
+    # coarse keys force ties at the k-th value: the lower rows win, as in a
+    # stable sort
+    keys = keyed_uniforms if levels is None else (lambda *key: np.floor(keyed_uniforms(*key) * levels) / levels)
+    u = keys(seed, np.arange(n), step, 0)
+    want = np.sort(np.argsort(u, kind="stable")[:k])
+    with mock.patch.object(domain, "keyed_uniforms", keys):
+        rows = keyed_sample(seed, n, k, step)
+    np.testing.assert_array_equal(rows, want)
+    assert len(rows) == min(k, n)
+    assert np.all(np.diff(rows) > 0)
+    if k >= n:
+        np.testing.assert_array_equal(rows, np.arange(n))
+
+
+def test_keyed_draws_of_every_site_are_pinned():
+    # each learner draw is a keyed sample: its rows depend on the keys alone,
+    # so no numpy release can move a model without failing this test
+    assert keyed_sample(7, 12, 5).tolist() == [0, 1, 5, 6, 7]
+    assert keyed_sample(7, 12, 5, 3).tolist() == [2, 3, 6, 8, 10]
+    assert make_folds(10, 3, 7).tolist() == [0, 1, 1, 1, 2, 0, 0, 0, 2, 2]
+    params = ForestParams(trees_per_bag=2)
+    assert [sub.tolist() for sub in bag_subsamples(12, params, 7, 1)] == [[1, 7, 8], [1, 5, 8]]
+    halves = honest_halves(np.arange(20, 30), params, 7)
+    assert [half.tolist() for half in halves] == [[20, 23, 25, 27, 28], [21, 22, 24, 26, 29]]
+
+
+def test_one_random_source():
+    # every draw in the package is a keyed uniform; numpy's Generator streams
+    # may change between releases (NEP 19), so the sources use np.random only
+    # for seed_for's SeedSequence
+    uses = []
+    for path in sorted(pathlib.Path(domain.__file__).parent.glob("*.py")):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            uses += [(path.name, m) for m in re.findall(r"\b(?:np|numpy)\.random\b(?:\.\w+)?|\bfrom numpy import .*\brandom\b", line)]
+    assert uses == [("domain.py", "np.random.SeedSequence")]
 
 
 @settings(max_examples=100)

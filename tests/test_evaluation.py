@@ -17,7 +17,6 @@ from nodemend.domain import (
     MitigationAction,
     encode_matrix,
     keyed_uniforms,
-    rng_for,
     seed_for,
 )
 from nodemend.errors import DegenerateTreatment, InvalidArgument, MissingTruth
@@ -46,7 +45,7 @@ from nodemend.simulate import (
     sample_event,
 )
 
-from conftest import StubGenerator, history_step, signal_columns
+from conftest import StubGenerator, history_step, pcg64_stream, signal_columns
 from reference_model import _draw_signals, potential_outcomes, reference_events
 
 
@@ -378,11 +377,11 @@ def reference_run(policy, primaries, config, seed, chain_draws):
 
 def pcg64_draws(seed):
     """The chain draws before they were keyed: every step seeds its own
-    PCG64 stream for (event, step) with ``rng_for``; its first uniform
+    PCG64 stream for (event, step) (``pcg64_stream``); its first uniform
     decides the recurrence and the rest feed the recurrence's draws."""
 
     def chain_draws(ev_idx, step):
-        rng = rng_for(seed, 200, ev_idx, step)
+        rng = pcg64_stream(seed, 200, ev_idx, step)
         return rng.random(), rng
 
     return chain_draws

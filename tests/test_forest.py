@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nodemend import forest as forest_module
-from nodemend.domain import from_record, rng_for, seed_for, to_record
+from nodemend.domain import from_record, keyed_uniforms, seed_for, to_record
 from nodemend.errors import InsufficientData, InvalidArgument
 from nodemend.forest import (
     CausalForest,
@@ -65,8 +65,8 @@ def test_grow_tree_min_leaf_larger_than_subsample():
 
 
 def test_grow_tree_honesty_disjoint():
-    # a tree's subsample is cut with this helper and the tree's generator
-    structure, estimate = honest_halves(np.arange(500), ForestParams(), rng_for(4))
+    # a tree's subsample is cut with this helper and the tree's seed
+    structure, estimate = honest_halves(np.arange(500), ForestParams(), 4)
     assert np.intersect1d(structure, estimate).size == 0
     assert len(structure) + len(estimate) == 500
 
@@ -113,9 +113,13 @@ def test_single_bag_single_tree_reduces_to_grow_tree():
     X, ry, ra, _ = synthetic_residuals(1000, seed=8)
     params = ForestParams(bags=1, trees_per_bag=1, subsample_fraction=1.0)
     forest = fit_forest(X, ry, ra, params, seed=11)
-    # replicate the forest's draw chain for bag 0 / tree 0
-    half = rng_for(11, 0).choice(1000, size=500, replace=False)
-    sub = half[rng_for(11, 0, 0, 1).choice(500, size=500, replace=False)]
+    # replicate the forest's draw chain for bag 0 / tree 0: each draw is the
+    # first k rows of a stable sort of keyed uniforms, back in row order
+    def first_keyed(seed, n, k):
+        return np.sort(np.argsort(keyed_uniforms(seed, np.arange(n), 0, 0), kind="stable")[:k])
+
+    half = first_keyed(seed_for(11, 0), 1000, 500)
+    sub = half[first_keyed(seed_for(11, 0, 0, 1), 500, 500)]
     # same binning as the forest fit (computed on the full data)
     tree = grow_one(*bin_features(X, params.max_bins), ry, ra, sub, params, seed_for(11, 0, 0))
     Xq = np.random.default_rng(3).normal(size=(100, X.shape[1]))

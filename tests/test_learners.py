@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodemend import parallel
-from nodemend.domain import from_record, rng_for, seed_for, to_record
+from nodemend.domain import from_record, keyed_uniforms, seed_for, to_record
 from nodemend.errors import InvalidArgument
 from nodemend.learners import GradientBoostedTrees, LearnerConfig, crossfit_predict, make_folds
 from nodemend.trees import MIN_GAIN, PackedTrees, bin_features
@@ -17,10 +17,9 @@ from conftest import PreorderTable, breadth_first
 def reference_fit(cls, config, seed, X, y):
     """``GradientBoostedTrees.fit`` written out as plain loops over the
     distinct code rows. Each round sums every group's residuals over the
-    subsample, in subsample order, then grows a tree over the groups
+    subsample, in row order, then grows a tree over the groups
     present, ordered as their code rows compare, recursively in pre-order,
     and numbers its nodes breadth-first as the level grower does."""
-    rng = rng_for(seed, 0)
     codes, thresholds = bin_features(X, config.max_bins)
     keys = sorted({tuple(row) for row in codes.tolist()})
     group_of = {key: g for g, key in enumerate(keys)}
@@ -30,8 +29,10 @@ def reference_fit(cls, config, seed, X, y):
     tables = []
     n = X.shape[0]
     n_sub = max(1, int(round(config.subsample * n)))
-    for _ in range(config.rounds):
-        rows = rng.choice(n, size=n_sub, replace=False) if n_sub < n else np.arange(n)
+    for r in range(config.rounds):
+        # round r's rows: the first n_sub of a stable sort of the keyed
+        # uniforms of (seed, row, step r), in row order
+        rows = np.sort(np.argsort(keyed_uniforms(seed, np.arange(n), r, 0), kind="stable")[:n_sub])
         sums, counts, resid = [0.0] * len(keys), [0] * len(keys), [[] for _ in keys]
         for i in rows.tolist():
             g = group[i]
@@ -233,6 +234,13 @@ def test_config_validation():
     for field, value in (("rounds", 0), ("max_depth", 0), ("max_bins", 1)):
         with pytest.raises(InvalidArgument, match=f"{field} must be >="):
             LearnerConfig(**{field: value})
+
+
+def test_rounds_past_the_keyed_bound_are_refused():
+    # round r draws its rows at keyed step r, and steps lie below 2^24
+    assert LearnerConfig(rounds=2**24 - 1).rounds == 2**24 - 1
+    with pytest.raises(InvalidArgument, match=r"rounds must be < 16777216: .*keyed step r, got 16777216"):
+        LearnerConfig(rounds=2**24)
 
 
 @settings(max_examples=120)

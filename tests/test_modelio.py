@@ -174,11 +174,15 @@ def test_singular_linear_design_round_trips(tmp_path, small_model):
 
 
 def _loop_first_split(payload):
-    # the first tree's root swaps with its first leaf: node 1 is then the
-    # tree's first split, and the numbering would make it its own left child
-    feature = payload["forest"]["trees"]["feature"]
-    leaf = feature.index(-1)
-    feature[0], feature[leaf] = feature[leaf], feature[0]
+    # the root of the first tree that splits (a one-leaf tree has nothing to
+    # swap) swaps with its first leaf: the tree's first split then lies past
+    # its root, and the numbering would make it its own left child, or a
+    # node before it
+    trees = payload["forest"]["trees"]
+    feature = trees["feature"]
+    root = next(r for r in trees["roots"] if feature[r] >= 0)
+    leaf = feature.index(-1, root)
+    feature[root], feature[leaf] = feature[leaf], feature[root]
 
 
 def _uneven_bags(payload):

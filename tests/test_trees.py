@@ -35,7 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodemend.dml import estimate_ite, estimate_ite_batch, nuisance_predictions, prepare_training_arrays, psi_loss
-from nodemend.domain import from_record, keyed_uniforms, rng_for, to_record
+from nodemend.domain import from_record, keyed_uniforms, to_record
 from nodemend.errors import InvalidArgument
 from nodemend.forest import (
     _MIN_STRUCTURE_CHILD,
@@ -111,11 +111,13 @@ def reference_sse_tree(codes, thresholds, target, rows, max_depth, min_leaf):
 
 def reference_forest_tree(codes, thresholds, ry, ra, subsample, params, seed):
     """(node table, structure rows, estimation rows)."""
-    rng = rng_for(seed)
-    perm = subsample[rng.permutation(len(subsample))]
-    n_structure = max(1, int(round(params.honest_fraction * len(perm))))
-    structure_idx = perm[:n_structure]
-    estimate_idx = perm[n_structure:]
+    # positions in the subsample, stably sorted by their keyed uniforms of
+    # (seed, position, step 1): the first n_structure are the structure rows,
+    # the rest the estimation rows, each half back in subsample order
+    order = np.argsort(keyed_uniforms(seed, np.arange(len(subsample)), 1, 0), kind="stable")
+    n_structure = max(1, int(round(params.honest_fraction * len(subsample))))
+    structure_idx = subsample[np.sort(order[:n_structure])]
+    estimate_idx = subsample[np.sort(order[n_structure:])]
 
     u = ry * ra
     w = ra * ra
@@ -296,7 +298,7 @@ def test_forest_tree_matches_per_feature_scan(data):
     codes, thresholds = bin_features(X, max_bins)
     want, structure, estimate = reference_forest_tree(codes, thresholds, ry, ra, subsample, params, seed)
     assert_same_table(grow_trees(codes, thresholds, ry, ra, [subsample], params, [seed])[0], want)
-    for g, w in zip(honest_halves(np.asarray(subsample, dtype=np.int64), params, rng_for(seed)), (structure, estimate)):
+    for g, w in zip(honest_halves(np.asarray(subsample, dtype=np.int64), params, seed), (structure, estimate)):
         np.testing.assert_array_equal(g, w)
 
 
