@@ -104,7 +104,7 @@ def _cmd_simulate(args) -> int:
     events, truths = generate_observational_dataset(args.n, cfg.sim)
     modelio.write_events_jsonl(events, args.out)
     modelio.write_truth_jsonl(truths, args.truth)
-    print(json.dumps({"events": len(events), "out": args.out, "truth": args.truth}))
+    print(json.dumps({"events": len(events), "out": args.out, "truth": args.truth}, allow_nan=False))
     return 0
 
 
@@ -122,7 +122,7 @@ def _cmd_train(args) -> int:
     events = read_events_jsonl(args.data, cfg.sim.schema())
     model = train_dml(events, train_cfg, cfg.sim.schema())
     save_model(model, args.out)
-    print(json.dumps({"model": args.out, "n": len(events), "final_stage": train_cfg.final_stage}))
+    print(json.dumps({"model": args.out, "n": len(events), "final_stage": train_cfg.final_stage}, allow_nan=False))
     return 0
 
 
@@ -135,7 +135,7 @@ def _cmd_eval(args) -> int:
         "adjusted_effect": adjusted_effect(model, events),
         "n": len(events),
     }
-    print(json.dumps(result, sort_keys=True))
+    print(json.dumps(result, sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -145,7 +145,7 @@ def _cmd_compare(args) -> int:
     model = load_model(args.model)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     report = run_policy_comparison(policies, args.n, cfg.sim, cfg.seed, model=model, decision_config=cfg.decision)
-    modelio.atomic_write_text(args.out, json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+    modelio.atomic_write_text(args.out, json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n")
     if args.plot_data:
         modelio.atomic_write_text(args.plot_data, report.histogram_csv())
     print(report.to_text_table())
@@ -160,7 +160,7 @@ def _cmd_counterfactual(args) -> int:
         report = counterfactual_analysis(model, events, truths)
     except MissingTruth as exc:
         raise DataError(f"truth file {args.truth} has {exc}") from exc
-    print(json.dumps(to_record(report), sort_keys=True))
+    print(json.dumps(to_record(report), sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -206,7 +206,7 @@ def _cmd_recommend(args) -> int:
             event_id=args.event_id,
         )
         logger.log(record)
-    print(json.dumps(decision.to_dict(), sort_keys=True))
+    print(json.dumps(decision.to_dict(), sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -268,7 +268,7 @@ def _cmd_abtest(args) -> int:
     report = evaluation.run_ab_experiment(
         groups, args.experiment, args.n, cfg.sim, cfg.seed, model=model, decision_config=cfg.decision
     )
-    out = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    out = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.out:
         modelio.atomic_write_text(args.out, out)
     print(out, end="")

@@ -31,7 +31,7 @@ from .domain import (
     seed_for,
 )
 from .errors import DegenerateTreatment, InsufficientData, InvalidArgument
-from .forest import CausalForest, ForestParams, fit_forest, predict_interval, predict_tau, predict_tau_ci
+from .forest import CausalForest, ForestParams, fit_forest, predict_interval, predict_tau_ci
 from .learners import GradientBoostedTrees, LearnerConfig, crossfit_predict, make_folds
 
 FINAL_STAGE_FOREST = "forest"
@@ -84,7 +84,9 @@ class LinearTheta:
             raise InvalidArgument(f"intercept must be finite, got {self.intercept}")
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64) @ self.coef + self.intercept
+        # a stack of one-row products: ``X @ coef`` (BLAS gemv) rounds a row
+        # differently with other rows beside it, and this rounds it as alone
+        return np.matmul(np.asarray(X, dtype=np.float64)[:, None, :], self.coef)[:, 0] + self.intercept
 
 
 @dataclass(frozen=True)
@@ -246,20 +248,21 @@ def clamp_propensity(p: np.ndarray, config: LearnerConfig) -> np.ndarray:
 
 def nuisance_predictions(model: DmlModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Average the k fold-learners; rows outside training were seen by none.
-    Each propensity learner's prediction is clamped before the average."""
-    y_hat = np.mean([lr.predict(X) for lr in model.outcome_learners], axis=0)
+    Each propensity learner's prediction is clamped before the average. A
+    row's figures depend on that row alone, so each distinct row
+    (``distinct_rows``) is predicted once."""
+    X = np.asarray(X, dtype=np.float64)
+    first, inverse = distinct_rows(X)
+    distinct = X[first]
+    y_hat = np.mean([lr.predict(distinct) for lr in model.outcome_learners], axis=0)
     learner = model.train_config.learner
-    a_hat = np.mean([clamp_propensity(lr.predict(X), learner) for lr in model.propensity_learners], axis=0)
-    return y_hat, a_hat
+    a_hat = np.mean([clamp_propensity(lr.predict(distinct), learner) for lr in model.propensity_learners], axis=0)
+    return y_hat[inverse], a_hat[inverse]
 
 
 def theta_values(model: DmlModel, X: np.ndarray) -> np.ndarray:
     """Batch effect predictions theta(x) for encoded feature rows."""
-    if model.final_stage == FINAL_STAGE_FOREST:
-        assert model.forest is not None
-        return predict_tau(model.forest, X)
-    assert model.linear is not None
-    return model.linear.predict(X)
+    return effect_bounds(model, X)[0]
 
 
 def psi_loss(model: DmlModel, dataset: list[LabeledEvent]) -> float:
@@ -267,13 +270,8 @@ def psi_loss(model: DmlModel, dataset: list[LabeledEvent]) -> float:
     if not dataset:
         raise InvalidArgument("psi_loss needs a non-empty dataset")
     X, y, a = prepare_training_arrays(dataset, model.schema)
-    # each prediction is a pure function of its row: predict each distinct
-    # row once, and gather
-    first, inverse = distinct_rows(X)
-    distinct = X[first]
-    y_hat, a_hat = (p[inverse] for p in nuisance_predictions(model, distinct))
-    theta = theta_values(model, distinct)[inverse]
-    resid = (y - y_hat) - theta * (a - a_hat)
+    y_hat, a_hat = nuisance_predictions(model, X)
+    resid = (y - y_hat) - theta_values(model, X) * (a - a_hat)
     return float(np.mean(resid**2))
 
 

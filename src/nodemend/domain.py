@@ -320,12 +320,14 @@ def distinct_rows(matrix: np.ndarray) -> tuple[IntArray, IntArray]:
     """(first, inverse) of the distinct rows of a 2-d array: row ``first[g]``
     is the first of group g, and row i belongs to group ``inverse[i]``.
     Groups follow the rows' lexicographic order, column 0 first: a
-    ``lexsort`` and a pass per column that marks where groups start."""
+    ``lexsort``, then one comparison of each sorted row with the one before
+    marks where groups start. ``-0.0`` and ``0.0`` share a group; a row
+    holding NaN is a group of its own."""
+    if len(matrix) < 2:
+        return np.arange(len(matrix)), np.arange(len(matrix))
     order = np.lexsort(matrix.T[::-1])
-    start = np.arange(len(order)) == 0
-    for j in range(matrix.shape[1]):
-        column = matrix[order, j]
-        start[1:] |= column[1:] != column[:-1]
+    ranked = matrix[order]
+    start = np.concatenate([[True], np.any(ranked[1:] != ranked[:-1], axis=1)])
     inverse = np.empty(len(order), dtype=np.int64)
     inverse[order] = np.cumsum(start) - 1
     # lexsort is stable, so a group's first row in that order is its first

@@ -30,7 +30,6 @@ from .domain import (
     LabeledEvent,
     MitigationAction,
     SignalColumns,
-    distinct_rows,
     encode_matrix,
     keyed_uniforms,
     seed_for,
@@ -148,7 +147,7 @@ class OraclePolicy:
 
 class EnginePolicy:
     """The trained model behind the decision layer, in one array pass per
-    step over the step's distinct signal rows, each estimated once."""
+    step over the step's signal rows."""
 
     name = "engine"
     reads_signals = True
@@ -158,25 +157,21 @@ class EnginePolicy:
         self.cfg = decision_config or DecisionConfig()
 
     def prepare(self, signals: SignalColumns) -> tuple[np.ndarray, ...]:
-        """(first, inverse) of the step's distinct encoded rows, as
-        ``distinct_rows`` gives them, and their tau, lower and upper."""
-        X = encode_matrix(signals, self.model.schema)
-        first, inverse = distinct_rows(X)
-        tau, lower, upper = effect_bounds(self.model, X[first])
+        """The tau, lower and upper of each of the step's rows."""
+        tau, lower, upper = effect_bounds(self.model, encode_matrix(signals, self.model.schema))
         i = np.argmin((lower <= tau) & (tau <= upper))  # the first row out of order, if any
         if not lower[i] <= tau[i] <= upper[i]:  # NaN fails it, as in IteEstimate
             raise InvalidArgument(f"bounds must satisfy lower <= tau <= upper, got ({lower[i]}, {tau[i]}, {upper[i]})")
-        return first, inverse, tau, lower, upper
+        return tau, lower, upper
 
     def choose(self, signals: SignalColumns, outcomes, events, step):
-        first, inverse, tau, lower, upper = self.prepare(signals)
-        rows = signals[first]
-        source = decision_sources(tau, upper - lower, rows.repeat_count, self.cfg)
+        tau, lower, upper = self.prepare(signals)
+        source = decision_sources(tau, upper - lower, signals.repeat_count, self.cfg)
         # per source, in the order of SOURCES: the sign rule, the legacy
         # heuristic, the capacity override's Reboot, the repeat override's Redeploy
-        redeploy = np.choose(source, [tau < 0.0, legacy_redeploys(rows), False, True])
+        redeploy = np.choose(source, [tau < 0.0, legacy_redeploys(signals), False, True])
         flagged = source == SOURCES.index(DecisionSource.REPEAT_OVERRIDE)
-        return redeploy.astype(np.int64)[inverse], flagged[inverse]
+        return redeploy.astype(np.int64), flagged
 
 
 # name -> constructor(seed, model, decision_config)

@@ -36,7 +36,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .domain import KEYED_SLOTS, IteEstimate, keyed_sample, keyed_uniforms, seed_for
+from .domain import KEYED_SLOTS, IteEstimate, distinct_rows, keyed_sample, keyed_uniforms, seed_for
 from .errors import InsufficientData, InvalidArgument
 from .parallel import map_tasks
 from .trees import NodeTable, PackedTrees, best_cuts, bin_features, bin_layout, level_histograms, node_sums, route
@@ -268,35 +268,29 @@ def _grow_bag(shared: tuple, b: int) -> list[NodeTable]:
     return grow_trees(codes, thresholds, ry, ra, subsamples, params, [seed_for(seed, b, i) for i in range(len(subsamples))])
 
 
-def predict_tau(forest: CausalForest, X: np.ndarray) -> np.ndarray:
-    """Mean leaf slope over all trees for each query row."""
-    tau = np.empty(np.shape(X)[0], dtype=np.float64)
-    for rows, node in forest.trees.leaves(X):
-        tau[rows] = np.add.reduce(forest.trees.value.take(node), axis=1) / node.shape[1]
-    return tau
-
-
 # the standard normal quantile, computed once per confidence level
 _normal_quantile = functools.lru_cache(maxsize=16)(NormalDist().inv_cdf)
 
 
 def predict_interval(forest: CausalForest, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(tau, lower, upper) arrays: each row's point estimate and grouped-bag
-    interval at the forest's ``confidence_level``.
+    """(tau, lower, upper) arrays: each row's mean leaf slope over all trees
+    and its grouped-bag interval at the forest's ``confidence_level``.
 
     Sums over a bag's trees add them one at a time in tree order, and the
     within-bag total adds the bags in bag order, so each row's figures are
-    the same whatever rows share the call.
+    the same whatever rows share the call, and each distinct row
+    (``distinct_rows``) is walked once.
     """
     p = forest.params
     bags, s = p.bags, p.trees_per_bag
     if bags < 2:
         raise InsufficientData("confidence intervals need at least 2 bags")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    m = np.empty(X.shape[0], dtype=np.float64)
-    v = np.empty(X.shape[0], dtype=np.float64)
+    first, inverse = distinct_rows(X)
+    m = np.empty(len(first), dtype=np.float64)
+    v = np.empty(len(first), dtype=np.float64)
     # chunk by chunk, so no (rows, trees) matrix of the whole batch is built
-    for rows, node in forest.trees.leaves(X):
+    for rows, node in forest.trees.leaves(X[first]):
         per_tree = forest.trees.value.take(node)
         m[rows] = np.add.reduce(per_tree, axis=1) / node.shape[1]
         # a C-order (rows, bags, trees_per_bag) view: every sum runs along one
@@ -309,7 +303,7 @@ def predict_interval(forest: CausalForest, X: np.ndarray) -> tuple[np.ndarray, n
         v_between = np.add.reduce((m_b - m[rows][:, None]) ** 2, axis=1) / bags
         v[rows] = np.maximum(v_between - v_within / s, np.maximum(p.variance_floor_frac * v_between, p.variance_floor))
     half = _normal_quantile(0.5 + p.confidence_level / 2.0) * np.sqrt(v)
-    return m, m - half, m + half
+    return m[inverse], (m - half)[inverse], (m + half)[inverse]
 
 
 def predict_tau_ci(forest: CausalForest, X: np.ndarray) -> list[IteEstimate]:

@@ -38,8 +38,9 @@ MODEL_FORMAT = "nodemend-model"
 FORMAT_VERSION = "6.0"
 
 # json.dumps(..., separators=(",", ":"), ensure_ascii=False) for every JSONL
-# line and model payload, from one encoder rather than a new one per call
-_compact = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+# line and model payload, from one encoder rather than a new one per call;
+# JSON holds no NaN or Infinity, so a non-finite float raises ValueError
+_compact = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False).encode
 
 
 def atomic_write_text(path: str, content: str) -> None:
@@ -83,7 +84,7 @@ def save_model(model: DmlModel, path: str) -> None:
         "format_version": FORMAT_VERSION,
         "sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
     }
-    atomic_write_text(path, json.dumps(header, separators=(",", ":")) + "\n" + payload)
+    atomic_write_text(path, json.dumps(header, separators=(",", ":"), allow_nan=False) + "\n" + payload)
 
 
 def load_model(path: str) -> DmlModel:

@@ -115,6 +115,12 @@ class PackedTrees:
             raise InvalidArgument("tree roots must start at 0 and rise strictly inside the node columns")
         if np.any(self.count < 0) or np.any(self.feature < -1):
             raise InvalidArgument("a tree record needs counts >= 0 and features >= -1")
+        # a forest's interval sums (tree - bag mean)^2 over every tree, each
+        # term at most (2 max|value|)^2: that total must be finite
+        largest = np.max(np.abs(self.value), initial=0.0)
+        with np.errstate(over="ignore"):
+            if not np.isfinite((2.0 * largest) ** 2 * len(roots)):
+                raise InvalidArgument(f"largest |value| {largest:.6g} overflows the squared spread of {len(roots)} trees")
         node = np.arange(n, dtype=np.int64)
         sizes = np.diff(roots, append=n)
         root = np.repeat(roots, sizes)

@@ -350,9 +350,32 @@ def test_update_gate(workspace, capsys):
     load_model(str(out_path))
 
 
-def test_update_refuses_a_candidate_whose_holdout_score_is_not_finite(tmp_path, capsys):
-    # one outcome of 1e160 in the recent window overflows the candidate's
-    # holdout psi; the gate refuses it by name and prints plain JSON
+def test_train_writes_no_model_that_could_not_serve(tmp_path, capsys):
+    # one outcome of 1e160: the fitted learners hold values whose squares
+    # overflow, so train exits 3 and writes nothing
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"seed": 5, "sim": {"preset": "default"}}))
+    events, model = tmp_path / "events.jsonl", tmp_path / "model.bin"
+    assert main(["simulate", "--config", str(cfg), "--n", "3000", "--out", str(events), "--truth", str(tmp_path / "truth.jsonl")]) == 0
+    lines = events.read_text().splitlines()
+    row = json.loads(lines[7])
+    row["avd"] = 1e160
+    lines[7] = json.dumps(row)
+    events.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        assert main(["train", "--config", str(cfg), "--data", str(events), "--out", str(model)]) == 3
+    captured = capsys.readouterr()
+    assert "largest |value|" in captured.err and "overflows the squared spread" in captured.err
+    assert captured.out == ""
+    assert not model.exists()
+
+
+def _update_with_one_huge_outcome(tmp_path, capsys, poisoned):
+    """``update`` of a two-regime model where one outcome of the ``poisoned``
+    window ("recent" or "holdout") is 1e160: its printed result, parsed as
+    strict JSON, after checking that the current model was kept."""
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"seed": 5, "sim": {"preset": "two_regime"}}))
     events, model = tmp_path / "events.jsonl", tmp_path / "model.bin"
@@ -362,23 +385,39 @@ def test_update_refuses_a_candidate_whose_holdout_score_is_not_finite(tmp_path, 
     row = json.loads(lines[7])
     row["avd"] = 1e160
     lines[7] = json.dumps(row)
-    recent = tmp_path / "recent.jsonl"
-    recent.write_text("\n".join(lines) + "\n")
+    window = tmp_path / "window.jsonl"
+    window.write_text("\n".join(lines) + "\n")
+    recent, holdout = (window, events) if poisoned == "recent" else (events, window)
     capsys.readouterr()
     out = tmp_path / "updated.bin"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
-        rc = main(["update", "--current", str(model), "--recent", str(recent), "--holdout", str(events), "--out", str(out)])
+        rc = main(["update", "--current", str(model), "--recent", str(recent), "--holdout", str(holdout), "--out", str(out)])
     assert rc == 0
+    assert out.read_bytes() == model.read_bytes()
 
     def refuse(name):
         raise ValueError(f"not JSON: {name}")
 
-    result = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    return json.loads(capsys.readouterr().out, parse_constant=refuse)
+
+
+def test_update_refuses_a_candidate_whose_holdout_score_is_not_finite(tmp_path, capsys):
+    # both models score the poisoned holdout as infinite; the gate refuses
+    # the candidate by name and prints plain JSON
+    result = _update_with_one_huge_outcome(tmp_path, capsys, "holdout")
     assert result["deployed"] is False
     assert result["reason"] == "candidate holdout score is not finite"
-    assert result["psi_candidate"] is None and math.isfinite(result["psi_current"])
-    assert out.read_bytes() == model.read_bytes()
+    assert result["psi_candidate"] is None and result["psi_current"] is None
+
+
+def test_update_refuses_a_candidate_that_could_not_serve(tmp_path, capsys):
+    # fitted on the poisoned window, the candidate's learners hold values
+    # whose squares overflow: no candidate is built and nothing is scored
+    result = _update_with_one_huge_outcome(tmp_path, capsys, "recent")
+    assert result["deployed"] is False
+    assert result["reason"].startswith("training failed: largest |value| ")
+    assert result["psi_candidate"] is None and result["psi_current"] is None
 
 
 def test_exit_code_config_error(workspace, tmp_path, capsys):
@@ -479,6 +518,12 @@ def _child_in_next_tree(p):
     p["forest"]["trees"]["roots"][1] -= 1
 
 
+def _huge_forest_leaf(p):
+    # finite, so the codec takes it, but its square overflows the interval
+    trees = p["forest"]["trees"]
+    trees["value"][_first(trees["feature"], leaf=True)] = 1e300
+
+
 ROOTS = "tree roots must start at 0 and rise strictly inside the node columns"
 
 
@@ -488,6 +533,7 @@ ROOTS = "tree roots must start at 0 and rise strictly inside the node columns"
         (_split_on_feature_99, "trees split on feature 99, rows have 18 columns"),
         (_nan_forest_leaf, "model.forest.trees.value must be a list of finite numbers"),
         (_inf_gbm_leaf, "model.outcome_learners[0].trees.value must be a list of finite numbers"),
+        (_huge_forest_leaf, "largest |value| 1e+300 overflows the squared spread of 24 trees"),
         (lambda p: p.update(metadata="x"), "model.metadata must be an object"),
         (_negative_n_estimate, "a tree record needs counts >= 0 and features >= -1"),
         (lambda p: drop_last_tree(p["outcome_learners"][0]["trees"]), "a learner of 60 rounds holds 59 trees"),
@@ -508,6 +554,7 @@ ROOTS = "tree roots must start at 0 and rise strictly inside the node columns"
         "feature_99",
         "nan_forest_leaf",
         "inf_gbm_leaf",
+        "huge_forest_leaf",
         "metadata_str",
         "negative_n_estimate",
         "short_gbm",

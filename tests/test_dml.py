@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodemend.dml import (
     DmlModel,
@@ -9,6 +11,7 @@ from nodemend.dml import (
     ModelMetadata,
     ResidualData,
     TrainConfig,
+    effect_bounds,
     estimate_ite,
     estimate_ite_batch,
     final_stage_linear,
@@ -225,8 +228,9 @@ def test_psi_nonnegative_and_true_theta_near_optimal(tworegime_bundle):
 def test_psi_loss_predicts_each_distinct_row_once(tworegime_bundle, monkeypatch):
     from nodemend import dml
     from nodemend.dml import clamp_propensity, prepare_training_arrays
-    from nodemend.forest import predict_tau
+    from nodemend.forest import predict_interval
     from nodemend.learners import GradientBoostedTrees
+    from nodemend.trees import PackedTrees
 
     model = tworegime_bundle["model"]
     holdout = tworegime_bundle["test_events"][:120]
@@ -236,26 +240,69 @@ def test_psi_loss_predicts_each_distinct_row_once(tworegime_bundle, monkeypatch)
     X, y, a = prepare_training_arrays(events, model.schema)
     y_hat = np.mean([lr.predict(X) for lr in model.outcome_learners], axis=0)
     a_hat = np.mean([clamp_propensity(lr.predict(X), model.train_config.learner) for lr in model.propensity_learners], axis=0)
-    expected = float(np.mean(((y - y_hat) - predict_tau(model.forest, X) * (a - a_hat)) ** 2))
+    tau = np.add.reduce(model.forest.trees.values(X), axis=1) / len(model.forest.trees)
+    expected = float(np.mean(((y - y_hat) - tau * (a - a_hat)) ** 2))
 
-    seen = []
+    # the rows each learner predicts, the rows psi asks an interval for, and
+    # the rows each ensemble walks
+    predicted, asked, walked = [], [], []
     gbm_predict = GradientBoostedTrees.predict
+    leaves = PackedTrees.leaves
 
     def spy_gbm(self, rows):
-        seen.append(rows)
+        predicted.append(rows)
         return gbm_predict(self, rows)
 
-    def spy_tau(forest, rows):
-        seen.append(rows)
-        return predict_tau(forest, rows)
+    def spy_interval(forest, rows):
+        asked.append(rows)
+        return predict_interval(forest, rows)
+
+    def spy_leaves(self, rows):
+        walked.append(rows)
+        return leaves(self, rows)
 
     monkeypatch.setattr(GradientBoostedTrees, "predict", spy_gbm)
-    monkeypatch.setattr(dml, "predict_tau", spy_tau)
+    monkeypatch.setattr(dml, "predict_interval", spy_interval)
+    monkeypatch.setattr(PackedTrees, "leaves", spy_leaves)
     assert psi_loss(model, events).hex() == expected.hex()
     distinct = len(np.unique(X, axis=0))
     assert distinct < len(holdout) * 3
-    assert len(seen) == len(model.outcome_learners) + len(model.propensity_learners) + 1
-    assert all(len(rows) == distinct == len(np.unique(rows, axis=0)) for rows in seen)
+    assert len(predicted) == len(model.outcome_learners) + len(model.propensity_learners)
+    assert len(asked) == 1 and np.array_equal(asked[0], X)
+    assert len(walked) == len(predicted) + 1
+    assert all(len(rows) == distinct == len(np.unique(rows, axis=0)) for rows in predicted + walked)
+
+
+def _hex(arrays) -> list[list[str]]:
+    return [[float(x).hex() for x in a] for a in arrays]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, 39), min_size=1, max_size=30),
+    stage=st.sampled_from(["forest_model", "linear_model"]),
+    data=st.data(),
+)
+def test_batch_predictions_equal_their_row_by_row_values(const2_bundle, picks, stage, data):
+    # a batch with repeats, shuffled: every batch figure is the one its row
+    # gets alone, bit for bit, however the batch's distinct rows are shared
+    model = const2_bundle[stage]
+    pool = const2_bundle["events"][:40]
+    signals = [pool[i].signals for i in picks + data.draw(st.permutations(picks), label="shuffled")]
+    X = encode_matrix(signals, model.schema)
+    rows = [X[i : i + 1] for i in range(len(X))]
+
+    def row_by_row(predict):
+        return [np.concatenate(parts) for parts in zip(*(predict(row) for row in rows))]
+
+    assert _hex(effect_bounds(model, X)) == _hex(row_by_row(lambda row: effect_bounds(model, row)))
+    assert _hex([theta_values(model, X)]) == _hex(row_by_row(lambda row: [theta_values(model, row)]))
+    assert _hex(nuisance_predictions(model, X)) == _hex(row_by_row(lambda row: nuisance_predictions(model, row)))
+    batch = estimate_ite_batch(model, signals)
+    single = [estimate_ite(model, s) for s in signals]
+    assert [(e.tau.hex(), e.tau_lower.hex(), e.tau_upper.hex()) for e in batch] == [
+        (e.tau.hex(), e.tau_lower.hex(), e.tau_upper.hex()) for e in single
+    ]
 
 
 def test_psi_schema_mismatch():

@@ -442,3 +442,14 @@ def test_distinct_rows_equal_the_byte_keyed_unique(data):
     assert [relabel[g] for g in inverse.tolist()] == want_inverse.tolist()
     assert sorted(first.tolist()) == sorted(want_first.tolist())
     assert (X[first][inverse] == X).all()
+
+
+def test_distinct_rows_share_signed_zeros_and_never_nan():
+    # -0.0 and 0.0 compare equal, and so walk every tree alike; NaN equals
+    # nothing, so a row holding it is never merged with another
+    X = np.array([[0.0, 1.0], [np.nan, 1.0], [-0.0, 1.0], [np.nan, 1.0], [2.0, np.nan]])
+    first, inverse = distinct_rows(X)
+    assert inverse[0] == inverse[2] and first[inverse[0]] == 0
+    assert len({inverse[1], inverse[3], inverse[4], inverse[0]}) == 4 == len(first)
+    for n in (0, 1):
+        assert [a.tolist() for a in distinct_rows(np.zeros((n, 3)))] == [list(range(n))] * 2

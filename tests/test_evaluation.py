@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodemend import evaluation
+from nodemend import dml, evaluation
 from nodemend.decisions import DecisionConfig, assign_policy_group, decide, legacy_policy, legacy_redeploys
-from nodemend.dml import DmlModel, LinearTheta, TrainConfig, effect_bounds, estimate_ite
+from nodemend.dml import DmlModel, LinearTheta, TrainConfig, estimate_ite
 from nodemend.domain import (
     DiagnosticSignals,
     LabeledEvent,
@@ -36,6 +36,7 @@ from nodemend.evaluation import (
     run_ab_experiment,
     run_policy_comparison,
 )
+from nodemend.forest import predict_interval
 from nodemend.simulate import (
     PRESETS,
     PotentialOutcomes,
@@ -44,6 +45,7 @@ from nodemend.simulate import (
     generate_observational_dataset,
     sample_event,
 )
+from nodemend.trees import PackedTrees
 
 from conftest import StubGenerator, history_step, pcg64_stream, signal_columns
 from reference_model import _draw_signals, potential_outcomes, reference_events
@@ -531,22 +533,32 @@ def test_engine_decides_each_row_as_decide_does_and_estimates_it_once(default_bu
     rows = [pool[i] for i in picks]
     batches = [rows, data.draw(st.permutations(rows)), [pool[i] for i in extra]]
     cfg = DecisionConfig(repeat_threshold=repeat_threshold, fallback_tau=fallback[0], fallback_width=fallback[1])
-    seen = []
+    # the rows the engine asks an interval for, and the rows the forest walks
+    asked, walked = [], []
+    leaves = PackedTrees.leaves
 
-    def spy(model, X):
-        seen.append(X)
-        return effect_bounds(model, X)
+    def spy_interval(forest, X):
+        asked.append(X)
+        return predict_interval(forest, X)
+
+    def spy_leaves(trees, X):
+        walked.append(X)
+        return leaves(trees, X)
 
     policy = EnginePolicy(model, cfg)
-    with mock.patch.object(evaluation, "effect_bounds", spy):
-        for step, batch in enumerate(batches):
+    for step, batch in enumerate(batches):
+        with mock.patch.object(dml, "predict_interval", spy_interval), mock.patch.object(PackedTrees, "leaves", spy_leaves):
             actions, flags = policy.choose(signal_columns(batch), None, np.arange(len(batch)), step)
-            expected = [decide(estimate_ite(model, s), s, cfg) for s in batch]
-            assert actions.tolist() == [int(d.action) for d in expected]
-            assert flags.tolist() == [d.unallocatable_flag for d in expected]
-            (predicted,) = seen
-            seen.clear()
-            assert Counter(map(tuple, predicted.tolist())) == Counter(set(map(tuple, encode_matrix(batch, model.schema).tolist())))
+        expected = [decide(estimate_ite(model, s), s, cfg) for s in batch]
+        assert actions.tolist() == [int(d.action) for d in expected]
+        assert flags.tolist() == [d.unallocatable_flag for d in expected]
+        X = encode_matrix(batch, model.schema)
+        (interval_rows,) = asked
+        (predicted,) = walked
+        asked.clear()
+        walked.clear()
+        assert np.array_equal(interval_rows, X)
+        assert Counter(map(tuple, predicted.tolist())) == Counter(set(map(tuple, X.tolist())))
     assert set(vars(policy)) == {"model", "cfg"}
 
 

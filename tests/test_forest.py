@@ -13,7 +13,7 @@ from nodemend.forest import (
     fit_forest,
     grow_trees,
     honest_halves,
-    predict_tau,
+    predict_interval,
     predict_tau_ci,
 )
 from nodemend.trees import PackedTrees, bin_features
@@ -98,7 +98,7 @@ def test_fit_forest_recovers_two_regime():
     X, ry, ra, tau = synthetic_residuals(6000, seed=6)
     forest = fit_forest(X, ry, ra, ForestParams(), seed=9)
     Xq, _, _, tau_q = synthetic_residuals(400, seed=60)
-    pred = predict_tau(forest, Xq)
+    pred = predict_interval(forest, Xq)[0]
     rmse = np.sqrt(np.mean((pred - tau_q) ** 2))
     assert rmse <= 1.5  # 30% of the effect magnitude
 
@@ -136,14 +136,14 @@ def _constant_forest(c: float, n_trees: int = 8, bags: int = 4) -> CausalForest:
 def test_predict_constant_forest():
     forest = _constant_forest(3.5)
     X = np.zeros((5, 2))
-    assert np.allclose(predict_tau(forest, X), 3.5)
+    assert np.allclose(predict_interval(forest, X)[0], 3.5)
 
 
 def test_predict_invariant_to_tree_order():
     X, ry, ra, _ = synthetic_residuals(1500, seed=9)
     forest = fit_forest(X, ry, ra, small_params(), seed=13)
     Xq = np.random.default_rng(5).normal(size=(40, X.shape[1]))
-    base = predict_tau(forest, Xq)
+    base = predict_interval(forest, Xq)[0]
     rng = np.random.default_rng(6)
     order = rng.permutation(len(forest.trees))
     trees = list(forest.trees)
@@ -153,7 +153,7 @@ def test_predict_invariant_to_tree_order():
         seed=forest.seed,
         n=forest.n,
     )
-    assert np.allclose(predict_tau(shuffled, Xq), base, atol=1e-12)
+    assert np.allclose(predict_interval(shuffled, Xq)[0], base, atol=1e-12)
 
 
 def test_predict_deep_in_regime():
@@ -161,7 +161,7 @@ def test_predict_deep_in_regime():
     forest = fit_forest(X, ry, ra, ForestParams(), seed=14)
     deep = np.zeros((1, X.shape[1]))
     deep[0, 0] = 2.0  # far inside the +5 regime
-    assert 4.0 <= predict_tau(forest, deep)[0] <= 6.0
+    assert 4.0 <= predict_interval(forest, deep)[0][0] <= 6.0
 
 
 def test_ci_zero_variance_floor():

@@ -364,6 +364,18 @@ def test_action_log_order_preserved(tmp_path):
     assert [r.event_id for r in records] == [f"ev-{i}" for i in range(1000)]
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_a_non_finite_figure_is_never_written_as_json(tmp_path, value):
+    # JSON holds no NaN or Infinity: the encoder refuses the record, and the
+    # log keeps no partial line
+    path = str(tmp_path / "actions.jsonl")
+    with ActionLogger(path) as logger, pytest.raises(ValueError, match="not JSON compliant"):
+        logger.log(dataclasses.replace(make_record(), tau=value))
+    assert open(path).read() == ""
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        modelio._compact({"psi": value})
+
+
 def test_action_log_parameters_field_present(tmp_path):
     path = str(tmp_path / "actions.jsonl")
     with ActionLogger(path) as logger:

@@ -43,7 +43,7 @@ from nodemend.forest import (
     ForestParams,
     grow_trees,
     honest_halves,
-    predict_tau,
+    predict_interval,
     predict_tau_ci,
 )
 from nodemend.modelio import load_model, save_model
@@ -568,7 +568,7 @@ def test_forest_interval_matches_a_per_row_reference(data):
     for n in (1, step - 1, step, step + 1):
         got = predict_tau_ci(forest, X[:n])
         assert [(e.tau, e.tau_lower, e.tau_upper) for e in got] == want[:n]
-        assert predict_tau(forest, X[:n]).tolist() == [e.tau for e in got]
+        assert predict_interval(forest, X[:n])[0].tolist() == [e.tau for e in got]
     order = rng.permutation(len(X))
     assert [(e.tau, e.tau_lower, e.tau_upper) for e in predict_tau_ci(forest, X[order])] == [want[i] for i in order]
 
@@ -636,6 +636,24 @@ def test_packed_rejects_bad_tables():
             pytest.fail(case)
     with pytest.raises(InvalidArgument, match="trees split on feature 2, rows have 2 columns"):
         next(record([0], [2, -1, -1]).leaves(np.zeros((3, 2))))
+
+
+def test_packed_refuses_values_whose_spread_overflows():
+    # a forest's interval sums squared differences of values over its trees,
+    # so (2 max|value|)^2 * trees must be finite; thresholds stay free
+    roots, feature = STUMPS
+
+    def stumps(value, threshold=0.0):
+        return PackedTrees(np.array(roots), np.array(feature), np.full(6, threshold), np.full(6, value), np.ones(6, dtype=np.int64))
+
+    largest = math.sqrt(np.finfo(np.float64).max / 2) / 2  # the most two trees can hold
+    for value in (0.5 * largest, -0.5 * largest):
+        assert stumps(value).depth == 1
+    for threshold in (np.inf, -np.inf):
+        assert stumps(1.0, threshold).depth == 1
+    for value in (2.0 * largest, -2.0 * largest, 1e300, np.inf, -np.inf, np.nan):
+        with pytest.raises(InvalidArgument, match=r"largest \|value\| .* overflows the squared spread of 2 trees"):
+            stumps(value)
 
 
 MUTATIONS = ("leaf_to_split", "split_to_leaf", "move_root", "drop_last")

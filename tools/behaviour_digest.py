@@ -23,7 +23,10 @@ CLI (simulate, train), then, on 2 000 fresh events from seed 2020:
 The model file itself is left out, as its bytes change with the format
 version; its sha256, its size and its ``load_model`` time (the best of
 ``LOAD_REPEATS`` loads, so a format change shows its load cost) go to
-stderr.
+stderr. So does the wall time of each in-process analysis of the fresh
+events (psi, counterfactual, the depth-3 policy tree and the 8-bin
+``vm_count`` effect curve, the best of ``ANALYSIS_REPEATS`` runs each),
+so a change to batch prediction shows its cost.
 """
 
 from __future__ import annotations
@@ -42,8 +45,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 from nodemend.cli import main  # noqa: E402
 from nodemend.dml import estimate_ite, estimate_ite_batch, psi_loss  # noqa: E402
 from nodemend.domain import to_record  # noqa: E402
-from nodemend.evaluation import POLICY_NAMES  # noqa: E402
-from nodemend.modelio import load_model, read_events_jsonl  # noqa: E402
+from nodemend.evaluation import POLICY_NAMES, counterfactual_analysis  # noqa: E402
+from nodemend.interpret import cate_by_feature, interpret_model  # noqa: E402
+from nodemend.modelio import load_model, read_events_jsonl, read_truth_jsonl  # noqa: E402
 
 SEED = 1010
 FRESH_SEED = 2020
@@ -51,6 +55,7 @@ FRESH_N = 2000
 SINGLE_ROWS = 100
 RECOMMEND_EVENTS = 20
 LOAD_REPEATS = 7
+ANALYSIS_REPEATS = 3
 # (preset, training events, final stage)
 TRAININGS = (
     ("default", 3000, "forest"),
@@ -74,6 +79,16 @@ def cli(*argv: object) -> str:
     return out.getvalue()
 
 
+def best_of(repeats: int, run) -> tuple[float, object]:
+    """The least wall time of ``repeats`` calls of ``run``, and its last result."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = run()
+        times.append(time.perf_counter() - start)
+    return min(times), result
+
+
 def estimates_hex(estimates) -> str:
     return "\n".join(f"{e.tau.hex()} {e.tau_lower.hex()} {e.tau_upper.hex()}" for e in estimates)
 
@@ -90,18 +105,28 @@ def digest(preset: str, n: int, final_stage: str, work: str) -> dict:
     cli("train", "--config", path("config.json"), "--data", path("train.jsonl"), "--out", path("model.bin"), "--final-stage", final_stage)
     with open(path("model.bin"), "rb") as fh:
         model_bytes = fh.read()
-    load_s = []
-    for _ in range(LOAD_REPEATS):
-        start = time.perf_counter()
-        model = load_model(path("model.bin"))
-        load_s.append(time.perf_counter() - start)
+    load_s, model = best_of(LOAD_REPEATS, lambda: load_model(path("model.bin")))
     print(
         f"{preset} {n} {final_stage}: model.bin sha256 {sha256(model_bytes)} bytes {len(model_bytes)}"
-        f" load_model {min(load_s) * 1e3:.2f} ms (best of {LOAD_REPEATS})",
+        f" load_model {load_s * 1e3:.2f} ms (best of {LOAD_REPEATS})",
         file=sys.stderr,
     )
 
     fresh = read_events_jsonl(path("fresh.jsonl"))
+    truths = read_truth_jsonl(path("fresh_truth.jsonl"))
+    analyses = {
+        "psi": lambda: psi_loss(model, fresh),
+        "counterfactual": lambda: counterfactual_analysis(model, fresh, truths),
+        "interpret": lambda: interpret_model(model, fresh, max_depth=3),
+        "cate": lambda: cate_by_feature(model, fresh, "vm_count", 8),
+    }
+    analysis_s = {name: best_of(ANALYSIS_REPEATS, run)[0] for name, run in analyses.items()}
+    print(
+        f"{preset} {n} {final_stage}: analysis "
+        + " ".join(f"{name} {t * 1e3:.1f} ms" for name, t in analysis_s.items())
+        + f" (best of {ANALYSIS_REPEATS})",
+        file=sys.stderr,
+    )
     train = read_events_jsonl(path("train.jsonl"))
     batch = estimate_ite_batch(model, [e.signals for e in fresh])
     single = [estimate_ite(model, e.signals) for e in fresh[:SINGLE_ROWS]]
