@@ -109,8 +109,11 @@ class DmlModel:
 
     Construction checks that the final stage has its own effect model and
     no other, that there is one outcome and one propensity learner per
-    fold, and that every part reads rows of the schema's width, so a model
-    file that could not serve fails when it loads.
+    fold, that every learner and the forest were built by ``train_config``
+    (its learner config, forest params and seed) on ``metadata.n`` rows,
+    and that every part reads rows of the schema's width, so a model file
+    that could not serve, or would serve by another recipe than it states,
+    fails when it loads.
     """
 
     schema: FeatureSchema
@@ -132,6 +135,18 @@ class DmlModel:
                 f"a model of {folds} folds holds {len(self.outcome_learners)} outcome and "
                 f"{len(self.propensity_learners)} propensity learners"
             )
+        # every copy of the recipe must agree with train_config, which
+        # prediction also reads (a linear stage's confidence level)
+        config = self.train_config
+        if any(lr.config != config.learner for lr in (*self.outcome_learners, *self.propensity_learners)):
+            raise InvalidArgument("a learner's config differs from train_config.learner")
+        if self.forest is not None:
+            if self.forest.params != config.forest:
+                raise InvalidArgument("forest.params differs from train_config.forest")
+            if self.forest.seed != seed_for(config.seed, 3):
+                raise InvalidArgument(f"forest.seed {self.forest.seed} is not the seed train_config.seed derives")
+            if self.forest.n != self.metadata.n:
+                raise InvalidArgument(f"forest.n {self.forest.n} differs from metadata.n {self.metadata.n}")
         # zero rows: a tree that splits on a later column, or a linear part
         # of another width, raises here
         rows = np.zeros((0, self.schema.width))

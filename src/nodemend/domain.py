@@ -12,6 +12,7 @@ import functools
 import hashlib
 import math
 import operator
+import sys
 import types
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
@@ -44,6 +45,12 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 KEYED_EVENTS, KEYED_STEPS, KEYED_SLOTS = 2**32, 2**24, 2**8
+
+# The largest outcome a record may hold. A fit keys its rows, so it holds
+# fewer than KEYED_EVENTS of them, and it squares sums of their outcomes
+# (node totals, psi, the forest's slopes and spreads): below this bound
+# even (KEYED_EVENTS · max |y|)² is finite.
+MAX_OUTCOME = math.sqrt(sys.float_info.max) / KEYED_EVENTS
 
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
@@ -97,13 +104,36 @@ class MitigationAction(IntEnum):
     REDEPLOY = 1
 
 
-@dataclass(frozen=True)
+def check_outcomes(record, names: tuple[str, ...]) -> None:
+    """Refuse an outcome field of ``record`` that is not finite, is
+    negative or exceeds MAX_OUTCOME, naming the field."""
+    for name in names:
+        value = getattr(record, name)
+        if not 0 <= value <= MAX_OUTCOME:  # False for NaN
+            raise InvalidArgument(f"{name} must be finite, >= 0 and <= {MAX_OUTCOME:.6g}, got {value}")
+
+
+def intern_fields(record, names: tuple[str, ...]) -> None:
+    """Intern each ``str`` field of a frozen ``record`` named in ``names``,
+    so that the many records read from one file share one string object
+    per value where ``json.loads`` made a copy per line."""
+    for name in names:
+        value = getattr(record, name)
+        if type(value) is str:
+            object.__setattr__(record, name, sys.intern(value))
+
+
+_CATEGORICAL = ("error_code", "hardware_type", "session_type")
+
+
+@dataclass(frozen=True, slots=True)
 class DiagnosticSignals:
     """Observable features of one unhealthy event.
 
     ``error_code`` is ``None`` when diagnostics returned nothing; that state
     is distinct from the literal code ``"other"`` and gets its own indicator
-    column in the encoding.
+    column in the encoding. The categoricals are interned, so the records
+    of a file share one string object per value.
     """
 
     vm_count: int
@@ -120,9 +150,10 @@ class DiagnosticSignals:
             raise InvalidArgument(f"vm_count must be >= 0, got {self.vm_count}")
         if self.repeat_count < 0:
             raise InvalidArgument(f"repeat_count must be >= 0, got {self.repeat_count}")
+        intern_fields(self, _CATEGORICAL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledEvent:
     """One observational row: signals, the action taken, factual outcomes."""
 
@@ -137,15 +168,12 @@ class LabeledEvent:
     unallocatable: float
 
     def __post_init__(self) -> None:
-        for name in ("avd", "blackout", "unallocatable"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise InvalidArgument(f"{name} must be finite and >= 0, got {value}")
+        check_outcomes(self, ("avd", "blackout", "unallocatable"))
         if self.interruptions < 0:
             raise InvalidArgument("interruptions must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IteEstimate:
     """Estimated downtime difference (redeploy minus reboot) with bounds.
 
@@ -183,7 +211,6 @@ class _Columns:
 
 _SIGNAL_FIELDS = tuple(f.name for f in fields(DiagnosticSignals))
 _signal_fields = operator.attrgetter(*_SIGNAL_FIELDS)
-_CATEGORICAL = ("error_code", "hardware_type", "session_type")
 
 
 @dataclass(frozen=True)

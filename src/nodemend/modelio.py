@@ -122,25 +122,26 @@ def _write_jsonl(path: str, records: list) -> None:
 def _read_jsonl(path: str, cls, check=None, unique_ids: bool = True) -> list:
     """Every non-blank line as a ``cls`` record, passed to ``check`` when
     given; any fault names file:line. With ``unique_ids``, an ``event_id``
-    that repeats is a fault naming both lines."""
+    that repeats is a fault naming both lines. The file is read a line at
+    a time, so it is never held whole."""
+    records, first_line = [], {}
     try:
         with open(path, "rb") as fh:
-            lines = fh.read().split(b"\n")
+            for lineno, line in enumerate(fh, start=1):
+                line = line.removesuffix(b"\n")
+                if not line.strip():
+                    continue
+                try:
+                    record = from_record(cls, json.loads(line.decode("utf-8")))
+                    if check is not None:
+                        check(record)
+                except (ValueError, DataError) as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from exc
+                if unique_ids and first_line.setdefault(record.event_id, lineno) != lineno:
+                    raise DataError(f"{path}:{lineno}: event_id {record.event_id!r} repeats line {first_line[record.event_id]}")
+                records.append(record)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    records, first_line = [], {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = from_record(cls, json.loads(line.decode("utf-8")))
-            if check is not None:
-                check(record)
-        except (ValueError, DataError) as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        if unique_ids and first_line.setdefault(record.event_id, lineno) != lineno:
-            raise DataError(f"{path}:{lineno}: event_id {record.event_id!r} repeats line {first_line[record.event_id]}")
-        records.append(record)
     return records
 
 

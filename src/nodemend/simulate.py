@@ -37,6 +37,8 @@ from .domain import (
     MitigationAction,
     SignalColumns,
     _Columns,
+    check_outcomes,
+    intern_fields,
     keyed_uniforms,
 )
 from .errors import InvalidArgument
@@ -317,14 +319,20 @@ PRESETS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruth:
-    """Per-event oracle record, persisted separately from the training file."""
+    """Per-event oracle record, persisted separately from the training file.
+    Its outcomes pass ``domain.check_outcomes``, and its cause is interned
+    (``domain.intern_fields``)."""
 
     event_id: str
     y_reboot: float
     y_redeploy: float
     cause: str
+
+    def __post_init__(self) -> None:
+        check_outcomes(self, ("y_reboot", "y_redeploy"))
+        intern_fields(self, ("cause",))
 
 
 # The slots of the keyed draws of event e at step s of its chain (step 0 is

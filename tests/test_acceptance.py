@@ -210,11 +210,14 @@ def test_criterion_8_exact_formula_oracles():
     checks.append(abs(air(2, 100.0) - 730.0) < 1e-8)
     # psi on 4 hand rows with fixed nuisances and constant effect model
     from nodemend.dml import DmlModel, LinearTheta
+    from nodemend.learners import LearnerConfig
     from nodemend.simulate import default_config
 
     schema = default_config().schema()
 
     class Const:
+        config = LearnerConfig()
+
         def __init__(self, v):
             self.v = v
 

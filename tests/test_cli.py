@@ -3,12 +3,17 @@ import math
 import os
 import re
 import shutil
-import warnings
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from nodemend import cli, evaluation, modelio
 from nodemend.cli import main
+from nodemend.dml import effect_bounds, psi_loss
+from nodemend.domain import MAX_OUTCOME, encode_matrix
 from nodemend.errors import ModelIntegrityError, ModelVersionError
 from nodemend.modelio import load_model, read_action_log, read_events_jsonl
 
@@ -351,8 +356,8 @@ def test_update_gate(workspace, capsys):
 
 
 def test_train_writes_no_model_that_could_not_serve(tmp_path, capsys):
-    # one outcome of 1e160: the fitted learners hold values whose squares
-    # overflow, so train exits 3 and writes nothing
+    # one outcome of 1e160: its square overflows, so train refuses the row,
+    # naming it and the field, and writes nothing
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"seed": 5, "sim": {"preset": "default"}}))
     events, model = tmp_path / "events.jsonl", tmp_path / "model.bin"
@@ -363,19 +368,16 @@ def test_train_writes_no_model_that_could_not_serve(tmp_path, capsys):
     lines[7] = json.dumps(row)
     events.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
-        assert main(["train", "--config", str(cfg), "--data", str(events), "--out", str(model)]) == 3
+    assert main(["train", "--config", str(cfg), "--data", str(events), "--out", str(model)]) == 3
     captured = capsys.readouterr()
-    assert "largest |value|" in captured.err and "overflows the squared spread" in captured.err
+    assert f"{events}:8: avd must be finite, >= 0 and <= {MAX_OUTCOME:.6g}, got 1e+160" in captured.err
     assert captured.out == ""
     assert not model.exists()
 
 
-def _update_with_one_huge_outcome(tmp_path, capsys, poisoned):
-    """``update`` of a two-regime model where one outcome of the ``poisoned``
-    window ("recent" or "holdout") is 1e160: its printed result, parsed as
-    strict JSON, after checking that the current model was kept."""
+def test_update_refuses_a_candidate_that_could_not_serve(tmp_path, capsys):
+    # one outcome of 1e160 in either window: update refuses the row, naming
+    # it and the field, before it trains or scores anything
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"seed": 5, "sim": {"preset": "two_regime"}}))
     events, model = tmp_path / "events.jsonl", tmp_path / "model.bin"
@@ -387,37 +389,95 @@ def _update_with_one_huge_outcome(tmp_path, capsys, poisoned):
     lines[7] = json.dumps(row)
     window = tmp_path / "window.jsonl"
     window.write_text("\n".join(lines) + "\n")
-    recent, holdout = (window, events) if poisoned == "recent" else (events, window)
-    capsys.readouterr()
     out = tmp_path / "updated.bin"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+    for recent, holdout in ((window, events), (events, window)):
+        capsys.readouterr()
         rc = main(["update", "--current", str(model), "--recent", str(recent), "--holdout", str(holdout), "--out", str(out)])
-    assert rc == 0
-    assert out.read_bytes() == model.read_bytes()
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert f"{window}:8: avd must be finite, >= 0 and <= {MAX_OUTCOME:.6g}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
+def test_update_refuses_a_candidate_whose_holdout_score_is_not_finite(workspace, tmp_path, capsys, monkeypatch):
+    # no accepted file makes a score overflow any more (the outcome bound),
+    # so the scores are made infinite here: the gate refuses the candidate
+    # by name and prints plain JSON
+    monkeypatch.setattr(modelio, "psi_loss", lambda model, dataset: math.inf)
+    out = tmp_path / "updated.bin"
+    argv = ["update", "--current", str(workspace["model"]), "--recent", str(workspace["events"]), "--holdout", str(workspace["events"])]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == workspace["model"].read_bytes()
 
     def refuse(name):
         raise ValueError(f"not JSON: {name}")
 
-    return json.loads(capsys.readouterr().out, parse_constant=refuse)
-
-
-def test_update_refuses_a_candidate_whose_holdout_score_is_not_finite(tmp_path, capsys):
-    # both models score the poisoned holdout as infinite; the gate refuses
-    # the candidate by name and prints plain JSON
-    result = _update_with_one_huge_outcome(tmp_path, capsys, "holdout")
+    result = json.loads(capsys.readouterr().out, parse_constant=refuse)
     assert result["deployed"] is False
     assert result["reason"] == "candidate holdout score is not finite"
     assert result["psi_candidate"] is None and result["psi_current"] is None
 
 
-def test_update_refuses_a_candidate_that_could_not_serve(tmp_path, capsys):
-    # fitted on the poisoned window, the candidate's learners hold values
-    # whose squares overflow: no candidate is built and nothing is scored
-    result = _update_with_one_huge_outcome(tmp_path, capsys, "recent")
-    assert result["deployed"] is False
-    assert result["reason"].startswith("training failed: largest |value| ")
-    assert result["psi_candidate"] is None and result["psi_current"] is None
+def test_eval_refuses_an_outcome_the_fit_cannot_square(workspace, tmp_path, capsys):
+    # psi squares each outcome: 1e160 would print an overflowed figure
+    lines = workspace["events"].read_text().splitlines()
+    row = json.loads(lines[7])
+    row["avd"] = 1e160
+    lines[7] = json.dumps(row)
+    data = tmp_path / "events.jsonl"
+    data.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--model", str(workspace["model"]), "--data", str(data)]) == 3
+    captured = capsys.readouterr()
+    assert f"{data}:8: avd must be finite, >= 0 and <= {MAX_OUTCOME:.6g}, got 1e+160" in captured.err
+    assert captured.out == ""
+
+
+@pytest.fixture(scope="module")
+def two_regime_600(tmp_path_factory):
+    """A FAST_CONFIG two-regime config and a file of 600 events drawn from it."""
+    root = tmp_path_factory.mktemp("bound")
+    cfg = root / "config.json"
+    cfg.write_text(json.dumps({**FAST_CONFIG, "seed": 5, "sim": {"preset": "two_regime"}}))
+    events = root / "events.jsonl"
+    assert main(["simulate", "--config", str(cfg), "--n", "600", "--out", str(events), "--truth", str(root / "truth.jsonl")]) == 0
+    return cfg, events
+
+
+@settings(max_examples=15, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    value=st.floats(-3.0, math.log10(sys.float_info.max)).map(lambda e: float(np.power(10.0, e))),
+    row=st.integers(0, 599),
+    field=st.sampled_from(["avd", "blackout", "unallocatable"]),
+)
+@example(value=MAX_OUTCOME, row=7, field="avd")
+@example(value=float(np.nextafter(MAX_OUTCOME, np.inf)), row=7, field="avd")
+def test_train_refuses_the_row_or_every_training_bound_is_finite(two_regime_600, tmp_path_factory, capsys, value, row, field):
+    # one outcome, log-uniform up to the largest float: train either exits 3
+    # naming that line and field, or its model bounds every training row
+    cfg, events_path = two_regime_600
+    lines = events_path.read_text().splitlines()
+    record = json.loads(lines[row])
+    record[field] = value
+    root = tmp_path_factory.mktemp("outcome")
+    data, model_path = root / "events.jsonl", root / "model.bin"
+    data.write_text("\n".join(lines[:row] + [json.dumps(record)] + lines[row + 1 :]) + "\n")
+    capsys.readouterr()
+    rc = main(["train", "--config", str(cfg), "--data", str(data), "--out", str(model_path)])
+    err = capsys.readouterr().err
+    if value > MAX_OUTCOME:
+        assert rc == 3 and f"{data}:{row + 1}: {field} must be finite" in err
+        assert not model_path.exists()
+        return
+    assert rc == 0, err
+    model = load_model(str(model_path))
+    events = read_events_jsonl(str(data))
+    tau, lower, upper = effect_bounds(model, encode_matrix([e.signals for e in events], model.schema))
+    assert np.isfinite(lower).all() and np.isfinite(upper).all()
+    assert (lower <= tau).all() and (tau <= upper).all()
+    assert math.isfinite(psi_loss(model, events))
 
 
 def test_exit_code_config_error(workspace, tmp_path, capsys):
@@ -549,6 +609,16 @@ ROOTS = "tree roots must start at 0 and rise strictly inside the node columns"
         (lambda p: p["forest"]["trees"]["roots"].append(len(p["forest"]["trees"]["feature"])), ROOTS),
         (lambda p: p["forest"]["trees"]["threshold"].pop(), "a tree record's node columns must share their length"),
         (_child_in_next_tree, "a tree of s splits must hold 2s + 1 nodes, its i-th split at most 2i past its root"),
+        # prediction reads the recipe from both copies (a linear stage's
+        # level from train_config, the forest's from its params)
+        (lambda p: p["forest"]["params"].update(confidence_level=0.5), "forest.params differs from train_config.forest"),
+        (lambda p: p["train_config"]["forest"].update(confidence_level=0.5), "forest.params differs from train_config.forest"),
+        (lambda p: p["forest"].update(seed=p["forest"]["seed"] + 1), "is not the seed train_config.seed derives"),
+        (lambda p: p["train_config"].update(seed=18), "is not the seed train_config.seed derives"),
+        (lambda p: p["forest"].update(n=p["forest"]["n"] + 1), "forest.n 501 differs from metadata.n 500"),
+        (lambda p: p["metadata"].update(n=499), "forest.n 500 differs from metadata.n 499"),
+        (lambda p: p["propensity_learners"][2]["config"].update(p_min=0.02), "a learner's config differs from train_config.learner"),
+        (lambda p: p["train_config"]["learner"].update(min_leaf=3), "a learner's config differs from train_config.learner"),
     ],
     ids=[
         "feature_99",
@@ -567,6 +637,14 @@ ROOTS = "tree roots must start at 0 and rise strictly inside the node columns"
         "root_past_end",
         "unequal_columns",
         "child_in_next_tree",
+        "recipe_forest_level",
+        "recipe_level",
+        "recipe_forest_seed",
+        "recipe_seed",
+        "recipe_forest_n",
+        "recipe_metadata_n",
+        "recipe_learner_p_min",
+        "recipe_min_leaf",
     ],
 )
 def test_model_that_could_not_serve_fails_at_load(workspace, tmp_path, capsys, edit, cause):

@@ -116,6 +116,8 @@ def test_final_stage_linear_degenerate_residual():
 class _ConstLearner:
     """Fixed-output learner for hand-computable scores."""
 
+    config = LearnerConfig()
+
     def __init__(self, value: float):
         self.value = value
 

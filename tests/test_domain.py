@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import pathlib
+import pickle
 import re
 from unittest import mock
 
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 
 from nodemend.domain import (
     DEFAULT_SCHEMA,
+    KEYED_EVENTS,
+    MAX_OUTCOME,
     DiagnosticSignals,
     FeatureSchema,
     FeatureVector,
@@ -29,6 +33,7 @@ from nodemend import domain
 from nodemend.errors import InvalidArgument, SchemaViolation
 from nodemend.forest import ForestParams, bag_subsamples, honest_halves
 from nodemend.learners import make_folds
+from nodemend.simulate import GroundTruth
 
 from conftest import signal_columns
 
@@ -46,6 +51,64 @@ def make_signals(**overrides):
     )
     base.update(overrides)
     return DiagnosticSignals(**base)
+
+
+def make_event(**overrides):
+    base = dict(
+        event_id="ev-1",
+        node_id="node-1",
+        timestamp=7,
+        signals=make_signals(),
+        action=MitigationAction.REDEPLOY,
+        avd=2.5,
+        interruptions=3,
+        blackout=0.25,
+        unallocatable=0.0,
+    )
+    base.update(overrides)
+    return LabeledEvent(**base)
+
+
+RECORDS = {
+    "DiagnosticSignals": make_signals(error_code=None),
+    "LabeledEvent": make_event(),
+    "IteEstimate": IteEstimate(tau=1.0, tau_lower=0.5, tau_upper=1.5, confidence_level=0.9),
+    "GroundTruth": GroundTruth(event_id="ev-1", y_reboot=1.5, y_redeploy=2.5, cause="software_fault"),
+}
+
+
+@pytest.mark.parametrize("record", RECORDS.values(), ids=RECORDS.keys())
+def test_records_hold_no_dict_and_still_pickle_and_replace(record):
+    # slotted: an instance is its fields, with no per-instance dict
+    assert not hasattr(record, "__dict__")
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert dataclasses.replace(record) == record
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, dataclasses.fields(record)[0].name, None)
+
+
+def test_signals_hold_one_string_object_per_categorical_value():
+    # "".join builds a new string object each time, as json.loads does
+    a, b = (make_signals(hardware_type="".join(["gpu_", "accel"]), error_code="".join(["sw_", "fault"])) for _ in range(2))
+    assert a.hardware_type is b.hardware_type and a.error_code is b.error_code
+    assert make_signals(error_code=None).error_code is None
+
+
+def test_max_outcome_is_the_largest_whose_keyed_sum_squares_finitely():
+    # a fit holds fewer than KEYED_EVENTS rows and squares sums of outcomes
+    with np.errstate(over="ignore"):
+        assert np.isfinite(np.square(np.float64(KEYED_EVENTS) * MAX_OUTCOME))
+        assert not np.isfinite(np.square(np.float64(KEYED_EVENTS) * np.nextafter(MAX_OUTCOME, np.inf)))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, np.nextafter(MAX_OUTCOME, np.inf), 1e160])
+@pytest.mark.parametrize("field", ["avd", "blackout", "unallocatable", "y_reboot", "y_redeploy"])
+def test_outcomes_the_fit_cannot_square_are_refused(field, value):
+    make = make_event if field in ("avd", "blackout", "unallocatable") else GroundTruth
+    base = {} if make is make_event else dict(event_id="ev-1", y_reboot=1.0, y_redeploy=1.0, cause="software_fault")
+    with pytest.raises(InvalidArgument, match=re.escape(f"{field} must be finite, >= 0 and <= {MAX_OUTCOME:.6g}, got ")):
+        make(**{**base, field: value})
+    assert getattr(make(**{**base, field: MAX_OUTCOME}), field) == MAX_OUTCOME
 
 
 def test_action_codes_are_fixed():

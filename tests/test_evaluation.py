@@ -37,6 +37,7 @@ from nodemend.evaluation import (
     run_policy_comparison,
 )
 from nodemend.forest import predict_interval
+from nodemend.learners import LearnerConfig
 from nodemend.simulate import (
     PRESETS,
     PotentialOutcomes,
@@ -138,6 +139,8 @@ def test_naive_effect_rejects_single_action():
 
 class _ZeroLearner:
     """A nuisance learner that predicts 0 everywhere."""
+
+    config = LearnerConfig()
 
     def predict(self, X):
         return np.zeros(X.shape[0])

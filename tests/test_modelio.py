@@ -1,6 +1,8 @@
 import dataclasses
+import errno
 import hashlib
 import json
+import math
 import re
 
 import numpy as np
@@ -9,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodemend.dml import LinearTheta, TrainConfig, estimate_ite, estimate_ite_batch, train_dml
-from nodemend.domain import DEFAULT_HARDWARE_TYPES, DEFAULT_SESSION_TYPES, DiagnosticSignals, to_record
+from nodemend.domain import (
+    DEFAULT_HARDWARE_TYPES,
+    DEFAULT_SESSION_TYPES,
+    MAX_OUTCOME,
+    DiagnosticSignals,
+    LabeledEvent,
+    from_record,
+    to_record,
+)
 from nodemend import modelio
 from nodemend.errors import (
     DataError,
@@ -300,6 +310,140 @@ def test_events_jsonl_mistyped_value(tmp_path, edit):
     open(path, "w").write("\n".join(lines) + "\n")
     with pytest.raises(DataError, match=re.escape(f"{path}:2: ")):
         read_events_jsonl(path)
+
+
+def test_events_read_from_one_file_share_their_categorical_strings(tmp_path):
+    events, _ = generate_observational_dataset(60, default_config(seed=86))
+    events = [dataclasses.replace(e, signals=dataclasses.replace(e.signals, error_code=None)) if i % 3 == 0 else e for i, e in enumerate(events)]
+    path = str(tmp_path / "events.jsonl")
+    write_events_jsonl(events, path)
+    read = read_events_jsonl(path)
+    assert read == events
+    assert all(e.signals.error_code is None for e in read[::3])
+    # json.loads makes a string object per line; equal values now share one
+    first = read[0].signals
+    assert sum(e.signals.hardware_type is first.hardware_type for e in read) > 1
+    values = [(name, getattr(e.signals, name)) for e in read for name in ("error_code", "hardware_type", "session_type")]
+    values += [("cause", t.cause) for t in read_truth_jsonl(_truth_file(tmp_path))]
+    shared = {}
+    assert all(shared.setdefault(key, key[1]) is key[1] for key in values)
+
+
+def _truth_file(tmp_path, n=20):
+    _, truths = generate_observational_dataset(n, default_config(seed=86))
+    path = str(tmp_path / "truth.jsonl")
+    write_truth_jsonl(truths, path)
+    return path
+
+
+def _split_reference(path: str, cls) -> tuple[list, str | None]:
+    """The records of a JSONL file and its first fault, ``file:line: cause``,
+    read the way a whole-file reader does: ``split(b"\\n")``, blank lines
+    skipped, each ``event_id`` once."""
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    records, first_line = [], {}
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = from_record(cls, json.loads(line.decode("utf-8")))
+        except (ValueError, DataError) as exc:
+            return records, f"{path}:{lineno}: {exc}"
+        if first_line.setdefault(record.event_id, lineno) != lineno:
+            return records, f"{path}:{lineno}: event_id {record.event_id!r} repeats line {first_line[record.event_id]}"
+        records.append(record)
+    return records, None
+
+
+LAYOUT_EVENTS, _ = generate_observational_dataset(4, default_config(seed=87))
+LAYOUT_LINES = [json.dumps(to_record(e)).encode("utf-8") for e in LAYOUT_EVENTS]
+BLANKS = [b"", b" ", b"\r", b"\t "]
+BAD_LINES = [b'{"event_id": "x"}', b"{not json", b"\xff\xfe", b'{"avd": NaN}']
+
+
+@settings(max_examples=80)
+@given(
+    body=st.lists(
+        st.one_of(st.sampled_from(range(len(LAYOUT_LINES))), st.sampled_from(BLANKS)),
+        max_size=10,
+    ),
+    endings=st.lists(st.sampled_from([b"\n", b"\r\n"]), min_size=12, max_size=12),
+    final_newline=st.booleans(),
+    tail=st.one_of(
+        st.none(),
+        st.sampled_from(BAD_LINES),
+        st.tuples(st.sampled_from(range(len(LAYOUT_LINES))), st.integers(1, 50)),
+    ),
+)
+def test_the_streaming_reader_reads_any_line_layout_as_a_split_does(tmp_path_factory, body, endings, final_newline, tail):
+    # CRLF or LF, blank lines, repeated ids, no final newline, and a bad or
+    # torn last line: the same records, or the same file:line fault
+    lines = [LAYOUT_LINES[x] if isinstance(x, int) else x for x in body]
+    if isinstance(tail, tuple):
+        lines.append(LAYOUT_LINES[tail[0]][: tail[1]])
+    elif tail is not None:
+        lines.append(tail)
+    blob = b"".join(line + end for line, end in zip(lines, endings))
+    if lines and not final_newline:
+        blob = blob[: -len(endings[len(lines) - 1])]
+    path = str(tmp_path_factory.mktemp("layout") / "events.jsonl")
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    want, fault = _split_reference(path, LabeledEvent)
+    if fault is None:
+        assert read_events_jsonl(path) == want
+    else:
+        with pytest.raises(DataError) as info:
+            read_events_jsonl(path)
+        assert str(info.value) == fault
+
+
+def test_an_os_error_mid_read_is_a_data_error(tmp_path, monkeypatch):
+    events, _ = generate_observational_dataset(3, default_config(seed=84))
+    path = str(tmp_path / "events.jsonl")
+    write_events_jsonl(events, path)
+
+    class FailsAfterOneLine:
+        """The file, whose device fails after its first line."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def __iter__(self):
+            yield self.fh.readline()
+            raise OSError(errno.EIO, "Input/output error")
+
+        def read(self, *args):
+            raise OSError(errno.EIO, "Input/output error")
+
+    real_open = open
+    monkeypatch.setattr(modelio, "open", lambda *args, **kw: FailsAfterOneLine(real_open(*args, **kw)), raising=False)
+    with pytest.raises(DataError, match=re.escape(f"cannot read {path}: [Errno 5] Input/output error")):
+        read_events_jsonl(path)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("y_reboot", math.nan), ("y_redeploy", math.inf), ("y_reboot", -0.5), ("y_redeploy", 1e160)],
+    ids=["nan", "inf", "negative", "over_bound"],
+)
+def test_truth_jsonl_refuses_an_outcome_the_fit_cannot_square(tmp_path, field, value):
+    # json.loads reads NaN and Infinity, and the codec takes any float; the record refuses them
+    path = _truth_file(tmp_path, 3)
+    lines = open(path).read().splitlines()
+    record = json.loads(lines[1])
+    record[field] = value
+    lines[1] = json.dumps(record)
+    open(path, "w").write("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: {field} must be finite, >= 0 and <= {MAX_OUTCOME:.6g}, got ")):
+        read_truth_jsonl(path)
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,10 @@ version; its sha256, its size and its ``load_model`` time (the best of
 stderr. So does the wall time of each in-process analysis of the fresh
 events (psi, counterfactual, the depth-3 policy tree and the 8-bin
 ``vm_count`` effect curve, the best of ``ANALYSIS_REPEATS`` runs each),
-so a change to batch prediction shows its cost.
+so a change to batch prediction shows its cost, and the bytes per event
+that ``read_events_jsonl`` of the fresh events retains, with the read's
+peak (both traced by ``tracemalloc``), so a change to the records shows
+its memory.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import os
 import sys
 import tempfile
 import time
+import tracemalloc
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
@@ -89,6 +93,18 @@ def best_of(repeats: int, run) -> tuple[float, object]:
     return min(times), result
 
 
+def traced_read(path: str) -> tuple[list, int, int]:
+    """``read_events_jsonl`` of ``path``, with the bytes its events retain
+    and the read's peak, as ``tracemalloc`` traces them."""
+    tracemalloc.start()
+    try:
+        events = read_events_jsonl(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return events, retained, peak
+
+
 def estimates_hex(estimates) -> str:
     return "\n".join(f"{e.tau.hex()} {e.tau_lower.hex()} {e.tau_upper.hex()}" for e in estimates)
 
@@ -112,7 +128,12 @@ def digest(preset: str, n: int, final_stage: str, work: str) -> dict:
         file=sys.stderr,
     )
 
-    fresh = read_events_jsonl(path("fresh.jsonl"))
+    fresh, retained, peak = traced_read(path("fresh.jsonl"))
+    print(
+        f"{preset} {n} {final_stage}: read_events_jsonl of {len(fresh)} events retains {retained / len(fresh):.0f} B"
+        f" per event, traced peak {peak / 1e6:.2f} MB",
+        file=sys.stderr,
+    )
     truths = read_truth_jsonl(path("fresh_truth.jsonl"))
     analyses = {
         "psi": lambda: psi_loss(model, fresh),
