@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 from . import evaluation, modelio
 from .config import load_experiment_config, parse_section
@@ -112,8 +113,6 @@ def _cmd_train(args) -> int:
     cfg = load_experiment_config(args.config)
     train_cfg = cfg.train
     if args.final_stage is not None:
-        from dataclasses import replace
-
         try:
             train_cfg = replace(train_cfg, final_stage=args.final_stage)
         except InvalidArgument as exc:

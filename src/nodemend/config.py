@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .decisions import DecisionConfig
 from .dml import TrainConfig
-from .domain import from_record, to_record
+from .domain import from_record
 from .errors import ConfigError, InvalidArgument
 from .simulate import PRESETS, SimConfig
 
@@ -40,17 +40,6 @@ class ExperimentConfig:
     sim: SimConfig
     train: TrainConfig
     decision: DecisionConfig
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "sim": to_record(self.sim),
-            "nuisance": to_record(self.train.learner),
-            "folds": self.train.folds,
-            "final_stage": self.train.final_stage,
-            "forest": to_record(self.train.forest),
-            "decision": to_record(self.decision),
-        }
 
 
 def parse_section(cls, record, what: str):
@@ -80,7 +69,7 @@ def _parse_sim(section: dict, seed: int) -> SimConfig:
     preset_name = overrides.pop("preset", "default")
     if not isinstance(preset_name, str) or preset_name not in PRESETS:
         raise ConfigError(f"unknown sim preset {preset_name!r}; choose from {sorted(PRESETS)}")
-    return parse_section(SimConfig, {**to_record(PRESETS[preset_name](seed=seed)), **overrides}, "sim")
+    return parse_section(SimConfig, {"seed": seed, **PRESETS[preset_name], **overrides}, "sim")
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:

@@ -54,6 +54,8 @@ class TrainConfig:
             raise InvalidArgument(f"unknown final stage {self.final_stage!r}")
         if self.folds < 2:
             raise InvalidArgument("folds must be >= 2")
+        if self.seed < 0:
+            raise InvalidArgument(f"seed must be >= 0, got {self.seed}")
         # grouped-bag intervals need a spread between bags
         if self.final_stage == FINAL_STAGE_FOREST and self.forest.bags < 2:
             raise InvalidArgument(f"forest.bags must be >= 2 for a forest final stage, got {self.forest.bags}")

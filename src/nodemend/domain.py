@@ -209,8 +209,8 @@ class _Columns:
         return type(self)(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
-_SIGNAL_FIELDS = tuple(f.name for f in fields(DiagnosticSignals))
-_signal_fields = operator.attrgetter(*_SIGNAL_FIELDS)
+SIGNAL_FIELDS = tuple(f.name for f in fields(DiagnosticSignals))
+_signal_fields = operator.attrgetter(*SIGNAL_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,7 @@ class SignalColumns(_Columns):
 
     def records(self) -> list[DiagnosticSignals]:
         """Row i as the record ``DiagnosticSignals``, for every row."""
-        return [DiagnosticSignals(*row) for row in zip(*(getattr(self, name).tolist() for name in _SIGNAL_FIELDS))]
+        return [DiagnosticSignals(*row) for row in zip(*(getattr(self, name).tolist() for name in SIGNAL_FIELDS))]
 
 
 @dataclass(frozen=True)
@@ -324,12 +324,12 @@ def encode_matrix(signals: SignalColumns | list[DiagnosticSignals], schema: Feat
     Raises SchemaViolation for any categorical value outside the closed set.
     """
     if isinstance(signals, SignalColumns):
-        fields_of = {name: getattr(signals, name) for name in _SIGNAL_FIELDS}
+        fields_of = {name: getattr(signals, name) for name in SIGNAL_FIELDS}
     else:
         # one pass over the records: a tuple of values per field, no arrays
-        fields_of = dict(zip(_SIGNAL_FIELDS, zip(*map(_signal_fields, signals)))) or dict.fromkeys(_SIGNAL_FIELDS, ())
+        fields_of = dict(zip(SIGNAL_FIELDS, zip(*map(_signal_fields, signals)))) or dict.fromkeys(SIGNAL_FIELDS, ())
     # the numeric fields, in field order, are the first five columns
-    numeric = np.array([fields_of[name] for name in _SIGNAL_FIELDS if name not in _CATEGORICAL], dtype=np.float64)
+    numeric = np.array([fields_of[name] for name in SIGNAL_FIELDS if name not in _CATEGORICAL], dtype=np.float64)
     out = np.zeros((numeric.shape[1], schema.width), dtype=np.float64)
     out[:, :5] = numeric.T
     cols = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decisions import SOURCES, DecisionConfig, DecisionSource, decision_sources, legacy_redeploys, preferred_action
+from .decisions import SOURCES, DecisionConfig, DecisionSource, assign_policy_group, decision_sources, legacy_redeploys, preferred_action
 from .decisions import decide  # noqa: F401  perfbench's tracer times evaluation.decide
 from .dml import DmlModel, effect_bounds, estimate_ite_batch
 from .dml import estimate_ite  # noqa: F401  perfbench's tracer times evaluation.estimate_ite
@@ -388,8 +388,6 @@ def run_ab_experiment(
 ) -> dict:
     """Sticky-assignment experiment: each node hashes into one policy group
     and stays there; KPIs aggregate per group over that group's events."""
-    from .decisions import assign_policy_group
-
     names = [name for name, _ in groups]
     check_policies(names, model is not None, "group names")
     _check_events(n_events)

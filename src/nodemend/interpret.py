@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .decisions import preferred_action
-from .dml import DmlModel, estimate_ite_batch
-from .domain import LabeledEvent, MitigationAction
+from .dml import DmlModel, estimate_ite_batch, theta_values
+from .domain import SIGNAL_FIELDS, LabeledEvent, MitigationAction, encode_matrix
 from .errors import InsufficientData, InvalidArgument
 from .trees import PackedTrees, bin_features, grow_sse_tree
 
@@ -61,18 +61,6 @@ def render_policy(tree: PackedTrees, feature_names: list[str]) -> str:
     return "\n".join(lines)
 
 
-SIGNAL_FEATURES = (
-    "vm_count",
-    "has_important_workload",
-    "network_ok",
-    "repeat_count",
-    "uncorrectable_tag",
-    "error_code",
-    "hardware_type",
-    "session_type",
-)
-
-
 def check_depth(max_depth: int) -> None:
     if max_depth < 0:
         raise InvalidArgument("max_depth must be >= 0")
@@ -84,8 +72,8 @@ def check_bins(bins: int) -> None:
 
 
 def check_feature(name: str) -> None:
-    if name not in SIGNAL_FEATURES:
-        raise InvalidArgument(f"unknown feature {name!r}; choose from {SIGNAL_FEATURES}")
+    if name not in SIGNAL_FIELDS:
+        raise InvalidArgument(f"unknown feature {name!r}; choose from {SIGNAL_FIELDS}")
 
 
 def cate_by_feature(
@@ -138,10 +126,6 @@ def interpret_model(
     max_depth: int = 3,
 ) -> tuple[PackedTrees, str]:
     """Fit and render the policy tree for a dataset under a model."""
-    from .domain import encode_matrix
-
     X = encode_matrix([e.signals for e in dataset], model.schema)
-    estimates = estimate_ite_batch(model, [e.signals for e in dataset])
-    taus = np.asarray([e.tau for e in estimates])
-    tree = fit_policy_tree(X, taus, max_depth=max_depth)
+    tree = fit_policy_tree(X, theta_values(model, X), max_depth=max_depth)
     return tree, render_policy(tree, list(model.schema.column_names))

@@ -202,7 +202,7 @@ class SimConfig:
                 value = getattr(self, f.name)
                 if not 0.0 <= value <= 1.0:
                     raise InvalidArgument(f"{f.name} must lie in [0, 1], got {value}")
-        for name, low in (("ticks_per_day", 1), ("max_chain_length", 0), ("repeat_count_cap", 0)):
+        for name, low in (("seed", 0), ("ticks_per_day", 1), ("max_chain_length", 0), ("repeat_count_cap", 0)):
             if getattr(self, name) < low:
                 raise InvalidArgument(f"{name} must be >= {low}, got {getattr(self, name)}")
         if any(v < 1 for v in self.vm_count_values):
@@ -240,83 +240,52 @@ class SimConfig:
         return FeatureSchema(hardware_types=self.hardware_types, session_types=self.session_types)
 
 
-def default_config(seed: int = 0) -> SimConfig:
-    return SimConfig(seed=seed)
-
-
-def zero_effect_config(seed: int = 0) -> SimConfig:
-    """Both actions share one outcome draw; assignment stays confounded."""
-    return SimConfig(seed=seed, effect_kind=EFFECT_ZERO)
-
-
-def constant_effect_config(seed: int = 0, delta: float = 2.0) -> SimConfig:
-    """Redeploy costs exactly ``delta`` more than Reboot on every event."""
-    return SimConfig(seed=seed, effect_kind=EFFECT_CONSTANT, effect_constant=delta)
-
-
-def two_regime_config(seed: int = 0, delta: float = 5.0, vm_threshold: int = 3) -> SimConfig:
-    """True effect is +delta below the VM-count threshold and -delta at or above it.
-
-    The base outcome keeps an offset of 6 so the shifted potential outcome
-    stays positive without clipping, preserving the exact +-delta effect.
-    """
-    return SimConfig(
-        seed=seed,
-        effect_kind=EFFECT_TWO_REGIME,
-        regime_delta=delta,
-        regime_vm_threshold=vm_threshold,
-        base_offset=6.0,
-    )
-
-
-def vm_risk_config(seed: int = 0) -> SimConfig:
-    """Reboot failure risk grows with VM count while migration stays cheap.
-
-    Under this mix the per-VM-count effect curve crosses zero: Reboot wins
-    on nearly-empty nodes, Redeploy wins on full ones.
-    """
-    return SimConfig(
-        seed=seed,
-        cause_probs=(0.70, 0.25, 0.05),
-        software_reboot_fail_prob=0.05,
-        reboot_fail_vm_slope=0.08,
-        migration_cost_per_vm=0.01,
-    )
-
-
-def recurrence_heavy_config(seed: int = 0) -> SimConfig:
-    """Signal-poor cluster where hidden hardware faults loop under reboots.
-
-    Diagnostics are mostly missing and the repeat counter carries no signal
-    in the training logs, so the model keeps recommending Reboot on the
-    (mostly healthy-looking) ambiguous events; the rare hidden hardware
-    fault then relapses until the repeat override steps in.
-    """
-    return SimConfig(
-        seed=seed,
-        cause_probs=(0.85, 0.05, 0.10),
-        error_code_missing_rate=0.90,
-        uncorrectable_base=0.02,
-        uncorrectable_hw_base=0.02,
-        uncorrectable_hw_severity_slope=0.05,
-        repeat_lambda_transient=0.4,
-        repeat_lambda_software=0.4,
-        repeat_lambda_hw_base=0.4,
-        repeat_lambda_hw_severity_slope=0.0,
-        hw_reboot_recur_prob=0.98,
-        background_recur_prob=0.005,
-        recurrence_delay_days=0.3,
-    )
-
-
-PRESETS = {
-    "default": default_config,
-    "zero_effect": zero_effect_config,
-    "constant_effect": constant_effect_config,
-    "two_regime": two_regime_config,
-    "vm_risk": vm_risk_config,
-    "recurrence_heavy": recurrence_heavy_config,
+# The named clusters, each as its overrides of the SimConfig defaults; a
+# config file picks one by name and may override any field on top.
+PRESETS: dict[str, dict] = {
+    "default": {},
+    # both actions share one outcome draw; assignment stays confounded
+    "zero_effect": {"effect_kind": EFFECT_ZERO},
+    # Redeploy costs exactly effect_constant more than Reboot on every event
+    "constant_effect": {"effect_kind": EFFECT_CONSTANT},
+    # the true effect is +regime_delta below regime_vm_threshold VMs and
+    # -regime_delta at or above it; the base outcome keeps an offset of 6 so
+    # the shifted potential outcome stays positive without clipping,
+    # preserving the exact +-delta effect
+    "two_regime": {"effect_kind": EFFECT_TWO_REGIME, "base_offset": 6.0},
+    # reboot failure risk grows with VM count while migration stays cheap, so
+    # the per-VM-count effect curve crosses zero: Reboot wins on nearly-empty
+    # nodes, Redeploy wins on full ones
+    "vm_risk": {
+        "cause_probs": (0.70, 0.25, 0.05),
+        "software_reboot_fail_prob": 0.05,
+        "reboot_fail_vm_slope": 0.08,
+        "migration_cost_per_vm": 0.01,
+    },
+    # a signal-poor cluster where hidden hardware faults loop under reboots:
+    # diagnostics are mostly missing and the repeat counter carries no signal
+    # in the training logs, so the model keeps recommending Reboot on the
+    # (mostly healthy-looking) ambiguous events; the rare hidden hardware
+    # fault then relapses until the repeat override steps in
+    "recurrence_heavy": {
+        "cause_probs": (0.85, 0.05, 0.10),
+        "error_code_missing_rate": 0.90,
+        "uncorrectable_hw_base": 0.02,  # as uncorrectable_base, so the tag barely marks a hardware fault
+        "uncorrectable_hw_severity_slope": 0.05,
+        "repeat_lambda_transient": 0.4,
+        "repeat_lambda_software": 0.4,
+        "repeat_lambda_hw_base": 0.4,
+        "repeat_lambda_hw_severity_slope": 0.0,
+        "hw_reboot_recur_prob": 0.98,
+        "background_recur_prob": 0.005,
+        "recurrence_delay_days": 0.3,
+    },
 }
+
+
+def preset(name: str, seed: int = 0) -> SimConfig:
+    """The cluster ``PRESETS[name]`` drawn under ``seed``."""
+    return SimConfig(seed=seed, **PRESETS[name])
 
 
 @dataclass(frozen=True, slots=True)

@@ -15,14 +15,7 @@ from hypothesis import settings
 
 from nodemend.dml import TrainConfig, assemble_model, residualize_dataset, train_dml
 from nodemend.domain import DiagnosticSignals, SignalColumns
-from nodemend.simulate import (
-    constant_effect_config,
-    default_config,
-    generate_observational_dataset,
-    two_regime_config,
-    vm_risk_config,
-    zero_effect_config,
-)
+from nodemend.simulate import SimConfig, generate_observational_dataset, preset
 from nodemend.trees import NodeTable
 
 # Every property test draws the same examples on every run, and none has a
@@ -41,12 +34,12 @@ ZERO_SEED = 130
 @pytest.fixture(scope="session")
 def tworegime_bundle():
     """n=10000 two-regime training set, its forest model, and 500 held-out points."""
-    cfg = two_regime_config(seed=TWO_REGIME_SEED)
+    cfg = preset("two_regime", TWO_REGIME_SEED)
     t0 = time.monotonic()
     events, truths = generate_observational_dataset(10_000, cfg)
     model = train_dml(events, TrainConfig(seed=TWO_REGIME_SEED), cfg.schema())
     elapsed = time.monotonic() - t0
-    test_events, test_truths = generate_observational_dataset(500, two_regime_config(seed=TWO_REGIME_TEST_SEED))
+    test_events, test_truths = generate_observational_dataset(500, preset("two_regime", TWO_REGIME_TEST_SEED))
     return {
         "elapsed_s": elapsed,
         "config": cfg,
@@ -61,7 +54,7 @@ def tworegime_bundle():
 @pytest.fixture(scope="session")
 def const2_bundle():
     """Constant-effect(+2) training set with both final stages on shared residuals."""
-    cfg = constant_effect_config(seed=CONST2_SEED, delta=2.0)
+    cfg = preset("constant_effect", CONST2_SEED)
     t0 = time.monotonic()
     events, truths = generate_observational_dataset(10_000, cfg)
     tc = TrainConfig(seed=CONST2_SEED)
@@ -83,7 +76,7 @@ def const2_bundle():
 @pytest.fixture(scope="session")
 def default_bundle():
     """Default structural config: training set and forest model."""
-    cfg = default_config(seed=DEFAULT_SEED)
+    cfg = SimConfig(seed=DEFAULT_SEED)
     events, truths = generate_observational_dataset(10_000, cfg)
     model = train_dml(events, TrainConfig(seed=DEFAULT_SEED), cfg.schema())
     return {"config": cfg, "events": events, "truths": truths, "model": model}
@@ -92,7 +85,7 @@ def default_bundle():
 @pytest.fixture(scope="session")
 def vmrisk_bundle():
     """VM-risk config: reboot failure probability grows with VM count."""
-    cfg = vm_risk_config(seed=140)
+    cfg = preset("vm_risk", 140)
     events, truths = generate_observational_dataset(10_000, cfg)
     model = train_dml(events, TrainConfig(seed=140), cfg.schema())
     return {"config": cfg, "events": events, "truths": truths, "model": model}
@@ -101,7 +94,7 @@ def vmrisk_bundle():
 @pytest.fixture(scope="session")
 def zero_bundle():
     """Zero-true-effect confounded config at the acceptance scale (n=20000)."""
-    cfg = zero_effect_config(seed=ZERO_SEED)
+    cfg = preset("zero_effect", ZERO_SEED)
     t0 = time.monotonic()
     events, truths = generate_observational_dataset(20_000, cfg)
     model = train_dml(events, TrainConfig(seed=ZERO_SEED), cfg.schema())

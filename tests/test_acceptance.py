@@ -23,12 +23,7 @@ from nodemend.dml import (
 )
 from nodemend.domain import DiagnosticSignals, IteEstimate, MitigationAction
 from nodemend.evaluation import adjusted_effect, air, avd, naive_effect, run_policy_comparison
-from nodemend.simulate import (
-    generate_observational_dataset,
-    recurrence_heavy_config,
-    true_tau,
-    two_regime_config,
-)
+from nodemend.simulate import SimConfig, generate_observational_dataset, preset, true_tau
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -72,9 +67,9 @@ def test_criterion_3_model_ordering():
     wins = []
     details = []
     for seed in (300, 301, 302, 303, 304):
-        cfg = two_regime_config(seed=seed)
+        cfg = preset("two_regime", seed)
         train_events, _ = generate_observational_dataset(4000, cfg)
-        holdout, _ = generate_observational_dataset(1500, two_regime_config(seed=seed + 50))
+        holdout, _ = generate_observational_dataset(1500, preset("two_regime", seed + 50))
         tc = TrainConfig(seed=seed)
         res, ol, pl = residualize_dataset(train_events, tc, cfg.schema())
         forest_model = assemble_model(res, ol, pl, tc, cfg.schema(), train_events)
@@ -211,9 +206,8 @@ def test_criterion_8_exact_formula_oracles():
     # psi on 4 hand rows with fixed nuisances and constant effect model
     from nodemend.dml import DmlModel, LinearTheta
     from nodemend.learners import LearnerConfig
-    from nodemend.simulate import default_config
 
-    schema = default_config().schema()
+    schema = SimConfig().schema()
 
     class Const:
         config = LearnerConfig()
@@ -266,7 +260,7 @@ def test_criterion_8_exact_formula_oracles():
 
 
 def test_criterion_9_repeat_override_efficacy():
-    cfg = recurrence_heavy_config(seed=900)
+    cfg = preset("recurrence_heavy", 900)
     events, _ = generate_observational_dataset(6000, cfg)
     from nodemend.dml import train_dml
 

@@ -848,6 +848,20 @@ def test_unwritable_output_path_is_a_data_error(workspace, tmp_path, capsys, mon
     assert target == "missing_dir" or list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("where", ["top", "sim"])
+@pytest.mark.parametrize("command", ["simulate_out", "train_out", "compare_out"])
+def test_a_negative_seed_is_a_config_error(workspace, tmp_path, capsys, monkeypatch, command, where):
+    # refused where the config is read, before any seed reaches a keyed draw
+    refuse_work(monkeypatch)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**FAST_CONFIG, "seed": -1} if where == "top" else {**FAST_CONFIG, "sim": {"seed": -3}}))
+    out = tmp_path / "out"
+    assert main([str(arg) for arg in OUTPUT_ARGS[command]({**workspace, "config": cfg_path}, tmp_path, out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: seed must be >= 0, got {-1 if where == 'top' else -3}\n"
+    assert captured.out == "" and list(tmp_path.iterdir()) == [cfg_path]
+
+
 @pytest.mark.parametrize("window", ["recent", "holdout"])
 def test_update_window_outside_the_schema_is_a_data_error(workspace, tmp_path, capsys, monkeypatch, window):
     # one row of an unknown hardware type, on line 3: refused before

@@ -6,7 +6,7 @@ import pytest
 from nodemend.cli import main
 from nodemend.config import load_experiment_config, parse_experiment_config
 from nodemend.errors import ConfigError
-from nodemend.simulate import PRESETS, SimConfig
+from nodemend.simulate import PRESETS, SimConfig, preset
 
 
 def minimal(**over):
@@ -35,6 +35,14 @@ def test_sim_preset_and_overrides():
     assert cfg.sim.effect_kind == "two_regime"
     assert cfg.sim.regime_delta == 4.0
     assert cfg.sim.base_offset == 6.0  # preset default survives overrides
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_the_sim_section_is_the_preset_with_its_overrides(name):
+    assert parse_experiment_config(minimal(sim={"preset": name})).sim == preset(name, 7)
+    over = {"seed": 9, "regime_delta": 4.0, "cause_probs": [0.5, 0.3, 0.2]}
+    sim = parse_experiment_config(minimal(sim={"preset": name, **over})).sim
+    assert sim == dataclasses.replace(preset(name, 7), **{**over, "cause_probs": (0.5, 0.3, 0.2)})
 
 
 def test_unknown_keys_rejected_everywhere():
@@ -128,6 +136,7 @@ def test_every_sim_float_must_be_finite():
         ("legacy_flip_prob", 2.0),
         ("error_code_missing_rate", -0.1),
         ("uncorrectable_hw_base", 1.01),
+        ("seed", -3),
     ],
 )
 def test_out_of_range_sim_value_exits_2_naming_the_field(tmp_path, capsys, field, value):
@@ -210,14 +219,6 @@ def test_load_from_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_experiment_config(str(bad))
-
-
-def test_round_trip_through_dict():
-    cfg = parse_experiment_config(minimal(sim={"preset": "default"}, folds=4))
-    again = parse_experiment_config(cfg.to_dict())
-    assert again.train.folds == 4
-    assert again.sim == cfg.sim
-    assert again.decision == cfg.decision
 
 
 @pytest.mark.parametrize(

@@ -25,16 +25,11 @@ from nodemend.decisions import preferred_action
 from nodemend.domain import DEFAULT_SCHEMA, MitigationAction, encode_matrix
 from nodemend.errors import DegenerateTreatment, InsufficientData, SchemaViolation
 from nodemend.learners import LearnerConfig, crossfit_predict, make_folds
-from nodemend.simulate import (
-    default_config,
-    generate_observational_dataset,
-    true_tau,
-    zero_effect_config,
-)
+from nodemend.simulate import SimConfig, generate_observational_dataset, preset, true_tau
 
 
 def test_train_requires_rows_and_both_actions():
-    cfg = default_config(seed=1)
+    cfg = SimConfig(seed=1)
     events, _ = generate_observational_dataset(400, cfg)
     with pytest.raises(InsufficientData):
         train_dml(events[:30], TrainConfig(), cfg.schema())
@@ -63,7 +58,7 @@ def test_constant_effect_forest_average(const2_bundle):
 
 def test_null_effect_randomized_forest():
     # fair-coin assignment, outcome independent of the action
-    cfg = zero_effect_config(seed=7)
+    cfg = preset("zero_effect", 7)
     cfg = type(cfg)(**{**{f: getattr(cfg, f) for f in cfg.__dataclass_fields__}, "legacy_flip_prob": 0.5})
     events, _ = generate_observational_dataset(5000, cfg)
     model = train_dml(events, TrainConfig(seed=7), cfg.schema())
@@ -140,9 +135,9 @@ def _hand_model(schema, y_hat: float, a_hat: float, theta0: float) -> DmlModel:
 def test_propensity_clamp_on_pure_stratum():
     # every row has the same signals and was redeployed: each fold's
     # propensity learner predicts 1, which residualizing clamps to 1 - p_min
-    events, _ = generate_observational_dataset(40, default_config(seed=0))
+    events, _ = generate_observational_dataset(40, SimConfig(seed=0))
     events = [dataclasses.replace(e, signals=events[0].signals, action=MitigationAction.REDEPLOY) for e in events]
-    res, _, _ = residualize_dataset(events, TrainConfig(folds=4), default_config(seed=0).schema())
+    res, _, _ = residualize_dataset(events, TrainConfig(folds=4), SimConfig(seed=0).schema())
     assert np.allclose(1.0 - res.ra, 0.99)
 
 
@@ -177,7 +172,7 @@ def test_nuisance_predictions_clamp_each_fold_learner_before_the_mean():
 
 
 def test_psi_loss_hand_computed_four_rows():
-    cfg = default_config(seed=11)
+    cfg = SimConfig(seed=11)
     events, _ = generate_observational_dataset(4, cfg)
     schema = cfg.schema()
     y_hat, a_hat, theta0 = 3.0, 0.25, 1.5
@@ -190,7 +185,7 @@ def test_psi_loss_hand_computed_four_rows():
 
 def test_psi_loss_zero_when_nuisances_perfect():
     # outcome depends only on signals; theta == 0 and exact nuisances
-    cfg = default_config(seed=12)
+    cfg = SimConfig(seed=12)
     events, _ = generate_observational_dataset(6, cfg)
     schema = cfg.schema()
     fixed = [
@@ -308,7 +303,7 @@ def test_batch_predictions_equal_their_row_by_row_values(const2_bundle, picks, s
 
 
 def test_psi_schema_mismatch():
-    cfg = default_config(seed=13)
+    cfg = SimConfig(seed=13)
     events, _ = generate_observational_dataset(60, cfg)
     other_schema = type(cfg.schema())(hardware_types=("only_one",))
     model = _hand_model(other_schema, 0.0, 0.5, 0.0)
@@ -330,10 +325,9 @@ def test_estimate_ite_constant_effect_per_point():
     # runs on the standard preset in acceptance
     import math
     from dataclasses import replace
-    from nodemend.simulate import constant_effect_config
 
     cfg = replace(
-        constant_effect_config(seed=31, delta=2.0),
+        preset("constant_effect", 31),
         base_log_sigma=0.08,
         base_severity_slope=0.08,
         base_log_mu_transient=math.log(3),
@@ -365,10 +359,7 @@ def test_estimate_batch_matches_single(tworegime_bundle):
 def test_orthogonality_to_outcome_shift():
     # adding a signal-driven term to all outcomes shifts both potential
     # outcomes equally; the effect estimate must stay put
-    cfg = default_config(seed=21)
-    from nodemend.simulate import constant_effect_config
-
-    cfg = constant_effect_config(seed=21, delta=2.0)
+    cfg = preset("constant_effect", 21)
     events, _ = generate_observational_dataset(8000, cfg)
     model_a = train_dml(events, TrainConfig(seed=21), cfg.schema())
     shifted = [

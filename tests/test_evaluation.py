@@ -39,11 +39,11 @@ from nodemend.evaluation import (
 from nodemend.forest import predict_interval
 from nodemend.learners import LearnerConfig
 from nodemend.simulate import (
-    PRESETS,
     PotentialOutcomes,
+    SimConfig,
     box_muller,
-    default_config,
     generate_observational_dataset,
+    preset,
     sample_event,
 )
 from nodemend.trees import PackedTrees
@@ -159,7 +159,7 @@ def _constant_model(schema, c: float) -> DmlModel:
 
 
 def test_adjusted_effect_constant_model_exact():
-    cfg = default_config(seed=40)
+    cfg = SimConfig(seed=40)
     events, _ = generate_observational_dataset(200, cfg)
     model = _constant_model(cfg.schema(), -1.25)
     assert adjusted_effect(model, events) == pytest.approx(-1.25, abs=1e-12)
@@ -202,13 +202,13 @@ def test_comparison_oracle_dominates(default_bundle):
 
 
 def test_convergence_events_count_chains_cut_at_the_cap():
-    cfg = dataclasses.replace(default_config(seed=56), max_chain_length=1)
+    cfg = dataclasses.replace(SimConfig(seed=56), max_chain_length=1)
     report = run_policy_comparison(["random", "always_reboot", "oracle"], 500, cfg, seed=56)
     for row in report.rows.values():
         assert 0 < row.convergence_events <= row.sample_count
         # with a cap of one step, every chain that recurs is cut at the cap
         assert row.convergence_events == row.recurrence_events
-    uncapped = run_policy_comparison(["oracle"], 500, default_config(seed=56), seed=56)
+    uncapped = run_policy_comparison(["oracle"], 500, SimConfig(seed=56), seed=56)
     assert uncapped.rows["oracle"].convergence_events == 0
 
 
@@ -222,7 +222,7 @@ def test_comparison_byte_reproducible(default_bundle):
 
 def test_comparison_avd_matches_manual_reconstruction():
     # the reported AVD is avd() of the concatenated per-VM downtimes
-    cfg = default_config(seed=55)
+    cfg = SimConfig(seed=55)
     report = run_policy_comparison(["always_reboot"], 500, cfg, seed=55)
     nodes, _, outcomes = _generate_primaries(500, cfg)
     downtimes = []
@@ -232,7 +232,7 @@ def test_comparison_avd_matches_manual_reconstruction():
 
 
 def test_harness_events_are_a_stream_apart_from_the_training_events():
-    cfg = default_config(seed=55)
+    cfg = SimConfig(seed=55)
     _, signals, outcomes = _generate_primaries(300, cfg)
     events, truths = generate_observational_dataset(300, cfg)
     assert sum(s == e.signals for s, e in zip(signals.records(), events)) < 150
@@ -240,13 +240,13 @@ def test_harness_events_are_a_stream_apart_from_the_training_events():
 
 
 def test_comparison_requires_model_for_engine():
-    cfg = default_config(seed=56)
+    cfg = SimConfig(seed=56)
     with pytest.raises(InvalidArgument):
         run_policy_comparison(["engine"], 100, cfg, seed=0, model=None)
 
 
 def test_counterfactual_partition_and_degenerate_agreement():
-    cfg = default_config(seed=57)
+    cfg = SimConfig(seed=57)
     events, _ = generate_observational_dataset(300, cfg)
     # constant negative tau prefers Redeploy everywhere
     model = _constant_model(cfg.schema(), -3.0)
@@ -449,7 +449,7 @@ def _check_against_references(row, hist, name, model, subset, config, seed, deci
 
 @settings(max_examples=40)
 @given(
-    preset=st.sampled_from(["default", "recurrence_heavy", "two_regime", "vm_risk"]),
+    name=st.sampled_from(["default", "recurrence_heavy", "two_regime", "vm_risk"]),
     seed=st.integers(0, 2**16),
     n=st.integers(1, 300),
     max_chain_length=st.sampled_from([0, 1, 2, 25]),
@@ -458,9 +458,9 @@ def _check_against_references(row, hist, name, model, subset, config, seed, deci
     repeat_threshold=st.sampled_from([10, 1]),
     data=st.data(),
 )
-def test_harness_matches_reference_loop(default_bundle, preset, seed, n, max_chain_length, policies, repeat_threshold, data):
+def test_harness_matches_reference_loop(default_bundle, name, seed, n, max_chain_length, policies, repeat_threshold, data):
     model = default_bundle["model"]
-    config = dataclasses.replace(PRESETS[preset](seed=seed), max_chain_length=max_chain_length)
+    config = dataclasses.replace(preset(name, seed), max_chain_length=max_chain_length)
     decisions = DecisionConfig(repeat_threshold=repeat_threshold)
     primaries = [(i, draw, outs) for i, draw, outs, _ in reference_events(n, config, seed_for(config.seed, 300))]
 
@@ -490,7 +490,7 @@ def test_harness_matches_reference_loop(default_bundle, preset, seed, n, max_cha
 
 
 def test_comparison_refuses_empty_or_repeated_policies():
-    cfg = default_config(seed=58)
+    cfg = SimConfig(seed=58)
     for policies in ([], ["legacy", "legacy"]):
         with pytest.raises(InvalidArgument, match="policies"):
             run_policy_comparison(policies, 50, cfg, seed=0)
@@ -510,7 +510,7 @@ def test_comparison_refuses_empty_or_repeated_policies():
 def test_runners_check_the_policy_list_before_any_draw(monkeypatch, policies, cause):
     for name in ("_generate_primaries", "_run_one_policy"):
         monkeypatch.setattr(evaluation, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
-    cfg = default_config(seed=59)
+    cfg = SimConfig(seed=59)
     with pytest.raises(InvalidArgument, match=cause):
         run_policy_comparison(policies, 50, cfg, seed=0, model=None)
     with pytest.raises(InvalidArgument, match=cause):
@@ -566,7 +566,7 @@ def test_engine_decides_each_row_as_decide_does_and_estimates_it_once(default_bu
 
 
 def test_legacy_columns_equal_the_legacy_policy_per_record():
-    cfg = default_config(seed=60)
+    cfg = SimConfig(seed=60)
     events, _ = generate_observational_dataset(2000, cfg)
     _, drawn = sample_event(np.arange(2000), cfg, 61)
     for columns in (signal_columns([e.signals for e in events]), drawn):

@@ -7,14 +7,14 @@ from nodemend.dml import estimate_ite_batch
 from nodemend.errors import InsufficientData, InvalidArgument
 from nodemend.evaluation import adjusted_effect
 from nodemend.interpret import cate_by_feature, fit_policy_tree, interpret_model, render_policy
-from nodemend.simulate import default_config, generate_observational_dataset
+from nodemend.simulate import SimConfig, generate_observational_dataset
 
 
 @pytest.fixture(scope="module")
 def hw_clustered():
     """Events where the effect is -5 iff error_code == hw_failure, else +5;
     hardware failures should map to Redeploy at the root."""
-    cfg = default_config(seed=71)
+    cfg = SimConfig(seed=71)
     events, _ = generate_observational_dataset(1200, cfg)
     X = encode_matrix([e.signals for e in events], cfg.schema())
     hw_col = cfg.schema().column_names.index("error_code=hw_failure")

@@ -185,9 +185,9 @@ def test_no_leakage_of_own_row():
 
 def test_gbm_learns_something_on_synthetic_default():
     from nodemend.domain import encode_matrix
-    from nodemend.simulate import default_config, generate_observational_dataset
+    from nodemend.simulate import SimConfig, generate_observational_dataset
 
-    cfg = default_config(seed=31)
+    cfg = SimConfig(seed=31)
     events, _ = generate_observational_dataset(3000, cfg)
     X = encode_matrix([e.signals for e in events], cfg.schema())
     y = np.array([e.avd for e in events])

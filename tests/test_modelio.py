@@ -43,14 +43,14 @@ from nodemend.modelio import (
     write_events_jsonl,
     write_truth_jsonl,
 )
-from nodemend.simulate import default_config, generate_observational_dataset
+from nodemend.simulate import SimConfig, generate_observational_dataset
 
 from conftest import drop_last_tree, reseal
 
 
 @pytest.fixture(scope="module")
 def small_model():
-    cfg = default_config(seed=81)
+    cfg = SimConfig(seed=81)
     events, _ = generate_observational_dataset(400, cfg)
     model = train_dml(events, TrainConfig(seed=81), cfg.schema())
     return cfg, events, model
@@ -61,7 +61,7 @@ def test_model_round_trip_bitwise(tmp_path, small_model):
     path = str(tmp_path / "model.bin")
     save_model(model, path)
     loaded = load_model(path)
-    probe_cfg = default_config(seed=82)
+    probe_cfg = SimConfig(seed=82)
     probe, _ = generate_observational_dataset(100, probe_cfg)
     for e in probe:
         before = estimate_ite(model, e.signals)
@@ -226,7 +226,7 @@ def test_model_unreadable_path_is_a_model_error(tmp_path, name):
 
 
 def test_events_jsonl_round_trip_and_bytes(tmp_path):
-    cfg = default_config(seed=83)
+    cfg = SimConfig(seed=83)
     events, truths = generate_observational_dataset(200, cfg)
     p1, p2 = str(tmp_path / "e1.jsonl"), str(tmp_path / "e2.jsonl")
     write_events_jsonl(events, p1)
@@ -249,7 +249,7 @@ def test_files_and_log_lines_are_the_bytes_of_compact_json_dumps(tmp_path, small
         return json.dumps(to_record(record), separators=(",", ":"), ensure_ascii=False)
 
     _, _, model = small_model
-    events, truths = generate_observational_dataset(40, default_config(seed=84))
+    events, truths = generate_observational_dataset(40, SimConfig(seed=84))
     events = [
         dataclasses.replace(e, node_id=f"nœud-{i}-東京", signals=dataclasses.replace(e.signals, error_code=None) if i % 2 else e.signals)
         for i, e in enumerate(events)
@@ -278,7 +278,7 @@ def test_events_jsonl_bad_record(tmp_path):
 
 @pytest.mark.parametrize("field,value", [("avd", "NaN"), ("blackout", "Infinity"), ("unallocatable", "NaN")])
 def test_events_jsonl_non_finite_outcome(tmp_path, field, value):
-    events, _ = generate_observational_dataset(3, default_config(seed=84))
+    events, _ = generate_observational_dataset(3, SimConfig(seed=84))
     path = str(tmp_path / "outcomes.jsonl")
     write_events_jsonl(events, path)
     lines = open(path).read().splitlines()
@@ -300,7 +300,7 @@ def test_events_jsonl_non_finite_outcome(tmp_path, field, value):
     ids=["important_str", "vm_count_float", "repeat_count_bool", "action_str"],
 )
 def test_events_jsonl_mistyped_value(tmp_path, edit):
-    events, _ = generate_observational_dataset(3, default_config(seed=84))
+    events, _ = generate_observational_dataset(3, SimConfig(seed=84))
     path = str(tmp_path / "typed.jsonl")
     write_events_jsonl(events, path)
     lines = open(path).read().splitlines()
@@ -313,7 +313,7 @@ def test_events_jsonl_mistyped_value(tmp_path, edit):
 
 
 def test_events_read_from_one_file_share_their_categorical_strings(tmp_path):
-    events, _ = generate_observational_dataset(60, default_config(seed=86))
+    events, _ = generate_observational_dataset(60, SimConfig(seed=86))
     events = [dataclasses.replace(e, signals=dataclasses.replace(e.signals, error_code=None)) if i % 3 == 0 else e for i, e in enumerate(events)]
     path = str(tmp_path / "events.jsonl")
     write_events_jsonl(events, path)
@@ -330,7 +330,7 @@ def test_events_read_from_one_file_share_their_categorical_strings(tmp_path):
 
 
 def _truth_file(tmp_path, n=20):
-    _, truths = generate_observational_dataset(n, default_config(seed=86))
+    _, truths = generate_observational_dataset(n, SimConfig(seed=86))
     path = str(tmp_path / "truth.jsonl")
     write_truth_jsonl(truths, path)
     return path
@@ -356,7 +356,7 @@ def _split_reference(path: str, cls) -> tuple[list, str | None]:
     return records, None
 
 
-LAYOUT_EVENTS, _ = generate_observational_dataset(4, default_config(seed=87))
+LAYOUT_EVENTS, _ = generate_observational_dataset(4, SimConfig(seed=87))
 LAYOUT_LINES = [json.dumps(to_record(e)).encode("utf-8") for e in LAYOUT_EVENTS]
 BLANKS = [b"", b" ", b"\r", b"\t "]
 BAD_LINES = [b'{"event_id": "x"}', b"{not json", b"\xff\xfe", b'{"avd": NaN}']
@@ -400,7 +400,7 @@ def test_the_streaming_reader_reads_any_line_layout_as_a_split_does(tmp_path_fac
 
 
 def test_an_os_error_mid_read_is_a_data_error(tmp_path, monkeypatch):
-    events, _ = generate_observational_dataset(3, default_config(seed=84))
+    events, _ = generate_observational_dataset(3, SimConfig(seed=84))
     path = str(tmp_path / "events.jsonl")
     write_events_jsonl(events, path)
 
@@ -456,7 +456,7 @@ def test_truth_jsonl_refuses_an_outcome_the_fit_cannot_square(tmp_path, field, v
     ids=["unknown_key", "missing_key", "mistyped"],
 )
 def test_truth_jsonl_fails_closed(tmp_path, edit):
-    _, truths = generate_observational_dataset(2, default_config(seed=85))
+    _, truths = generate_observational_dataset(2, SimConfig(seed=85))
     path = str(tmp_path / "truth.jsonl")
     write_truth_jsonl(truths, path)
     lines = open(path).read().splitlines()

@@ -1,9 +1,11 @@
+import hashlib
 import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from nodemend import modelio
 from nodemend.decisions import legacy_policy
 from nodemend.domain import MitigationAction, encode_matrix, from_record, keyed_uniforms, seed_for, to_record
 from nodemend.errors import InvalidArgument
@@ -17,15 +19,12 @@ from nodemend.simulate import (
     SimConfig,
     box_muller,
     capped_poisson,
-    default_config,
     draw_signals,
     generate_observational_dataset,
     potential_outcomes,
-    recurrence_heavy_config,
+    preset,
     sample_event,
     step_node,
-    two_regime_config,
-    zero_effect_config,
 )
 
 from conftest import StubGenerator, history_step
@@ -51,7 +50,7 @@ def test_degenerate_missing_rate():
 
 def test_stream_determinism():
     # every draw is a pure function of its key: the same in any batch
-    cfg = default_config(seed=99)
+    cfg = SimConfig(seed=99)
     events = np.arange(300)
     nodes, signals = sample_event(events, cfg, cfg.seed)
     again, signals_again = sample_event(events, cfg, cfg.seed)
@@ -96,7 +95,7 @@ def test_forced_reboot_failure_doubles_interruptions():
 def test_reboot_downtime_is_bimodal():
     # Histogram-valley oracle: with the default mixture the density in the
     # [8, 14] valley is far below both mode bands [1, 3] and [25, 45].
-    y = _outcomes(default_config(seed=5), 100_000).y_reboot
+    y = _outcomes(SimConfig(seed=5), 100_000).y_reboot
     short = ((y >= 1.0) & (y <= 3.0)).mean() / 2.0
     valley = ((y >= 8.0) & (y <= 14.0)).mean() / 6.0
     longm = ((y >= 25.0) & (y <= 45.0)).mean() / 20.0
@@ -128,7 +127,7 @@ def test_legacy_flip_half_is_a_coin():
 
 
 def test_dataset_single_draw_matches_truth():
-    events, truths = generate_observational_dataset(1, default_config(seed=8))
+    events, truths = generate_observational_dataset(1, SimConfig(seed=8))
     assert len(events) == len(truths) == 1
     ev, tr = events[0], truths[0]
     expected = tr.y_redeploy if ev.action == MitigationAction.REDEPLOY else tr.y_reboot
@@ -136,7 +135,7 @@ def test_dataset_single_draw_matches_truth():
 
 
 def test_dataset_factual_consistency_and_determinism():
-    cfg = default_config(seed=9)
+    cfg = SimConfig(seed=9)
     events, truths = generate_observational_dataset(800, cfg)
     events2, truths2 = generate_observational_dataset(800, cfg)
     assert events == events2
@@ -150,19 +149,19 @@ def test_dataset_factual_consistency_and_determinism():
 
 def test_dataset_rejects_nonpositive_n():
     with pytest.raises(InvalidArgument):
-        generate_observational_dataset(0, default_config())
+        generate_observational_dataset(0, SimConfig())
 
 
 def test_dataset_at_production_training_scale():
     # one month of production logs is on the order of 20218 events
-    events, truths = generate_observational_dataset(20_218, default_config(seed=77))
+    events, truths = generate_observational_dataset(20_218, SimConfig(seed=77))
     assert len(events) == 20_218
     assert len(truths) == 20_218
     assert len({e.event_id for e in events}) == 20_218
 
 
 def test_assignment_rates_overall_and_per_hardware_stratum():
-    cfg = default_config(seed=10)
+    cfg = SimConfig(seed=10)
     events, _ = generate_observational_dataset(20_000, cfg)
     acts = np.array([int(e.action) for e in events])
     assert 0.05 < acts.mean() < 0.95
@@ -175,7 +174,7 @@ def test_assignment_rates_overall_and_per_hardware_stratum():
 
 def test_overlap_within_signal_strata():
     # Empirical propensity in (0, 1) for every stratum with >= 30 samples.
-    cfg = default_config(seed=23)
+    cfg = SimConfig(seed=23)
     events, _ = generate_observational_dataset(20_000, cfg)
     strata: dict = {}
     for e in events:
@@ -193,7 +192,7 @@ def test_overlap_within_signal_strata():
 
 def test_confounding_by_construction_zero_effect():
     # With zero true effect the naive actual-vs-actual gap stays large.
-    cfg = zero_effect_config(seed=11)
+    cfg = preset("zero_effect", 11)
     events, truths = generate_observational_dataset(20_000, cfg)
     for t in truths:
         assert t.y_reboot == t.y_redeploy
@@ -204,7 +203,7 @@ def test_confounding_by_construction_zero_effect():
 
 
 def test_two_regime_effect_is_exact():
-    cfg = two_regime_config(seed=12)
+    cfg = preset("two_regime", 12)
     events, truths = generate_observational_dataset(2_000, cfg)
     by_id = {t.event_id: t for t in truths}
     for ev in events:
@@ -245,7 +244,7 @@ def test_step_node_repeat_count_arms_override():
 
 def test_step_node_requires_history():
     # a chain holds at least the event just mitigated: step 0 is the primary
-    cfg = default_config()
+    cfg = SimConfig()
     with pytest.raises(InvalidArgument):
         step_node(-1, np.array([REBOOT]), np.array([HW]), cfg, fresh_rng().random(1))
 
@@ -253,8 +252,8 @@ def test_step_node_requires_history():
 @pytest.mark.parametrize(
     "cfg",
     [
-        default_config(),
-        recurrence_heavy_config(),
+        SimConfig(),
+        preset("recurrence_heavy"),
         SimConfig(recurrence_delay_days=0.3, repeat_window_days=2.0, ticks_per_day=7),
         SimConfig(recurrence_delay_days=3.0, repeat_window_days=1.0),
         SimConfig(recurrence_delay_days=0.0),
@@ -281,11 +280,11 @@ def _column_row(out, i):
     return tuple(getattr(out, f.name)[i].item() for f in fields(out))
 
 
-@pytest.mark.parametrize("preset", sorted(PRESETS))
-def test_column_draws_equal_the_scalar_draws_row_by_row(preset):
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_column_draws_equal_the_scalar_draws_row_by_row(name):
     # the scalar model, fed each event's keyed uniforms in the order it
     # consumes them, gives every row of the column draws exactly
-    cfg = PRESETS[preset](seed=31)
+    cfg = preset(name, 31)
     n = 2000
     for seed in (cfg.seed, seed_for(cfg.seed, 300)):  # the dataset's stream and the harness's
         reference = reference_events(n, cfg, seed)
@@ -319,14 +318,14 @@ def test_column_draws_equal_the_scalar_draws_row_by_row(preset):
 
 
 def test_drawn_columns_encode_as_their_records():
-    cfg = recurrence_heavy_config(seed=32)
+    cfg = preset("recurrence_heavy", 32)
     nodes, columns = sample_event(np.arange(500), cfg, cfg.seed)
     for signals in (columns, draw_signals(nodes, 4, cfg, cfg.seed, 2)):
         assert encode_matrix(signals, cfg.schema()).tobytes() == encode_matrix(signals.records(), cfg.schema()).tobytes()
 
 
 def test_dataset_prefix_does_not_depend_on_its_size():
-    cfg = default_config(seed=41)
+    cfg = SimConfig(seed=41)
     short, short_truths = generate_observational_dataset(300, cfg)
     long, long_truths = generate_observational_dataset(1000, cfg)
     for a, b in zip(short, long):
@@ -361,7 +360,7 @@ def test_capped_poisson_frequencies_match_the_distribution(lam, cap):
 
 
 def test_config_dict_round_trip_and_fail_closed():
-    cfg = two_regime_config(seed=21)
+    cfg = preset("two_regime", 21)
     d = to_record(cfg)
     assert from_record(SimConfig, d) == cfg
     d["no_such_knob"] = 1
@@ -376,3 +375,43 @@ def test_config_validation():
         SimConfig(base_log_sigma=0.0)
     with pytest.raises(InvalidArgument):
         SimConfig(effect_kind="quadratic")
+
+
+# sha256 of the events and truth files of 300 events of each preset at seed
+# 31, pinned for this environment's numpy: a change to any draw, any preset
+# override or the file layout moves them
+PRESET_BYTES = {
+    "constant_effect": (
+        "869624e9c05cda25238697aae4e9a17922591c90a1c28458c394fbe2dc161907",
+        "2729658a9a89474b731762e1ae9c73440bebfacb2b2303e242738a79873f8a4c",
+    ),
+    "default": (
+        "97c7ee58337fd547fac707ecbf989223f5bb3b36e4569610aaea5adec4930dfc",
+        "eaed401e8e487d4386f7aeb28d0948bbcf322ba1f3fbe9f18b85e032d88033bc",
+    ),
+    "recurrence_heavy": (
+        "371ba62eb0b27513088e7c7cee22bb9cced3dd23198669170175dbe5eee4853c",
+        "c3397b432f445e94df5692a3eee7b02544fc4e742798aa65038f749ef55c0c84",
+    ),
+    "two_regime": (
+        "cbe83eaa428896283d539d3f8141da679706ed24251753cde547627c626a11fb",
+        "8d7a2dec1e2fbd1c21855439d90e4cf10cfd7d4d8d4bd362c51416b304f1507c",
+    ),
+    "vm_risk": (
+        "c897d771cdfcf47722323922001e050030c4f05234fcd883ff696e90834a9417",
+        "0692ec2a605e550c54284eddd78691729da89c1542acc980204595fd0d683e88",
+    ),
+    "zero_effect": (
+        "837f69de8c07d63f67333f4d268d0ce0289b6269c8e6c987fc681df714078216",
+        "66ccc07d94330175ef1a274e65f98eca231caf951cc4d25ad44c2cab214c8a36",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_every_preset_writes_its_pinned_bytes(tmp_path, name):
+    events, truths = generate_observational_dataset(300, preset(name, 31))
+    modelio.write_events_jsonl(events, str(tmp_path / "events.jsonl"))
+    modelio.write_truth_jsonl(truths, str(tmp_path / "truth.jsonl"))
+    digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in ("events.jsonl", "truth.jsonl"))
+    assert digests == PRESET_BYTES[name], f"numpy {np.__version__}"

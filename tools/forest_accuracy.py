@@ -39,7 +39,7 @@ import numpy as np  # noqa: E402
 from nodemend.dml import TrainConfig, residualize_dataset  # noqa: E402
 from nodemend.domain import encode_matrix, seed_for  # noqa: E402
 from nodemend.forest import fit_forest, predict_tau_ci  # noqa: E402
-from nodemend.simulate import generate_observational_dataset, true_tau, two_regime_config  # noqa: E402
+from nodemend.simulate import generate_observational_dataset, preset, true_tau  # noqa: E402
 
 DATA_SEEDS = 10
 FOREST_SEEDS = 3
@@ -65,11 +65,11 @@ def main() -> None:
     print(f"{'data':>4} {'forest':>6} " + " ".join(f"{c:>8}" for c in COLUMNS))
     rows = []
     for s in range(1, DATA_SEEDS + 1):
-        config = two_regime_config(seed=s)
+        config = preset("two_regime", s)
         events, _ = generate_observational_dataset(TRAIN, config)
         train_config = TrainConfig(seed=s)
         res, _, _ = residualize_dataset(events, train_config, config.schema())
-        fresh, _ = generate_observational_dataset(FRESH, two_regime_config(seed=FRESH_SEED_OFFSET + s))
+        fresh, _ = generate_observational_dataset(FRESH, preset("two_regime", FRESH_SEED_OFFSET + s))
         X = encode_matrix([e.signals for e in fresh], config.schema())
         truth = np.array([true_tau(e.signals, config) for e in fresh])
         for f in range(FOREST_SEEDS):
